@@ -118,6 +118,24 @@ void BM_EngineRunBoxes(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRunBoxes)->Arg(4)->Arg(6)->Arg(7)->Arg(10)->Arg(12);
 
+// A constant box stream (E4's iid:point:16): one run covers the whole
+// trial, and consume_run's subtree probes retire every middle child in
+// closed form. Items processed counts boxes retired, as above.
+void BM_EnginePointMassRun(benchmark::State& state) {
+  const auto k = static_cast<unsigned>(state.range(0));
+  const std::uint64_t n = util::ipow(4, k);
+  const profile::PointMass dist(16);
+  std::uint64_t boxes = 0;
+  for (auto _ : state) {
+    engine::RegularExecution exec({8, 4, 1.0}, n);
+    profile::DistributionSource source(dist, util::Rng(1));
+    benchmark::DoNotOptimize(engine::run_to_completion(exec, source));
+    boxes += exec.boxes_consumed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
+}
+BENCHMARK(BM_EnginePointMassRun)->Arg(8)->Arg(10)->Arg(12);
+
 // The bulk driver forced down the per-box fallback (RunOptions.per_box):
 // the "before" side of the pair at the old toy scales. Any gap between
 // this and BM_EngineWorstCaseProfile is dispatch overhead only.

@@ -247,22 +247,34 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
   CADAPT_CHECK_MSG(count >= 1, "run count must be >= 1");
   CADAPT_CHECK_MSG(!done(), "consume_run on a finished execution");
   RunReport report;
+  std::uint64_t consumed = 0;
+  std::uint64_t until_poll = kCancelPollBoxes;
+  const auto literal_box = [&] {
+    const BoxReport r = consume_box(s);
+    ++consumed;
+    report.progress += r.progress;
+    report.completed_problem =
+        std::max(report.completed_problem, r.completed_problem);
+    if (cancel_ != nullptr && --until_poll == 0) {
+      until_poll = kCancelPollBoxes;
+      cancel_->poll();
+    }
+  };
   // A per-box recorder must observe every box: literal reference loop.
   if (recorder_ != nullptr && !recorder_->aggregates_runs()) {
-    for (std::uint64_t i = 0; i < count && !done(); ++i) {
-      const BoxReport r = consume_box(s);
-      report.progress += r.progress;
-      report.completed_problem =
-          std::max(report.completed_problem, r.completed_problem);
-    }
+    while (consumed < count && !done()) literal_box();
     return report;
   }
   CADAPT_CHECK_MSG(s >= 1, "box size must be >= 1");
-  std::uint64_t consumed = 0;
-  // One failed probe means the run is not periodic from here on cheaply;
-  // finish it per-box instead of re-probing (and re-copying the stack)
-  // for every remaining box.
-  bool probing = true;
+  // Node hashes (excluded from signatures) place scans under
+  // kAdversaryMatched, so nothing certifies there: no probes.
+  const bool probing = placement_ != ScanPlacement::kAdversaryMatched;
+  // Open probes, outermost frame first. Both stacks are sorted by frame
+  // and by opening, so an opening dies with the last probe that uses it;
+  // marks[i] belongs to probe_openings_[i] when a recorder is attached.
+  probes_.clear();
+  std::size_t live = 0;
+  std::vector<obs::ExecRecorder::Mark> marks;
   while (consumed < count && !done()) {
     // (1) Arithmetic in-scan stretch: the position is inside a scan chunk
     // and each box advances it by exactly s, strictly within the chunk —
@@ -294,48 +306,79 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
         }
       }
     }
-    // (2) One literal box, wrapped in a period probe: if the box left the
-    // stack one certified periodic step ahead, the remaining equal boxes
-    // replay in closed form (e.g. a run of size-b^j boxes each completing
-    // one subtree of the same parent).
-    const bool try_probe = probing && count - consumed >= 2 &&
-                           placement_ != ScanPlacement::kAdversaryMatched;
-    StackSignature sig;
-    obs::ExecRecorder::Mark mark;
-    if (try_probe) {
-      sig = signature();
-      if (recorder_ != nullptr) mark = recorder_->mark();
+    // (2) Subtree probes, at a pending base case: every frame from `top`
+    // down rests at an even child boundary with a fresh descent below it
+    // (frames below `top` sit at phase 0).
+    const std::size_t leaf = stack_.size() - 1;
+    if (probing && leaf > 0 && stack_[leaf].size == 1 &&
+        (!probes_.empty() || count - consumed >= 2)) {
+      std::size_t top = leaf - 1;
+      while (top > 0 && stack_[top].phase == 0) --top;
+      // Close: a probe on frame `top` whose phase moved on spans whole
+      // children (plus their scan chunks) — certify that window as one
+      // period and replay the equal siblings after it in closed form.
+      // Probes below `top`, or on `top` without progress, belong to
+      // frames that have since been retired.
+      while (!probes_.empty() && probes_.back().frame >= top) {
+        const SubtreeProbe probe = probes_.back();
+        probes_.pop_back();
+        if (probe.frame != top || stack_[top].phase <= probe.phase0) continue;
+        const ProbeOpening& open = probe_openings_[probe.opening];
+        const std::uint64_t boxes_per_repeat =
+            boxes_consumed_ - open.boxes_before;
+        const auto delta = classify_period(
+            open.sig, (count - consumed) / boxes_per_repeat);
+        if (!delta) continue;
+        const std::uint64_t m = delta->max_repeats;
+        const std::uint64_t leaves_per_repeat =
+            leaves_done_ - open.leaves_before;
+        apply_period(*delta, m, boxes_per_repeat, leaves_per_repeat);
+        consumed += m * boxes_per_repeat;
+        report.progress += m * leaves_per_repeat;
+        if (recorder_ != nullptr) recorder_->replay(marks[probe.opening], m);
+      }
+      live = probes_.empty() ? 0 : probes_.back().opening + 1;
+      // Open: one probe per frame larger than s (a box never completes
+      // it whole) with a sibling left after the child it just entered.
+      if (count - consumed >= 2) {
+        const std::size_t first = probes_.size();
+        for (std::size_t i = top; i < leaf && stack_[i].size > s; ++i) {
+          if (stack_[i].phase / 2 + 1 < params_.a) {
+            probes_.push_back({i, stack_[i].phase, live});
+          }
+        }
+        if (probes_.size() > first) {
+          if (live == probe_openings_.size()) probe_openings_.emplace_back();
+          ProbeOpening& open = probe_openings_[live];
+          write_signature(open.sig);
+          open.boxes_before = boxes_consumed_;
+          open.leaves_before = leaves_done_;
+          if (recorder_ != nullptr) {
+            marks.resize(live + 1);
+            marks[live] = recorder_->mark();
+          }
+          ++live;
+        }
+      }
+      if (consumed == count) break;
     }
-    const std::uint64_t leaves_before = leaves_done_;
-    const BoxReport r = consume_box(s);
-    ++consumed;
-    report.progress += r.progress;
-    report.completed_problem =
-        std::max(report.completed_problem, r.completed_problem);
-    if (!try_probe) continue;
-    if (done()) break;
-    const auto delta = classify_period(sig, count - consumed);
-    if (!delta) {
-      probing = false;
-      continue;
-    }
-    const std::uint64_t m = delta->max_repeats;
-    const std::uint64_t leaves_per_repeat = leaves_done_ - leaves_before;
-    apply_period(*delta, m, /*boxes_per_repeat=*/1, leaves_per_repeat);
-    report.progress += m * leaves_per_repeat;
-    consumed += m;
-    if (recorder_ != nullptr) recorder_->replay(mark, m);
+    literal_box();
   }
   return report;
 }
 
 StackSignature RegularExecution::signature() const {
   StackSignature sig;
+  write_signature(sig);
+  return sig;
+}
+
+void RegularExecution::write_signature(StackSignature& sig) const {
+  sig.clear();
   sig.reserve(stack_.size());
   for (const Frame& f : stack_) {
     sig.push_back({f.size, f.phase, f.scan_offset});
   }
-  return sig;
 }
 
 std::optional<PeriodicDelta> RegularExecution::classify_period(
@@ -454,6 +497,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   const bool bulk = !options.per_box &&
                     (recorder == nullptr || recorder->aggregates_runs());
   const robust::CancelToken* cancel = options.cancel;
+  if (cancel != nullptr) exec.set_cancel(cancel);
   if (!bulk) {
     while (!exec.done()) {
       if (cancel != nullptr) cancel->poll();

@@ -122,12 +122,17 @@ class RegularExecution {
 
   /// Bulk path (docs/PERF.md): consume `count` consecutive boxes of size
   /// s, bit-identical in every observable to `count` consume_box(s) calls
-  /// but O(1) per arithmetic scan stretch / certified period instead of
-  /// O(count). Stops early when the execution completes; returns the
-  /// number of boxes actually consumed via boxes_consumed(). Falls back
-  /// to literal per-box stepping whenever a per-box recorder is attached
-  /// (ExecRecorder in kBoxes granularity) or no closed form applies.
+  /// but O(1) per arithmetic scan stretch / certified subtree period
+  /// instead of O(count). Stops early when the execution completes;
+  /// returns the number of boxes actually consumed via boxes_consumed().
+  /// Falls back to literal per-box stepping whenever a per-box recorder
+  /// is attached (ExecRecorder in kBoxes granularity) or no closed form
+  /// applies. Polls the attached cancel token every kCancelPollBoxes
+  /// literal boxes.
   RunReport consume_run(profile::BoxSize s, std::uint64_t count);
+
+  /// Literal boxes consume_run steps between two cancel-token polls.
+  static constexpr std::uint64_t kCancelPollBoxes = UINT64_C(1) << 12;
 
   /// Snapshot of the stack for periodicity probing. O(depth).
   StackSignature signature() const;
@@ -174,6 +179,12 @@ class RegularExecution {
   void set_recorder(obs::ExecRecorder* recorder) { recorder_ = recorder; }
   obs::ExecRecorder* recorder() const { return recorder_; }
 
+  /// Attach (or detach, with nullptr) a cooperative cancellation token:
+  /// consume_run polls it every kCancelPollBoxes literal boxes, so one
+  /// enormous run that no closed form retires (e.g. under
+  /// ScanPlacement::kAdversaryMatched) still stops within bounded work.
+  void set_cancel(const robust::CancelToken* cancel) { cancel_ = cancel; }
+
  private:
   struct Frame {
     std::uint64_t size;         // problem size in blocks (power of b)
@@ -190,6 +201,24 @@ class RegularExecution {
   }
   /// Base cases already completed strictly within stack_[idx].
   std::uint64_t leaves_done_within(std::size_t idx) const;
+
+  /// An open subtree probe of consume_run (docs/PERF.md): stack frame
+  /// `frame` rested at the even child boundary `phase0` with a fresh
+  /// descent below it when probe_openings_[opening] was taken.
+  struct SubtreeProbe {
+    std::size_t frame = 0;
+    std::uint64_t phase0 = 0;
+    std::size_t opening = 0;
+  };
+  /// State shared by every probe opened at the same fresh descent.
+  struct ProbeOpening {
+    StackSignature sig;
+    std::uint64_t boxes_before = 0;
+    std::uint64_t leaves_before = 0;
+  };
+
+  /// signature(), written into `sig` so its capacity is reused.
+  void write_signature(StackSignature& sig) const;
   /// Restore the invariant: the deepest frame is a pending base case or a
   /// scan chunk with work remaining; completed frames are retired.
   /// Returns the size of the largest problem retired, or 0.
@@ -214,9 +243,15 @@ class RegularExecution {
   std::uint64_t leaves_done_ = 0;
   std::uint64_t boxes_consumed_ = 0;
   obs::ExecRecorder* recorder_ = nullptr;
+  const robust::CancelToken* cancel_ = nullptr;
   std::vector<Frame> stack_;
   /// units_by_level_[k] = unit accesses of a problem of size b^k.
   std::vector<std::uint64_t> units_by_level_;
+  /// consume_run's probe scratch, kept across calls so that the bulk
+  /// path does not allocate per run: openings past the ones in use keep
+  /// their signature capacity for the next probe.
+  std::vector<SubtreeProbe> probes_;
+  std::vector<ProbeOpening> probe_openings_;
 };
 
 /// Why run_to_completion stopped.
@@ -253,8 +288,9 @@ struct RunOptions {
   /// debugging can compare the two.
   bool per_box = false;
   /// Cooperative cancellation (docs/ROBUSTNESS.md): polled at every loop
-  /// head (per box on the reference path, per run on the bulk path), so
-  /// a deadline interrupts even a single enormous trial. Throws
+  /// head (per box on the reference path, per run on the bulk path) and
+  /// every kCancelPollBoxes literal boxes inside a run, so a deadline
+  /// interrupts even a single enormous trial. Throws
   /// robust::CancelledError out of run_to_completion; the campaign
   /// drivers discard the interrupted work (never aggregate it). Null =
   /// disabled, one never-taken branch of overhead.

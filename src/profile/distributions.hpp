@@ -134,14 +134,16 @@ class Empirical final : public BoxDistribution {
 /// exception is a point mass: every delivered value is the same forever,
 /// so runs of kPointMassChunk boxes are emitted from a single head draw;
 /// the RNG is private to this source, so the skipped per-box draws are
-/// unobservable in any result.
+/// unobservable in any result. The chunk covers any box cap
+/// (RunOptions::max_boxes clamps it), so a point-mass trial is a single
+/// consume_run call.
 class DistributionSource final : public BoxSource {
  public:
   DistributionSource(const BoxDistribution& dist, util::Rng rng)
       : dist_(&dist), rng_(rng),
         point_mass_(dist.pmf().size() == 1) {}
 
-  static constexpr std::uint64_t kPointMassChunk = UINT64_C(1) << 12;
+  static constexpr std::uint64_t kPointMassChunk = UINT64_C(1) << 40;
 
   std::optional<BoxSize> next() override {
     if (pending_) {

@@ -27,6 +27,7 @@
 #include "profile/distributions.hpp"
 #include "profile/transforms.hpp"
 #include "profile/worst_case.hpp"
+#include "robust/cancel.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
 
@@ -245,56 +246,202 @@ TEST(BulkRecorder, KBoxesGranularityForcesPerBoxTrace) {
 
 // A kRuns recorder rides the bulk path, yet every aggregate counter —
 // including the per-size-class tallies and branch counts — must equal
-// what per-box recording produces.
+// what per-box recording produces: through block replay (worst), through
+// subtree probes on one long constant run (iid-point), and under random
+// run boundaries (fragmented-worst).
 TEST(BulkRecorder, KRunsCountersExactlyMatchPerBox) {
   for (const model::RegularParams& p : shapes()) {
     const std::uint64_t n = util::ipow(p.b, p.b == 2 ? 6u : 4u);
-    for (const BoxSemantics semantics :
-         {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
-      obs::ExecRecorder runs_rec(nullptr, obs::BoxGranularity::kRuns);
-      profile::WorstCaseSource runs_source(p.a, p.b, n);
-      RunOptions runs_options;
-      runs_options.recorder = &runs_rec;
-      RegularExecution runs_exec(p, n, ScanPlacement::kEnd, 0, semantics);
-      run_to_completion(runs_exec, runs_source, runs_options);
+    for (const SourceCase& source_case : source_cases(p, n)) {
+      if (source_case.name != "worst" && source_case.name != "iid-point" &&
+          source_case.name != "fragmented-worst") {
+        continue;
+      }
+      for (const BoxSemantics semantics :
+           {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+        obs::ExecRecorder runs_rec(nullptr, obs::BoxGranularity::kRuns);
+        auto runs_source = source_case.make();
+        RunOptions runs_options;
+        runs_options.recorder = &runs_rec;
+        RegularExecution runs_exec(p, n, ScanPlacement::kEnd, 0, semantics);
+        run_to_completion(runs_exec, *runs_source, runs_options);
 
-      obs::ExecRecorder box_rec(nullptr);
-      profile::WorstCaseSource box_source(p.a, p.b, n);
-      RunOptions box_options;
-      box_options.recorder = &box_rec;
-      box_options.per_box = true;
-      RegularExecution box_exec(p, n, ScanPlacement::kEnd, 0, semantics);
-      run_to_completion(box_exec, box_source, box_options);
+        obs::ExecRecorder box_rec(nullptr);
+        auto box_source = source_case.make();
+        RunOptions box_options;
+        box_options.recorder = &box_rec;
+        box_options.per_box = true;
+        RegularExecution box_exec(p, n, ScanPlacement::kEnd, 0, semantics);
+        run_to_completion(box_exec, *box_source, box_options);
 
-      const std::string label = p.name();
-      EXPECT_EQ(runs_rec.boxes(), box_rec.boxes()) << label;
-      EXPECT_EQ(runs_rec.sum_box_sizes(), box_rec.sum_box_sizes()) << label;
-      EXPECT_EQ(runs_rec.total_progress(), box_rec.total_progress()) << label;
-      EXPECT_EQ(runs_rec.total_scan_advance(), box_rec.total_scan_advance())
-          << label;
-      EXPECT_EQ(runs_rec.completions(), box_rec.completions()) << label;
-      for (const obs::ExecBranch branch :
-           {obs::ExecBranch::kCompleteJump, obs::ExecBranch::kScanAdvance,
-            obs::ExecBranch::kBudgeted}) {
-        EXPECT_EQ(runs_rec.branch_count(branch), box_rec.branch_count(branch))
+        const std::string label =
+            p.name() + " " + source_case.name + " semantics=" +
+            std::to_string(static_cast<int>(semantics));
+        EXPECT_EQ(runs_rec.boxes(), box_rec.boxes()) << label;
+        EXPECT_EQ(runs_rec.sum_box_sizes(), box_rec.sum_box_sizes()) << label;
+        EXPECT_EQ(runs_rec.total_progress(), box_rec.total_progress())
+            << label;
+        EXPECT_EQ(runs_rec.total_scan_advance(), box_rec.total_scan_advance())
+            << label;
+        EXPECT_EQ(runs_rec.completions(), box_rec.completions()) << label;
+        for (const obs::ExecBranch branch :
+             {obs::ExecBranch::kCompleteJump, obs::ExecBranch::kScanAdvance,
+              obs::ExecBranch::kBudgeted}) {
+          EXPECT_EQ(runs_rec.branch_count(branch),
+                    box_rec.branch_count(branch))
+              << label;
+        }
+        for (std::size_t cls = 0; cls < 64; ++cls) {
+          const auto& a = runs_rec.size_classes()[cls];
+          const auto& b = box_rec.size_classes()[cls];
+          EXPECT_EQ(a.boxes, b.boxes) << label << " class " << cls;
+          EXPECT_EQ(a.sum_box, b.sum_box) << label << " class " << cls;
+          EXPECT_EQ(a.progress, b.progress) << label << " class " << cls;
+          EXPECT_EQ(a.scan_advance, b.scan_advance)
+              << label << " class " << cls;
+          EXPECT_EQ(a.completions, b.completions)
+              << label << " class " << cls;
+        }
+        // Conservation holds through the bulk path too.
+        EXPECT_EQ(runs_rec.total_progress() + runs_rec.total_scan_advance(),
+                  runs_exec.total_units())
             << label;
       }
-      for (std::size_t cls = 0; cls < 64; ++cls) {
-        const auto& a = runs_rec.size_classes()[cls];
-        const auto& b = box_rec.size_classes()[cls];
-        EXPECT_EQ(a.boxes, b.boxes) << label << " class " << cls;
-        EXPECT_EQ(a.sum_box, b.sum_box) << label << " class " << cls;
-        EXPECT_EQ(a.progress, b.progress) << label << " class " << cls;
-        EXPECT_EQ(a.scan_advance, b.scan_advance)
-            << label << " class " << cls;
-        EXPECT_EQ(a.completions, b.completions) << label << " class " << cls;
-      }
-      // Conservation holds through the bulk path too.
-      EXPECT_EQ(runs_rec.total_progress() + runs_rec.total_scan_advance(),
-                runs_exec.total_units())
-          << label;
     }
   }
+}
+
+RunResult run_point_mass(const model::RegularParams& p, std::uint64_t n,
+                         profile::BoxSize s, ScanPlacement placement,
+                         BoxSemantics semantics, std::uint64_t cap,
+                         bool per_box) {
+  const profile::PointMass dist(s);
+  profile::DistributionSource source(dist, util::Rng(78));
+  RunOptions options;
+  options.max_boxes = cap;
+  options.per_box = per_box;
+  return run_regular(p, n, source, placement, /*adversary_seed=*/5, semantics,
+                     options);
+}
+
+// Constant box runs retire whole subtrees in closed form (subtree probes
+// in consume_run). Every RunResult field must still equal the per-box
+// reference: box sizes below, at, between and above the powers of b, up
+// to the whole problem; caps halfway and two thirds through the run land
+// inside a replayed range of the root's children.
+TEST(PointMassRuns, BitIdenticalToPerBox) {
+  model::RegularParams p;
+  p.a = 8, p.b = 4, p.c = 1.0;
+  for (const unsigned k : {2u, 5u, 7u}) {
+    const std::uint64_t n = util::ipow(p.b, k);
+    for (const profile::BoxSize s :
+         {profile::BoxSize{1}, profile::BoxSize{3}, profile::BoxSize{4},
+          profile::BoxSize{16}, profile::BoxSize{17}, profile::BoxSize{64},
+          profile::BoxSize{n}}) {
+      // Millions of reference boxes per run; k = 5 covers these sizes.
+      if (k == 7 && s < 4) continue;
+      for (const ScanPlacement placement :
+           {ScanPlacement::kEnd, ScanPlacement::kInterleaved,
+            ScanPlacement::kAdversaryMatched}) {
+        for (const BoxSemantics semantics :
+             {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+          const RunResult full = run_point_mass(
+              p, n, s, placement, semantics, UINT64_C(1) << 40, false);
+          ASSERT_TRUE(full.completed);
+          for (const std::uint64_t cap :
+               {full.boxes / 2 + 1, 2 * full.boxes / 3, UINT64_C(1) << 40}) {
+            const std::string label =
+                "k=" + std::to_string(k) + " s=" + std::to_string(s) +
+                " placement=" + std::to_string(static_cast<int>(placement)) +
+                " semantics=" + std::to_string(static_cast<int>(semantics)) +
+                " cap=" + std::to_string(cap);
+            const RunResult ref =
+                run_point_mass(p, n, s, placement, semantics, cap, true);
+            const RunResult bulk =
+                run_point_mass(p, n, s, placement, semantics, cap, false);
+            EXPECT_EQ(bulk.completed, ref.completed) << label;
+            EXPECT_EQ(bulk.stop, ref.stop) << label;
+            EXPECT_EQ(bulk.boxes, ref.boxes) << label;
+            EXPECT_EQ(bulk.leaves, ref.leaves) << label;
+            EXPECT_EQ(bulk.sum_bounded_potential, ref.sum_bounded_potential)
+                << label;
+            EXPECT_EQ(bulk.ratio, ref.ratio) << label;
+            EXPECT_EQ(bulk.unit_ratio, ref.unit_ratio) << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+std::uint64_t count_events(const obs::MemorySink& sink,
+                           const std::string& type) {
+  std::uint64_t count = 0;
+  for (const obs::Event& event : sink.events()) count += event.type == type;
+  return count;
+}
+
+// Work bound, not a timeout: a k=10 point-mass trial retires ~3.3 x 10^7
+// boxes, but subtree probes leave only the first and last child of each
+// frame to literal stepping — about 2^(k-1) literal boxes for (8,4,1)
+// and s = 16 (511 here), far under the bound (log2 n)^3 = 8000.
+TEST(PointMassRuns, LiteralBoxesStayPolylog) {
+  model::RegularParams p;
+  p.a = 8, p.b = 4, p.c = 1.0;
+  const std::uint64_t n = util::ipow(p.b, 10u);
+  const profile::PointMass dist(16);
+  profile::DistributionSource source(dist, util::Rng(78));
+  obs::MemorySink sink;
+  obs::ExecRecorder recorder(&sink, obs::BoxGranularity::kRuns);
+  RunOptions options;
+  options.recorder = &recorder;
+  RegularExecution exec(p, n);
+  const RunResult result = run_to_completion(exec, source, options);
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(recorder.boxes(), result.boxes);
+  EXPECT_GT(result.boxes, UINT64_C(30000000));
+  const std::uint64_t log2n = 20;
+  EXPECT_LT(count_events(sink, "box"), log2n * log2n * log2n);
+}
+
+// Raises the cancel request once it has seen `after` literal boxes.
+class CancellingSink final : public obs::TraceSink {
+ public:
+  CancellingSink(robust::CancelToken* token, std::uint64_t after)
+      : token_(token), after_(after) {}
+  void write(const obs::Event& event) override {
+    if (event.type == "box" && ++boxes_ == after_) {
+      token_->request(robust::CancelReason::kDeadline);
+    }
+  }
+  std::uint64_t boxes() const { return boxes_; }
+
+ private:
+  robust::CancelToken* token_;
+  std::uint64_t after_;
+  std::uint64_t boxes_ = 0;
+};
+
+// kAdversaryMatched never certifies, so a point-mass trial is one huge
+// literal run; consume_run must still poll the token within
+// kCancelPollBoxes literal boxes of the request.
+TEST(PointMassRuns, CancelInterruptsOneHugeLiteralRun) {
+  model::RegularParams p;
+  p.a = 8, p.b = 4, p.c = 1.0;
+  const std::uint64_t n = util::ipow(p.b, 10u);
+  const profile::PointMass dist(16);
+  profile::DistributionSource source(dist, util::Rng(78));
+  robust::CancelToken token;
+  CancellingSink sink(&token, 1000);
+  obs::ExecRecorder recorder(&sink, obs::BoxGranularity::kRuns);
+  RunOptions options;
+  options.recorder = &recorder;
+  options.cancel = &token;
+  RegularExecution exec(p, n, ScanPlacement::kAdversaryMatched, 5);
+  EXPECT_THROW(run_to_completion(exec, source, options),
+               robust::CancelledError);
+  EXPECT_EQ(sink.boxes(), RegularExecution::kCancelPollBoxes);
+  EXPECT_FALSE(exec.done());
 }
 
 // StopReason must say WHY the run ended, identically in both drivers.
@@ -411,7 +558,9 @@ TEST(SourceRuns, RunExpansionReproducesNextStream) {
         break;
       }
       ASSERT_GE(run->count, 1u) << source_case.name;
-      for (std::uint64_t i = 0; i < run->count; ++i) {
+      // A point-mass run spans any box cap, so expand only up to the
+      // comparison horizon.
+      for (std::uint64_t i = 0; i < run->count && compared < 5000; ++i) {
         const auto box = box_side->next();
         ASSERT_TRUE(box.has_value()) << source_case.name;
         EXPECT_EQ(*box, run->size)
