@@ -1,84 +1,20 @@
-// Shared output helpers for the experiment benches. Each bench binary
-// regenerates one experiment from DESIGN.md §4 and prints the series that
-// EXPERIMENTS.md records.
-//
-// Set the environment variable CADAPT_CSV=1 to additionally emit every
-// series as a CSV block (for plotting pipelines), and CADAPT_TRACE=path
-// to append every printed series as JSONL events ("point" per row plus a
-// "series" summary; see docs/OBSERVABILITY.md) to that file.
+// Shared output helper for the experiment benches. Each bench binary
+// regenerates one non-grid experiment from DESIGN.md §4 and prints the
+// tables EXPERIMENTS.md records; the ratio-vs-n grids are manifests run
+// by `cadapt sweep`.
 #pragma once
 
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 
-#include "core/experiments.hpp"
-#include "core/report.hpp"
-#include "obs/event.hpp"
-#include "obs/sink.hpp"
 #include "util/table.hpp"
 
 namespace cadapt::bench {
-
-inline bool csv_requested() {
-  const char* env = std::getenv("CADAPT_CSV");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-/// Path from CADAPT_TRACE, or empty when tracing is off.
-inline std::string trace_path() {
-  const char* env = std::getenv("CADAPT_TRACE");
-  return env != nullptr ? std::string(env) : std::string();
-}
-
-/// Append the series to the CADAPT_TRACE file as JSONL, if requested.
-/// Append mode lets one pipeline run several bench binaries into a single
-/// trace file.
-inline void maybe_trace_series(const core::Series& series, std::uint64_t b) {
-  const std::string path = trace_path();
-  if (path.empty()) return;
-  std::ofstream file(path, std::ios::app);
-  if (!file) {
-    std::cerr << "warning: cannot open CADAPT_TRACE file " << path << "\n";
-    return;
-  }
-  obs::JsonlSink sink(file);
-  for (const auto& p : series.points) {
-    obs::Event event("point");
-    event.str("series", series.name)
-        .u64("n", p.n)
-        .f64("ratio_mean", p.ratio_mean)
-        .f64("ratio_ci95", p.ratio_ci95)
-        .f64("ratio_p95", p.ratio_p95)
-        .f64("boxes_mean", p.boxes_mean)
-        .u64("trials", p.trials)
-        .u64("incomplete", p.incomplete);
-    sink.write(event);
-  }
-  obs::Event summary("series");
-  summary.str("name", series.name)
-      .u64("points", series.points.size())
-      .u64("log_base", b);
-  if (series.points.size() >= 2)
-    summary.f64("slope", core::slope_vs_log_n(series, b));
-  sink.write(summary);
-}
 
 inline void print_header(const std::string& id, const std::string& claim) {
   std::cout << "==============================================================\n"
             << id << "\n" << claim << "\n"
             << "==============================================================\n";
-}
-
-/// Print a ratio series as a table plus its fitted slope against log_b n,
-/// and mirror it to the CADAPT_TRACE JSONL file when that is set.
-inline void print_series(const core::Series& series, std::uint64_t b) {
-  core::ReportOptions options;
-  options.log_base = b;
-  options.csv = csv_requested();
-  core::print_series(std::cout, series, options);
-  maybe_trace_series(series, b);
 }
 
 }  // namespace cadapt::bench

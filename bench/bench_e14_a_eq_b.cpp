@@ -1,22 +1,17 @@
 // E14 — beyond the paper: the a = b case (left open in the paper, "we
 // leave the case of a = b for future work").
 //
-// Merge sort is (2,2,1)-regular. Footnote 3: for a = b, c = 1 no
-// algorithm can be *optimally* cache-adaptive (such algorithms are
-// already Θ(log(M/B)) from DAM-optimal), but one can still ask how far
-// from its own potential it runs. We measure, under the operation-based
-// progress function (the right one for a = b, where U(n) = Θ(n log n)):
-//
-//   * on the adversarial profile M_{2,2}(n)   -> does a gap appear?
-//   * on the i.i.d. reshuffle of that profile -> does smoothing help?
-//
-// The printed slopes are empirical evidence for the open question.
+// Merge sort is (2,2,1)-regular. The ratio-vs-n grid (adversarial
+// M_{2,2}(n) vs its i.i.d. reshuffle, operation-based progress) is the
+// campaign bench/manifests/e14_a_eq_b.manifest. This binary keeps the
+// concrete side: a real instrumented merge sort on the cache-adaptive
+// paging machine under the adversarial profile and a shuffle of the
+// same box multiset.
 #include <iostream>
 
 #include "algos/sort.hpp"
 #include "bench_common.hpp"
 #include "paging/ca_machine.hpp"
-#include "profile/distributions.hpp"
 #include "profile/transforms.hpp"
 #include "profile/worst_case.hpp"
 #include "util/random.hpp"
@@ -25,30 +20,9 @@ int main() {
   using namespace cadapt;
   bench::print_header(
       "E14 (beyond the paper: a = b)",
-      "Merge sort (2,2,1) under adversarial vs reshuffled profiles,\n"
-      "operation-based progress (U(n) = Θ(n log n)). The a = b case is "
-      "the paper's\nexplicit future work; these are empirical data points "
-      "for it.");
-
-  const model::RegularParams merge_sort_params{2, 2, 1.0};
-  core::SweepOptions opts;
-  opts.kmin = 4;
-  opts.kmax = 14;
-  opts.trials = 1;
-  opts.unit_progress = true;
-
-  {
-    core::Series s = core::worst_case_gap_curve(merge_sort_params, opts);
-    s.name += " [operation-based progress]";
-    bench::print_series(s, 2);
-  }
-  {
-    core::SweepOptions mc = opts;
-    mc.trials = 32;
-    core::Series s = core::shuffled_worst_case_curve(merge_sort_params, mc);
-    s.name += " [operation-based progress]";
-    bench::print_series(s, 2);
-  }
+      "Real merge sort (2,2,1) on the CA paging machine: adversarial vs\n"
+      "reshuffled boxes. The a = b case is the paper's explicit future "
+      "work;\nthe ratio grid is bench/manifests/e14_a_eq_b.manifest.");
 
   // A concrete instrumented merge sort on the cache-adaptive machine:
   // adversarial vs reshuffled boxes, same multiset.

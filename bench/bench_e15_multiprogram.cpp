@@ -18,6 +18,7 @@
 #include "algos/sort.hpp"
 #include "bench_common.hpp"
 #include "engine/analytic.hpp"
+#include "engine/montecarlo.hpp"
 #include "paging/trace.hpp"
 #include "profile/distributions.hpp"
 #include "profile/square_approx.hpp"

@@ -59,6 +59,7 @@ engine::RobustTrialRunner ratio_runner(const Cell& cell,
   const std::uint64_t n = cell.n;
   engine::McOptions mc;  // only the workload-shaping fields matter here
   mc.semantics = options.semantics;
+  mc.placement = options.placement;
   mc.max_boxes = options.max_boxes;
   mc.per_box = options.per_box;
   mc.faults = options.faults;
@@ -368,6 +369,7 @@ engine::RunResult run_program_traced(const Cell& cell,
 CellRunOptions cell_options_from(const Manifest& manifest) {
   CellRunOptions options;
   options.semantics = manifest.semantics;
+  options.placement = manifest.placement;
   options.max_boxes = manifest.max_boxes;
   options.keys = manifest.keys;
   options.block = manifest.block;

@@ -24,6 +24,9 @@ namespace cadapt::campaign {
 
 struct CellRunOptions {
   engine::BoxSemantics semantics = engine::BoxSemantics::kOptimistic;
+  /// Scan placement for ratio cells built on a profile source (the
+  /// order/randscan runners fix their own).
+  engine::ScanPlacement placement = engine::ScanPlacement::kEnd;
   std::uint64_t max_boxes = UINT64_C(1) << 40;
   /// Force the per-box reference driver in every trial (docs/PERF.md);
   /// the default bulk path is bit-identical, so this exists for

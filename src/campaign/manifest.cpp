@@ -301,6 +301,7 @@ Manifest parse_manifest(std::istream& is) {
   // and profile grammar depends on it.
   std::vector<std::string> profile_tokens;
   std::size_t profiles_line = 0;
+  std::size_t placement_line = 0;
   // key -> the line that first set it. A repeated key is refused, not
   // last-one-wins: two manifests differing only in a shadowed line would
   // parse (and hash) identically while READING differently — ambiguity a
@@ -373,6 +374,16 @@ Manifest parse_manifest(std::istream& is) {
         fail(line_no, "unit_progress must be 0 or 1");
       }
       m.unit_progress = toks[0] == "1";
+    } else if (key == "placement") {
+      const auto toks = tokens_of(value);
+      if (toks.size() == 1 && toks[0] == "end") {
+        m.placement = engine::ScanPlacement::kEnd;
+      } else if (toks.size() == 1 && toks[0] == "interleaved") {
+        m.placement = engine::ScanPlacement::kInterleaved;
+      } else {
+        fail(line_no, "placement must be end or interleaved");
+      }
+      placement_line = line_no;
     } else if (key == "max_boxes") {
       const auto toks = tokens_of(value);
       if (toks.size() != 1) fail(line_no, "max_boxes must be a single integer");
@@ -440,8 +451,24 @@ Manifest parse_manifest(std::istream& is) {
     if (m.tiers.set) {
       throw util::ParseError("'tiers' requires workload = sort");
     }
+    if (m.placement != engine::ScanPlacement::kEnd) {
+      // These runners place their scans themselves (trailing or
+      // adversary-matched); an interleaved request would be ignored.
+      for (const ProfileSpec& p : m.profiles) {
+        if (p.kind == ProfileKind::kOrder ||
+            p.kind == ProfileKind::kOrderMatched ||
+            p.kind == ProfileKind::kRandScan) {
+          fail(placement_line, "placement = interleaved cannot apply to "
+                               "profile '" + p.token +
+                                   "' (it fixes its own scan placement)");
+        }
+      }
+    }
   } else {
     if (m.sorts.empty()) throw util::ParseError("manifest has no sorts");
+    if (placement_line != 0) {
+      fail(placement_line, "'placement' requires workload = ratio");
+    }
     if (!m.algos.empty() || !m.ks.empty()) {
       throw util::ParseError("'algos'/'k' require workload = ratio");
     }
@@ -471,6 +498,11 @@ std::string manifest_fingerprint(const Manifest& m) {
      << (m.semantics == engine::BoxSemantics::kBudgeted ? "budgeted"
                                                         : "optimistic")
      << " unit=" << (m.unit_progress ? 1 : 0) << " max_boxes=" << m.max_boxes;
+  // Only-when-set, like the sort-side keys below: trailing scans are the
+  // historical default and keep the fingerprint byte-for-byte.
+  if (m.placement == engine::ScanPlacement::kInterleaved) {
+    os << " placement=interleaved";
+  }
   if (m.workload == Workload::kSort) {
     os << " sorts=";
     for (const std::string& s : m.sorts) os << s << ",";

@@ -23,6 +23,11 @@
 //   seed      = 42
 //   semantics = optimistic | budgeted
 //   unit_progress = 0 | 1               # footnote-4 ratio (use for a <= b)
+//   placement = end | interleaved       # scan placement of every ratio
+//               # cell's algorithm (E12's lightweight scan-hiding);
+//               # omitted = end (fingerprint unchanged). interleaved is
+//               # refused with order/order-matched/randscan, whose
+//               # runners fix their own placement
 //   max_boxes = 1099511627776           # per-trial box cap
 //   workers   = 4                       # intra-cell trial parallelism
 //               # (docs/PARALLEL.md): run each cell's trials on a seeded
@@ -147,6 +152,10 @@ struct Manifest {
   std::uint64_t seed = 42;
   engine::BoxSemantics semantics = engine::BoxSemantics::kOptimistic;
   bool unit_progress = false;
+  /// Scan placement of every ratio cell; entered into the fingerprint
+  /// only when not kEnd, so pre-existing campaigns keep their
+  /// config_hash byte-for-byte.
+  engine::ScanPlacement placement = engine::ScanPlacement::kEnd;
   std::uint64_t max_boxes = UINT64_C(1) << 40;
   // sort workload
   std::vector<std::string> sorts;  ///< adaptive|funnel|merge2|mm:N|fw:N

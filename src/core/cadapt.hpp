@@ -8,9 +8,14 @@
 //   engine::run_monte_carlo   — parallel expectation estimation
 //   paging::CaMachine         — concrete cache-adaptive paging machine
 //   algos::*                  — instrumented real algorithms (MM-Scan, ...)
-//   core::*_curve             — one-call reproductions of the paper's claims
+//   campaign::run_sweep       — one-call reproductions of the paper's
+//                               claims: manifest in, report out
+//                               (examples/smoothing_tour.cpp)
 #pragma once
 
+#include "campaign/manifest.hpp"    // IWYU pragma: export
+#include "campaign/plan.hpp"        // IWYU pragma: export
+#include "campaign/sweep.hpp"       // IWYU pragma: export
 #include "core/experiments.hpp"     // IWYU pragma: export
 #include "engine/analytic.hpp"      // IWYU pragma: export
 #include "engine/exec.hpp"          // IWYU pragma: export

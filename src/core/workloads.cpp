@@ -9,16 +9,14 @@
 namespace cadapt::core {
 
 engine::TrialSourceFactory worst_profile_source(model::RegularParams params,
-                                                std::uint64_t n,
-                                                std::uint64_t profile_a,
-                                                std::uint64_t profile_b) {
-  const std::uint64_t pa = profile_a == 0 ? params.a : profile_a;
-  const std::uint64_t pb = profile_b == 0 ? params.b : profile_b;
-  return [pa, pb, n](util::Rng&) -> std::unique_ptr<profile::BoxSource> {
-    // Cycle so that a mismatched (algorithm, profile) pair still
-    // completes; the canonical pair finishes within one pass.
-    return std::make_unique<profile::CyclingSource>([pa, pb, n] {
-      return std::make_unique<profile::WorstCaseSource>(pa, pb, n);
+                                                std::uint64_t n) {
+  const std::uint64_t a = params.a;
+  const std::uint64_t b = params.b;
+  return [a, b, n](util::Rng&) -> std::unique_ptr<profile::BoxSource> {
+    // Cycle so that an execution outliving one pass still completes; a
+    // (a,b,1) execution with a > b finishes within one pass.
+    return std::make_unique<profile::CyclingSource>([a, b, n] {
+      return std::make_unique<profile::WorstCaseSource>(a, b, n);
     });
   };
 }

@@ -2,10 +2,9 @@
 // is "run an (a,b,c)-regular execution against boxes from X", and each
 // builder here packages one X as a self-contained engine trial factory.
 //
-// The experiment curves (core/experiments.cpp) and the campaign sweep
-// runner (campaign/cell_runner.cpp) both consume these, so a manifest
-// cell named `worst` measures exactly what bench_e2's curve measures —
-// one definition, two drivers.
+// The campaign sweep runner (campaign/cell_runner.cpp) builds every
+// ratio cell from these, so a manifest profile token names exactly one
+// function below; the traced benchmark harness reuses them.
 //
 // Every builder copies or owns what it captures; the returned functor has
 // no dangling references and may outlive all arguments.
@@ -21,13 +20,11 @@
 
 namespace cadapt::core {
 
-/// E2's workload: the deterministic adversarial profile M_{pa,pb}(n),
-/// cycled so a mismatched (algorithm, profile) pair still completes.
-/// profile_a/profile_b default (0) to the algorithm's own parameters.
+/// E2's workload: the algorithm's own deterministic adversarial profile
+/// M_{a,b}(n), cycled so an execution that outlives one pass (c < 1
+/// under optimistic semantics, a <= b) still completes.
 engine::TrialSourceFactory worst_profile_source(model::RegularParams params,
-                                                std::uint64_t n,
-                                                std::uint64_t profile_a = 0,
-                                                std::uint64_t profile_b = 0);
+                                                std::uint64_t n);
 
 /// E3's workload (Theorem 1): i.i.d. boxes from `dist`. The factory
 /// shares ownership of the distribution.

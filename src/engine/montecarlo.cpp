@@ -307,19 +307,6 @@ McSummary run_monte_carlo_robust(const McOptions& options,
   return summary;
 }
 
-McSummary run_monte_carlo_custom(std::uint64_t trials, std::uint64_t seed,
-                                 const TrialRunner& runner,
-                                 util::ThreadPool* pool,
-                                 obs::McRecorder* recorder) {
-  CADAPT_CHECK(runner != nullptr);
-  McOptions options;
-  options.trials = trials;
-  options.seed = seed;
-  options.pool = pool;
-  options.recorder = recorder;
-  return run_monte_carlo_robust(options, as_robust_runner(runner));
-}
-
 McSummary run_monte_carlo(const model::RegularParams& params, std::uint64_t n,
                           const TrialSourceFactory& make_source,
                           const McOptions& options) {

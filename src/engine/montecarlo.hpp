@@ -30,8 +30,8 @@
 #include "robust/checkpoint.hpp"
 #include "robust/error.hpp"
 #include "robust/fault.hpp"
+#include "stats/streaming.hpp"
 #include "util/random.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cadapt::engine {
@@ -121,9 +121,9 @@ struct McSummary {
   ///   ratio_samples.size() + incomplete + failed == trials_run
   /// `boxes` covers all non-failed trials (an incomplete trial spent
   /// max_boxes; a failed trial's spend is unknowable mid-exception).
-  util::RunningStat ratio;       ///< adaptivity ratio per completed trial
-  util::RunningStat unit_ratio;  ///< operation-based ratio per completed trial
-  util::RunningStat boxes;       ///< boxes consumed per non-failed trial
+  stats::Welford ratio;       ///< adaptivity ratio per completed trial
+  stats::Welford unit_ratio;  ///< operation-based ratio per completed trial
+  stats::Welford boxes;       ///< boxes consumed per non-failed trial
   std::uint64_t incomplete = 0;  ///< trials that hit the box cap / exhaustion
   /// Of the incomplete trials, how many stopped on the max_boxes cap
   /// (StopReason::kBoxCapHit); the rest exhausted their finite source.
@@ -202,17 +202,6 @@ RobustTrialRunner as_robust_runner(TrialRunner runner);
 /// max_boxes are ignored here, they belong to run_monte_carlo's runner).
 McSummary run_monte_carlo_robust(const McOptions& options,
                                  const RobustTrialRunner& runner);
-
-/// Run `trials` independent trials; trial i receives a seed derived only
-/// from (seed, i), so results are reproducible across thread counts.
-/// A non-null recorder receives per-trial observations in trial order
-/// (tests/test_engine_determinism.cpp holds this to bit-identical output
-/// across pool sizes {1, 2, 8}). A trial that throws is contained as a
-/// TrialError in the summary (no retries at this entry point).
-McSummary run_monte_carlo_custom(std::uint64_t trials, std::uint64_t seed,
-                                 const TrialRunner& runner,
-                                 util::ThreadPool* pool = nullptr,
-                                 obs::McRecorder* recorder = nullptr);
 
 /// Run `options.trials` independent executions of the (params, n) algorithm
 /// on profiles produced by `make_source`.

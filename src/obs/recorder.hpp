@@ -5,7 +5,7 @@
 //
 // Layer map (docs/OBSERVABILITY.md):
 //   ExecRecorder   — engine::RegularExecution, one observation per box
-//   McRecorder     — engine::run_monte_carlo_custom, one per trial
+//   McRecorder     — engine::run_monte_carlo_robust, one per trial
 //   PagingRecorder — paging::CaMachine, per-access tallies by box class
 #pragma once
 

@@ -2,7 +2,7 @@
 // single-threaded — recorders buffer per-trial observations in
 // pre-assigned slots and flush from one thread in a deterministic order,
 // so the sink never needs a lock and the emitted stream is identical
-// across thread counts (see engine::run_monte_carlo_custom).
+// across thread counts (see engine::run_monte_carlo_robust).
 #pragma once
 
 #include <cstdint>

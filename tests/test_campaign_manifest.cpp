@@ -4,6 +4,9 @@
 // config_hash regardless of formatting), and plan expansion must be a
 // pure deterministic function of the manifest — cell indices are the
 // address space for checkpoints, shards, and reports.
+#include <cstdint>
+#include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -381,6 +384,92 @@ TEST(Plan, ShardsRoundRobinAndCoverTheGrid) {
 
   EXPECT_THROW(campaign::shard_cells(plan, 0, 0), util::UsageError);
   EXPECT_THROW(campaign::shard_cells(plan, 2, 2), util::UsageError);
+}
+
+TEST(Manifest, PlacementKeyParsesAndFingerprintsOnlyWhenInterleaved) {
+  const std::string head =
+      "name = p\nalgos = 8:4:1\nprofiles = worst shuffled\nk = 2..4\n";
+  const Manifest plain = parse(head);
+  const Manifest end = parse(head + "placement = end\n");
+  const Manifest interleaved = parse(head + "placement = interleaved\n");
+  EXPECT_EQ(plain.placement, engine::ScanPlacement::kEnd);
+  EXPECT_EQ(end.placement, engine::ScanPlacement::kEnd);
+  EXPECT_EQ(interleaved.placement, engine::ScanPlacement::kInterleaved);
+  // An explicit default is the historical campaign, byte for byte.
+  EXPECT_EQ(campaign::manifest_fingerprint(end),
+            campaign::manifest_fingerprint(plain));
+  EXPECT_EQ(campaign::manifest_hash(end), campaign::manifest_hash(plain));
+  EXPECT_NE(campaign::manifest_hash(interleaved),
+            campaign::manifest_hash(plain));
+  EXPECT_NE(campaign::manifest_fingerprint(interleaved).find(
+                "placement=interleaved"),
+            std::string::npos);
+}
+
+TEST(Manifest, RejectsPlacementItCannotApplyWithLineNumber) {
+  const auto expect_line = [](const std::string& text, std::size_t line) {
+    try {
+      parse(text);
+      FAIL() << "accepted: " << text;
+    } catch (const util::ParseError& e) {
+      EXPECT_EQ(e.line(), line) << e.what();
+    }
+  };
+  // Not a placement token (the CLI's `adversary` is runner-owned).
+  expect_line("name = x\nalgos = 8:4:1\nprofiles = worst\nk = 2\n"
+              "placement = adversary\n",
+              5);
+  // Sort campaigns have no scans to place.
+  expect_line("name = x\nworkload = sort\nsorts = funnel\n"
+              "placement = end\nprofiles = const:64\n",
+              4);
+  // These runners fix their own placement; interleaved would be ignored.
+  for (const std::string profile : {"order", "order-matched", "randscan"}) {
+    expect_line("name = x\nalgos = 8:4:1\nplacement = interleaved\n"
+                "profiles = worst " +
+                    profile + "\nk = 2\n",
+                3);
+  }
+  // ...while the default placement composes with them.
+  EXPECT_NO_THROW(parse("name = x\nalgos = 8:4:1\nplacement = end\n"
+                        "profiles = order order-matched randscan\nk = 2\n"));
+}
+
+// Every committed manifest parses, expands, is named after its file, and
+// names a distinct campaign; the pre-existing ones keep the config_hash
+// their committed reports and baselines carry.
+TEST(Manifest, CommittedCorpusParsesWithDistinctHashes) {
+  const std::map<std::string, std::uint64_t> pinned = {
+      {"chaos_gate", 4280410543812829791ull},
+      {"e16_adaptive_vs_oblivious", 10889024280716822561ull},
+      {"e2_log_gap", 3254406551395189439ull},
+      {"e3_smoothing", 6757225506082015208ull},
+      {"e4_stopping_time", 16540306616988717449ull},
+      {"paging_gate", 1008001768007777027ull},
+      {"parallel_gate", 18074376612564946843ull},
+      {"perf_gate", 17868431802477748704ull},
+      {"policy_gate", 11422844975868984291ull},
+  };
+  std::map<std::uint64_t, std::string> by_hash;
+  std::size_t pinned_seen = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CADAPT_MANIFEST_DIR)) {
+    if (entry.path().extension() != ".manifest") continue;
+    const std::string stem = entry.path().stem().string();
+    SCOPED_TRACE(stem);
+    const Manifest m = campaign::parse_manifest_file(entry.path().string());
+    EXPECT_EQ(m.name, stem);
+    const Plan plan = campaign::expand_plan(m);
+    EXPECT_FALSE(plan.cells.empty());
+    const auto [it, fresh] = by_hash.emplace(plan.config_hash, stem);
+    EXPECT_TRUE(fresh) << "config_hash shared with " << it->second;
+    if (const auto pin = pinned.find(stem); pin != pinned.end()) {
+      EXPECT_EQ(plan.config_hash, pin->second);
+      ++pinned_seen;
+    }
+  }
+  EXPECT_EQ(pinned_seen, pinned.size());
+  EXPECT_GT(by_hash.size(), pinned.size());
 }
 
 }  // namespace

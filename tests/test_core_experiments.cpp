@@ -1,79 +1,78 @@
+// The paper's ratio-vs-n claims as property tests. Each grid is an inline
+// manifest swept through campaign::run_sweep (tests/sweep_test_util.hpp),
+// exactly as `cadapt sweep` runs the committed bench/manifests/; ratio
+// cells are seeded seed + k. The Lemma-level probes (E8, E10) call
+// core/experiments.hpp directly.
 #include "core/experiments.hpp"
 
 #include <gtest/gtest.h>
 
-#include "profile/distributions.hpp"
-#include "profile/transforms.hpp"
+#include <string>
+
+#include "sweep_test_util.hpp"
 #include "util/math.hpp"
 
-namespace cadapt::core {
+namespace cadapt {
 namespace {
 
 using model::RegularParams;
 
-SweepOptions quick_sweep(unsigned kmin, unsigned kmax, std::uint64_t trials) {
-  SweepOptions opts;
-  opts.kmin = kmin;
-  opts.kmax = kmax;
-  opts.trials = trials;
-  opts.seed = 7;
-  return opts;
+/// An 8:4:1 grid over k = kmin..kmax with seed 7; `extra` adds keys.
+std::string grid(const std::string& profile, unsigned kmin, unsigned kmax,
+                 std::uint64_t trials, const std::string& extra = "",
+                 const std::string& algo = "8:4:1") {
+  return "name = t\nalgos = " + algo + "\nprofiles = " + profile +
+         "\nk = " + std::to_string(kmin) + ".." + std::to_string(kmax) +
+         "\ntrials = " + std::to_string(trials) + "\nseed = 7\n" + extra;
 }
 
 TEST(WorstCaseGap, RatioIsExactlyLogPlusOne) {
-  const RegularParams params{8, 4, 1.0};
-  const Series series = worst_case_gap_curve(params, quick_sweep(1, 5, 1));
-  ASSERT_EQ(series.points.size(), 5u);
-  for (std::size_t i = 0; i < series.points.size(); ++i) {
+  const RatioSeries series = sweep_one(grid("worst", 1, 5, 1));
+  ASSERT_EQ(series.size(), 5u);
+  for (std::size_t i = 0; i < series.size(); ++i) {
     const unsigned k = 1 + static_cast<unsigned>(i);
-    EXPECT_NEAR(series.points[i].ratio_mean, k + 1.0, 1e-9) << k;
-    EXPECT_EQ(series.points[i].incomplete, 0u);
+    EXPECT_NEAR(series[i].mean, k + 1.0, 1e-9) << k;
+    EXPECT_EQ(series[i].incomplete, 0u);
   }
-  EXPECT_NEAR(slope_vs_log_n(series, 4), 1.0, 1e-9);
+  EXPECT_NEAR(slope_vs_log_n(series), 1.0, 1e-9);
 }
 
 TEST(WorstCaseGap, InplaceVariantIsFlatOnScanProfile) {
   // (8,4,0) running on M_{8,4}: the in-place algorithm is cache-adaptive,
   // so its ratio stays O(1) with near-zero slope.
-  const RegularParams inplace{8, 4, 0.0};
-  const Series series =
-      worst_case_gap_curve(inplace, quick_sweep(1, 5, 1), 8, 4);
-  const double slope = slope_vs_log_n(series, 4);
+  const RatioSeries series = sweep_one(grid("worst", 1, 5, 1, "", "8:4:0"));
+  const double slope = slope_vs_log_n(series);
   EXPECT_LT(slope, 0.25) << slope;
-  for (const auto& p : series.points) {
-    EXPECT_LT(p.ratio_mean, 4.0) << p.n;
-    EXPECT_EQ(p.incomplete, 0u);
+  for (const auto& cell : series) {
+    EXPECT_LT(cell.mean, 4.0) << cell.n;
+    EXPECT_EQ(cell.incomplete, 0u);
   }
 }
 
 TEST(IidSmoothing, RatioStaysBoundedUnderUniformPowers) {
-  const RegularParams params{8, 4, 1.0};
-  profile::UniformPowers dist(4, 0, 4);
-  const Series series = iid_curve(params, dist, quick_sweep(2, 5, 24));
-  for (const auto& p : series.points) {
-    EXPECT_EQ(p.incomplete, 0u);
-    EXPECT_LT(p.ratio_mean, 20.0) << p.n;
+  const RatioSeries series =
+      sweep_one(grid("iid:uniform-powers:0:4", 2, 5, 24));
+  for (const auto& cell : series) {
+    EXPECT_EQ(cell.incomplete, 0u);
+    EXPECT_LT(cell.mean, 20.0) << cell.n;
   }
   // Bounded: much flatter than the worst-case slope of 1.
-  EXPECT_LT(slope_vs_log_n(series, 4), 0.6);
+  EXPECT_LT(slope_vs_log_n(series), 0.6);
 }
 
 TEST(IidSmoothing, ShuffledWorstCaseIsAdaptive) {
-  const RegularParams params{8, 4, 1.0};
-  const Series series =
-      shuffled_worst_case_curve(params, quick_sweep(2, 6, 24));
-  for (const auto& p : series.points) EXPECT_EQ(p.incomplete, 0u);
-  EXPECT_LT(slope_vs_log_n(series, 4), 0.5);
+  const RatioSeries series = sweep_one(grid("shuffled", 2, 6, 24));
+  for (const auto& cell : series) EXPECT_EQ(cell.incomplete, 0u);
+  EXPECT_LT(slope_vs_log_n(series), 0.5);
 }
 
 TEST(NegativeResults, CyclicShiftKeepsTheGap) {
-  const RegularParams params{8, 4, 1.0};
-  const Series shifted = cyclic_shift_curve(params, quick_sweep(3, 6, 16));
-  for (const auto& p : shifted.points) EXPECT_EQ(p.incomplete, 0u);
+  const RatioSeries shifted = sweep_one(grid("shifted", 3, 6, 16));
+  for (const auto& cell : shifted) EXPECT_EQ(cell.incomplete, 0u);
   // In expectation the shifted profile remains worst-case: the ratio must
   // keep growing with log n (slope bounded away from 0; the paper only
   // guarantees a constant fraction of the full gap).
-  EXPECT_GT(slope_vs_log_n(shifted, 4), 0.3);
+  EXPECT_GT(slope_vs_log_n(shifted), 0.3);
 }
 
 TEST(NegativeResults, OrderPerturbationWorstCaseForMatchedAlgorithm) {
@@ -82,18 +81,18 @@ TEST(NegativeResults, OrderPerturbationWorstCaseForMatchedAlgorithm) {
   // algorithm whose scan placement mirrors the perturbation, under the
   // budgeted (disjoint-scan) box semantics. The consumption is then
   // exactly aligned: ratio = log_b n + 1 deterministically.
-  const RegularParams params{8, 4, 1.0};
-  SweepOptions opts = quick_sweep(2, 5, 6);
-  opts.semantics = engine::BoxSemantics::kBudgeted;
-  const Series series = order_perturb_curve(params, opts, /*matched=*/true);
-  ASSERT_EQ(series.points.size(), 4u);
-  for (std::size_t i = 0; i < series.points.size(); ++i) {
+  const RatioSeries series =
+      sweep_one(grid("order-matched", 2, 5, 6, "semantics = budgeted\n"));
+  ASSERT_EQ(series.size(), 4u);
+  for (std::size_t i = 0; i < series.size(); ++i) {
     const double k = 2.0 + static_cast<double>(i);
-    EXPECT_NEAR(series.points[i].ratio_mean, k + 1.0, 1e-9);
-    EXPECT_NEAR(series.points[i].ratio_ci95, 0.0, 1e-9);  // deterministic
-    EXPECT_EQ(series.points[i].incomplete, 0u);
+    EXPECT_NEAR(series[i].mean, k + 1.0, 1e-9);
+    // Deterministic: every trial lands on the same ratio.
+    EXPECT_NEAR(series[i].ci_hi - series[i].ci_lo, 0.0, 1e-9);
+    for (const double x : series[i].samples) EXPECT_NEAR(x, k + 1.0, 1e-9);
+    EXPECT_EQ(series[i].incomplete, 0u);
   }
-  EXPECT_NEAR(slope_vs_log_n(series, 4), 1.0, 1e-9);
+  EXPECT_NEAR(slope_vs_log_n(series), 1.0, 1e-9);
 }
 
 TEST(NegativeResults, OrderPerturbationEscapedByCanonicalAlgorithm) {
@@ -101,51 +100,44 @@ TEST(NegativeResults, OrderPerturbationEscapedByCanonicalAlgorithm) {
   // algorithm largely escapes the order-perturbed profile under the
   // optimistic §4 semantics, because the misplaced big boxes land
   // mid-problem and get credited with completing it.
-  const RegularParams params{8, 4, 1.0};
-  const Series series =
-      order_perturb_curve(params, quick_sweep(2, 5, 12), /*matched=*/false);
-  for (const auto& p : series.points) EXPECT_EQ(p.incomplete, 0u);
-  EXPECT_LT(slope_vs_log_n(series, 4), 0.3);
+  const RatioSeries series = sweep_one(grid("order", 2, 5, 12));
+  for (const auto& cell : series) EXPECT_EQ(cell.incomplete, 0u);
+  EXPECT_LT(slope_vs_log_n(series), 0.3);
 }
 
 TEST(Semantics, WorstCaseGapIdenticalUnderBudgetedSemantics) {
-  const RegularParams params{8, 4, 1.0};
-  SweepOptions opts = quick_sweep(1, 5, 1);
-  opts.semantics = engine::BoxSemantics::kBudgeted;
-  const Series series = worst_case_gap_curve(params, opts);
-  for (std::size_t i = 0; i < series.points.size(); ++i) {
-    EXPECT_NEAR(series.points[i].ratio_mean, 2.0 + static_cast<double>(i),
-                1e-9);
+  const RatioSeries series =
+      sweep_one(grid("worst", 1, 5, 1, "semantics = budgeted\n"));
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    EXPECT_NEAR(series[i].mean, 2.0 + static_cast<double>(i), 1e-9);
   }
 }
 
 TEST(Semantics, ShuffledProfileAdaptiveUnderBudgetedSemanticsToo) {
   // Theorem 1 is robust to the conservative box model: i.i.d. boxes keep
   // the ratio bounded under kBudgeted as well.
-  const RegularParams params{8, 4, 1.0};
-  SweepOptions opts = quick_sweep(2, 5, 16);
-  opts.semantics = engine::BoxSemantics::kBudgeted;
-  const Series series = shuffled_worst_case_curve(params, opts);
-  for (const auto& p : series.points) {
-    EXPECT_EQ(p.incomplete, 0u);
-    EXPECT_LT(p.ratio_mean, 25.0) << p.n;
+  const RatioSeries series =
+      sweep_one(grid("shuffled", 2, 5, 16, "semantics = budgeted\n"));
+  for (const auto& cell : series) {
+    EXPECT_EQ(cell.incomplete, 0u);
+    EXPECT_LT(cell.mean, 25.0) << cell.n;
   }
-  EXPECT_LT(slope_vs_log_n(series, 4), 1.0);
+  EXPECT_LT(slope_vs_log_n(series), 1.0);
 }
 
 TEST(NegativeResults, SizePerturbationKeepsTheGap) {
-  const RegularParams params{8, 4, 1.0};
-  const Series series = size_perturb_curve(
-      params, profile::uniform_int_perturb(2), quick_sweep(2, 5, 12));
-  for (const auto& p : series.points) EXPECT_EQ(p.incomplete, 0u);
-  EXPECT_GT(slope_vs_log_n(series, 4), 0.3);
+  // The paper's perturbation shape: every box scaled by X ~ U[0,2].
+  const RatioSeries series = sweep_one(grid("perturb:2", 2, 5, 12));
+  for (const auto& cell : series) EXPECT_EQ(cell.incomplete, 0u);
+  EXPECT_GT(slope_vs_log_n(series), 0.3);
 }
 
 TEST(BoxPotential, MatchesLemma1UpToConstants) {
   const RegularParams params{8, 4, 1.0};
   const std::uint64_t n = 256;
   for (const std::uint64_t s : {1ull, 4ull, 16ull, 64ull}) {
-    const std::uint64_t measured = measure_box_potential(params, n, s, 50, 3);
+    const std::uint64_t measured =
+        core::measure_box_potential(params, n, s, 50, 3);
     const double rho = util::pow_log_ratio(s, 8, 4);  // s^{3/2}
     EXPECT_GE(static_cast<double>(measured), rho) << s;
     EXPECT_LE(static_cast<double>(measured), 2.0 * rho + 1.0) << s;
@@ -157,21 +149,22 @@ TEST(NoCatchup, NeverViolated) {
        {RegularParams{8, 4, 1.0}, RegularParams{4, 2, 1.0},
         RegularParams{3, 2, 0.5}}) {
     const std::uint64_t n = util::ipow(params.b, 4);
-    EXPECT_EQ(no_catchup_violations(params, n, 200, 17), 0u) << params.name();
+    EXPECT_EQ(core::no_catchup_violations(params, n, 200, 17), 0u)
+        << params.name();
   }
 }
 
 TEST(SlopeHelper, LinearSeriesFitsExactly) {
-  Series series;
-  series.name = "synthetic";
+  RatioSeries series;
   for (unsigned k = 1; k <= 5; ++k) {
-    RatioPoint p;
-    p.n = util::ipow(4, k);
-    p.ratio_mean = 2.0 * k + 1.0;
-    series.points.push_back(p);
+    campaign::CellResult cell;
+    cell.k = k;
+    cell.n = util::ipow(4, k);
+    cell.mean = 2.0 * k + 1.0;
+    series.push_back(cell);
   }
-  EXPECT_NEAR(slope_vs_log_n(series, 4), 2.0, 1e-12);
+  EXPECT_NEAR(slope_vs_log_n(series), 2.0, 1e-12);
 }
 
 }  // namespace
-}  // namespace cadapt::core
+}  // namespace cadapt

@@ -1,58 +1,15 @@
-// Tests for the report renderer and §3's completion counter.
+// Tests for §3's completion counter and the report's per-cell tail
+// quantile.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/experiments.hpp"
-#include "core/report.hpp"
 #include "profile/box_source.hpp"
 #include "profile/worst_case.hpp"
+#include "sweep_test_util.hpp"
 #include "util/math.hpp"
 
 namespace cadapt::core {
 namespace {
-
-Series synthetic_series() {
-  Series s;
-  s.name = "synthetic";
-  for (unsigned k = 1; k <= 3; ++k) {
-    RatioPoint p;
-    p.n = util::ipow(4, k);
-    p.ratio_mean = 1.0 + k;
-    p.ratio_ci95 = 0.25;
-    p.ratio_p95 = 1.5 + k;
-    p.boxes_mean = 10.0 * k;
-    p.trials = 8;
-    s.points.push_back(p);
-  }
-  return s;
-}
-
-TEST(Report, TableContainsAllColumns) {
-  std::ostringstream os;
-  ReportOptions opts;
-  opts.log_base = 4;
-  print_series(os, synthetic_series(), opts);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("synthetic"), std::string::npos);
-  EXPECT_NE(out.find("p95"), std::string::npos);
-  EXPECT_NE(out.find("slope of ratio vs log_b n: 1.000"), std::string::npos)
-      << out;
-  EXPECT_EQ(out.find("csv:"), std::string::npos);
-}
-
-TEST(Report, CsvBlockWhenRequested) {
-  std::ostringstream os;
-  ReportOptions opts;
-  opts.log_base = 4;
-  opts.csv = true;
-  print_series(os, synthetic_series(), opts);
-  const std::string out = os.str();
-  EXPECT_NE(out.find("csv:series,synthetic"), std::string::npos);
-  EXPECT_NE(out.find("n,log_b n,ratio,ci95,p95,E[boxes],trials"),
-            std::string::npos)
-      << out;
-}
 
 TEST(CountCompletions, ScanVariantCompletesExactlyOnce) {
   for (unsigned k = 3; k <= 6; ++k) {
@@ -82,18 +39,15 @@ TEST(CountCompletions, MaxRunsCap) {
 }
 
 TEST(RatioPoints, P95PopulatedAndPlausible) {
-  const model::RegularParams params{8, 4, 1.0};
-  SweepOptions opts;
-  opts.kmin = 3;
-  opts.kmax = 4;
-  opts.trials = 32;
-  const Series s = shuffled_worst_case_curve(params, opts);
-  for (const auto& p : s.points) {
-    EXPECT_GT(p.ratio_p95, 0.0) << p.n;
+  const RatioSeries s = sweep_one(
+      "name = t\nalgos = 8:4:1\nprofiles = shuffled\nk = 3..4\n"
+      "trials = 32\nseed = 42\n");
+  for (const auto& cell : s) {
+    EXPECT_GT(cell.q95, 0.0) << cell.n;
     // The 95th percentile sits near or above the mean and within a small
     // multiple of it for these well-behaved distributions.
-    EXPECT_GE(p.ratio_p95, 0.8 * p.ratio_mean) << p.n;
-    EXPECT_LE(p.ratio_p95, 4.0 * p.ratio_mean) << p.n;
+    EXPECT_GE(cell.q95, 0.8 * cell.mean) << cell.n;
+    EXPECT_LE(cell.q95, 4.0 * cell.mean) << cell.n;
   }
 }
 

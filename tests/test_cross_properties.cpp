@@ -3,13 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
-#include "core/experiments.hpp"
 #include "engine/analytic.hpp"
 #include "engine/exec.hpp"
 #include "profile/box_source.hpp"
 #include "profile/distributions.hpp"
 #include "profile/worst_case.hpp"
+#include "stats/streaming.hpp"
+#include "sweep_test_util.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
 
@@ -103,33 +105,37 @@ TEST(CrossProperties, AnalyticFDecreasesWithBiggerBoxes) {
 }
 
 TEST(CrossProperties, UnitProgressPlumbedThroughCurves) {
-  // SweepOptions::unit_progress must switch the reported statistic: the
-  // two readings differ for a < b on its worst-case profile.
-  const model::RegularParams p{2, 4, 1.0};
-  core::SweepOptions base;
-  base.kmin = 3;
-  base.kmax = 5;
-  base.trials = 1;
-  core::SweepOptions units = base;
-  units.unit_progress = true;
-  const core::Series leaves_series = core::worst_case_gap_curve(p, base, 2, 4);
-  const core::Series unit_series = core::worst_case_gap_curve(p, units, 2, 4);
-  for (std::size_t i = 0; i < leaves_series.points.size(); ++i) {
-    EXPECT_GT(leaves_series.points[i].ratio_mean,
-              unit_series.points[i].ratio_mean + 0.5);
+  // The manifest's unit_progress key must switch the reported statistic:
+  // the two readings differ for a < b on its worst-case profile.
+  const std::string grid =
+      "name = t\nalgos = 2:4:1\nprofiles = worst\nk = 3..5\n";
+  const RatioSeries leaves = sweep_one(grid + "unit_progress = 0\n");
+  const RatioSeries units = sweep_one(grid + "unit_progress = 1\n");
+  ASSERT_EQ(leaves.size(), units.size());
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    EXPECT_GT(leaves[i].mean, units[i].mean + 0.5);
   }
 }
 
 TEST(CrossProperties, ScanHidingCurveUsesInterleavedPlacement) {
-  // Sanity: the scan-hiding curve is wired to the interleaved placement
-  // (its name records it) and completes everywhere.
-  core::SweepOptions opts;
-  opts.kmin = 2;
-  opts.kmax = 4;
-  opts.trials = 1;
-  const core::Series s = core::scan_hiding_curve({8, 4, 1.0}, opts);
-  EXPECT_NE(s.name.find("interleaved"), std::string::npos);
-  for (const auto& pt : s.points) EXPECT_EQ(pt.incomplete, 0u);
+  // The manifest's placement key must reach the engine: under budgeted
+  // semantics interleaved scans escape M_{8,4}(n) from k = 3 on (E12),
+  // while trailing scans pay the full log_4 n + 1.
+  const std::string grid =
+      "name = t\nalgos = 8:4:1\nprofiles = worst\nk = 2..4\n"
+      "semantics = budgeted\n";
+  const RatioSeries end = sweep_one(grid + "placement = end\n");
+  const RatioSeries interleaved =
+      sweep_one(grid + "placement = interleaved\n");
+  ASSERT_EQ(end.size(), 3u);
+  ASSERT_EQ(interleaved.size(), 3u);
+  for (std::size_t i = 0; i < end.size(); ++i) {
+    EXPECT_EQ(interleaved[i].incomplete, 0u);
+    EXPECT_NEAR(end[i].mean, 3.0 + static_cast<double>(i), 1e-9);
+    if (i > 0) {
+      EXPECT_LT(interleaved[i].mean, end[i].mean - 0.5) << i;
+    }
+  }
 }
 
 TEST(CrossProperties, RandomizedScanPlacementBeatsFixedAdversary) {
@@ -138,7 +144,7 @@ TEST(CrossProperties, RandomizedScanPlacementBeatsFixedAdversary) {
   // algorithm's per-node scan placement drops the ratio well below.
   const model::RegularParams params{8, 4, 1.0};
   const std::uint64_t n = 256;
-  util::RunningStat randomized;
+  stats::Welford randomized;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     auto factory = [&]() -> std::unique_ptr<profile::BoxSource> {
       return std::make_unique<profile::WorstCaseSource>(8, 4, n);

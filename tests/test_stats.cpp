@@ -14,6 +14,7 @@
 #include "stats/fit.hpp"
 #include "stats/quantiles.hpp"
 #include "stats/streaming.hpp"
+#include "util/check.hpp"
 #include "util/random.hpp"
 
 namespace {
@@ -255,6 +256,93 @@ TEST(Fit, PowerLawResidualsExposeLogCorrection) {
   const double first = fit.residuals.front();
   const double mid = fit.residuals[ns.size() / 2];
   EXPECT_LT(first * mid, 0.0);  // opposite signs: curvature, not noise
+}
+
+// Exact textbook moments, single-sample edge cases and degenerate-input
+// rejection for the same kernels.
+TEST(RunningStat, BasicMoments) {
+  stats::Welford s;
+  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
+  EXPECT_EQ(s.count(), 8u);
+  EXPECT_DOUBLE_EQ(s.mean(), 5.0);
+  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // sample variance
+  EXPECT_DOUBLE_EQ(s.min(), 2.0);
+  EXPECT_DOUBLE_EQ(s.max(), 9.0);
+}
+
+TEST(RunningStat, EmptyAndSingle) {
+  stats::Welford s;
+  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
+  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+  s.add(42.0);
+  EXPECT_DOUBLE_EQ(s.mean(), 42.0);
+  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
+  EXPECT_DOUBLE_EQ(s.ci95(), 0.0);
+}
+
+TEST(RunningStat, MergeEqualsSequential) {
+  // Interleaved split (Welford.MergeEqualsSequential splits by prefix).
+  util::Rng rng(9);
+  stats::Welford all, a, b;
+  for (int i = 0; i < 1000; ++i) {
+    const double x = rng.uniform01() * 10.0;
+    all.add(x);
+    (i % 2 == 0 ? a : b).add(x);
+  }
+  a.merge(b);
+  EXPECT_EQ(a.count(), all.count());
+  EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
+  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
+  EXPECT_DOUBLE_EQ(a.min(), all.min());
+  EXPECT_DOUBLE_EQ(a.max(), all.max());
+}
+
+TEST(RunningStat, MergeWithEmpty) {
+  // Single-sample sides (Welford.MergeWithEmptySides uses two samples).
+  stats::Welford a, b;
+  a.add(1.0);
+  a.merge(b);
+  EXPECT_EQ(a.count(), 1u);
+  b.merge(a);
+  EXPECT_EQ(b.count(), 1u);
+  EXPECT_DOUBLE_EQ(b.mean(), 1.0);
+}
+
+TEST(FitLinear, ExactLine) {
+  const std::vector<double> xs{1, 2, 3, 4};
+  const std::vector<double> ys{3, 5, 7, 9};  // y = 1 + 2x
+  const stats::LinearFit fit = stats::fit_linear(xs, ys);
+  EXPECT_NEAR(fit.slope, 2.0, 1e-12);
+  EXPECT_NEAR(fit.intercept, 1.0, 1e-12);
+  EXPECT_NEAR(fit.r2, 1.0, 1e-12);
+}
+
+TEST(FitLinear, NoisyLineLowR2) {
+  const std::vector<double> xs{1, 2, 3, 4, 5, 6};
+  const std::vector<double> ys{5, 1, 6, 2, 7, 1};
+  EXPECT_LT(stats::fit_linear(xs, ys).r2, 0.5);
+}
+
+TEST(FitLinear, RejectsDegenerateInput) {
+  const std::vector<double> xs{1, 1};
+  const std::vector<double> ys{1, 2};
+  EXPECT_THROW(stats::fit_linear(xs, ys), util::CheckError);
+  const std::vector<double> one{1};
+  EXPECT_THROW(stats::fit_linear(one, one), util::CheckError);
+}
+
+TEST(Quantile, InterpolatesOrderStatistics) {
+  // Even count: the median interpolates between the middle pair.
+  const std::vector<double> v{4, 1, 3, 2};
+  EXPECT_DOUBLE_EQ(stats::exact_quantile(v, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(stats::exact_quantile(v, 1.0), 4.0);
+  EXPECT_DOUBLE_EQ(stats::exact_quantile(v, 0.5), 2.5);
+  EXPECT_DOUBLE_EQ(stats::exact_quantile({7.0}, 0.3), 7.0);
+}
+
+TEST(Quantile, RejectsBadArgs) {
+  EXPECT_THROW(stats::exact_quantile({}, 0.5), util::CheckError);
+  EXPECT_THROW(stats::exact_quantile({1.0}, 1.5), util::CheckError);
 }
 
 }  // namespace

@@ -2,12 +2,7 @@
 //
 // Usage: cadapt <command> [flags]
 //
-//   gap         adaptivity ratio of (a,b,c) on its worst-case profile M_{a,b}
-//   shuffle     ... on the i.i.d. reshuffle of M_{a,b} (Theorem 1)
-//   iid         ... on i.i.d. boxes from a chosen distribution
-//   perturb     ... on size-perturbed M_{a,b} (X ~ U[0,t])
-//   shift       ... on cyclic-shifted M_{a,b}
-//   order       ... on order-perturbed M_{a,b} (--matched for the witness)
+//   sweep       ratio-vs-n grids from a manifest (bench/manifests/)
 //   analytic    Lemma 3 stopping-time table for a distribution
 //   render      ASCII-render M_{a,b}(n) (Figure 1)
 //   multiplies  §3: executions completed on one pass of M_{a,b}(n)
@@ -20,8 +15,8 @@
 // error (unreadable/malformed file), 4 internal check failure, 1 other.
 //
 // Common flags: --a --b --c --kmin --kmax --trials --seed
-//               --semantics optimistic|budgeted --unit-progress --csv
-// Distribution flags (iid/analytic): --dist geometric|uniform-powers|
+//               --semantics optimistic|budgeted
+// Distribution flags (analytic/trace/mc): --dist geometric|uniform-powers|
 //   bimodal|point|uniform-range, --kdist, --small, --big, --pbig,
 //   --size, --lo, --hi
 #include <algorithm>
@@ -77,12 +72,6 @@ int usage() {
       R"(cadapt - cache-adaptive analysis toolkit (SPAA 2020 reproduction)
 
 commands:
-  gap         ratio of (a,b,c) on its worst-case profile M_{a,b}
-  shuffle     ratio on the i.i.d. reshuffle of M_{a,b} (Theorem 1)
-  iid         ratio on i.i.d. boxes from --dist
-  perturb     ratio on size-perturbed M_{a,b} (X ~ U[0,--t])
-  shift       ratio on cyclic-shifted M_{a,b}
-  order       ratio on order-perturbed M_{a,b} (--matched = witness algo)
   analytic    exact Lemma 3 stopping-time table for --dist
   render      ASCII-render M_{a,b}(--n) (Figure 1)
   multiplies  count executions completed on one pass of M_{a,b}(n)
@@ -170,12 +159,10 @@ exit codes:
 
 common flags:
   --a N --b N --c X         algorithm shape (default 8 4 1.0)
-  --kmin K --kmax K         sweep n = b^kmin .. b^kmax (default 2..6)
+  --kmin K --kmax K         n = b^kmin .. b^kmax (default 2..6)
   --trials T --seed S       Monte-Carlo controls (default 32, 42)
   --semantics optimistic|budgeted
-  --unit-progress           operation-based progress (use for a <= b)
-  --csv                     also emit CSV blocks
-distribution flags (iid/analytic):
+distribution flags (analytic/trace/mc):
   --dist geometric|uniform-powers|bimodal|point|uniform-range
   --kdist K                 power range 0..K (geometric/uniform-powers)
   --small S --big B --pbig P    (bimodal)
@@ -262,17 +249,6 @@ std::string truncated_text(bool truncated, robust::CancelReason reason) {
     reason = robust::CancelReason::kBudget;
   }
   return std::string("YES (") + robust::cancel_reason_name(reason) + ")";
-}
-
-core::SweepOptions sweep_from(const util::ArgParser& args) {
-  core::SweepOptions opts;
-  opts.kmin = static_cast<unsigned>(args.get_u64("kmin", 2));
-  opts.kmax = static_cast<unsigned>(args.get_u64("kmax", 6));
-  opts.trials = args.get_u64("trials", 32);
-  opts.seed = args.get_u64("seed", 42);
-  opts.unit_progress = args.has("unit-progress");
-  opts.semantics = semantics_from(args);
-  return opts;
 }
 
 std::unique_ptr<profile::BoxDistribution> dist_from(
@@ -2031,14 +2007,6 @@ int run_results_cmd(const util::ArgParser& args) {
   return 0;
 }
 
-void report(const util::ArgParser& args, const model::RegularParams& p,
-            const core::Series& series) {
-  core::ReportOptions ropts;
-  ropts.log_base = p.b;
-  ropts.csv = args.has("csv");
-  core::print_series(std::cout, series, ropts);
-}
-
 int run(const util::ArgParser& args) {
   if (args.positionals().empty()) return usage();
   const std::string cmd = args.positionals().front();
@@ -2073,24 +2041,7 @@ int run(const util::ArgParser& args) {
 
   const model::RegularParams p = params_from(args);
 
-  if (cmd == "gap") {
-    report(args, p, core::worst_case_gap_curve(p, sweep_from(args)));
-  } else if (cmd == "shuffle") {
-    report(args, p, core::shuffled_worst_case_curve(p, sweep_from(args)));
-  } else if (cmd == "iid") {
-    const auto dist = dist_from(args, p);
-    report(args, p, core::iid_curve(p, *dist, sweep_from(args)));
-  } else if (cmd == "perturb") {
-    const double t = args.get_double("t", 2.0);
-    report(args, p,
-           core::size_perturb_curve(p, profile::uniform_real_perturb(t),
-                                    sweep_from(args)));
-  } else if (cmd == "shift") {
-    report(args, p, core::cyclic_shift_curve(p, sweep_from(args)));
-  } else if (cmd == "order") {
-    report(args, p,
-           core::order_perturb_curve(p, sweep_from(args), args.has("matched")));
-  } else if (cmd == "analytic") {
+  if (cmd == "analytic") {
     const auto dist = dist_from(args, p);
     engine::AnalyticSolver solver(p, *dist);
     const std::uint64_t n_max =
