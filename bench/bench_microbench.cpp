@@ -356,7 +356,8 @@ BENCHMARK(BM_McCellFunnelReferenceStack);
 void run_mc_cell(benchmark::State& state, bool capture_trace) {
   campaign::Cell cell;
   cell.sort = "funnel";
-  cell.profile = campaign::parse_sort_profile_token("uniform:4:128");
+  cell.profile =
+      campaign::parse_profile_token("uniform:4:128", campaign::Workload::kSort);
   cell.seed = 42;
   campaign::CellRunOptions options;
   options.keys = kCellKeys;
@@ -367,7 +368,7 @@ void run_mc_cell(benchmark::State& state, bool capture_trace) {
   trial_options.seed = cell.seed;
   std::uint64_t boxes = 0;
   for (auto _ : state) {
-    const auto runner = campaign::make_program_runner(cell, options);
+    const auto runner = campaign::make_cell_runner(cell, options);
     for (std::uint64_t t = 0; t < kCellTrials; ++t) {
       boxes += engine::run_single_trial(trial_options, runner, t,
                                         /*timing=*/false)
@@ -418,7 +419,8 @@ BENCHMARK(BM_StealDeque)->Arg(0)->Arg(1);
 void BM_ParallelCell(benchmark::State& state) {
   campaign::Cell cell;
   cell.sort = "adaptive";
-  cell.profile = campaign::parse_sort_profile_token("uniform:4:64");
+  cell.profile =
+      campaign::parse_profile_token("uniform:4:64", campaign::Workload::kSort);
   cell.seed = 42;
   cell.trials = 8;
   campaign::CellRunOptions options;

@@ -24,11 +24,17 @@
 
 namespace cadapt::campaign {
 
-namespace {
-
 std::shared_ptr<const profile::BoxDistribution> make_distribution(
-    const ProfileSpec& spec, const model::RegularParams& params) {
-  CADAPT_CHECK(spec.kind == ProfileKind::kIid);
+    const ProfileSpec& spec, const model::RegularParams& params,
+    std::uint64_t n) {
+  if (spec.kind == ProfileKind::kShuffled) {
+    return core::census_distribution(params, n);
+  }
+  if (spec.kind != ProfileKind::kIid) {
+    throw util::ParseError("profile '" + spec.token +
+                           "' has no box distribution (expected shuffled or "
+                           "iid:DIST:...)");
+  }
   if (spec.dist == "geometric") {
     return std::make_shared<profile::GeometricPowers>(
         params.b, static_cast<double>(params.a), 0,
@@ -53,6 +59,8 @@ std::shared_ptr<const profile::BoxDistribution> make_distribution(
   throw util::CheckError("unreachable iid distribution '" + spec.dist + "'");
 }
 
+namespace {
+
 engine::RobustTrialRunner ratio_runner(const Cell& cell,
                                        const CellRunOptions& options) {
   const model::RegularParams& p = cell.algo.params;
@@ -68,9 +76,6 @@ engine::RobustTrialRunner ratio_runner(const Cell& cell,
     case ProfileKind::kWorst:
       return engine::make_regular_trial_runner(
           p, n, core::worst_profile_source(p, n), mc);
-    case ProfileKind::kShuffled:
-      return engine::make_regular_trial_runner(
-          p, n, core::shuffled_census_source(p, n), mc);
     case ProfileKind::kShifted:
       return engine::make_regular_trial_runner(
           p, n, core::cyclic_shift_source(p, n), mc);
@@ -91,9 +96,10 @@ engine::RobustTrialRunner ratio_runner(const Cell& cell,
     case ProfileKind::kRandScan:
       return engine::as_robust_runner(
           core::randomized_scan_runner(p, n, options.semantics));
+    case ProfileKind::kShuffled:
     case ProfileKind::kIid:
       return engine::make_regular_trial_runner(
-          p, n, core::iid_source(make_distribution(cell.profile, p)), mc);
+          p, n, core::iid_source(make_distribution(cell.profile, p, n)), mc);
     default:
       throw util::CheckError("profile '" + cell.profile.token +
                              "' is not a ratio workload");
@@ -265,8 +271,6 @@ bool run_program(const ProgramSpec& prog, paging::Machine& machine,
   throw util::CheckError("unreachable program kind");
 }
 
-}  // namespace
-
 /// One program trial, shoehorned into the engine's RunResult so the
 /// shared containment path (run_single_trial) and record format serve
 /// both workloads: ratio <- total I/Os (the metric), unit_ratio <- I/Os
@@ -289,8 +293,7 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
   const bool per_access = options.per_access;
   const bool capture = options.capture_trace;
   const std::uint64_t cell_seed = cell.seed;
-  const robust::CancelToken* cancel =
-      options.cancel_per_box ? options.cancel : nullptr;
+  const robust::CancelToken* cancel = options.cancel;
   const paging::CaConfig config = ca_config_for(cell, options);
   const bool replayable =
       capture && prog.kind != ProgramSpec::Kind::kAdaptive;
@@ -313,14 +316,10 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
             sort_profile_factory(spec, trial_seed)),
         block, /*record_boxes=*/false, /*recorder=*/nullptr, config);
     if (per_access) machine.set_per_access(true);
-    if (cancel != nullptr) {
-      // Poll at every box boundary: the programs make no other calls the
-      // driver can intercept, so without this a stuck sort cell would
-      // outlive its deadline by an unbounded margin. The hook forces the
-      // generic replay path — paid only when a deadline is armed.
-      machine.set_box_hook(
-          [cancel](std::uint64_t, std::uint64_t) { cancel->poll(); });
-    }
+    // Poll at every box boundary: the programs make no other calls the
+    // driver can intercept, so without this a stuck sort cell would
+    // outlive its deadline or a Ctrl-C by an unbounded margin.
+    machine.set_cancel(cancel);
 
     engine::RunResult r;
     if (replayable) {
@@ -344,6 +343,14 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
         static_cast<double>(machine.misses()) / static_cast<double>(units);
     return r;
   };
+}
+
+}  // namespace
+
+engine::RobustTrialRunner make_cell_runner(const Cell& cell,
+                                           const CellRunOptions& options) {
+  return cell.sort.empty() ? ratio_runner(cell, options)
+                           : make_program_runner(cell, options);
 }
 
 engine::RunResult run_program_traced(const Cell& cell,
@@ -397,9 +404,7 @@ paging::CaConfig ca_config_for(const Cell& cell,
 
 std::vector<robust::TrialRecord> run_cell(const Cell& cell,
                                           const CellRunOptions& options) {
-  const engine::RobustTrialRunner runner =
-      cell.sort.empty() ? ratio_runner(cell, options)
-                        : make_program_runner(cell, options);
+  const engine::RobustTrialRunner runner = make_cell_runner(cell, options);
   engine::McOptions trial_options;
   trial_options.seed = cell.seed;
   trial_options.max_attempts = options.max_attempts;

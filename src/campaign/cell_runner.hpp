@@ -10,11 +10,13 @@
 // to zero it (the bit-identity tests do).
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "campaign/plan.hpp"
 #include "engine/montecarlo.hpp"
 #include "paging/policy.hpp"
+#include "profile/distributions.hpp"
 #include "robust/backoff.hpp"
 #include "robust/cancel.hpp"
 #include "robust/checkpoint.hpp"
@@ -37,18 +39,12 @@ struct CellRunOptions {
   /// outlive the call.
   const robust::FaultPlan* faults = nullptr;
   /// Cooperative cancellation token (docs/ROBUSTNESS.md); null =
-  /// disabled. Polled at every attempt start, and — for sort cells, when
-  /// cancel_per_box is set — at every box boundary via the machine's box
-  /// hook, so a stuck cell terminates within one box of the request.
-  /// Must outlive the call.
+  /// disabled. Polled at every attempt start, inside ratio trials' box
+  /// loops, and at every sort-cell machine box boundary
+  /// (CaMachine::set_cancel — the replay fast walk stays live), so a
+  /// stuck cell terminates within one box of the request. Must outlive
+  /// the call.
   const robust::CancelToken* cancel = nullptr;
-  /// Install the box-boundary poll hook for sort cells. Installing the
-  /// hook forces the generic replay path (docs/PAGING.md), so drivers
-  /// arm it only when mid-cell latency matters (a deadline watchdog);
-  /// a token armed merely for Ctrl-C (docs/SERVE.md, CLI signal wiring)
-  /// passes false and polls at attempt boundaries instead — the fast
-  /// paths stay live.
-  bool cancel_per_box = true;
   /// Seeded retry backoff shared by every cell; disabled by default
   /// (attempt 0 never sleeps — bit-compatible with pre-backoff runs).
   robust::BackoffPolicy backoff;
@@ -89,12 +85,20 @@ CellRunOptions cell_options_from(const Manifest& manifest);
 paging::CaConfig ca_config_for(const Cell& cell,
                                const CellRunOptions& options);
 
-/// The trial runner for a sort/program cell (cell.sort non-empty):
-/// adaptive|funnel|merge2 on options.keys keys, or mm:N|fw:N on an N x N
-/// matrix. Exposed so the CLI's `mc --sort` mode can drive the exact same
-/// runner through the Monte-Carlo layer.
-engine::RobustTrialRunner make_program_runner(const Cell& cell,
-                                              const CellRunOptions& options);
+/// The box distribution a profile token samples: the census of
+/// M_{a,b}(n) for `shuffled` (n a power of params.b), the named
+/// distribution for `iid:*`. Throws util::ParseError for any other kind.
+std::shared_ptr<const profile::BoxDistribution> make_distribution(
+    const ProfileSpec& spec, const model::RegularParams& params,
+    std::uint64_t n);
+
+/// The trial runner for one cell — the dispatch run_cell uses, exposed so
+/// the CLI's `mc` drives the exact same trial through the Monte-Carlo
+/// layer. A ratio cell (cell.sort empty) runs cell.algo at cell.n on
+/// cell.profile; a sort/program cell runs adaptive|funnel|merge2 on
+/// options.keys keys, or mm:N|fw:N on an N x N matrix.
+engine::RobustTrialRunner make_cell_runner(const Cell& cell,
+                                           const CellRunOptions& options);
 
 /// One direct program trial with an obs::PagingRecorder attached (which
 /// forces the per-access reference path, so the recorder's tallies are

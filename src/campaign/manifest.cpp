@@ -262,8 +262,13 @@ std::string parse_policy(const std::string& token, std::size_t line_no) {
 
 }  // namespace
 
-ProfileSpec parse_sort_profile_token(const std::string& token) {
-  return parse_sort_profile(token, 0);
+ProfileSpec parse_profile_token(const std::string& token, Workload workload) {
+  if (workload == Workload::kSort) return parse_sort_profile(token, 0);
+  ProfileSpec spec = parse_ratio_profile(token, 0);
+  if (spec.kmax != 0) {
+    fail(0, "profile '" + token + "': an @K cap only applies in a manifest");
+  }
+  return spec;
 }
 
 std::string TiersSpec::token() const {

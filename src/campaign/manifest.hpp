@@ -183,10 +183,11 @@ Manifest parse_manifest(std::istream& is);
 /// File variant; throws util::IoError if the file cannot be opened.
 Manifest parse_manifest_file(const std::string& path);
 
-/// Parse one sort-workload profile token (const:S | uniform:LO:HI |
-/// sawtooth:PEAK:CYCLES | mworst:A:B:N:SCALE) outside a manifest — the
-/// CLI's `mc --sort-profile` uses this. Throws util::ParseError.
-ProfileSpec parse_sort_profile_token(const std::string& token);
+/// Parse one profile token outside a manifest, in the `profiles` grammar
+/// of `workload` (the CLI's `--profile` flag). A ratio token's `@K` cap
+/// is rejected: it only means something across a manifest's k range.
+/// Throws util::ParseError.
+ProfileSpec parse_profile_token(const std::string& token, Workload workload);
 
 /// Validate a sort/program token (adaptive|funnel|merge2|mm:N|fw:N).
 /// Throws util::ParseError with `line_no` context on anything else.

@@ -174,10 +174,6 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   cell_options.max_attempts = options.max_attempts;
   cell_options.faults = options.faults;
   cell_options.cancel = cancel;
-  // The internal watchdog path is always a deadline: keep box-granular
-  // polling there regardless of what the caller set for its own token.
-  cell_options.cancel_per_box =
-      watchdog.has_value() || options.cancel_per_box;
   cell_options.backoff = options.backoff;
   cell_options.timing = options.timing;
   if (options.workers != 0) cell_options.workers = options.workers;

@@ -72,13 +72,6 @@ struct SweepOptions {
   /// deadline watchdog (the caller owns the token's lifecycle). Must
   /// outlive the call.
   const robust::CancelToken* cancel = nullptr;
-  /// Poll `cancel` at every box boundary in sort cells (the machine's
-  /// box hook). True preserves the historical behavior; drivers that arm
-  /// `cancel` only for signal interrupts (no deadline) pass false and
-  /// accept attempt-boundary latency — the hook forces the generic
-  /// replay path (docs/PAGING.md), a perf tax a mere Ctrl-C safety net
-  /// should not impose. See CellRunOptions::cancel_per_box.
-  bool cancel_per_box = true;
   /// Seeded retry backoff for failed trials (docs/ROBUSTNESS.md);
   /// disabled by default — attempt 0 never sleeps, so reports stay
   /// byte-identical for campaigns that never retry.

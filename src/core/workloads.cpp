@@ -30,15 +30,21 @@ engine::TrialSourceFactory iid_source(
   };
 }
 
+std::shared_ptr<const profile::BoxDistribution> census_distribution(
+    model::RegularParams params, std::uint64_t n) {
+  // The census of M_{a,b}(n) is geometric over powers of b with weight a:
+  // GeometricPowers weights Pr[b^k] ∝ a^{-k} match the census count
+  // a^{K-k} after normalization.
+  const unsigned K = util::ilog(n, params.b);
+  return std::make_shared<profile::GeometricPowers>(
+      params.b, static_cast<double>(params.a), 0, K);
+}
+
 engine::TrialSourceFactory shuffled_census_source(model::RegularParams params,
                                                   std::uint64_t n) {
-  // The census of M_{a,b}(n) is geometric over powers of b with weight a;
-  // sampling i.i.d. from it is the random reshuffle of the adversarial
-  // profile. GeometricPowers weights: Pr[b^k] ∝ a^{-k} matches the census
-  // count a^{K-k} after normalization.
-  const unsigned K = util::ilog(n, params.b);
-  return iid_source(std::make_shared<profile::GeometricPowers>(
-      params.b, static_cast<double>(params.a), 0, K));
+  // Sampling i.i.d. from the census is the random reshuffle of the
+  // adversarial profile.
+  return iid_source(census_distribution(params, n));
 }
 
 engine::TrialSourceFactory size_perturb_source(

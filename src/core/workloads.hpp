@@ -31,6 +31,10 @@ engine::TrialSourceFactory worst_profile_source(model::RegularParams params,
 engine::TrialSourceFactory iid_source(
     std::shared_ptr<const profile::BoxDistribution> dist);
 
+/// The box-size census of M_{a,b}(n) as a distribution (n a power of b).
+std::shared_ptr<const profile::BoxDistribution> census_distribution(
+    model::RegularParams params, std::uint64_t n);
+
 /// E3's headline instance: i.i.d. boxes from the box-size census of
 /// M_{a,b}(n) itself — the random reshuffle of the adversarial profile.
 engine::TrialSourceFactory shuffled_census_source(model::RegularParams params,

@@ -40,6 +40,7 @@ CaMachine::CaMachine(std::unique_ptr<profile::BoxSource> source,
 }
 
 void CaMachine::start_next_box() {
+  if (cancel_ != nullptr) cancel_->poll();
   const auto box = source_->next();
   CADAPT_CHECK_MSG(box.has_value(),
                    "profile exhausted after " << boxes_started_

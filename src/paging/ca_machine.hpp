@@ -19,6 +19,7 @@
 #include "paging/machine.hpp"
 #include "paging/policy.hpp"
 #include "profile/box_source.hpp"
+#include "robust/cancel.hpp"
 
 namespace cadapt::paging {
 
@@ -126,6 +127,14 @@ class CaMachine final : public Machine {
   using BoxHook = std::function<void(std::uint64_t, std::uint64_t)>;
   void set_box_hook(BoxHook hook) { box_hook_ = std::move(hook); }
 
+  /// Cooperative cancellation (docs/ROBUSTNESS.md): poll `cancel` at
+  /// every box boundary and unwind via robust::CancelledError once it
+  /// fires, like engine::RegularExecution::set_cancel. Unlike a box hook
+  /// it keeps replay_trace on the fast walk, whose box rollovers go
+  /// through the same boundary. Null (the default) detaches; the token
+  /// must outlive the machine.
+  void set_cancel(const robust::CancelToken* cancel) { cancel_ = cancel; }
+
  protected:
   void access_cold(WordAddr addr, BlockId block) override;
 
@@ -157,6 +166,7 @@ class CaMachine final : public Machine {
   std::uint64_t replay_evictions_ = 0;
   ReplayPath last_replay_path_ = ReplayPath::kNone;
   BoxHook box_hook_;
+  const robust::CancelToken* cancel_ = nullptr;
   std::vector<profile::BoxSize> box_log_;
 };
 

@@ -149,9 +149,6 @@ void ServeCore::init_job(const JobFiles& files, const SubmitRequest& request,
   job->cell_options.timing = options_.timing;
   job->cell_options.max_attempts = request.retries + 1;
   job->cell_options.cancel = &job->cancel;
-  // The box-granular poll hook is a deadline tool; without one, attempt
-  // boundaries are enough for cancel and the fast paths stay live.
-  job->cell_options.cancel_per_box = request.deadline_ms != 0;
   if (!request.fault_spec.empty()) {
     const std::uint64_t seed = request.fault_seed != 0
                                    ? request.fault_seed

@@ -24,6 +24,7 @@
 #include "paging/reference_lru.hpp"
 #include "paging_test_util.hpp"
 #include "profile/box_source.hpp"
+#include "robust/cancel.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -384,6 +385,29 @@ TEST(TraceReplayDifferential, BoxHookFallsBack) {
   EXPECT_EQ(hooked.boxes_started(), direct.boxes_started());
 }
 
+// A cancel token, unlike a box hook, keeps the walk: an idle token
+// changes no counter, and a requested one unwinds the walk at its first
+// box rollover with CancelledError.
+TEST(TraceReplayDifferential, CancelTokenKeepsFastWalk) {
+  const BlockRunTrace trace = random_trace(73, 1000);
+  robust::CancelToken token;
+  CaMachine idle(random_boxes(73), 8);
+  idle.set_cancel(&token);
+  idle.replay_trace(trace);
+  EXPECT_EQ(idle.last_replay_path(), ReplayPath::kFastWalk);
+  CaMachine plain(random_boxes(73), 8);
+  plain.replay_trace(trace);
+  expect_ca_machines_eq(idle, plain);
+  ASSERT_GT(plain.boxes_started(), 1u);  // the walk does roll over
+
+  token.request(robust::CancelReason::kExternal);
+  CaMachine cancelled(random_boxes(73), 8);
+  cancelled.set_cancel(&token);
+  EXPECT_THROW(cancelled.replay_trace(trace), robust::CancelledError);
+  EXPECT_EQ(cancelled.last_replay_path(), ReplayPath::kFastWalk);
+  EXPECT_EQ(cancelled.boxes_started(), 1u);
+}
+
 // replay_path_name backs the CLI's fallback-reason diagnostics; keep
 // the strings stable.
 TEST(TraceReplayDifferential, ReplayPathNames) {
@@ -402,7 +426,8 @@ engine::McSummary run_cell_summary(bool capture, bool per_access,
                                    const std::string& sort = "funnel") {
   campaign::Cell cell;
   cell.sort = sort;
-  cell.profile = campaign::parse_sort_profile_token("uniform:4:64");
+  cell.profile =
+      campaign::parse_profile_token("uniform:4:64", campaign::Workload::kSort);
   cell.seed = 7;
   campaign::CellRunOptions options;
   options.keys = 2048;
@@ -416,7 +441,7 @@ engine::McSummary run_cell_summary(bool capture, bool per_access,
   util::ThreadPool pool(threads);
   mc.pool = &pool;
   return engine::run_monte_carlo_robust(
-      mc, campaign::make_program_runner(cell, options));
+      mc, campaign::make_cell_runner(cell, options));
 }
 
 // Capture/replay is bit-identical to its per-access reference across

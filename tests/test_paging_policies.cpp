@@ -686,7 +686,8 @@ engine::McSummary run_policy_cell(const std::string& policy, bool tiers,
                                   std::size_t threads) {
   campaign::Cell cell;
   cell.sort = "funnel";
-  cell.profile = campaign::parse_sort_profile_token("uniform:4:64");
+  cell.profile =
+      campaign::parse_profile_token("uniform:4:64", campaign::Workload::kSort);
   cell.seed = 7;
   cell.policy = policy;
   campaign::CellRunOptions options;
@@ -709,7 +710,7 @@ engine::McSummary run_policy_cell(const std::string& policy, bool tiers,
   util::ThreadPool pool(threads);
   mc.pool = &pool;
   return engine::run_monte_carlo_robust(
-      mc, campaign::make_program_runner(cell, options));
+      mc, campaign::make_cell_runner(cell, options));
 }
 
 // Every policy's campaign cell is bit-identical across thread pools

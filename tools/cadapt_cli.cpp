@@ -7,8 +7,9 @@
 //   render      ASCII-render M_{a,b}(n) (Figure 1)
 //   multiplies  §3: executions completed on one pass of M_{a,b}(n)
 //   trace       instrumented run: JSONL event stream + summary tables
-//   mc          robust Monte-Carlo campaign: containment, retries, fault
-//               injection, budgets, checkpoint/resume (docs/ROBUSTNESS.md)
+//   mc          robust Monte-Carlo campaign over one sweep cell:
+//               containment, retries, fault injection, budgets,
+//               checkpoint/resume (docs/ROBUSTNESS.md)
 //   help        this text
 //
 // Exit codes (docs/ROBUSTNESS.md): 0 success, 2 usage error, 3 input
@@ -16,9 +17,8 @@
 //
 // Common flags: --a --b --c --kmin --kmax --trials --seed
 //               --semantics optimistic|budgeted
-// Distribution flags (analytic/trace/mc): --dist geometric|uniform-powers|
-//   bimodal|point|uniform-range, --kdist, --small, --big, --pbig,
-//   --size, --lo, --hi
+// Trial flag (analytic/trace/mc): --profile TOKEN in the manifest
+//   `profiles` grammar (src/campaign/manifest.hpp)
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -46,6 +46,7 @@
 #include "paging/policy.hpp"
 #include "core/cadapt.hpp"
 #include "core/report.hpp"
+#include "core/workloads.hpp"
 #include "obs/event.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sink.hpp"
@@ -72,16 +73,18 @@ int usage() {
       R"(cadapt - cache-adaptive analysis toolkit (SPAA 2020 reproduction)
 
 commands:
-  analytic    exact Lemma 3 stopping-time table for --dist
+  analytic    exact Lemma 3 stopping-time table for --profile
+              shuffled|iid:... (default shuffled) up to n = b^--kmax
   render      ASCII-render M_{a,b}(--n) (Figure 1)
   multiplies  count executions completed on one pass of M_{a,b}(n)
   replay      run (a,b,c) on a saved profile: --file F [--cycle] [--n N]
   save-worst  write M_{a,b}(--n) to --file F (one box per line)
   trace       instrumented run emitting a JSONL event trace plus summary
               tables (docs/OBSERVABILITY.md). Flags: --n N,
-              --profile worst|iid (default worst; iid takes the --dist
-              flags), --trials T (T >= 2 adds a Monte-Carlo stage with
-              per-trial events), --no-timing (deterministic trace),
+              --profile worst|shuffled|iid:... (default worst),
+              --trials T (T >= 2 adds a Monte-Carlo stage over the
+              profile's distribution — the shuffled census for worst —
+              with per-trial events), --no-timing (deterministic trace),
               --runs (aggregated run/bulk events instead of per-box —
               enables the bulk fast path, docs/PERF.md),
               --out F (JSONL to F; without it JSONL goes to stdout and
@@ -89,8 +92,10 @@ commands:
               is one real program on a cache-adaptive machine and the
               summary is the per-size-class paging table
               (docs/OBSERVABILITY.md)
-  mc          robust Monte-Carlo campaign over --dist
-              (docs/ROBUSTNESS.md). Flags: --n N, --trials T, --seed S,
+  mc          robust Monte-Carlo campaign over one sweep cell
+              (docs/ROBUSTNESS.md): the trial a manifest with the same
+              tokens runs. Flags: --profile TOKEN (default shuffled),
+              --n N, --trials T, --seed S,
               --retries R (extra reseeded attempts per failing trial),
               --retry-backoff-ms B (seeded exponential backoff between
               attempts; attempt 0 never sleeps), --fault site=rate,...
@@ -105,7 +110,7 @@ commands:
               per-box reference driver; bit-identical, for debugging).
               With --sort NAME (adaptive|funnel|merge2|mm:N|fw:N) the
               campaign runs a real program on a cache-adaptive machine:
-              --sort-profile TOKEN (const:S|uniform:LO:HI|
+              --profile TOKEN (const:S|uniform:LO:HI|
               sawtooth:PEAK:CYCLES|mworst:A:B:N:SCALE, default const:64),
               --keys K --block B, --capture-trace (record the block-run
               trace once, replay per trial — docs/PERF.md),
@@ -162,12 +167,9 @@ common flags:
   --kmin K --kmax K         n = b^kmin .. b^kmax (default 2..6)
   --trials T --seed S       Monte-Carlo controls (default 32, 42)
   --semantics optimistic|budgeted
-distribution flags (analytic/trace/mc):
-  --dist geometric|uniform-powers|bimodal|point|uniform-range
-  --kdist K                 power range 0..K (geometric/uniform-powers)
-  --small S --big B --pbig P    (bimodal)
-  --size S                  (point)
-  --lo L --hi H             (uniform-range)
+  --profile TOKEN           the trial (analytic/trace/mc): one manifest
+                            `profiles` token, e.g. shuffled, perturb:4 or
+                            iid:bimodal:4:4096:0.02 (docs/SWEEPS.md)
 )";
   return 0;
 }
@@ -251,219 +253,200 @@ std::string truncated_text(bool truncated, robust::CancelReason reason) {
   return std::string("YES (") + robust::cancel_reason_name(reason) + ")";
 }
 
-std::unique_ptr<profile::BoxDistribution> dist_from(
-    const util::ArgParser& args, const model::RegularParams& p) {
-  const std::string kind = args.get_string("dist", "geometric");
-  const unsigned kdist = static_cast<unsigned>(
-      args.get_u64("kdist", args.get_u64("kmax", 6)));
-  if (kind == "geometric") {
-    return std::make_unique<profile::GeometricPowers>(
-        p.b, static_cast<double>(p.a), 0, kdist);
+// The robustness flags `mc` and `sweep` share (docs/ROBUSTNESS.md):
+// --retries --retry-backoff-ms --deadline-ms --box-budget --checkpoint
+// --resume --fault --fault-seed, plus the process-wide SIGINT/SIGTERM
+// token. Owns the fault plan, faulty I/O backend and deadline watchdog
+// the options point into, so it must outlive the campaign — and, for
+// sweep, the report commit, which a plan arming the io_* sites also hits.
+struct RobustFlags {
+  robust::FaultPlan plan;
+  std::optional<robust::FaultyIo> faulty_io;
+  std::optional<robust::Watchdog> watchdog;
+
+  /// The backend every durable write goes through.
+  robust::IoBackend& io() {
+    return faulty_io ? *faulty_io : robust::system_io();
   }
-  if (kind == "uniform-powers") {
-    return std::make_unique<profile::UniformPowers>(p.b, 0, kdist);
+
+  /// Fill engine::McOptions or campaign::SweepOptions; `seed` seeds the
+  /// backoff jitter and the default --fault-seed. Call it BEFORE building
+  /// runners from the options: they capture the token pointer by value.
+  template <typename Options>
+  void apply(const util::ArgParser& args, std::uint64_t seed, Options& opts) {
+    opts.max_attempts =
+        static_cast<std::uint32_t>(args.get_u64("retries", 0)) + 1;
+    opts.budget.deadline_ns = deadline_ns_from(args);
+    opts.budget.max_total_boxes = args.get_u64("box-budget", 0);
+    opts.backoff = backoff_from(args, seed);
+    opts.checkpoint_path = args.get_string("checkpoint", "");
+    opts.resume = args.has("resume");
+    if (opts.resume && opts.checkpoint_path.empty()) {
+      throw util::UsageError("--resume requires --checkpoint");
+    }
+    const std::string fault_spec = args.get_string("fault", "");
+    if (!fault_spec.empty()) {
+      plan = robust::FaultPlan::parse_spec(
+          fault_spec, args.get_u64("fault-seed", seed ^ 0xFA17ull));
+      opts.faults = &plan;
+      if (robust::FaultyIo::plan_arms_io(plan)) {
+        faulty_io.emplace(robust::system_io(), &plan);
+        opts.io = &*faulty_io;
+      }
+    }
+    // The first SIGINT/SIGTERM cancels cooperatively (the second falls
+    // back to the default kill): in-flight work is discarded, committed
+    // checkpoint records survive, and --resume completes bit-identically.
+    // A --deadline-ms watchdog shares the token (an external token
+    // suppresses run_sweep's internal one). Box budgets stay boundary-
+    // checked: their truncation point must be deterministic.
+    robust::install_signal_cancel();
+    if (opts.budget.deadline_ns != 0) {
+      watchdog.emplace(robust::process_cancel_token(),
+                       opts.budget.deadline_ns);
+    }
+    opts.cancel = &robust::process_cancel_token();
   }
-  if (kind == "bimodal") {
-    return std::make_unique<profile::Bimodal>(args.get_u64("small", 4),
-                                              args.get_u64("big", 4096),
-                                              args.get_double("pbig", 0.02));
+};
+
+// The distribution vocabulary `--profile` replaced. Rejected outright: a
+// silently ignored flag would run a different trial than the one named.
+void reject_retired_flags(const util::ArgParser& args) {
+  for (const char* flag : {"dist", "kdist", "small", "big", "pbig", "size",
+                           "lo", "hi", "sort-profile"}) {
+    if (args.has(flag)) {
+      throw util::UsageError(
+          std::string("--") + flag +
+          " is retired: name the trial with --profile TOKEN, the manifest "
+          "profile grammar (e.g. --profile iid:bimodal:4:4096:0.02, or "
+          "--sort funnel --profile uniform:4:64)");
+    }
   }
-  if (kind == "point") {
-    return std::make_unique<profile::PointMass>(args.get_u64("size", 64));
-  }
-  if (kind == "uniform-range") {
-    return std::make_unique<profile::UniformRange>(args.get_u64("lo", 1),
-                                                   args.get_u64("hi", 256));
-  }
-  throw util::UsageError("unknown --dist '" + kind + "'");
 }
 
-// Shared --sort flag parsing for the program modes of `mc` and `trace`:
-// builds the synthetic cell (program + box profile + seed) and the run
-// options the campaign layer's program runner consumes. Flag values are
-// usage errors, not input errors — the token grammar is re-thrown as
-// UsageError.
-struct ProgramArgs {
+// Flag values are usage errors, not input errors: re-throw a token
+// grammar's ParseError from `parse` as UsageError.
+template <typename Parse>
+auto flag_value(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const util::ParseError& e) {
+    throw util::UsageError(e.what());
+  }
+}
+
+// --profile TOKEN in the manifest `profiles` grammar of `workload`
+// (src/campaign/manifest.hpp).
+campaign::ProfileSpec profile_from(const util::ArgParser& args,
+                                   campaign::Workload workload,
+                                   const std::string& fallback) {
+  return flag_value([&] {
+    return campaign::parse_profile_token(args.get_string("profile", fallback),
+                                         workload);
+  });
+}
+
+// A ratio run's problem size: --n, or b^--kmax.
+std::uint64_t n_from(const util::ArgParser& args,
+                     const model::RegularParams& p) {
+  const std::uint64_t n = args.get_u64(
+      "n", util::ipow(p.b, static_cast<unsigned>(args.get_u64("kmax", 6))));
+  if (!util::is_power_of(n, p.b)) {
+    throw util::UsageError("--n must be a power of b; n=" + std::to_string(n));
+  }
+  return n;
+}
+
+// The trial named on the command line, as the campaign cell `mc` runs
+// (and `trace --sort` traces) plus the options its runner consumes. A
+// ratio cell takes --a/--b/--c, --n/--kmax and --profile (default
+// shuffled); a sort cell takes --sort, --profile (default const:64),
+// --policy, --tiers, --keys and --block.
+struct CellArgs {
   campaign::Cell cell;
   campaign::CellRunOptions options;
 };
 
-ProgramArgs program_args_from(const util::ArgParser& args) {
-  ProgramArgs pa;
-  pa.cell.sort = args.get_string("sort", "");
-  const std::string profile_token =
-      args.get_string("sort-profile", "const:64");
-  const std::string policy_token = args.get_string("policy", "");
-  const std::string tiers_token = args.get_string("tiers", "");
-  try {
-    campaign::validate_program_token(pa.cell.sort, 0);
-    pa.cell.profile = campaign::parse_sort_profile_token(profile_token);
-    // Canonicalize the policy token so labels and checkpoint
-    // fingerprints are spelling-independent; "" keeps the historical
-    // plain-LRU machine (docs/PAGING.md).
-    if (!policy_token.empty()) {
-      pa.cell.policy = paging::parse_policy_token(policy_token).token();
+CellArgs cell_args_from(const util::ArgParser& args,
+                        const model::RegularParams& p) {
+  CellArgs ca;
+  ca.cell.seed = args.get_u64("seed", 42);
+  ca.options.timing = !args.has("no-timing");
+  if (!args.has("sort")) {
+    if (args.has("capture-trace")) {
+      throw util::UsageError("--capture-trace requires --sort");
     }
-    if (!tiers_token.empty()) {
-      pa.options.tiers = campaign::parse_tiers_token(tiers_token);
+    if (args.has("per-access")) {
+      throw util::UsageError("--per-access requires --sort");
     }
-  } catch (const util::ParseError& e) {
-    throw util::UsageError(e.what());
+    ca.cell.algo.params = p;
+    ca.cell.n = n_from(args, p);
+    ca.cell.profile =
+        profile_from(args, campaign::Workload::kRatio, "shuffled");
+    ca.options.semantics = semantics_from(args);
+    ca.options.per_box = args.has("per-box");
+    return ca;
   }
-  pa.cell.seed = args.get_u64("seed", 42);
-  pa.options.keys = args.get_u64("keys", 16384);
-  pa.options.block = args.get_u64("block", 8);
-  if (pa.options.keys < 2) throw util::UsageError("--keys must be >= 2");
-  if (pa.options.block == 0) throw util::UsageError("--block must be >= 1");
-  pa.options.per_access = args.has("per-access");
-  pa.options.capture_trace = args.has("capture-trace");
-  pa.options.timing = !args.has("no-timing");
-  return pa;
+  ca.cell.sort = args.get_string("sort", "");
+  flag_value([&] { campaign::validate_program_token(ca.cell.sort, 0); });
+  ca.cell.profile = profile_from(args, campaign::Workload::kSort, "const:64");
+  // Canonical policy token: labels and checkpoint fingerprints are
+  // spelling-independent; "" keeps the plain-LRU machine (docs/PAGING.md).
+  const std::string policy = args.get_string("policy", "");
+  if (!policy.empty()) {
+    ca.cell.policy =
+        flag_value([&] { return paging::parse_policy_token(policy).token(); });
+  }
+  const std::string tiers = args.get_string("tiers", "");
+  if (!tiers.empty()) {
+    ca.options.tiers =
+        flag_value([&] { return campaign::parse_tiers_token(tiers); });
+  }
+  ca.options.keys = args.get_u64("keys", 16384);
+  ca.options.block = args.get_u64("block", 8);
+  if (ca.options.keys < 2) throw util::UsageError("--keys must be >= 2");
+  if (ca.options.block == 0) throw util::UsageError("--block must be >= 1");
+  ca.options.per_access = args.has("per-access");
+  ca.options.capture_trace = args.has("capture-trace");
+  return ca;
+}
+
+// The cell in words: the header of `mc` and `trace --sort`, and the
+// cell part of the `mc` checkpoint fingerprint.
+std::string describe(const CellArgs& ca) {
+  const campaign::Cell& cell = ca.cell;
+  std::ostringstream os;
+  if (cell.sort.empty()) {
+    os << cell.algo.params.name() << " on " << cell.profile.token
+       << " boxes, n = " << cell.n << ", "
+       << (ca.options.semantics == engine::BoxSemantics::kBudgeted
+               ? "budgeted"
+               : "optimistic")
+       << " semantics";
+    return os.str();
+  }
+  os << cell.sort << " on " << cell.profile.token
+     << " boxes, keys = " << ca.options.keys
+     << ", block = " << ca.options.block;
+  if (!cell.policy.empty()) os << ", policy = " << cell.policy;
+  if (ca.options.tiers.set) os << ", tiers = " << ca.options.tiers.token();
+  if (ca.options.capture_trace) os << ", trace replay";
+  return os.str();
 }
 
 // `trace --sort`: one instrumented program run with a PagingRecorder
 // attached — per-size-class hit/miss/eviction tables instead of the
 // ratio-workload event stream.
-int run_trace_sort(const util::ArgParser& args) {
-  const ProgramArgs pa = program_args_from(args);
+int run_trace_sort(const CellArgs& ca) {
   obs::PagingRecorder recorder;
   const engine::RunResult r = campaign::run_program_traced(
-      pa.cell, pa.options, pa.cell.seed, recorder);
-  std::cout << pa.cell.sort << " on " << pa.cell.profile.token
-            << " boxes, keys = " << pa.options.keys << ", block = "
-            << pa.options.block << ", seed = " << pa.cell.seed;
-  if (!pa.cell.policy.empty()) std::cout << ", policy = " << pa.cell.policy;
-  if (pa.options.tiers.set) {
-    std::cout << ", tiers = " << pa.options.tiers.token();
-  }
-  std::cout << ":\n"
+      ca.cell, ca.options, ca.cell.seed, recorder);
+  std::cout << describe(ca) << ", seed = " << ca.cell.seed << ":\n"
             << "  verified: " << (r.completed ? "yes" : "NO")
             << "  boxes: " << r.boxes << "  I/Os: "
             << util::format_double(r.ratio, 0) << "  I/Os per unit: "
             << util::format_double(r.unit_ratio, 3) << "\n";
   core::print_paging_summary(std::cout, recorder);
-  return 0;
-}
-
-// `mc --sort`: robust Monte-Carlo over a real program (sort or matrix
-// kernel) on a cache-adaptive machine — same containment/budget/
-// checkpoint machinery as the ratio campaigns, with the paging fast path
-// live (docs/PERF.md). --capture-trace records the program's block-run
-// trace once and replays it per trial.
-int run_mc_sort(const util::ArgParser& args) {
-  const ProgramArgs pa = program_args_from(args);
-  engine::McOptions opts;
-  opts.trials = args.get_u64("trials", 64);
-  opts.seed = pa.cell.seed;
-  opts.max_attempts =
-      static_cast<std::uint32_t>(args.get_u64("retries", 0)) + 1;
-  opts.budget.deadline_ns = deadline_ns_from(args);
-  opts.budget.max_total_boxes = args.get_u64("box-budget", 0);
-  opts.backoff = backoff_from(args, opts.seed);
-  opts.checkpoint_path = args.get_string("checkpoint", "");
-  opts.checkpoint_every = args.get_u64("checkpoint-every", 256);
-  opts.resume = args.has("resume");
-  if (opts.resume && opts.checkpoint_path.empty()) {
-    throw util::UsageError("--resume requires --checkpoint");
-  }
-
-  robust::FaultPlan plan;
-  const std::string fault_spec = args.get_string("fault", "");
-  if (!fault_spec.empty()) {
-    plan = robust::FaultPlan::parse_spec(
-        fault_spec, args.get_u64("fault-seed", opts.seed ^ 0xFA17ull));
-    opts.faults = &plan;
-  }
-  std::optional<robust::FaultyIo> faulty_io;
-  if (opts.faults != nullptr && robust::FaultyIo::plan_arms_io(plan)) {
-    faulty_io.emplace(robust::system_io(), &plan);
-    opts.io = &*faulty_io;
-  }
-
-  // Cooperative cancellation: the process-wide token fires on the first
-  // SIGINT/SIGTERM (the second signal falls back to the default kill),
-  // and a --deadline-ms watchdog shares it. Created BEFORE the runner
-  // below — make_program_runner captures the options (and so the token
-  // pointer) by value. Box budgets stay boundary-checked: their
-  // truncation point must be deterministic.
-  robust::install_signal_cancel();
-  robust::CancelToken& cancel_token = robust::process_cancel_token();
-  std::optional<robust::Watchdog> watchdog;
-  if (opts.budget.deadline_ns != 0) {
-    watchdog.emplace(cancel_token, opts.budget.deadline_ns);
-  }
-  opts.cancel = &cancel_token;
-
-  // Checkpoint fingerprint: everything that shapes a trial's result.
-  // --per-access is absent by design — it is bit-identical by contract,
-  // so resuming across it must be allowed (that IS the contract test);
-  // --capture-trace changes input seeding, so it is in.
-  std::ostringstream cfg;
-  cfg << "sort=" << pa.cell.sort << " profile=" << pa.cell.profile.token
-      << " keys=" << pa.options.keys << " block=" << pa.options.block
-      << " retries=" << (opts.max_attempts - 1) << " fault=" << plan.spec()
-      << " fault_seed=" << (opts.faults != nullptr ? plan.seed() : 0);
-  if (pa.options.capture_trace) cfg << " replay=1";
-  // Only-when-set, like replay=1: historical checkpoints keep resuming.
-  if (!pa.cell.policy.empty()) cfg << " policy=" << pa.cell.policy;
-  if (pa.options.tiers.set) cfg << " tiers=" << pa.options.tiers.token();
-  if (opts.backoff.enabled()) {
-    cfg << " backoff_ms=" << (opts.backoff.base_ns / 1'000'000ull);
-  }
-  opts.config = cfg.str();
-
-  // --workers N: run the trials on a private N-thread pool (the program
-  // runner is thread-safe by contract). Results are keyed by trial
-  // index, so the summary is identical to the sequential run.
-  std::optional<util::ThreadPool> pool;
-  if (args.has("workers")) {
-    pool.emplace(static_cast<std::size_t>(workers_from(args)));
-    opts.pool = &*pool;
-  }
-
-  campaign::CellRunOptions cell_options = pa.options;
-  cell_options.faults = opts.faults;
-  cell_options.cancel = opts.cancel;
-  // Box-granular polling only when a deadline needs mid-cell latency; a
-  // token armed merely for Ctrl-C keeps the fast paths live
-  // (CellRunOptions::cancel_per_box).
-  cell_options.cancel_per_box = opts.budget.deadline_ns != 0;
-  const engine::McSummary s = engine::run_monte_carlo_robust(
-      opts, campaign::make_program_runner(pa.cell, cell_options));
-
-  std::cout << pa.cell.sort << " Monte-Carlo campaign, "
-            << pa.cell.profile.token << " boxes, keys = " << pa.options.keys
-            << ", block = " << pa.options.block;
-  if (!pa.cell.policy.empty()) std::cout << ", policy = " << pa.cell.policy;
-  if (pa.options.tiers.set) {
-    std::cout << ", tiers = " << pa.options.tiers.token();
-  }
-  std::cout << (pa.options.capture_trace ? ", trace replay" : "") << ":\n"
-            << "  trials: " << s.trials_run << " of " << s.trials_requested
-            << " (verified " << s.ratio.count() << ", incomplete "
-            << s.incomplete << ", failed " << s.failed << ")\n"
-            << "  truncated: " << truncated_text(s.truncated, s.truncate_reason)
-            << "\n";
-  if (s.ratio.count() > 0) {
-    std::cout << "  mean I/Os: " << util::format_double(s.ratio.mean(), 2)
-              << " +- " << util::format_double(s.ratio.ci95(), 2)
-              << "  mean I/Os per unit: "
-              << util::format_double(s.unit_ratio.mean(), 4)
-              << "  mean boxes: " << util::format_double(s.boxes.mean(), 2)
-              << "\n";
-  }
-  const std::uint64_t shown =
-      std::min<std::uint64_t>(s.errors.size(), args.get_u64("errors-shown", 5));
-  for (std::uint64_t i = 0; i < shown; ++i) {
-    const robust::TrialError& e = s.errors[i];
-    std::cout << "  error: trial " << e.trial << " seed " << e.seed
-              << " attempts " << e.attempts << " ["
-              << robust::error_category_name(e.category) << "] " << e.what
-              << "\n";
-  }
-  if (s.errors.size() > shown) {
-    std::cout << "  ... " << (s.errors.size() - shown) << " more errors\n";
-  }
   return 0;
 }
 
@@ -474,34 +457,39 @@ int run_mc_sort(const util::ArgParser& args) {
 // well-formed and complete — tests/CMakeLists.txt smoke-tests the final
 // "all lines parse; conservation OK" line.
 int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
-  if (args.has("sort")) return run_trace_sort(args);
-  const std::uint64_t n = args.get_u64(
-      "n", util::ipow(p.b, static_cast<unsigned>(args.get_u64("kmax", 6))));
-  if (!util::is_power_of(n, p.b)) {
-    throw util::UsageError("--n must be a power of b; n=" + std::to_string(n));
-  }
+  if (args.has("sort")) return run_trace_sort(cell_args_from(args, p));
+  const std::uint64_t n = n_from(args, p);
   const std::uint64_t trials = args.get_u64("trials", 1);
   const std::uint64_t seed = args.get_u64("seed", 42);
   const std::string out_path = args.get_string("out", "");
-  const std::string profile_kind = args.get_string("profile", "worst");
+  const campaign::ProfileSpec spec =
+      profile_from(args, campaign::Workload::kRatio, "worst");
+  const bool worst = spec.kind == campaign::ProfileKind::kWorst;
+  if (!worst && spec.kind != campaign::ProfileKind::kShuffled &&
+      spec.kind != campaign::ProfileKind::kIid) {
+    throw util::UsageError("trace --profile must be worst, shuffled or "
+                           "iid:DIST:...; got '" + spec.token + "'");
+  }
   const engine::BoxSemantics semantics = semantics_from(args);
   const std::string sem = args.get_string("semantics", "optimistic");
-  const auto dist = dist_from(args, p);
+  // The Monte-Carlo stage samples the profile's distribution; `worst` is
+  // deterministic, so its stage samples the shuffled census of n.
+  const auto dist = worst ? core::census_distribution(p, n) : flag_value([&] {
+    return campaign::make_distribution(spec, p, n);
+  });
 
   obs::MemorySink sink;
 
   // Stage 1: one fully instrumented execution (per-box events).
   std::unique_ptr<profile::BoxSource> source;
-  if (profile_kind == "worst") {
+  if (worst) {
     // Cycle M_{a,b}(n) so the run completes for every parameter set.
     source = std::make_unique<profile::CyclingSource>([&p, n] {
       return std::make_unique<profile::WorstCaseSource>(p.a, p.b, n);
     });
-  } else if (profile_kind == "iid") {
+  } else {
     source = std::make_unique<profile::DistributionSource>(*dist,
                                                            util::Rng(seed));
-  } else {
-    throw util::UsageError("--profile must be worst or iid");
   }
   // --runs swaps per-box events for aggregated run/bulk events, which
   // also re-enables the engine's bulk fast path (docs/PERF.md); the
@@ -514,7 +502,7 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
                           /*max_boxes=*/UINT64_C(1) << 40,
                           /*adversary_seed=*/0, semantics, &exec_rec);
 
-  // Stage 2 (--trials >= 2): Monte-Carlo over --dist with per-trial events.
+  // Stage 2 (--trials >= 2): Monte-Carlo over `dist` with per-trial events.
   obs::McRecorder mc_rec(&sink, /*record_timing=*/!args.has("no-timing"));
   const bool ran_mc = trials >= 2;
   engine::McSummary mc;
@@ -587,7 +575,7 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
     summary_os = &std::cerr;
   }
 
-  *summary_os << p.name() << " on " << profile_kind << " profile, n = " << n
+  *summary_os << p.name() << " on " << spec.token << " profile, n = " << n
               << ", " << sem << " semantics:\n"
               << "  completed: " << (r.completed ? "yes" : "NO")
               << "  boxes: " << r.boxes
@@ -605,81 +593,38 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
   return 0;
 }
 
-// `mc`: a robust Monte-Carlo campaign (docs/ROBUSTNESS.md) — contained
-// per-trial failures, bounded retry-with-reseed, deterministic fault
-// injection, explicit budget truncation, and checkpoint/resume. The
-// summary never hides a degradation: failed/truncated are always printed.
+// `mc`: a robust Monte-Carlo campaign (docs/ROBUSTNESS.md) over one
+// campaign cell — the trial `cadapt sweep` runs for the same tokens —
+// with contained per-trial failures, bounded retry-with-reseed,
+// deterministic fault injection, explicit budget truncation, and
+// checkpoint/resume. With --sort the cell is a real program (sort or
+// matrix kernel) on a cache-adaptive machine, with the paging fast path
+// live (docs/PERF.md); --capture-trace records the program's block-run
+// trace once and replays it per trial. The summary never hides a
+// degradation: failed/truncated are always printed.
 int run_mc(const util::ArgParser& args, const model::RegularParams& p) {
-  if (args.has("sort")) return run_mc_sort(args);
-  if (args.has("capture-trace")) {
-    throw util::UsageError("--capture-trace requires --sort");
-  }
-  if (args.has("per-access")) {
-    throw util::UsageError("--per-access requires --sort");
-  }
-  const std::uint64_t n = args.get_u64(
-      "n", util::ipow(p.b, static_cast<unsigned>(args.get_u64("kmax", 6))));
-  if (!util::is_power_of(n, p.b)) {
-    throw util::UsageError("--n must be a power of b; n=" + std::to_string(n));
-  }
+  const CellArgs ca = cell_args_from(args, p);
+  const campaign::Cell& cell = ca.cell;
+  const bool sort = !cell.sort.empty();
   engine::McOptions opts;
   opts.trials = args.get_u64("trials", 64);
-  opts.seed = args.get_u64("seed", 42);
-  opts.semantics = semantics_from(args);
-  opts.per_box = args.has("per-box");
-  opts.max_attempts =
-      static_cast<std::uint32_t>(args.get_u64("retries", 0)) + 1;
-  opts.budget.deadline_ns = deadline_ns_from(args);
-  opts.budget.max_total_boxes = args.get_u64("box-budget", 0);
-  opts.backoff = backoff_from(args, opts.seed);
-  opts.checkpoint_path = args.get_string("checkpoint", "");
+  opts.seed = cell.seed;
   opts.checkpoint_every = args.get_u64("checkpoint-every", 256);
-  opts.resume = args.has("resume");
-  if (opts.resume && opts.checkpoint_path.empty()) {
-    throw util::UsageError("--resume requires --checkpoint");
-  }
+  RobustFlags flags;
+  flags.apply(args, opts.seed, opts);
 
-  robust::FaultPlan plan;
-  const std::string fault_spec = args.get_string("fault", "");
-  if (!fault_spec.empty()) {
-    plan = robust::FaultPlan::parse_spec(
-        fault_spec, args.get_u64("fault-seed", opts.seed ^ 0xFA17ull));
-    opts.faults = &plan;
-  }
-  std::optional<robust::FaultyIo> faulty_io;
-  if (opts.faults != nullptr && robust::FaultyIo::plan_arms_io(plan)) {
-    faulty_io.emplace(robust::system_io(), &plan);
-    opts.io = &*faulty_io;
-  }
-
-  // The process-wide SIGINT/SIGTERM token, shared with a --deadline-ms
-  // watchdog when one is armed. Created BEFORE run_monte_carlo_iid
-  // builds its runner from opts (the runner captures the token pointer
-  // by value). Box budgets stay boundary-checked — no watchdog for them
-  // (see run_mc_sort).
-  robust::install_signal_cancel();
-  robust::CancelToken& cancel_token = robust::process_cancel_token();
-  std::optional<robust::Watchdog> watchdog;
-  if (opts.budget.deadline_ns != 0) {
-    watchdog.emplace(cancel_token, opts.budget.deadline_ns);
-  }
-  opts.cancel = &cancel_token;
-
-  const auto dist = dist_from(args, p);
-  // Campaign fingerprint for the checkpoint header: everything that
-  // shapes a trial besides (trials, seed). A resume with different
-  // parameters must be refused, not silently blended.
+  // Checkpoint fingerprint: everything that shapes a trial besides
+  // (trials, seed) — the cell's canonical tokens plus the robust flags —
+  // so a resume with different parameters is refused, not silently
+  // blended. --per-box and --per-access are absent by design: they are
+  // bit-identical by contract, so resuming across them must be allowed.
+  // Backoff never changes a trial's RESULT, but it changes the persisted
+  // backoff_ns schedule.
   std::ostringstream cfg;
-  cfg << p.name() << " n=" << n << " dist=" << dist->name()
-      << " sem=" << args.get_string("semantics", "optimistic")
-      << " retries=" << (opts.max_attempts - 1) << " fault=" << plan.spec()
-      << " fault_seed=" << (opts.faults != nullptr ? plan.seed() : 0);
-  // Only-when-set: historical checkpoints keep resuming. (Backoff never
-  // changes a trial's RESULT, but it changes the persisted backoff_ns
-  // schedule, so blending schedules across resumes is refused.)
-  if (opts.backoff.enabled()) {
-    cfg << " backoff_ms=" << (opts.backoff.base_ns / 1'000'000ull);
-  }
+  cfg << describe(ca) << "; retries=" << (opts.max_attempts - 1)
+      << " fault=" << flags.plan.spec()
+      << " fault_seed=" << (opts.faults != nullptr ? flags.plan.seed() : 0)
+      << " backoff_ms=" << (opts.backoff.base_ns / 1'000'000ull);
   opts.config = cfg.str();
 
   // --workers N: a private N-thread pool for the trials; summaries are
@@ -690,14 +635,18 @@ int run_mc(const util::ArgParser& args, const model::RegularParams& p) {
     opts.pool = &*pool;
   }
 
-  const engine::McSummary s = engine::run_monte_carlo_iid(p, n, *dist, opts);
+  campaign::CellRunOptions options = ca.options;
+  options.faults = opts.faults;
+  options.cancel = opts.cancel;
+  const engine::McSummary s = engine::run_monte_carlo_robust(
+      opts, campaign::make_cell_runner(cell, options));
 
-  std::cout << p.name() << " Monte-Carlo campaign, n = " << n << ", "
-            << dist->name() << ":\n"
+  std::cout << "Monte-Carlo campaign of " << describe(ca) << ":\n"
             << "  trials: " << s.trials_run << " of " << s.trials_requested
-            << " (completed " << s.ratio.count() << ", incomplete "
-            << s.incomplete << ", failed " << s.failed << ")\n";
-  if (s.incomplete > 0) {
+            << " (" << (sort ? "verified " : "completed ") << s.ratio.count()
+            << ", incomplete " << s.incomplete << ", failed " << s.failed
+            << ")\n";
+  if (!sort && s.incomplete > 0) {
     // Say WHY trials were cut off: the box cap is a tunable, an exhausted
     // source is a workload property.
     std::cout << "  incomplete breakdown: " << s.capped << " hit the box cap, "
@@ -705,7 +654,14 @@ int run_mc(const util::ArgParser& args, const model::RegularParams& p) {
   }
   std::cout << "  truncated: "
             << truncated_text(s.truncated, s.truncate_reason) << "\n";
-  if (s.ratio.count() > 0) {
+  if (s.ratio.count() > 0 && sort) {
+    std::cout << "  mean I/Os: " << util::format_double(s.ratio.mean(), 2)
+              << " +- " << util::format_double(s.ratio.ci95(), 2)
+              << "  mean I/Os per unit: "
+              << util::format_double(s.unit_ratio.mean(), 4)
+              << "  mean boxes: " << util::format_double(s.boxes.mean(), 2)
+              << "\n";
+  } else if (s.ratio.count() > 0) {
     std::cout << "  mean ratio: " << util::format_double(s.ratio.mean(), 4)
               << " +- " << util::format_double(s.ratio.ci95(), 4)
               << "  mean boxes: " << util::format_double(s.boxes.mean(), 2)
@@ -854,7 +810,8 @@ cover it — the access stream depends on the live box profile) run
 through the concurrent trial pool at every P:
   --scale LIST          worker counts, e.g. 1,2,4,8
   --sort NAME           program (default adaptive)
-  --sort-profile TOKEN  box profile (default uniform:4:64)
+  --profile TOKEN       box profile, manifest sort grammar (default
+                        uniform:4:64)
   --keys K --block B --trials T   cell shape (default 4096, 8, 8)
   --no-timing           zero the wall-clock fields (deterministic bytes)
   --json [--out F]      emit JSONL (parallel_env + one parallel_scale
@@ -1092,14 +1049,8 @@ int run_parallel_cmd(const util::ArgParser& args) {
   const bool timing = !args.has("no-timing");
   campaign::Cell cell;
   cell.sort = args.get_string("sort", "adaptive");
-  const std::string cell_profile =
-      args.get_string("sort-profile", "uniform:4:64");
-  try {
-    campaign::validate_program_token(cell.sort, 0);
-    cell.profile = campaign::parse_sort_profile_token(cell_profile);
-  } catch (const util::ParseError& e) {
-    throw util::UsageError(e.what());
-  }
+  cell.profile = profile_from(args, campaign::Workload::kSort, "uniform:4:64");
+  flag_value([&] { campaign::validate_program_token(cell.sort, 0); });
   cell.seed = popt.seed;
   cell.trials = args.get_u64("trials", 8);
   campaign::CellRunOptions cell_options;
@@ -1143,7 +1094,7 @@ int run_parallel_cmd(const util::ArgParser& args) {
         .u64("box_lo", box_lo)
         .u64("box_hi", box_hi)
         .str("cell_sort", cell.sort)
-        .str("cell_profile", cell_profile)
+        .str("cell_profile", cell.profile.token)
         .u64("cell_keys", cell_options.keys)
         .u64("cell_trials", cell.trials)
         .u64("cores", std::thread::hardware_concurrency());
@@ -1215,7 +1166,7 @@ int run_parallel_cmd(const util::ArgParser& args) {
 
   std::cout << p.name() << ", n = " << n << ", scale "
             << args.get_string("scale", "") << " (cell: " << cell.sort
-            << " on " << cell_profile << ", " << cell_options.keys
+            << " on " << cell.profile.token << ", " << cell_options.keys
             << " keys x " << cell.trials << " trials):\n";
   table.print(std::cout);
 
@@ -1267,13 +1218,9 @@ int run_sweep_cmd(const util::ArgParser& args) {
   const std::string out_path = args.get_string("out", "BENCH_sweep.json");
   const ReportFormat format = report_format_from(args);
 
-  // Shared by checkpoint writes and the final report commit, so a fault
-  // plan arming the io_* sites exercises both (docs/ROBUSTNESS.md).
-  // Function scope, not branch scope: the FaultyIo borrows the plan and
-  // both must outlive the report commit at the bottom.
-  robust::FaultPlan fault_plan;
-  std::optional<robust::FaultyIo> faulty_io;
-  robust::IoBackend* io = &robust::system_io();
+  // Function scope, not branch scope: the fault plan and faulty I/O
+  // backend must outlive the report commit at the bottom.
+  RobustFlags flags;
 
   campaign::Report report;
   // Set on the all-binary merge path: cells stay columnar end to end
@@ -1343,45 +1290,7 @@ int run_sweep_cmd(const util::ArgParser& args) {
     opts.timing = !args.has("no-timing");
     opts.per_box = args.has("per-box");
     opts.per_access = args.has("per-access");
-    opts.max_attempts =
-        static_cast<std::uint32_t>(args.get_u64("retries", 0)) + 1;
-    opts.budget.deadline_ns = deadline_ns_from(args);
-    opts.budget.max_total_boxes = args.get_u64("box-budget", 0);
-    opts.backoff = backoff_from(args, manifest.seed);
-    opts.checkpoint_path = args.get_string("checkpoint", "");
-    opts.resume = args.has("resume");
-    if (opts.resume && opts.checkpoint_path.empty()) {
-      throw util::UsageError("--resume requires --checkpoint");
-    }
-
-    // First SIGINT/SIGTERM cancels cooperatively: in-flight cells are
-    // discarded, committed checkpoint cells survive, and a --resume
-    // re-run completes bit-identically to an uninterrupted one. An
-    // external token suppresses run_sweep's internal deadline watchdog,
-    // so the CLI owns one on the same token when --deadline-ms is set;
-    // the box-granular poll hook is armed only then (the hook forces
-    // the generic replay path — SweepOptions::cancel_per_box).
-    robust::install_signal_cancel();
-    std::optional<robust::Watchdog> watchdog;
-    if (opts.budget.deadline_ns != 0) {
-      watchdog.emplace(robust::process_cancel_token(),
-                       opts.budget.deadline_ns);
-    }
-    opts.cancel = &robust::process_cancel_token();
-    opts.cancel_per_box = opts.budget.deadline_ns != 0;
-
-    const std::string fault_spec = args.get_string("fault", "");
-    if (!fault_spec.empty()) {
-      fault_plan = robust::FaultPlan::parse_spec(
-          fault_spec, args.get_u64("fault-seed", manifest.seed ^ 0xFA17ull));
-      opts.faults = &fault_plan;
-    }
-    if (opts.faults != nullptr &&
-        robust::FaultyIo::plan_arms_io(fault_plan)) {
-      faulty_io.emplace(robust::system_io(), &fault_plan);
-      io = &*faulty_io;
-      opts.io = io;
-    }
+    flags.apply(args, manifest.seed, opts);
 
     std::ofstream trace_file;
     obs::JsonlSink trace_sink(trace_file);
@@ -1464,15 +1373,15 @@ int run_sweep_cmd(const util::ArgParser& args) {
   }
   if (format == ReportFormat::kBinary) {
     if (store.has_value()) {
-      report::save_store_file(out_path, *store, *io);
+      report::save_store_file(out_path, *store, flags.io());
     } else {
-      report::save_store_file(out_path,
-                              report::CellStore::from_report(report), *io);
+      report::save_store_file(
+          out_path, report::CellStore::from_report(report), flags.io());
     }
   } else if (store.has_value()) {
-    store->export_report_file(out_path, *io);
+    store->export_report_file(out_path, flags.io());
   } else {
-    campaign::write_report_file(out_path, report, *io);
+    campaign::write_report_file(out_path, report, flags.io());
   }
   std::cout << "report written to " << out_path << "\n";
 
@@ -2030,6 +1939,10 @@ int run(const util::ArgParser& args) {
     std::cout << campaign::provenance_text();
     return 0;
   }
+  if (cmd == "mc" || cmd == "trace" || cmd == "analytic" ||
+      cmd == "parallel") {
+    reject_retired_flags(args);
+  }
   if (cmd == "parallel") return run_parallel_cmd(args);
   if (cmd == "sweep") return run_sweep_cmd(args);
   if (cmd == "report") return run_report_cmd(args);
@@ -2042,10 +1955,13 @@ int run(const util::ArgParser& args) {
   const model::RegularParams p = params_from(args);
 
   if (cmd == "analytic") {
-    const auto dist = dist_from(args, p);
-    engine::AnalyticSolver solver(p, *dist);
     const std::uint64_t n_max =
         util::ipow(p.b, static_cast<unsigned>(args.get_u64("kmax", 6)));
+    const campaign::ProfileSpec spec =
+        profile_from(args, campaign::Workload::kRatio, "shuffled");
+    const auto dist = flag_value(
+        [&] { return campaign::make_distribution(spec, p, n_max); });
+    engine::AnalyticSolver solver(p, *dist);
     util::Table table({"n", "f(n)", "f'(n)", "p", "K(n)", "m_n", "ratio"});
     for (const auto& lvl : solver.solve(n_max)) {
       table.row()

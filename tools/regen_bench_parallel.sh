@@ -24,6 +24,6 @@ repo_root=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
 committed="$repo_root/BENCH_parallel.json"
 
 "$cli" parallel --k 8 --scale 1,2,4,8 --sort adaptive \
-  --sort-profile uniform:4:64 --keys 4096 --block 8 --trials 8 \
+  --profile uniform:4:64 --keys 4096 --block 8 --trials 8 \
   --seed 42 --json --out "$committed"
 echo "wrote $committed"
