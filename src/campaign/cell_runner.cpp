@@ -299,7 +299,8 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
       capture && prog.kind != ProgramSpec::Kind::kAdaptive;
 
   // Shared across the trials of this cell (and across threads when the
-  // CLI's mc mode fans trials out on a pool): the once-recorded trace.
+  // sweep's --jobs threads or mc's pool split its trials): the
+  // once-recorded trace.
   struct CaptureState {
     std::once_flag once;
     paging::BlockRunTrace trace;
@@ -402,22 +403,29 @@ paging::CaConfig ca_config_for(const Cell& cell,
   return config;
 }
 
-std::vector<robust::TrialRecord> run_cell(const Cell& cell,
-                                          const CellRunOptions& options) {
-  const engine::RobustTrialRunner runner = make_cell_runner(cell, options);
+engine::McOptions trial_options_for(const Cell& cell,
+                                     const CellRunOptions& options) {
   engine::McOptions trial_options;
   trial_options.seed = cell.seed;
   trial_options.max_attempts = options.max_attempts;
   trial_options.faults = options.faults;
   trial_options.cancel = options.cancel;
   trial_options.backoff = options.backoff;
+  return trial_options;
+}
+
+std::vector<robust::TrialRecord> run_cell(const Cell& cell,
+                                          const CellRunOptions& options) {
+  const engine::RobustTrialRunner runner = make_cell_runner(cell, options);
+  const engine::McOptions trial_options = trial_options_for(cell, options);
   // Sort cells fan their trials out on a seeded work-stealing pool when
   // workers >= 2: every trial is a pure function of (cell.seed, trial,
   // attempt) and lands at its own index, so the records are byte-
   // identical to the sequential loop (only wall-clock changes). Ratio
-  // cells stay sequential — their runners share stateful profile
-  // sources. This is how adaptive-sort cells, which trace replay cannot
-  // cover, still scale with workers.
+  // cells stay sequential here; `cadapt sweep` splits any cell's trials
+  // across its --jobs threads instead (run_sweep), which needs no
+  // workers key. This is how adaptive-sort cells, which trace replay
+  // cannot cover, still scale with workers under `cadapt serve`.
   if (options.workers >= 2 && cell.trials >= 2 && !cell.sort.empty()) {
     std::vector<robust::TrialRecord> records(cell.trials);
     sched::parallel_trials(

@@ -1,8 +1,10 @@
-// Execute one planned cell: `trials` contained trials, inline on the
-// calling thread. The sweep orchestrator parallelizes across CELLS on its
-// own thread pool; trials within a cell run sequentially right here via
+// Execute one planned cell: `trials` contained trials through
 // engine::run_single_trial, so the campaign reuses the Monte-Carlo
-// layer's containment/retry/fault machinery without nesting thread pools.
+// layer's containment/retry/fault machinery. run_cell runs them inline
+// on the calling thread (or on a `workers` pool for sort cells); the
+// sweep orchestrator instead builds the runner once with
+// make_cell_runner and lets its --jobs threads claim the trials one at a
+// time (campaign/sweep.hpp).
 //
 // Determinism: every trial's outcome is a pure function of
 // (cell.seed, trial index, attempt) — identical across --jobs, --shards,
@@ -66,13 +68,13 @@ struct CellRunOptions {
   /// Two-tier machine shape shared by every cell (docs/PAGING.md);
   /// default = the historical single-tier machine.
   TiersSpec tiers;
-  /// Intra-cell trial parallelism (docs/PARALLEL.md): >= 2 runs a sort
-  /// cell's trials on a seeded work-stealing pool instead of the
-  /// sequential loop. Records land at their trial index, so reports are
-  /// byte-identical to workers = 1 (the tests hold the two together).
-  /// Ratio cells ignore this — their trial runners share stateful
-  /// profile sources — as do single-trial cells. This is the lever for
-  /// adaptive-sort cells, which trace replay cannot cover.
+  /// Intra-cell trial parallelism for run_cell (docs/PARALLEL.md): >= 2
+  /// runs a sort cell's trials on a seeded work-stealing pool instead of
+  /// the sequential loop. Records land at their trial index, so reports
+  /// are byte-identical to workers = 1 (the tests hold the two together).
+  /// Ratio cells and single-trial cells ignore it. `cadapt serve` uses it
+  /// for adaptive-sort cells, which trace replay cannot cover;
+  /// run_sweep never calls run_cell, so it has no effect there.
   std::uint64_t workers = 1;
 };
 
@@ -93,12 +95,20 @@ std::shared_ptr<const profile::BoxDistribution> make_distribution(
     std::uint64_t n);
 
 /// The trial runner for one cell — the dispatch run_cell uses, exposed so
-/// the CLI's `mc` drives the exact same trial through the Monte-Carlo
-/// layer. A ratio cell (cell.sort empty) runs cell.algo at cell.n on
-/// cell.profile; a sort/program cell runs adaptive|funnel|merge2 on
-/// options.keys keys, or mm:N|fw:N on an N x N matrix.
+/// run_sweep and the CLI's `mc` drive the exact same trial. A ratio cell
+/// (cell.sort empty) runs cell.algo at cell.n on cell.profile; a
+/// sort/program cell runs adaptive|funnel|merge2 on options.keys keys, or
+/// mm:N|fw:N on an N x N matrix. The runner may be called from several
+/// threads at once: every ratio runner builds a fresh profile source from
+/// its trial seed, and a program runner's only shared state is its
+/// once-captured trace (std::call_once).
 engine::RobustTrialRunner make_cell_runner(const Cell& cell,
                                            const CellRunOptions& options);
+
+/// The engine::run_single_trial options of the cell's trials: the cell
+/// seed plus options' attempts, faults, cancel token and backoff.
+engine::McOptions trial_options_for(const Cell& cell,
+                                    const CellRunOptions& options);
 
 /// One direct program trial with an obs::PagingRecorder attached (which
 /// forces the per-access reference path, so the recorder's tallies are
@@ -109,10 +119,11 @@ engine::RunResult run_program_traced(const Cell& cell,
                                      std::uint64_t trial_seed,
                                      obs::PagingRecorder& recorder);
 
-/// Run the cell's trials in trial order. Never throws for per-trial
-/// faults (contained in the records); throws only for malformed cells
-/// and for robust::CancelledError when options.cancel fires (the sweep
-/// discards the interrupted cell wholesale — see run_sweep).
+/// Run the cell's trials; records come back in trial order. Never throws
+/// for per-trial faults (contained in the records); throws only for
+/// malformed cells and for robust::CancelledError when options.cancel
+/// fires (the caller discards the interrupted cell wholesale). Used by
+/// `cadapt serve`'s per-cell dispatch and `cadapt parallel --scale`.
 std::vector<robust::TrialRecord> run_cell(const Cell& cell,
                                           const CellRunOptions& options);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -123,6 +124,22 @@ void emit_trial_errors(obs::TraceSink& sink, const Cell& cell,
   }
 }
 
+/// One admitted cell whose trials are being claimed (see run_sweep).
+struct CellRun {
+  std::size_t slot = 0;  ///< position in the shard's cell list
+  const Cell* cell = nullptr;
+  engine::McOptions trial_options;
+  engine::RobustTrialRunner runner;
+  std::vector<robust::TrialRecord> records;  ///< records[trial]
+  std::atomic<std::uint64_t> next{0};        ///< next unclaimed trial
+  std::atomic<std::uint64_t> done{0};        ///< trials landed
+
+  std::uint64_t unclaimed() const {
+    const std::uint64_t claimed = next.load(std::memory_order_relaxed);
+    return claimed < cell->trials ? cell->trials - claimed : 0;
+  }
+};
+
 }  // namespace
 
 Report run_sweep(const Plan& plan, const SweepOptions& options) {
@@ -176,7 +193,6 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   cell_options.cancel = cancel;
   cell_options.backoff = options.backoff;
   cell_options.timing = options.timing;
-  if (options.workers != 0) cell_options.workers = options.workers;
 
   robust::BudgetTracker tracker(options.budget, options.clock);
   std::vector<std::optional<CellResult>> results(mine.size());
@@ -193,54 +209,166 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   std::mutex sink_mutex;  // checkpoint + trace share one writer lock
   std::string checkpoint_line;  // encode buffer reused under sink_mutex
 
-  util::ThreadPool pool(static_cast<std::size_t>(options.jobs));
-  try {
-    util::parallel_for(pool, mine.size(), [&](std::size_t i) {
-      const Cell& cell = plan.cells[mine[i]];
-      if (const auto it = finished.find(cell.index); it != finished.end()) {
-        results[i] = it->second;
+  // A cell that throws (cancellation, a malformed cell) is abandoned; the
+  // error of the lowest shard slot is rethrown once every worker is done,
+  // deterministic across --jobs like util::parallel_for.
+  std::mutex error_mutex;
+  std::exception_ptr error;
+  std::size_t error_slot = mine.size();
+  const auto note_error = [&](std::size_t slot) {
+    const std::lock_guard<std::mutex> lock(error_mutex);
+    if (slot < error_slot) {
+      error = std::current_exception();
+      error_slot = slot;
+    }
+  };
+
+  // Admission: the next cell of the shard that still has to run, with its
+  // runner built once. Null when resumed, skipped or abandoned.
+  const auto admit = [&](std::size_t slot) -> std::shared_ptr<CellRun> {
+    const Cell& cell = plan.cells[mine[slot]];
+    if (const auto it = finished.find(cell.index); it != finished.end()) {
+      results[slot] = it->second;
+      return nullptr;
+    }
+    if (cancel != nullptr && cancel->requested()) {
+      note_truncation(cancel->reason());
+      return nullptr;
+    }
+    if (tracker.exceeded()) {
+      note_truncation(tracker.boxes_exceeded()
+                          ? robust::CancelReason::kBudget
+                          : robust::CancelReason::kDeadline);
+      return nullptr;
+    }
+    auto run = std::make_shared<CellRun>();
+    run->slot = slot;
+    run->cell = &cell;
+    run->trial_options = trial_options_for(cell, cell_options);
+    run->records.resize(cell.trials);
+    try {
+      // Only the lander of a last trial finishes a cell (manifests
+      // reject trials = 0).
+      CADAPT_CHECK_MSG(cell.trials != 0,
+                       "cell " << cell.index << " has no trials");
+      run->runner = make_cell_runner(cell, cell_options);
+    } catch (...) {
+      note_error(slot);
+      return nullptr;
+    }
+    return run;
+  };
+
+  // Finish a cell, run by whoever lands its last trial: account,
+  // aggregate, commit, trace, then drop the runner (and with it any
+  // captured block-run trace) and the records.
+  const auto finish = [&](CellRun& run) {
+    const Cell& cell = *run.cell;
+    std::uint64_t boxes = 0;
+    for (const robust::TrialRecord& record : run.records) {
+      boxes += record.boxes;
+    }
+    tracker.add_boxes(boxes);
+    CellResult result = aggregate_cell(cell, run.records, plan.config_hash,
+                                       plan.manifest.unit_progress);
+    {
+      const std::lock_guard<std::mutex> lock(sink_mutex);
+      if (checkpoint != nullptr) {
+        // One durable commit per cell: a kill between cells loses
+        // nothing, a kill mid-commit loses only the torn tail that
+        // truncate_torn_tail drops on resume.
+        obs::to_jsonl(cell_event(result), checkpoint_line);
+        checkpoint->write(checkpoint_line);
+        checkpoint->write("\n");
+        checkpoint->commit();
+      }
+      if (options.trace != nullptr) {
+        options.trace->write(cell_event(result));
+        emit_trial_errors(*options.trace, cell, run.records);
+      }
+    }
+    results[run.slot] = std::move(result);
+    run.runner = nullptr;
+    run.records = {};
+  };
+
+  // Claim this cell's trials one at a time until none are left. Records
+  // land at their trial index, so the report never depends on who ran
+  // which trial.
+  const auto run_trials = [&](CellRun& run) {
+    const std::uint64_t trials = run.cell->trials;
+    for (;;) {
+      const std::uint64_t trial =
+          run.next.fetch_add(1, std::memory_order_relaxed);
+      if (trial >= trials) return;
+      try {
+        run.records[trial] = engine::run_single_trial(
+            run.trial_options, run.runner, trial, options.timing);
+        // acq_rel: the last lander sees every other helper's record.
+        if (run.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            trials) {
+          finish(run);
+        }
+      } catch (...) {
+        // Stop further claims. A failed trial never counts as done, so
+        // the cell is discarded whole: a partially executed cell never
+        // reaches the report or the checkpoint.
+        run.next.store(trials, std::memory_order_relaxed);
+        note_error(run.slot);
         return;
       }
-      if (cancel != nullptr && cancel->requested()) {
-        note_truncation(cancel->reason());
-        return;
-      }
-      if (tracker.exceeded()) {
-        note_truncation(tracker.boxes_exceeded()
-                            ? robust::CancelReason::kBudget
-                            : robust::CancelReason::kDeadline);
-        return;
-      }
-      const std::vector<robust::TrialRecord> records =
-          run_cell(cell, cell_options);
-      std::uint64_t boxes = 0;
-      for (const robust::TrialRecord& record : records) boxes += record.boxes;
-      tracker.add_boxes(boxes);
-      CellResult result = aggregate_cell(cell, records, plan.config_hash,
-                                         plan.manifest.unit_progress);
+    }
+  };
+
+  // Workers admit cells in shard order while any remain, so whole cells
+  // are claimed while there is work to spread and at most one cell per
+  // worker is held in memory. Only then does an idle worker help the
+  // admitted cell with the most unclaimed trials (the tail a single heavy
+  // cell would otherwise hold alone).
+  std::mutex claim_mutex;
+  std::size_t next_slot = 0;
+  // Admitted cells that may have unclaimed trials: at most about one per
+  // worker, because fully claimed ones are dropped on every visit.
+  std::vector<std::shared_ptr<CellRun>> admitted;
+  const auto next_run = [&]() -> std::shared_ptr<CellRun> {
+    for (;;) {
+      std::size_t slot = 0;
       {
-        const std::lock_guard<std::mutex> lock(sink_mutex);
-        if (checkpoint != nullptr) {
-          // One durable commit per cell: a kill between cells loses
-          // nothing, a kill mid-commit loses only the torn tail that
-          // truncate_torn_tail drops on resume.
-          obs::to_jsonl(cell_event(result), checkpoint_line);
-          checkpoint->write(checkpoint_line);
-          checkpoint->write("\n");
-          checkpoint->commit();
+        const std::lock_guard<std::mutex> lock(claim_mutex);
+        std::erase_if(admitted, [](const std::shared_ptr<CellRun>& run) {
+          return run->unclaimed() == 0;
+        });
+        if (next_slot == mine.size()) {
+          const auto most = std::max_element(
+              admitted.begin(), admitted.end(),
+              [](const std::shared_ptr<CellRun>& a,
+                 const std::shared_ptr<CellRun>& b) {
+                return a->unclaimed() < b->unclaimed();
+              });
+          return most == admitted.end() ? nullptr : *most;
         }
-        if (options.trace != nullptr) {
-          options.trace->write(cell_event(result));
-          emit_trial_errors(*options.trace, cell, records);
-        }
+        slot = next_slot++;
       }
-      results[i] = std::move(result);
-    });
-  } catch (const robust::CancelledError& e) {
-    // In-flight cells are discarded wholesale (their results slots were
-    // never filled): a partially executed cell must never reach the
-    // report or the checkpoint. Committed cells survive for --resume.
-    note_truncation(e.reason());
+      std::shared_ptr<CellRun> run = admit(slot);
+      if (run == nullptr) continue;
+      const std::lock_guard<std::mutex> lock(claim_mutex);
+      admitted.push_back(run);
+      return run;
+    }
+  };
+
+  util::ThreadPool pool(static_cast<std::size_t>(options.jobs));
+  util::parallel_for(pool, pool.size(), [&](std::size_t) {
+    while (const std::shared_ptr<CellRun> run = next_run()) run_trials(*run);
+  });
+  if (error) {
+    try {
+      std::rethrow_exception(error);
+    } catch (const robust::CancelledError& e) {
+      // In-flight cells were discarded wholesale; committed cells
+      // survive for --resume.
+      note_truncation(e.reason());
+    }
   }
 
   std::vector<CellResult> cells;

@@ -1,12 +1,17 @@
 // The sweep orchestrator: execute a Plan's cells on a thread pool and
 // aggregate a Report (docs/SWEEPS.md).
 //
-// Parallelism is across CELLS — each worker runs one cell's trials
-// inline through engine::run_single_trial — so the campaign gets the
-// Monte-Carlo layer's per-trial containment/retry/fault machinery
-// without nesting thread pools. Because every trial is a pure function
-// of (cell seed, trial index, attempt) and aggregation is
-// index-addressed, the report is bit-identical across --jobs values,
+// Workers claim TRIALS, through engine::run_single_trial, so the
+// campaign gets the Monte-Carlo layer's per-trial containment/retry/
+// fault machinery on one pool. Cells stay the unit of admission,
+// aggregation, checkpoint commit and trace event: a worker admits the
+// next cell of its shard and claims that cell's trials one at a time;
+// once every cell is admitted, an idle worker helps the in-flight cell
+// with the most unclaimed trials, so one heavy cell no longer holds a
+// single worker while the rest sit idle. Whoever lands a cell's last
+// trial aggregates and commits it. Because every trial is a pure
+// function of (cell seed, trial index, attempt) and records land at
+// their trial index, the report is bit-identical across --jobs values,
 // across a --shards split merged back together, and across a
 // kill + --resume (wall clocks excepted; pass timing = false to zero
 // them, as the bit-identity tests do).
@@ -39,11 +44,9 @@
 namespace cadapt::campaign {
 
 struct SweepOptions {
-  std::uint64_t jobs = 0;  ///< worker threads; 0 = hardware concurrency
-  /// Intra-cell trial parallelism override (docs/PARALLEL.md): 0 = honor
-  /// the manifest's `workers` key; >= 1 replaces it for this run. Never
-  /// changes the report bytes — sort-cell trials land at their index.
-  std::uint64_t workers = 0;
+  /// Worker threads; 0 = hardware concurrency. Idle workers split a
+  /// cell's trials, so the manifest's `workers` key adds no threads here.
+  std::uint64_t jobs = 0;
   std::uint64_t shards = 1;
   std::uint64_t shard_index = 0;
   /// false zeroes wall_ms and every cell's wall_ns — bit-identical runs.
@@ -60,7 +63,7 @@ struct SweepOptions {
   /// Seeded fault plan shared by every trial; null = no injection. Must
   /// outlive the call.
   const robust::FaultPlan* faults = nullptr;
-  /// Wall-clock / total-box budget, checked at cell boundaries. A tripped
+  /// Wall-clock / total-box budget, checked at cell admission. A tripped
   /// budget skips the remaining cells and marks the report truncated.
   /// When deadline_ns is set and no external `cancel` token is supplied,
   /// run_sweep arms an internal robust::Watchdog so a stuck cell is also

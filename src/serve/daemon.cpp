@@ -106,8 +106,12 @@ void handle_results(ServeCore& core, int fd, const obs::Event& request) {
   core.detach(job);
 }
 
+/// One request line is a manifest plus a few fields; 1 MiB is far above
+/// any real one and bounds what a hostile peer can make the daemon buffer.
+constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
+
 void handle_connection(ServeCore& core, int fd) {
-  LineReader reader(fd);
+  LineReader reader(fd, kMaxRequestLine);
   const std::optional<std::string> line = reader.next();
   if (!line.has_value()) return;  // client connected and left
   const obs::Event request = parse_line(*line);

@@ -113,6 +113,12 @@ bool LineReader::fill() {
 std::optional<std::string> LineReader::next() {
   for (;;) {
     const std::size_t nl = buffer_.find('\n', pos_);
+    const std::size_t length =
+        (nl != std::string::npos ? nl : buffer_.size()) - pos_;
+    if (max_line_ != 0 && length > max_line_) {
+      throw util::ParseError("request line exceeds " +
+                             std::to_string(max_line_) + " bytes");
+    }
     if (nl != std::string::npos) {
       std::string line = buffer_.substr(pos_, nl - pos_);
       pos_ = nl + 1;

@@ -33,11 +33,17 @@ void close_fd(int fd);
 /// Buffered newline-delimited reads from a socket fd (does not own it).
 class LineReader {
  public:
-  explicit LineReader(int fd) : fd_(fd) {}
+  /// `max_line` caps one line's length in bytes; 0 = uncapped. The daemon
+  /// caps request lines so a peer cannot grow its buffer without bound;
+  /// clients stay uncapped because streamed `sweep_cell` lines grow with
+  /// a cell's trials.
+  explicit LineReader(int fd, std::size_t max_line = 0)
+      : fd_(fd), max_line_(max_line) {}
 
   /// Next line without its trailing '\n'; nullopt at EOF. A final
   /// unterminated chunk is returned as a line (torn-tail tolerant, like
-  /// the JSONL loaders).
+  /// the JSONL loaders). Throws util::ParseError once a line is longer
+  /// than `max_line`, without waiting for its newline.
   std::optional<std::string> next();
 
   /// Everything left: buffered bytes plus the stream to EOF, verbatim.
@@ -48,6 +54,7 @@ class LineReader {
   bool fill();  // one read(); false at EOF
 
   int fd_;
+  std::size_t max_line_;
   std::string buffer_;
   std::size_t pos_ = 0;
 };

@@ -2,12 +2,17 @@
 // real (small) campaign. The report must be bit-identical across thread
 // pool sizes, across a sharded split merged back together, and across a
 // kill + resume; fault injection must be contained per trial; budgets
-// must truncate explicitly. Runs under TSAN in CI — the cell workers,
-// budget tracker, and checkpoint sink are all shared state.
+// must truncate explicitly. Runs under TSAN in CI — the workers claiming
+// one cell's trials, the budget tracker, and the checkpoint sink are all
+// shared state.
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +22,7 @@
 #include "campaign/report.hpp"
 #include "campaign/sweep.hpp"
 #include "obs/sink.hpp"
+#include "robust/cancel.hpp"
 #include "robust/fault.hpp"
 #include "util/check.hpp"
 
@@ -243,6 +249,162 @@ TEST(SweepRunner, SortWorkloadRunsAllThreeSorts) {
   }
   // Sort campaigns have no ratio series: no fits.
   EXPECT_TRUE(r1.fits.empty());
+}
+
+// ---- trial-grain scheduling: one heavy cell split across the workers ----
+
+/// The bytes the report file would hold.
+std::string report_bytes(const Report& report) {
+  std::ostringstream os;
+  campaign::write_report(os, report);
+  return os.str();
+}
+
+/// `plan` with its last cell given `trials` trials: far more than the
+/// rest, so at every --jobs above 1 the idle workers end up helping it.
+Plan with_heavy_last_cell(Plan plan, std::uint64_t trials) {
+  plan.cells.back().trials = trials;
+  return plan;
+}
+
+/// Ratio cells k = 1..5 of a per-box source; the k = 5 cell is the heavy
+/// one (about 0.6 ms a trial on one core).
+Plan heavy_ratio_plan() {
+  std::istringstream is(
+      "name = heavy_ratio\n"
+      "algos = 8:4:1\n"
+      "profiles = shuffled\n"
+      "k = 1..5\n"
+      "trials = 4\n"
+      "seed = 21\n");
+  return with_heavy_last_cell(
+      campaign::expand_plan(campaign::parse_manifest(is)), 128);
+}
+
+constexpr std::uint64_t kJobCounts[] = {1, 2, 3, 4, 8};
+
+TEST(SweepRunner, HeavyCellReportIsByteIdenticalAcrossJobCounts) {
+  const Plan plan = heavy_ratio_plan();
+  const std::string reference = report_bytes(campaign::run_sweep(
+      plan, untimed(1)));
+  for (const std::uint64_t jobs : kJobCounts) {
+    const Report report = campaign::run_sweep(plan, untimed(jobs));
+    ASSERT_EQ(report.cells.size(), plan.cells.size()) << "jobs=" << jobs;
+    EXPECT_EQ(report.cells.back().completed, 128u) << "jobs=" << jobs;
+    EXPECT_EQ(report_bytes(report), reference) << "jobs=" << jobs;
+  }
+}
+
+TEST(SweepRunner, TraceReplayHelpersShareOneCaptureByteIdentically) {
+  // Every trial of a replay cell replays the block-run trace its first
+  // trial captured (std::call_once); helpers that arrive mid-capture wait
+  // for it and replay the same trace.
+  std::istringstream is(
+      "name = heavy_replay\n"
+      "workload = sort\n"
+      "sorts = funnel merge2\n"
+      "profiles = const:16 uniform:4:64\n"
+      "keys = 2048\n"
+      "block = 4\n"
+      "trace_replay = 1\n"
+      "trials = 2\n"
+      "seed = 5\n");
+  const Plan plan = with_heavy_last_cell(
+      campaign::expand_plan(campaign::parse_manifest(is)), 48);
+  const std::string reference = report_bytes(campaign::run_sweep(
+      plan, untimed(1)));
+  for (const std::uint64_t jobs : kJobCounts) {
+    const Report report = campaign::run_sweep(plan, untimed(jobs));
+    ASSERT_EQ(report.cells.size(), plan.cells.size()) << "jobs=" << jobs;
+    EXPECT_EQ(report.cells.back().completed, 48u) << "jobs=" << jobs;
+    EXPECT_EQ(report_bytes(report), reference) << "jobs=" << jobs;
+  }
+}
+
+TEST(SweepRunner, FaultsLandOnTheSameTrialsAtEveryJobCount) {
+  const Plan plan = heavy_ratio_plan();
+  const robust::FaultPlan faults =
+      robust::FaultPlan::parse_spec("trial_body=0.3", 13);
+  using Failure = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                             std::uint64_t>;  // cell, trial, seed, attempts
+  std::string reference;
+  std::vector<Failure> reference_failures;
+  for (const std::uint64_t jobs : kJobCounts) {
+    obs::MemorySink trace;
+    SweepOptions options = untimed(jobs);
+    options.faults = &faults;
+    options.max_attempts = 2;
+    options.trace = &trace;
+    const std::string bytes = report_bytes(campaign::run_sweep(plan,
+                                                               options));
+    std::vector<Failure> failures;
+    for (const obs::Event& event : trace.events()) {
+      if (event.type != "sweep_trial_error") continue;
+      failures.emplace_back(event.u64_or("cell", 0), event.u64_or("trial", 0),
+                            event.u64_or("seed", 0),
+                            event.u64_or("attempts", 0));
+    }
+    // Error events come in cell-completion order; compare them as a set.
+    std::sort(failures.begin(), failures.end());
+    if (jobs == 1) {
+      reference = bytes;
+      reference_failures = failures;
+      // Both attempts failed on every reported trial; at 0.3 some do.
+      ASSERT_FALSE(failures.empty());
+      for (const Failure& failure : failures) {
+        EXPECT_EQ(std::get<3>(failure), 2u);
+      }
+      continue;
+    }
+    EXPECT_EQ(bytes, reference) << "jobs=" << jobs;
+    EXPECT_EQ(failures, reference_failures) << "jobs=" << jobs;
+  }
+}
+
+/// Requests cancellation once `light` sweep_cell events have arrived —
+/// every cell but the heavy one — after giving the idle workers a moment
+/// to join the heavy cell.
+class CancelAfterLightCells final : public obs::TraceSink {
+ public:
+  CancelAfterLightCells(robust::CancelToken& token, std::uint64_t light)
+      : token_(token), light_(light) {}
+  void write(const obs::Event& event) override {
+    if (event.type != "sweep_cell" || ++cells_ != light_) return;
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    token_.request(robust::CancelReason::kExternal);
+  }
+
+ private:
+  robust::CancelToken& token_;
+  std::uint64_t light_;
+  std::uint64_t cells_ = 0;
+};
+
+TEST(SweepRunner, CancelMidHelpedCellDiscardsItWholeAndResumes) {
+  const Plan plan = heavy_ratio_plan();
+  const std::string uninterrupted =
+      report_bytes(campaign::run_sweep(plan, untimed(4)));
+
+  const std::string ckpt = temp_path("sweep_cancel_helped.ckpt");
+  robust::CancelToken token;
+  CancelAfterLightCells sink(token, plan.cells.size() - 1);
+  SweepOptions options = untimed(4);
+  options.checkpoint_path = ckpt;
+  options.cancel = &token;
+  options.trace = &sink;
+  const Report cut = campaign::run_sweep(plan, options);
+  EXPECT_TRUE(cut.truncated);
+  EXPECT_EQ(cut.truncate_reason, robust::CancelReason::kExternal);
+  // The heavy cell was in flight: none of its trials reach the report.
+  ASSERT_EQ(cut.cells.size(), plan.cells.size() - 1);
+  for (const campaign::CellResult& cell : cut.cells) {
+    EXPECT_NE(cell.index, plan.cells.back().index);
+  }
+
+  SweepOptions resume = untimed(4);
+  resume.checkpoint_path = ckpt;
+  resume.resume = true;
+  EXPECT_EQ(report_bytes(campaign::run_sweep(plan, resume)), uninterrupted);
 }
 
 }  // namespace

@@ -7,18 +7,22 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "campaign/manifest.hpp"
 #include "campaign/sweep.hpp"
+#include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
+#include "serve/socket.hpp"
 #include "serve/spool.hpp"
 #include "util/check.hpp"
 
@@ -443,6 +447,53 @@ TEST(ServeCore, StreamDeliversEveryCellLineThenEnds) {
   }
   core.detach(accepted.id);
   EXPECT_FALSE(core.attach("job-999"));
+}
+
+// ---- daemon wire edges ------------------------------------------------
+
+TEST(ServeDaemon, OversizedRequestLineGetsAnErrorAndTheDaemonServesOn) {
+  ServeCore core(core_options("oversized"));
+  const std::string socket_path = temp_path("serve_oversized.sock");
+  const int listen_fd = listen_unix(socket_path);
+  // The daemon's accept loop, cut to the two connections this test makes.
+  std::thread daemon([&core, listen_fd] {
+    for (int served = 0; served < 2;) {
+      const std::optional<int> fd = accept_unix(listen_fd, 200);
+      if (!fd.has_value()) continue;
+      serve_connection(core, *fd);
+      ++served;
+    }
+  });
+
+  // 2 MiB without a newline: the daemon stops reading past its 1 MiB cap
+  // and answers with an input error (exit code 3), so our write may fail
+  // once it closes the connection. Half-closing afterwards means an
+  // uncapped reader fails this test instead of hanging it.
+  const int hostile = connect_unix(socket_path);
+  try {
+    write_all(hostile, std::string(std::size_t{2} << 20, 'x'));
+  } catch (const util::IoError&) {
+  }
+  ::shutdown(hostile, SHUT_WR);
+  const std::optional<std::string> error = LineReader(hostile).next();
+  close_fd(hostile);
+
+  const int polite = connect_unix(socket_path);
+  write_all(polite, "{\"type\":\"hello\"}\n");
+  const std::optional<std::string> hello = LineReader(polite).next();
+  close_fd(polite);
+  daemon.join();
+  close_fd(listen_fd);
+
+  ASSERT_TRUE(error.has_value());
+  const obs::Event error_line = parse_line(*error);
+  EXPECT_EQ(error_line.type, "error");
+  EXPECT_EQ(error_line.u64_or("code", 0), 3u);
+  EXPECT_NE(error_line.str_or("message", "").find("exceeds"),
+            std::string::npos)
+      << *error;
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(parse_line(*hello).type, "serve_hello");
 }
 
 }  // namespace

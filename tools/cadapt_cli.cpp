@@ -207,8 +207,7 @@ std::uint64_t deadline_ns_from(const util::ArgParser& args) {
 // --workers: intra-cell / trial parallelism (docs/PARALLEL.md). Zero is
 // rejected at parse time like --deadline-ms: "no workers" is never what
 // the caller meant ("unset" is spelled by omitting the flag). Returns 0
-// when absent so sweep can distinguish "honor the manifest" from an
-// explicit override.
+// when absent.
 std::uint64_t workers_from(const util::ArgParser& args) {
   if (!args.has("workers")) return 0;
   const std::uint64_t workers = args.get_u64("workers", 0);
@@ -516,8 +515,10 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
   }
 
   // Serialize, then validate what was serialized: every line must re-parse
-  // to the event it came from, and the per-box stream must sum to the
-  // run's aggregates.
+  // and re-encode to the same bytes (the identity obs/event.hpp documents;
+  // a structural compare would reject an integral double such as a ratio
+  // of exactly 1, which re-parses as a u64), and the per-box stream must
+  // sum to the run's aggregates.
   std::vector<std::string> lines;
   lines.reserve(sink.events().size());
   std::uint64_t box_events = 0, trial_events = 0;
@@ -528,7 +529,7 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
     std::string error;
     if (!obs::parse_jsonl(lines.back(), &back, &error))
       throw util::CheckError("trace line failed to parse: " + error);
-    if (!(back == event))
+    if (obs::to_jsonl(back) != lines.back())
       throw util::CheckError("trace line did not round-trip: " + lines.back());
     if (event.type == "box") {
       ++box_events;
@@ -705,10 +706,10 @@ wall clocks too).
 
 execution flags:
   --jobs J              worker threads (default: hardware concurrency)
-  --workers W           intra-cell trial parallelism for sort cells
-                        (docs/PARALLEL.md): overrides the manifest's
-                        `workers` key; the report bytes never depend on
-                        it (trials land at their index). W >= 1
+  --workers W           accepted for compatibility (W >= 1) and ignored:
+                        idle --jobs threads already split a cell's
+                        trials, so the manifest's `workers` key adds no
+                        threads in sweep (docs/PARALLEL.md)
   --out F               report path (default BENCH_sweep.json)
   --format jsonl|binary report encoding (default jsonl; binary is the
                         columnar container of docs/REPORT.md —
@@ -1284,7 +1285,9 @@ int run_sweep_cmd(const util::ArgParser& args) {
 
     campaign::SweepOptions opts;
     opts.jobs = args.get_u64("jobs", 0);
-    opts.workers = workers_from(args);
+    // Validated as everywhere else, but no knob here: sweep's --jobs
+    // threads already split a cell's trials (docs/PARALLEL.md).
+    (void)workers_from(args);
     opts.shards = args.get_u64("shards", 1);
     opts.shard_index = args.get_u64("shard-index", 0);
     opts.timing = !args.has("no-timing");
