@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -21,28 +22,41 @@
 
 namespace cadapt::campaign {
 
+std::string run_fingerprint(std::uint32_t max_attempts,
+                            const robust::FaultPlan* faults,
+                            std::uint64_t backoff_base_ns) {
+  std::ostringstream os;
+  os << "retries=" << (max_attempts - 1)
+     << " fault=" << (faults != nullptr ? faults->spec() : "")
+     << " fault_seed=" << (faults != nullptr ? faults->seed() : 0)
+     << " backoff_ms=" << (backoff_base_ns / 1'000'000ull);
+  return os.str();
+}
+
 obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
-                                   std::uint64_t shard_index) {
+                                   std::uint64_t shard_index,
+                                   const std::string& run) {
   obs::Event event("sweep_checkpoint");
   event.u64("version", 1)
       .u64("config_hash", plan.config_hash)
       .u64("shards", shards)
       .u64("shard_index", shard_index)
       .u64("cells", plan.cells.size());
+  if (run != run_fingerprint(1, nullptr, 0)) event.str("run", run);
   return event;
 }
 
 std::map<std::uint64_t, CellResult> load_sweep_checkpoint(
     const std::string& path, const Plan& plan, std::uint64_t shards,
-    std::uint64_t shard_index) {
+    std::uint64_t shard_index, const std::string& run) {
   std::ifstream is(path);
   if (!is) return {};  // nothing to resume from — a fresh start
   const std::vector<robust::JsonlLine> lines =
       robust::load_jsonl_tolerant(is, "sweep checkpoint");
   if (lines.empty()) return {};
   const obs::Event& head = lines.front().event;
-  const obs::Event expected = sweep_checkpoint_header(plan, shards,
-                                                      shard_index);
+  const obs::Event expected =
+      sweep_checkpoint_header(plan, shards, shard_index, run);
   if (head != expected) {
     // Name every mismatched field with both values: "does not match"
     // alone sends the user diffing JSONL headers by hand.
@@ -60,6 +74,13 @@ std::map<std::uint64_t, CellResult> load_sweep_checkpoint(
     note("shards");
     note("shard_index");
     note("cells");
+    const std::string default_run = run_fingerprint(1, nullptr, 0);
+    const std::string have_run = head.str_or("run", default_run);
+    if (have_run != run) {
+      if (!detail.empty()) detail += ", ";
+      detail += "run is '" + have_run + "' but this campaign has '" + run +
+                "'";
+    }
     std::string message = "sweep checkpoint '" + path +
                           "' does not match this campaign/sharding";
     if (!detail.empty()) message += " (its " + detail + ")";
@@ -147,10 +168,13 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
       shard_cells(plan, options.shards, options.shard_index);
   const std::uint64_t started_ns = options.timing ? options.clock() : 0;
 
+  const std::string fingerprint = run_fingerprint(
+      options.max_attempts, options.faults, options.backoff.base_ns);
   std::map<std::uint64_t, CellResult> finished;
   if (options.resume && !options.checkpoint_path.empty()) {
     finished = load_sweep_checkpoint(options.checkpoint_path, plan,
-                                     options.shards, options.shard_index);
+                                     options.shards, options.shard_index,
+                                     fingerprint);
   }
 
   robust::IoBackend& io =
@@ -165,7 +189,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
         options.checkpoint_path, /*truncate=*/fresh, io);
     if (checkpoint->initial_size() == 0) {
       checkpoint->write(obs::to_jsonl(sweep_checkpoint_header(
-          plan, options.shards, options.shard_index)));
+          plan, options.shards, options.shard_index, fingerprint)));
       checkpoint->write("\n");
       checkpoint->commit();
     }

@@ -19,7 +19,7 @@
 // Checkpoint format (JSONL, shared cell encoding with the report):
 //
 //   {"type":"sweep_checkpoint","version":1,"config_hash":...,
-//    "shards":...,"shard_index":...,"cells":...}
+//    "shards":...,"shard_index":...,"cells":...[,"run":...]}
 //   {"type":"sweep_cell",...}   — one line per FINISHED cell, completion
 //                                 order (the report re-sorts by index)
 //
@@ -111,18 +111,30 @@ Report run_sweep(const Plan& plan, const SweepOptions& options = {});
 // which is what makes "daemon report == one-shot sweep report" a
 // byte-for-byte identity rather than a convention.
 
-/// The checkpoint's header line: version, config_hash, sharding, grid
-/// size. A resume refuses any mismatch (see load_sweep_checkpoint).
-obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
-                                   std::uint64_t shard_index);
+/// The robust settings a trial's records depend on besides the plan:
+/// "retries=R fault=SPEC fault_seed=S backoff_ms=B". `cadapt mc` ends
+/// its checkpoint fingerprint with it; a sweep checkpoint header carries
+/// it as `run`.
+std::string run_fingerprint(std::uint32_t max_attempts,
+                            const robust::FaultPlan* faults,
+                            std::uint64_t backoff_base_ns);
 
-/// Finished cells recorded by a previous run of this exact shard, keyed
-/// by cell index. A missing file is an empty map (fresh start). Throws
-/// util::ParseError when the header does not match — every divergent
-/// field is NAMED with both values.
+/// The checkpoint's header line: version, config_hash, sharding, grid
+/// size, and the run fingerprint — emitted only when it differs from the
+/// default run (no retries, faults or backoff), so default checkpoints
+/// keep their bytes. A resume refuses any mismatch (see
+/// load_sweep_checkpoint).
+obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
+                                   std::uint64_t shard_index,
+                                   const std::string& run);
+
+/// Finished cells recorded by a previous run of this exact shard and
+/// run fingerprint, keyed by cell index. A missing file is an empty map
+/// (fresh start). Throws util::ParseError when the header does not match
+/// — every divergent field is NAMED with both values.
 std::map<std::uint64_t, CellResult> load_sweep_checkpoint(
     const std::string& path, const Plan& plan, std::uint64_t shards,
-    std::uint64_t shard_index);
+    std::uint64_t shard_index, const std::string& run);
 
 /// Assemble the deterministic report exactly as run_sweep does: cells
 /// sorted by index, fits only at full grid coverage, this binary's build
