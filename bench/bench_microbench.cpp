@@ -9,6 +9,7 @@
 #include "algos/sim_data.hpp"
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
+#include "campaign/sweep.hpp"
 #include "engine/analytic.hpp"
 #include "engine/exec.hpp"
 #include "engine/montecarlo.hpp"
@@ -410,12 +411,13 @@ void BM_StealDeque(benchmark::State& state) {
 }
 BENCHMARK(BM_StealDeque)->Arg(0)->Arg(1);
 
-// An adaptive-sort cell — the workload trace replay cannot cover —
-// through campaign::run_cell at workers = 1 (the sequential loop) vs 4
-// (the concurrent trial pool). Items = trials, so items/sec across the
-// two args is the cell-level speedup BENCH_parallel.json reports as
-// cell_wall_speedup. Records land at their trial index either way; the
-// identity tests hold the two byte-equal.
+// An adaptive-sort cell — the workload trace replay cannot cover — on
+// the shared trial loop (campaign::run_cell_shared, the loop `cadapt
+// sweep` and `cadapt serve` run) at 1 vs 4 threads. Items = trials, so
+// items/sec across the two args is the cell-level speedup
+// BENCH_parallel.json reports as cell_wall_speedup. Records land at their
+// trial index either way; the identity tests hold them byte-equal to the
+// sequential run_cell.
 void BM_ParallelCell(benchmark::State& state) {
   campaign::Cell cell;
   cell.sort = "adaptive";
@@ -427,11 +429,11 @@ void BM_ParallelCell(benchmark::State& state) {
   options.keys = 4096;
   options.block = kScanBlock;
   options.timing = false;
-  options.workers = static_cast<std::uint64_t>(state.range(0));
+  const auto threads = static_cast<std::size_t>(state.range(0));
   std::uint64_t boxes = 0;
   for (auto _ : state) {
     for (const robust::TrialRecord& record :
-         campaign::run_cell(cell, options)) {
+         campaign::run_cell_shared(cell, options, threads)) {
       boxes += record.boxes;
     }
   }

@@ -19,7 +19,6 @@
 #include "profile/square_approx.hpp"
 #include "profile/transforms.hpp"
 #include "profile/worst_case.hpp"
-#include "sched/worksteal.hpp"
 #include "util/check.hpp"
 
 namespace cadapt::campaign {
@@ -383,7 +382,6 @@ CellRunOptions cell_options_from(const Manifest& manifest) {
   options.block = manifest.block;
   options.capture_trace = manifest.trace_replay;
   options.tiers = manifest.tiers;
-  options.workers = manifest.workers;
   return options;
 }
 
@@ -418,23 +416,6 @@ std::vector<robust::TrialRecord> run_cell(const Cell& cell,
                                           const CellRunOptions& options) {
   const engine::RobustTrialRunner runner = make_cell_runner(cell, options);
   const engine::McOptions trial_options = trial_options_for(cell, options);
-  // Sort cells fan their trials out on a seeded work-stealing pool when
-  // workers >= 2: every trial is a pure function of (cell.seed, trial,
-  // attempt) and lands at its own index, so the records are byte-
-  // identical to the sequential loop (only wall-clock changes). Ratio
-  // cells stay sequential here; `cadapt sweep` splits any cell's trials
-  // across its --jobs threads instead (run_sweep), which needs no
-  // workers key. This is how adaptive-sort cells, which trace replay
-  // cannot cover, still scale with workers under `cadapt serve`.
-  if (options.workers >= 2 && cell.trials >= 2 && !cell.sort.empty()) {
-    std::vector<robust::TrialRecord> records(cell.trials);
-    sched::parallel_trials(
-        cell.trials, options.workers, cell.seed, [&](std::uint64_t trial) {
-          records[trial] = engine::run_single_trial(trial_options, runner,
-                                                    trial, options.timing);
-        });
-    return records;
-  }
   std::vector<robust::TrialRecord> records;
   records.reserve(cell.trials);
   for (std::uint64_t trial = 0; trial < cell.trials; ++trial) {

@@ -1,10 +1,10 @@
 // Execute one planned cell: `trials` contained trials through
 // engine::run_single_trial, so the campaign reuses the Monte-Carlo
 // layer's containment/retry/fault machinery. run_cell runs them inline
-// on the calling thread (or on a `workers` pool for sort cells); the
-// sweep orchestrator instead builds the runner once with
-// make_cell_runner and lets its --jobs threads claim the trials one at a
-// time (campaign/sweep.hpp).
+// on the calling thread, the sequential reference; `cadapt sweep` and
+// `cadapt serve` instead build the runner once with make_cell_runner and
+// let their threads claim the trials one at a time through
+// campaign::TrialScheduler (campaign/trial_scheduler.hpp).
 //
 // Determinism: every trial's outcome is a pure function of
 // (cell.seed, trial index, attempt) — identical across --jobs, --shards,
@@ -68,14 +68,6 @@ struct CellRunOptions {
   /// Two-tier machine shape shared by every cell (docs/PAGING.md);
   /// default = the historical single-tier machine.
   TiersSpec tiers;
-  /// Intra-cell trial parallelism for run_cell (docs/PARALLEL.md): >= 2
-  /// runs a sort cell's trials on a seeded work-stealing pool instead of
-  /// the sequential loop. Records land at their trial index, so reports
-  /// are byte-identical to workers = 1 (the tests hold the two together).
-  /// Ratio cells and single-trial cells ignore it. `cadapt serve` uses it
-  /// for adaptive-sort cells, which trace replay cannot cover;
-  /// run_sweep never calls run_cell, so it has no effect there.
-  std::uint64_t workers = 1;
 };
 
 /// Options derived from the manifest the plan came from.
@@ -95,7 +87,8 @@ std::shared_ptr<const profile::BoxDistribution> make_distribution(
     std::uint64_t n);
 
 /// The trial runner for one cell — the dispatch run_cell uses, exposed so
-/// run_sweep and the CLI's `mc` drive the exact same trial. A ratio cell
+/// the TrialScheduler's callers and the CLI's `mc` drive the exact same
+/// trial. A ratio cell
 /// (cell.sort empty) runs cell.algo at cell.n on cell.profile; a
 /// sort/program cell runs adaptive|funnel|merge2 on options.keys keys, or
 /// mm:N|fw:N on an N x N matrix. The runner may be called from several
@@ -122,8 +115,8 @@ engine::RunResult run_program_traced(const Cell& cell,
 /// Run the cell's trials; records come back in trial order. Never throws
 /// for per-trial faults (contained in the records); throws only for
 /// malformed cells and for robust::CancelledError when options.cancel
-/// fires (the caller discards the interrupted cell wholesale). Used by
-/// `cadapt serve`'s per-cell dispatch and `cadapt parallel --scale`.
+/// fires (the caller discards the interrupted cell wholesale). The
+/// sequential reference the scheduled runs are tested against.
 std::vector<robust::TrialRecord> run_cell(const Cell& cell,
                                           const CellRunOptions& options);
 

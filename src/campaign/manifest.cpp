@@ -522,9 +522,9 @@ std::string manifest_fingerprint(const Manifest& m) {
     }
     if (m.tiers.set) os << " tiers=" << m.tiers.token();
   }
-  // Only-when-set (>= 2): workers never changes any measured value, but
-  // a parallel campaign still declares itself; workers = 1 is the
-  // historical sequential loop and keeps the fingerprint byte-for-byte.
+  // Only-when-set (>= 2): workers is a no-op, but manifests that set it
+  // keep their pinned hashes (parallel_gate's among them); workers = 1
+  // keeps the fingerprint byte-for-byte.
   if (m.workers >= 2) os << " workers=" << m.workers;
   return os.str();
 }

@@ -29,11 +29,11 @@
 //               # refused with order/order-matched/randscan, whose
 //               # runners fix their own placement
 //   max_boxes = 1099511627776           # per-trial box cap
-//   workers   = 4                       # intra-cell trial parallelism
-//               # (docs/PARALLEL.md): run each cell's trials on a seeded
-//               # work-stealing pool. Reports are byte-identical to the
-//               # sequential run; omitted or 1 = the historical
-//               # sequential cell loop (fingerprint unchanged)
+//   workers   = 4                       # a no-op, kept so committed
+//               # manifests parse and keep their hashes: sweep and
+//               # serve threads already split a cell's trials
+//               # (docs/SWEEPS.md).
+//               # >= 2 enters the fingerprint; omitted or 1 does not
 //
 // Sort-workload manifests (the E16 head-to-head and the real-algorithm
 // E-cells) replace algos/k with:
@@ -171,9 +171,8 @@ struct Manifest {
   /// fingerprint only when set, so pre-existing campaigns keep their
   /// config_hash byte-for-byte.
   bool trace_replay = false;
-  /// Intra-cell trial parallelism (docs/PARALLEL.md). Results never
-  /// depend on it, so it enters the fingerprint only at >= 2; 1 is
-  /// byte-identical to the historical sequential cell loop.
+  /// Retired intra-cell trial parallelism: parsed and fingerprinted
+  /// (only at >= 2, so pinned hashes hold) but a no-op everywhere.
   std::uint64_t workers = 1;
 };
 

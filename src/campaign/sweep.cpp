@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "campaign/cell_runner.hpp"
+#include "campaign/trial_scheduler.hpp"
 #include "robust/cancel.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/error.hpp"
@@ -145,22 +146,6 @@ void emit_trial_errors(obs::TraceSink& sink, const Cell& cell,
   }
 }
 
-/// One admitted cell whose trials are being claimed (see run_sweep).
-struct CellRun {
-  std::size_t slot = 0;  ///< position in the shard's cell list
-  const Cell* cell = nullptr;
-  engine::McOptions trial_options;
-  engine::RobustTrialRunner runner;
-  std::vector<robust::TrialRecord> records;  ///< records[trial]
-  std::atomic<std::uint64_t> next{0};        ///< next unclaimed trial
-  std::atomic<std::uint64_t> done{0};        ///< trials landed
-
-  std::uint64_t unclaimed() const {
-    const std::uint64_t claimed = next.load(std::memory_order_relaxed);
-    return claimed < cell->trials ? cell->trials - claimed : 0;
-  }
-};
-
 }  // namespace
 
 Report run_sweep(const Plan& plan, const SweepOptions& options) {
@@ -248,45 +233,52 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   };
 
   // Admission: the next cell of the shard that still has to run, with its
-  // runner built once. Null when resumed, skipped or abandoned.
-  const auto admit = [&](std::size_t slot) -> std::shared_ptr<CellRun> {
-    const Cell& cell = plan.cells[mine[slot]];
-    if (const auto it = finished.find(cell.index); it != finished.end()) {
-      results[slot] = it->second;
-      return nullptr;
+  // runner built once. Null once the shard is exhausted.
+  using Claimed = ClaimedCell<std::size_t>;
+  std::atomic<std::size_t> next_slot{0};
+  const auto admit = [&]() -> std::shared_ptr<Claimed> {
+    for (;;) {
+      const std::size_t slot =
+          next_slot.fetch_add(1, std::memory_order_relaxed);
+      if (slot >= mine.size()) return nullptr;
+      const Cell& cell = plan.cells[mine[slot]];
+      if (const auto it = finished.find(cell.index); it != finished.end()) {
+        results[slot] = it->second;
+        continue;
+      }
+      if (cancel != nullptr && cancel->requested()) {
+        note_truncation(cancel->reason());
+        continue;
+      }
+      if (tracker.exceeded()) {
+        note_truncation(tracker.boxes_exceeded()
+                            ? robust::CancelReason::kBudget
+                            : robust::CancelReason::kDeadline);
+        continue;
+      }
+      auto run = std::make_shared<Claimed>();
+      run->owner = slot;
+      run->cell = &cell;
+      run->trial_options = trial_options_for(cell, cell_options);
+      run->records.resize(cell.trials);
+      try {
+        // Only the lander of a last trial finishes a cell (manifests
+        // reject trials = 0).
+        CADAPT_CHECK_MSG(cell.trials != 0,
+                         "cell " << cell.index << " has no trials");
+        run->runner = make_cell_runner(cell, cell_options);
+      } catch (...) {
+        note_error(slot);
+        continue;
+      }
+      return run;
     }
-    if (cancel != nullptr && cancel->requested()) {
-      note_truncation(cancel->reason());
-      return nullptr;
-    }
-    if (tracker.exceeded()) {
-      note_truncation(tracker.boxes_exceeded()
-                          ? robust::CancelReason::kBudget
-                          : robust::CancelReason::kDeadline);
-      return nullptr;
-    }
-    auto run = std::make_shared<CellRun>();
-    run->slot = slot;
-    run->cell = &cell;
-    run->trial_options = trial_options_for(cell, cell_options);
-    run->records.resize(cell.trials);
-    try {
-      // Only the lander of a last trial finishes a cell (manifests
-      // reject trials = 0).
-      CADAPT_CHECK_MSG(cell.trials != 0,
-                       "cell " << cell.index << " has no trials");
-      run->runner = make_cell_runner(cell, cell_options);
-    } catch (...) {
-      note_error(slot);
-      return nullptr;
-    }
-    return run;
   };
 
   // Finish a cell, run by whoever lands its last trial: account,
   // aggregate, commit, trace, then drop the runner (and with it any
   // captured block-run trace) and the records.
-  const auto finish = [&](CellRun& run) {
+  const auto finish = [&](Claimed& run) {
     const Cell& cell = *run.cell;
     std::uint64_t boxes = 0;
     for (const robust::TrialRecord& record : run.records) {
@@ -311,80 +303,19 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
         emit_trial_errors(*options.trace, cell, run.records);
       }
     }
-    results[run.slot] = std::move(result);
+    results[run.owner] = std::move(result);
     run.runner = nullptr;
     run.records = {};
   };
 
-  // Claim this cell's trials one at a time until none are left. Records
-  // land at their trial index, so the report never depends on who ran
-  // which trial.
-  const auto run_trials = [&](CellRun& run) {
-    const std::uint64_t trials = run.cell->trials;
-    for (;;) {
-      const std::uint64_t trial =
-          run.next.fetch_add(1, std::memory_order_relaxed);
-      if (trial >= trials) return;
-      try {
-        run.records[trial] = engine::run_single_trial(
-            run.trial_options, run.runner, trial, options.timing);
-        // acq_rel: the last lander sees every other helper's record.
-        if (run.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-            trials) {
-          finish(run);
-        }
-      } catch (...) {
-        // Stop further claims. A failed trial never counts as done, so
-        // the cell is discarded whole: a partially executed cell never
-        // reaches the report or the checkpoint.
-        run.next.store(trials, std::memory_order_relaxed);
-        note_error(run.slot);
-        return;
-      }
-    }
-  };
-
-  // Workers admit cells in shard order while any remain, so whole cells
-  // are claimed while there is work to spread and at most one cell per
-  // worker is held in memory. Only then does an idle worker help the
-  // admitted cell with the most unclaimed trials (the tail a single heavy
-  // cell would otherwise hold alone).
-  std::mutex claim_mutex;
-  std::size_t next_slot = 0;
-  // Admitted cells that may have unclaimed trials: at most about one per
-  // worker, because fully claimed ones are dropped on every visit.
-  std::vector<std::shared_ptr<CellRun>> admitted;
-  const auto next_run = [&]() -> std::shared_ptr<CellRun> {
-    for (;;) {
-      std::size_t slot = 0;
-      {
-        const std::lock_guard<std::mutex> lock(claim_mutex);
-        std::erase_if(admitted, [](const std::shared_ptr<CellRun>& run) {
-          return run->unclaimed() == 0;
-        });
-        if (next_slot == mine.size()) {
-          const auto most = std::max_element(
-              admitted.begin(), admitted.end(),
-              [](const std::shared_ptr<CellRun>& a,
-                 const std::shared_ptr<CellRun>& b) {
-                return a->unclaimed() < b->unclaimed();
-              });
-          return most == admitted.end() ? nullptr : *most;
-        }
-        slot = next_slot++;
-      }
-      std::shared_ptr<CellRun> run = admit(slot);
-      if (run == nullptr) continue;
-      const std::lock_guard<std::mutex> lock(claim_mutex);
-      admitted.push_back(run);
-      return run;
-    }
-  };
-
+  TrialScheduler<std::size_t> scheduler(
+      {.admit = admit,
+       .finish = finish,
+       .abandon = [&note_error](Claimed& run) { note_error(run.owner); }},
+      options.timing);
   util::ThreadPool pool(static_cast<std::size_t>(options.jobs));
-  util::parallel_for(pool, pool.size(), [&](std::size_t) {
-    while (const std::shared_ptr<CellRun> run = next_run()) run_trials(*run);
-  });
+  util::parallel_for(pool, pool.size(),
+                     [&scheduler](std::size_t) { scheduler.work(); });
   if (error) {
     try {
       std::rethrow_exception(error);
@@ -407,6 +338,29 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
                          static_cast<robust::CancelReason>(
                              reason_raw.load(std::memory_order_relaxed)),
                          wall_ms);
+}
+
+std::vector<robust::TrialRecord> run_cell_shared(const Cell& cell,
+                                                 const CellRunOptions& options,
+                                                 std::size_t threads) {
+  using Claimed = ClaimedCell<std::size_t>;
+  auto claimed = std::make_shared<Claimed>();
+  claimed->cell = &cell;
+  claimed->trial_options = trial_options_for(cell, options);
+  claimed->runner = make_cell_runner(cell, options);
+  claimed->records.resize(cell.trials);
+  std::atomic<bool> taken{false};
+  std::exception_ptr error;
+  TrialScheduler<std::size_t> scheduler(
+      {.admit = [&] { return taken.exchange(true) ? nullptr : claimed; },
+       .finish = [](Claimed&) {},
+       .abandon = [&error](Claimed&) { error = std::current_exception(); }},
+      options.timing);
+  util::ThreadPool pool(threads);
+  util::parallel_for(pool, pool.size(),
+                     [&scheduler](std::size_t) { scheduler.work(); });
+  if (error) std::rethrow_exception(error);
+  return std::move(claimed->records);
 }
 
 }  // namespace cadapt::campaign

@@ -1,20 +1,17 @@
 // The sweep orchestrator: execute a Plan's cells on a thread pool and
 // aggregate a Report (docs/SWEEPS.md).
 //
-// Workers claim TRIALS, through engine::run_single_trial, so the
-// campaign gets the Monte-Carlo layer's per-trial containment/retry/
-// fault machinery on one pool. Cells stay the unit of admission,
-// aggregation, checkpoint commit and trace event: a worker admits the
-// next cell of its shard and claims that cell's trials one at a time;
-// once every cell is admitted, an idle worker helps the in-flight cell
-// with the most unclaimed trials, so one heavy cell no longer holds a
-// single worker while the rest sit idle. Whoever lands a cell's last
-// trial aggregates and commits it. Because every trial is a pure
-// function of (cell seed, trial index, attempt) and records land at
-// their trial index, the report is bit-identical across --jobs values,
-// across a --shards split merged back together, and across a
-// kill + --resume (wall clocks excepted; pass timing = false to zero
-// them, as the bit-identity tests do).
+// The --jobs threads drive campaign::TrialScheduler, the loop `cadapt
+// serve` runs too: a thread admits the next cell of its shard (after the
+// budget and cancel checks) and claims its trials one at a time through
+// engine::run_single_trial, which brings the Monte-Carlo layer's
+// containment/retry/fault machinery; idle threads help at the tail, and
+// whoever lands a cell's last trial aggregates and commits it. Because
+// every trial is a pure function of (cell seed, trial index, attempt)
+// and records land at their trial index, the report is bit-identical
+// across --jobs values, across a --shards split merged back together,
+// and across a kill + --resume (wall clocks excepted; pass timing =
+// false to zero them, as the bit-identity tests do).
 //
 // Checkpoint format (JSONL, shared cell encoding with the report):
 //
@@ -31,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/cell_runner.hpp"
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
 #include "obs/sink.hpp"
@@ -44,8 +42,8 @@
 namespace cadapt::campaign {
 
 struct SweepOptions {
-  /// Worker threads; 0 = hardware concurrency. Idle workers split a
-  /// cell's trials, so the manifest's `workers` key adds no threads here.
+  /// Worker threads; 0 = hardware concurrency. Idle threads split a
+  /// cell's trials; the manifest's `workers` key is a no-op.
   std::uint64_t jobs = 0;
   std::uint64_t shards = 1;
   std::uint64_t shard_index = 0;
@@ -103,6 +101,13 @@ struct SweepOptions {
 /// token) discards the in-flight cells and returns a truncated report
 /// carrying the reason — committed checkpoint cells survive for resume.
 Report run_sweep(const Plan& plan, const SweepOptions& options = {});
+
+/// run_cell's records, claimed by `threads` threads (0 = hardware)
+/// through run_sweep's loop: byte-identical at every thread count. The
+/// first thrown trial is rethrown.
+std::vector<robust::TrialRecord> run_cell_shared(const Cell& cell,
+                                                 const CellRunOptions& options,
+                                                 std::size_t threads);
 
 // The pieces run_sweep is made of, exposed so other drivers of the same
 // checkpoint/report formats — the `cadapt serve` daemon foremost — reuse

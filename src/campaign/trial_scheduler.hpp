@@ -1,0 +1,145 @@
+// The one trial scheduler of `cadapt sweep` (run_sweep) and `cadapt
+// serve` (ServeCore); docs/SWEEPS.md, "Execution". It owns no threads:
+// each caller runs work() on its own, and supplies the admit, finish
+// and abandon steps.
+//
+// The loop: admit a cell and claim its trials one at a time. Once no cell
+// can be admitted, help the admitted cell with the most unclaimed trials,
+// so one heavy cell no longer holds a single thread while the rest idle.
+// Whoever lands a cell's last trial finishes it; the first trial that
+// throws abandons the cell whole, so a partially executed cell never
+// reaches a report or a checkpoint. A thread holds its admitted cell
+// until the cell's trials are all claimed, so at most one admitted cell
+// per thread is unfinished.
+//
+// Every trial is a pure function of (cell seed, trial index, attempt) and
+// lands at records[trial], so a cell's records never depend on which
+// thread, how many threads, or which orchestrator ran it.
+#pragma once
+
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <mutex>
+#include <utility>
+#include <vector>
+
+#include "campaign/plan.hpp"
+#include "engine/montecarlo.hpp"
+#include "robust/checkpoint.hpp"
+
+namespace cadapt::campaign {
+
+/// An admitted cell. `Owner` is the caller's handle for it: run_sweep's
+/// shard slot, ServeCore's job.
+template <class Owner>
+struct ClaimedCell {
+  Owner owner{};
+  const Cell* cell = nullptr;
+  engine::McOptions trial_options;  ///< trial_options_for(cell, ...)
+  engine::RobustTrialRunner runner;  ///< make_cell_runner(cell, ...)
+  std::vector<robust::TrialRecord> records;  ///< records[trial]
+  std::atomic<std::uint64_t> next{0};        ///< next unclaimed trial
+  std::atomic<std::uint64_t> done{0};        ///< trials landed
+  std::atomic<bool> abandoned{false};
+
+  std::uint64_t unclaimed() const {
+    const std::uint64_t claimed = next.load(std::memory_order_relaxed);
+    return claimed < cell->trials ? cell->trials - claimed : 0;
+  }
+};
+
+template <class Owner>
+class TrialScheduler {
+ public:
+  using Claimed = ClaimedCell<Owner>;
+
+  struct Steps {
+    /// The next cell, ready to claim (runner, trial options, records
+    /// sized); null when none can be admitted now. Called unlocked.
+    std::function<std::shared_ptr<Claimed>()> admit;
+    /// Optional: the admitted cell can now be helped (ServeCore wakes
+    /// its idle threads here).
+    std::function<void()> admitted = nullptr;
+    /// Run once, by the lander of the last trial; a throw abandons.
+    std::function<void(Claimed&)> finish;
+    /// Run once, inside the catch of the cell's first throw:
+    /// std::current_exception() is the error. Claims stop.
+    std::function<void(Claimed&)> abandon;
+  };
+
+  /// timing = false zeroes every record's duration_ns.
+  TrialScheduler(Steps steps, bool timing)
+      : steps_(std::move(steps)), timing_(timing) {}
+
+  /// Claim trials on the calling thread until nothing can be admitted or
+  /// helped. A caller whose work arrives later calls it again.
+  void work() {
+    while (const std::shared_ptr<Claimed> cell = next_cell()) claim(*cell);
+  }
+
+ private:
+  // Admit while the caller has cells, so whole cells are claimed while
+  // there is work to spread; only then help at the tail.
+  std::shared_ptr<Claimed> next_cell() {
+    if (std::shared_ptr<Claimed> cell = steps_.admit()) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex_);
+        drop_claimed();
+        admitted_.push_back(cell);
+      }
+      if (steps_.admitted) steps_.admitted();
+      return cell;
+    }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    drop_claimed();
+    const auto most = std::max_element(
+        admitted_.begin(), admitted_.end(),
+        [](const std::shared_ptr<Claimed>& a,
+           const std::shared_ptr<Claimed>& b) {
+          return a->unclaimed() < b->unclaimed();
+        });
+    return most == admitted_.end() ? nullptr : *most;
+  }
+
+  // Fully claimed cells need no help (caller holds mutex_).
+  void drop_claimed() {
+    std::erase_if(admitted_, [](const std::shared_ptr<Claimed>& cell) {
+      return cell->unclaimed() == 0;
+    });
+  }
+
+  // No lock and no allocation per trial.
+  void claim(Claimed& cell) {
+    const std::uint64_t trials = cell.cell->trials;
+    for (;;) {
+      const std::uint64_t trial =
+          cell.next.fetch_add(1, std::memory_order_relaxed);
+      if (trial >= trials) return;
+      try {
+        cell.records[trial] = engine::run_single_trial(
+            cell.trial_options, cell.runner, trial, timing_);
+        // acq_rel: the last lander sees every other helper's record.
+        if (cell.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+            trials) {
+          steps_.finish(cell);
+        }
+      } catch (...) {
+        // A failed trial never counts as done, so no helper can finish
+        // the cell: it is discarded whole.
+        cell.next.store(trials, std::memory_order_relaxed);
+        if (!cell.abandoned.exchange(true)) steps_.abandon(cell);
+        return;
+      }
+    }
+  }
+
+  const Steps steps_;
+  const bool timing_;
+  std::mutex mutex_;
+  std::vector<std::shared_ptr<Claimed>> admitted_;
+};
+
+}  // namespace cadapt::campaign

@@ -1,10 +1,7 @@
 #include "sched/worksteal.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 
 #include "model/potential.hpp"
@@ -51,7 +48,7 @@ class ParallelEngine {
         n_(n),
         source_(source),
         opt_(options),
-        p_(options.workers == 0 ? 1 : options.workers),
+        p_(opt_.workers == 0 ? 1 : opt_.workers),
         acc_(params, n) {}
 
   ParallelResult run();
@@ -483,83 +480,6 @@ std::vector<std::uint64_t> carve_slices(
 SliceRun slice_run(std::uint64_t slice, std::uint64_t length) {
   CADAPT_CHECK(slice >= 1);
   return {slice, length / slice, length % slice};
-}
-
-StealStats parallel_trials(std::uint64_t count, std::uint64_t workers,
-                           std::uint64_t seed,
-                           const std::function<void(std::uint64_t)>& body) {
-  CADAPT_CHECK(body != nullptr);
-  if (workers <= 1 || count <= 1) {
-    for (std::uint64_t trial = 0; trial < count; ++trial) body(trial);
-    return {};
-  }
-  const std::uint64_t p = std::min(workers, count);
-  std::vector<std::unique_ptr<StealDeque<std::uint64_t>>> deques(p);
-  for (std::uint64_t w = 0; w < p; ++w) {
-    deques[w] = std::make_unique<StealDeque<std::uint64_t>>(
-        static_cast<std::size_t>(count / p) + 2);
-  }
-  // Deal round-robin, highest trial first, so each owner's LIFO pop
-  // drains its own share in increasing trial order.
-  for (std::uint64_t trial = count; trial-- > 0;) {
-    deques[trial % p]->push(trial);
-  }
-
-  std::atomic<std::uint64_t> unfinished{count};
-  std::atomic<bool> stop{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  struct alignas(64) Local {
-    std::uint64_t steals = 0;
-    std::uint64_t failed = 0;
-  };
-  std::vector<Local> locals(p);
-
-  const auto worker_fn = [&](std::uint64_t w) {
-    std::uint64_t steal_index = 0;
-    for (;;) {
-      std::optional<std::uint64_t> trial = deques[w]->pop();
-      while (!trial) {
-        if (stop.load(std::memory_order_acquire) ||
-            unfinished.load(std::memory_order_acquire) == 0) {
-          return;
-        }
-        const std::uint64_t victim = pick_victim(seed, w, steal_index++, p);
-        trial = deques[victim]->steal();
-        if (trial) {
-          ++locals[w].steals;
-        } else {
-          ++locals[w].failed;
-          std::this_thread::yield();
-        }
-      }
-      if (stop.load(std::memory_order_acquire)) return;
-      try {
-        body(*trial);
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (first_error == nullptr) first_error = std::current_exception();
-        }
-        stop.store(true, std::memory_order_release);
-      }
-      unfinished.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(p - 1);
-  for (std::uint64_t w = 1; w < p; ++w) threads.emplace_back(worker_fn, w);
-  worker_fn(0);
-  for (std::thread& t : threads) t.join();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
-
-  StealStats stats;
-  for (const Local& local : locals) {
-    stats.steals += local.steals;
-    stats.failed_steals += local.failed;
-  }
-  return stats;
 }
 
 }  // namespace cadapt::sched

@@ -1,32 +1,23 @@
 // Seeded work-stealing parallel execution of the (a,b,c) recursion tree
 // across P workers sharing one adaptive machine (docs/PARALLEL.md).
 //
-// Two entry points:
-//
-//   parallel_run_to_completion — the SYMBOLIC engine: the recursion tree
-//   is pre-split into subtree + scan tasks on per-worker Chase–Lev
-//   deques; each global machine box is carved into per-worker cache
-//   slices by an E15 allocation policy (sched::Policy), and each worker
-//   feeds its emergent constant-height profile segment through the
-//   inner-square decomposition (profile::inner_square_profile restarted
-//   at box boundaries — the closed form below, pinned to the literal
-//   function by tests) into its local engine::RegularExecution. Steals
-//   resolve SERIALLY at epoch barriers with victims drawn from
-//   hash(seed, worker, steal_index), so the entire result — including
-//   every steal count — is a pure function of (params, n, source,
-//   options): same seed + same P ⇒ bit-identical ParallelResult, and
-//   workers = 1 delegates verbatim to engine::run_to_completion.
-//
-//   parallel_trials — the CONCURRENT trial pool: real threads, the same
-//   deques under genuine contention, seeded victim choice. Results must
-//   be keyed by trial index on the caller's side (the campaign cell
-//   runner writes records[trial]), which is what keeps reports
-//   byte-identical across worker counts; steal counts here are
-//   telemetry only and never enter gated artifacts.
+// parallel_run_to_completion is the SYMBOLIC engine: the recursion tree
+// is pre-split into subtree + scan tasks on per-worker Chase–Lev deques;
+// each global machine box is carved into per-worker cache slices by an
+// E15 allocation policy (sched::Policy), and each worker feeds its
+// emergent constant-height profile segment through the inner-square
+// decomposition (profile::inner_square_profile restarted at box
+// boundaries — the closed form below, pinned to the literal function by
+// tests) into its local engine::RegularExecution. Steals resolve SERIALLY
+// at epoch barriers with victims drawn from hash(seed, worker,
+// steal_index), so the entire result — including every steal count — is
+// a pure function of (params, n, source, options): same seed + same P ⇒
+// bit-identical ParallelResult, and workers = 1 delegates verbatim to
+// engine::run_to_completion. Real threads running a campaign's trials
+// are campaign::TrialScheduler's job, not this engine's.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -107,8 +98,8 @@ struct ParallelResult {
   }
 };
 
-/// Run one (params, n) execution over `source` on options.workers
-/// simulated workers. Deterministic: bit-identical across repeated calls
+/// Run one (params, n) execution over `source` on P =
+/// ParallelOptions::workers simulated workers. Deterministic: bit-identical across repeated calls
 /// with equal inputs. workers = 1 delegates to engine::run_to_completion
 /// (byte-identical merged result).
 ParallelResult parallel_run_to_completion(const model::RegularParams& params,
@@ -137,23 +128,5 @@ struct SliceRun {
   std::uint64_t remainder = 0;  ///< final short box, 0 if none
 };
 SliceRun slice_run(std::uint64_t slice, std::uint64_t length);
-
-/// Telemetry from parallel_trials — never part of gated reports (steal
-/// interleaving under real threads is timing-dependent by nature).
-struct StealStats {
-  std::uint64_t steals = 0;
-  std::uint64_t failed_steals = 0;
-};
-
-/// Run body(0..count-1), each exactly once, on `workers` real threads
-/// with per-worker deques (trials pre-dealt round-robin) and seeded
-/// victim selection. body must be thread-safe and write its result keyed
-/// by the trial index. The first exception a body throws is rethrown
-/// after all threads join (remaining undrawn trials are abandoned) —
-/// robust::CancelledError propagates this way. workers <= 1 or
-/// count <= 1 runs inline, in index order.
-StealStats parallel_trials(std::uint64_t count, std::uint64_t workers,
-                           std::uint64_t seed,
-                           const std::function<void(std::uint64_t)>& body);
 
 }  // namespace cadapt::sched

@@ -1,8 +1,9 @@
 #include "serve/daemon.hpp"
 
+#include <atomic>
+#include <list>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "robust/cancel.hpp"
 #include "serve/protocol.hpp"
@@ -161,19 +162,33 @@ void serve_connection(ServeCore& core, int fd) {
 int run_daemon(const DaemonOptions& options) {
   ServeCore core(options.core);
   const int listen_fd = listen_unix(options.socket_path);
-  std::vector<std::thread> connections;
+  // A handler raises `finished` as it returns and the loop joins it, so a
+  // finished connection's thread and stack go at once, not at shutdown.
+  struct Handler {
+    std::atomic<bool> finished{false};
+    std::thread thread;
+  };
+  std::list<Handler> handlers;
   robust::CancelToken& stop = robust::process_cancel_token();
   while (!stop.requested()) {
+    handlers.remove_if([](Handler& handler) {
+      if (!handler.finished.load(std::memory_order_acquire)) return false;
+      handler.thread.join();
+      return true;
+    });
     const std::optional<int> fd = accept_unix(listen_fd, /*timeout_ms=*/200);
     if (!fd.has_value()) continue;
-    connections.emplace_back(
-        [&core, fd = *fd] { serve_connection(core, fd); });
+    Handler& handler = handlers.emplace_back();
+    handler.thread = std::thread([&core, &handler, fd = *fd] {
+      serve_connection(core, fd);
+      handler.finished.store(true, std::memory_order_release);
+    });
   }
   // Graceful drain: stop dispatching (in-flight cells unwind through the
   // cooperative cancel path), wake blocked results streams, then join.
   core.shutdown();
   close_fd(listen_fd);
-  for (std::thread& t : connections) t.join();
+  for (Handler& handler : handlers) handler.thread.join();
   return 0;
 }
 

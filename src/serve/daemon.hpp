@@ -1,9 +1,10 @@
 // The `cadapt serve` process: a ServeCore behind a Unix-domain socket.
 // Thread-per-connection (connections are short: one request line, one
-// response), accept loop polling robust::process_cancel_token() so
-// SIGINT/SIGTERM drain gracefully — in-flight cells unwind through the
-// cooperative cancel path, checkpoints keep every committed cell, and
-// the next daemon resumes them (docs/SERVE.md).
+// response; the accept loop joins each handler once it returns), accept
+// loop polling robust::process_cancel_token() so SIGINT/SIGTERM drain
+// gracefully — in-flight cells unwind through the cooperative cancel
+// path, checkpoints keep every committed cell, and the next daemon
+// resumes them (docs/SERVE.md).
 #pragma once
 
 #include <string>

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/sweep.hpp"
 #include "obs/span.hpp"
@@ -56,7 +57,7 @@ struct ServeCore::Job {
   std::uint64_t config_hash = 0;
   std::uint64_t cells_total = 0;
   std::uint64_t restored_cells_done = 0;  // terminal jobs after a restart
-  std::uint64_t in_flight = 0;
+  std::uint64_t in_flight = 0;  // admitted cells not finished or abandoned
   std::uint64_t started_ns = 0;
   std::string error;
 
@@ -70,11 +71,23 @@ ServeCore::ServeCore(const ServeOptions& options)
     : options_(options),
       io_(options.io != nullptr ? *options.io : robust::system_io()),
       spool_(options.spool_dir, io_),
-      pool_(static_cast<std::size_t>(options.jobs)) {
-  slots_ = options_.slots != 0 ? options_.slots
-                               : static_cast<std::uint64_t>(pool_.size());
+      pool_(static_cast<std::size_t>(options.jobs)),
+      trials_({.admit = [this] { return admit(); },
+               .admitted =
+                   [this] {
+                     const std::lock_guard<std::mutex> lock(mutex_);
+                     wake();
+                   },
+               .finish = [this](ClaimedCell& claimed) { finish(claimed); },
+               .abandon = [this](ClaimedCell& claimed) {
+                 abandon(*claimed.owner);
+               }},
+              options.timing) {
   started_ = options_.autostart;
   resume_spool();
+  for (std::size_t i = 0; i < pool_.size(); ++i) {
+    pool_.submit([this] { work_loop(); });
+  }
 }
 
 ServeCore::~ServeCore() { shutdown(); }
@@ -106,7 +119,6 @@ void ServeCore::resume_spool() {
     }
     init_job(files, request, /*resuming=*/true);
   }
-  pump();
 }
 
 JobStatus ServeCore::submit(const SubmitRequest& request) {
@@ -124,8 +136,7 @@ JobStatus ServeCore::submit(const SubmitRequest& request) {
   meta.without("manifest").str("job", files.id);
   spool_.persist_job(files, request.manifest_text, meta);
   init_job(files, request, /*resuming=*/false);
-  pump();
-  cv_.notify_all();
+  wake();
   return status_of(*jobs_.at(files.id));
 }
 
@@ -222,18 +233,39 @@ void ServeCore::start() {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (started_) return;
   started_ = true;
-  pump();
+  wake();
 }
 
-void ServeCore::pump() {
-  if (!started_ || shutting_down_) return;
-  while (in_flight_ < slots_) {
-    // Pre-empt doomed picks: a cancelled job or an over-budget client
-    // truncates HERE, at a dispatch boundary — a deterministic function
-    // of the work actually dispatched, never of wall clocks.
+void ServeCore::wake() {
+  ++wake_;
+  cv_.notify_all();
+}
+
+void ServeCore::work_loop() {
+  std::uint64_t seen = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [this, &seen] {
+        return shutting_down_ || (started_ && wake_ != seen);
+      });
+      if (shutting_down_) return;
+      // Read before working: a wake() during work() runs it again.
+      seen = wake_;
+    }
+    trials_.work();
+  }
+}
+
+std::shared_ptr<ServeCore::ClaimedCell> ServeCore::admit() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  while (started_ && !shutting_down_) {
     const std::optional<SchedulerPick> pick = scheduler_.next();
     if (!pick.has_value()) break;
     Job& job = *jobs_.at(pick->job);
+    // Pre-empt doomed picks: a cancelled job or an over-budget client
+    // truncates HERE, at an admission boundary — a deterministic function
+    // of the work actually admitted, never of wall clocks.
     if (job.cancel.requested()) {
       truncate_job(job, job.cancel.reason());
       continue;
@@ -246,122 +278,97 @@ void ServeCore::pump() {
     dispatch_log_.push_back(*pick);
     job.state = JobState::kRunning;
     ++job.in_flight;
-    ++in_flight_;
     if (options_.trace != nullptr) {
       obs::Event event("cell_scheduled");
       event.str("job", pick->job).u64("cell", pick->cell);
       options_.trace->write(event);
     }
-    pool_.submit([this, id = pick->job, cell = pick->cell] {
-      run_one(id, cell);
-    });
+    auto claimed = std::make_shared<ClaimedCell>();
+    claimed->owner = &job;
+    claimed->cell = &job.plan.cells[pick->cell];
+    claimed->trial_options =
+        campaign::trial_options_for(*claimed->cell, job.cell_options);
+    claimed->records.resize(claimed->cell->trials);
+    // The runner is built OUTSIDE the mutex (a shuffled cell's census is
+    // real work, and tenants must not serialize on it).
+    lock.unlock();
+    try {
+      claimed->runner =
+          campaign::make_cell_runner(*claimed->cell, job.cell_options);
+      return claimed;
+    } catch (...) {
+      abandon(job);
+    }
+    lock.lock();
+  }
+  return nullptr;
+}
+
+void ServeCore::finish(ClaimedCell& claimed) {
+  Job& job = *claimed.owner;
+  const std::uint64_t cell_index = claimed.cell->index;
+  std::uint64_t boxes = 0;
+  for (const robust::TrialRecord& record : claimed.records) {
+    boxes += record.boxes;
+  }
+  // Aggregate OUTSIDE the mutex, then drop the runner (and any captured
+  // block-run trace) and the records.
+  campaign::CellResult result = campaign::aggregate_cell(
+      *claimed.cell, claimed.records, job.config_hash,
+      job.plan.manifest.unit_progress);
+  claimed.runner = nullptr;
+  claimed.records = {};
+
+  const std::lock_guard<std::mutex> lock(mutex_);
+  --job.in_flight;
+  cv_.notify_all();
+  // After shutdown, and for a failed job's stragglers, cells unwind
+  // without touching the job's artifacts.
+  if (shutting_down_ || terminal(job.state)) return;
+  if (robust::BudgetTracker* tracker =
+          clients_[job.request.client].tracker.get()) {
+    tracker->add_boxes(boxes);
+  }
+  obs::to_jsonl(campaign::cell_event(result), line_buf_);
+  try {
+    job.checkpoint->write(line_buf_);
+    job.checkpoint->write("\n");
+    job.checkpoint->commit();
+    job.results.emplace(cell_index, std::move(result));
+    if (job.subscriber) {
+      job.stream.push_back(line_buf_);
+      if (!job.stream_paused &&
+          job.stream.size() >= options_.stream_buffer) {
+        // Backpressure: this subscriber stopped draining, so THIS job
+        // stops admitting cells. Nobody else's queue position moves.
+        job.stream_paused = true;
+        scheduler_.pause_job(job.files.id);
+      }
+    }
+    if (options_.trace != nullptr) {
+      options_.trace->write(campaign::cell_event(job.results[cell_index]));
+    }
+    maybe_finalize(job);
+  } catch (const util::IoError& e) {
+    fail_job(job, e.what());
   }
 }
 
-void ServeCore::run_one(const std::string& id, std::uint64_t cell_index) {
-  const campaign::Cell* cell = nullptr;
-  campaign::CellRunOptions cell_options;
-  std::uint64_t config_hash = 0;
-  bool unit_progress = false;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (shutting_down_) {
-      Job& job = *jobs_.at(id);
-      --job.in_flight;
-      --in_flight_;
-      cv_.notify_all();
-      return;
-    }
-    const Job& job = *jobs_.at(id);
-    cell = &job.plan.cells[cell_index];
-    cell_options = job.cell_options;
-    config_hash = job.config_hash;
-    unit_progress = job.plan.manifest.unit_progress;
-    // A job asking for intra-cell workers (manifest `workers` key,
-    // docs/PARALLEL.md) gets its fair share of the daemon's pool, not
-    // the full count times every in-flight cell: clamp to pool size /
-    // in-flight cells (>= 1). The clamp is timing-dependent — safe,
-    // because workers never affects a cell's result bytes.
-    const std::uint64_t share =
-        static_cast<std::uint64_t>(pool_.size()) /
-        std::max<std::uint64_t>(1, in_flight_);
-    cell_options.workers =
-        std::min(cell_options.workers, std::max<std::uint64_t>(1, share));
-  }
-
-  // The cell itself runs OUTSIDE the mutex — this is where the wall
-  // time goes, and tenants must not serialize on each other here.
-  std::vector<robust::TrialRecord> records;
-  bool cancelled = false;
-  robust::CancelReason cancel_reason = robust::CancelReason::kNone;
-  std::string error;
-  try {
-    records = campaign::run_cell(*cell, cell_options);
-  } catch (const robust::CancelledError& e) {
-    cancelled = true;
-    cancel_reason = e.reason();
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
-  campaign::CellResult result;
-  std::uint64_t boxes = 0;
-  if (!cancelled && error.empty()) {
-    for (const robust::TrialRecord& record : records) boxes += record.boxes;
-    result = campaign::aggregate_cell(*cell, records, config_hash,
-                                      unit_progress);
-  }
-
+void ServeCore::abandon(Job& job) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  Job& job = *jobs_.at(id);
   --job.in_flight;
-  --in_flight_;
-  if (shutting_down_) {
-    cv_.notify_all();
-    return;
-  }
-  if (terminal(job.state)) {
-    // A failed job's stragglers unwind without touching its artifacts.
-    cv_.notify_all();
-    return;
-  }
-  if (cancelled) {
+  cv_.notify_all();
+  if (shutting_down_ || terminal(job.state)) return;
+  try {
+    throw;  // the cell's first error, still being handled
+  } catch (const robust::CancelledError& e) {
     // The interrupted cell is discarded wholesale — a partially executed
     // cell must never reach the checkpoint or the report (same contract
     // as run_sweep). Committed cells survive for resume.
-    truncate_job(job, cancel_reason);
-  } else if (!error.empty()) {
-    fail_job(job, error);
-  } else {
-    if (robust::BudgetTracker* tracker =
-            clients_[job.request.client].tracker.get()) {
-      tracker->add_boxes(boxes);
-    }
-    obs::to_jsonl(campaign::cell_event(result), line_buf_);
-    try {
-      job.checkpoint->write(line_buf_);
-      job.checkpoint->write("\n");
-      job.checkpoint->commit();
-      job.results.emplace(cell_index, std::move(result));
-      if (job.subscriber) {
-        job.stream.push_back(line_buf_);
-        if (!job.stream_paused &&
-            job.stream.size() >= options_.stream_buffer) {
-          // Backpressure: this subscriber stopped draining, so THIS job
-          // stops dispatching. Nobody else's queue position moves.
-          job.stream_paused = true;
-          scheduler_.pause_job(id);
-        }
-      }
-      if (options_.trace != nullptr) {
-        options_.trace->write(campaign::cell_event(job.results[cell_index]));
-      }
-      maybe_finalize(job);
-    } catch (const util::IoError& e) {
-      fail_job(job, e.what());
-    }
+    truncate_job(job, e.reason());
+  } catch (const std::exception& e) {
+    fail_job(job, e.what());
   }
-  pump();
-  cv_.notify_all();
 }
 
 void ServeCore::truncate_job(Job& job, robust::CancelReason reason) {
@@ -394,6 +401,7 @@ void ServeCore::maybe_finalize(Job& job) {
   job.files.has_report = true;
   job.state = job.client_cancelled ? JobState::kCancelled : JobState::kDone;
   scheduler_.remove_job(job.files.id);
+  cv_.notify_all();
   if (options_.trace != nullptr) {
     obs::Event event("job_done");
     event.str("job", job.files.id)
@@ -531,8 +539,7 @@ std::optional<std::string> ServeCore::next_stream_line(const std::string& id) {
   if (job.stream_paused && job.stream.size() <= options_.stream_buffer / 2) {
     job.stream_paused = false;
     scheduler_.resume_job(id);
-    pump();
-    cv_.notify_all();
+    wake();
   }
   return line;
 }
@@ -547,8 +554,7 @@ void ServeCore::detach(const std::string& id) {
   if (job.stream_paused) {
     job.stream_paused = false;
     scheduler_.resume_job(id);
-    pump();
-    cv_.notify_all();
+    wake();
   }
 }
 

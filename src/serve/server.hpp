@@ -1,11 +1,12 @@
 // ServeCore: the daemon's multi-tenant job engine, socket-free so tests
 // drive it in-process (docs/SERVE.md).
 //
-// One shared util::ThreadPool executes cells; a FairScheduler decides
-// WHICH cell runs next (weighted round-robin across clients); per-job
+// One shared util::ThreadPool drives campaign::TrialScheduler, the loop
+// `cadapt sweep` runs; a FairScheduler decides WHICH job's cell is
+// admitted next (weighted round-robin across clients); per-job
 // robust::CancelToken + Watchdog handle cancellation and deadlines;
 // per-client robust::BudgetTracker caps total boxes. Every durable write
-// goes through the PR 7 layer: cell results append to a per-job
+// goes through robust/io: cell results append to a per-job
 // DurableAppender checkpoint (the sweep format at shards=1), final
 // reports land via atomic_write_file. A SIGKILL'd daemon restarts from
 // the Spool and resumes every unfinished job from its checkpoint.
@@ -27,9 +28,9 @@
 #include <string>
 #include <vector>
 
-#include "campaign/cell_runner.hpp"
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
+#include "campaign/trial_scheduler.hpp"
 #include "obs/sink.hpp"
 #include "robust/budget.hpp"
 #include "robust/cancel.hpp"
@@ -65,8 +66,8 @@ struct JobStatus {
 
 struct ServeOptions {
   std::string spool_dir;          ///< required
-  std::uint64_t jobs = 0;         ///< pool threads; 0 = hardware
-  std::uint64_t slots = 0;        ///< max in-flight cells; 0 = pool size
+  /// Pool threads; 0 = hardware. Also the cap on admitted cells.
+  std::uint64_t jobs = 0;
   /// Stream buffer capacity (lines) per subscribed job; a full buffer
   /// pauses THAT job's dispatch until the subscriber drains below half.
   std::uint64_t stream_buffer = 64;
@@ -126,7 +127,7 @@ class ServeCore {
   /// util::IoError when the job has no report (not terminal / failed).
   std::string report_bytes(const std::string& job) const;
 
-  /// Every dispatch decision in order — the determinism test surface.
+  /// Every admitted cell in order — the determinism test surface.
   std::vector<SchedulerPick> dispatch_log() const;
 
   /// Graceful stop: discard in-flight cells (their checkpoints keep only
@@ -139,12 +140,16 @@ class ServeCore {
     std::unique_ptr<robust::BudgetTracker> tracker;  // null = no budget
   };
   struct Job;
+  using ClaimedCell = campaign::ClaimedCell<Job*>;
 
   void resume_spool();
   void init_job(const JobFiles& files, const SubmitRequest& request,
                 bool resuming);
-  void pump();  // dispatch while slots are free (mutex held)
-  void run_one(const std::string& id, std::uint64_t cell_index);
+  void work_loop();  // one per pool thread, until shutdown
+  void wake();       // new work may be admissible or helpable (mutex held)
+  std::shared_ptr<ClaimedCell> admit();  // the TrialScheduler's steps
+  void finish(ClaimedCell& claimed);
+  void abandon(Job& job);  // inside the catch of the cell's error
   void truncate_job(Job& job, robust::CancelReason reason);  // mutex held
   void maybe_finalize(Job& job);                             // mutex held
   void fail_job(Job& job, const std::string& what);          // mutex held
@@ -154,7 +159,6 @@ class ServeCore {
   robust::IoBackend& io_;
   Spool spool_;
   util::ThreadPool pool_;
-  std::uint64_t slots_ = 0;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_;
@@ -163,9 +167,10 @@ class ServeCore {
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::map<std::string, ClientState> clients_;
   std::vector<SchedulerPick> dispatch_log_;
-  std::uint64_t in_flight_ = 0;
+  std::uint64_t wake_ = 1;  ///< bumped by wake(); idle threads watch it
   bool started_ = false;
   bool shutting_down_ = false;
+  campaign::TrialScheduler<Job*> trials_;
 };
 
 }  // namespace cadapt::serve

@@ -6,12 +6,12 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "campaign/cell_runner.hpp"
 #include "campaign/plan.hpp"
+#include "campaign/sweep.hpp"
 #include "engine/exec.hpp"
 #include "model/regular.hpp"
 #include "paging/lru_cache.hpp"
@@ -283,49 +283,9 @@ TEST(ParallelEngine, OneWorkerEqualsSequentialEngine) {
 }
 
 // ---------------------------------------------------------------------------
-// parallel_trials — the concurrent pool under real threads.
-
-TEST(ParallelTrials, EachIndexRunsExactlyOnce) {
-  constexpr std::uint64_t kCount = 257;
-  std::vector<std::atomic<std::uint32_t>> ran(kCount);
-  parallel_trials(kCount, 4, 13, [&](std::uint64_t trial) {
-    ran[trial].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::uint64_t i = 0; i < kCount; ++i) {
-    EXPECT_EQ(ran[i].load(), 1u) << "trial " << i;
-  }
-}
-
-TEST(ParallelTrials, ResultsMatchSequentialWhenKeyedByIndex) {
-  constexpr std::uint64_t kCount = 64;
-  const auto f = [](std::uint64_t i) { return i * i + 3 * i + 7; };
-  std::vector<std::uint64_t> sequential(kCount), parallel(kCount);
-  for (std::uint64_t i = 0; i < kCount; ++i) sequential[i] = f(i);
-  parallel_trials(kCount, 4, 99,
-                  [&](std::uint64_t trial) { parallel[trial] = f(trial); });
-  EXPECT_EQ(parallel, sequential);
-}
-
-TEST(ParallelTrials, FirstBodyExceptionIsRethrownAfterJoin) {
-  EXPECT_THROW(
-      parallel_trials(32, 4, 1,
-                      [](std::uint64_t trial) {
-                        if (trial == 3) throw std::runtime_error("boom");
-                      }),
-      std::runtime_error);
-}
-
-TEST(ParallelTrials, OneWorkerRunsInlineInIndexOrder) {
-  std::vector<std::uint64_t> order;
-  parallel_trials(8, 1, 0, [&](std::uint64_t trial) {
-    order.push_back(trial);  // safe: inline, single thread
-  });
-  EXPECT_EQ(order, (std::vector<std::uint64_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-}
-
-// ---------------------------------------------------------------------------
-// The campaign surface: a sort cell run on the pool produces records
-// byte-equal to the sequential loop (the report bit-identity contract).
+// The campaign surface: a sort cell run on the shared trial loop at 4
+// threads produces records byte-equal to the sequential run_cell (the
+// report bit-identity contract).
 
 TEST(ParallelTrials, RunCellRecordsIdenticalAcrossWorkerCounts) {
   std::istringstream is(
@@ -343,13 +303,11 @@ TEST(ParallelTrials, RunCellRecordsIdenticalAcrossWorkerCounts) {
   campaign::CellRunOptions options = campaign::cell_options_from(plan.manifest);
   options.timing = false;
 
-  options.workers = 1;
   const std::vector<robust::TrialRecord> sequential =
       campaign::run_cell(plan.cells[0], options);
-  options.workers = 4;
-  const std::vector<robust::TrialRecord> pooled =
-      campaign::run_cell(plan.cells[0], options);
-  EXPECT_EQ(pooled, sequential);
+  const std::vector<robust::TrialRecord> shared =
+      campaign::run_cell_shared(plan.cells[0], options, 4);
+  EXPECT_EQ(shared, sequential);
 }
 
 // ---------------------------------------------------------------------------

@@ -449,6 +449,91 @@ TEST(ServeCore, StreamDeliversEveryCellLineThenEnds) {
   EXPECT_FALSE(core.attach("job-999"));
 }
 
+// ---- trial-grain scheduling: a served job's heavy tail cell ------------
+
+// The last cell is the heavy one: a trial costs about 8x one of the cell
+// before it, so once the light cells are admitted, every idle pool thread
+// helps the last cell's 128 trials. kHeavierTail's last cell (about
+// 0.4 s of trials on one core) outlasts its light cells by far more than
+// a cancel takes to land.
+const char kHeavyTail[] =
+    "name = serve_heavy_tail\nalgos = 8:4:1\nprofiles = shuffled\n"
+    "k = 1..5\ntrials = 128\nseed = 21\n";
+const char kHeavierTail[] =
+    "name = serve_heavier_tail\nalgos = 8:4:1\nprofiles = shuffled\n"
+    "k = 1..6\ntrials = 128\nseed = 21\n";
+constexpr std::uint64_t kLightCells = 5;  // of kHeavierTail
+
+TEST(ServeCore, HelpedTailCellGivesOneShotBytesAtEveryPoolSize) {
+  const std::string reference = one_shot_bytes(kHeavyTail, "tail");
+  for (const std::uint64_t jobs : {1u, 2u, 4u, 8u}) {
+    ServeOptions options = core_options("tail_p" + std::to_string(jobs));
+    options.jobs = jobs;
+    ServeCore core(options);
+    const JobStatus accepted = core.submit(request_for(kHeavyTail, "alice"));
+    ASSERT_TRUE(core.wait_job(accepted.id));
+    EXPECT_EQ(core.report_bytes(accepted.id), reference) << "jobs=" << jobs;
+  }
+}
+
+/// Waits for the job's light cells to stream; by then the idle pool
+/// threads are helping the heavy cell.
+void await_light_cells(ServeCore& core, const std::string& id) {
+  ASSERT_TRUE(core.attach(id));
+  for (std::uint64_t i = 0; i < kLightCells; ++i) {
+    ASSERT_TRUE(core.next_stream_line(id).has_value());
+  }
+}
+
+TEST(ServeCore, CancelMidHelpedCellDiscardsItWholeAndResumes) {
+  // The serve twin of SweepRunner's: a client cancel while the heavy cell
+  // is being helped truncates the report to the light cells.
+  {
+    ServeOptions options = core_options("tail_cancel");
+    options.jobs = 4;
+    ServeCore core(options);
+    const std::string id = core.submit(request_for(kHeavierTail, "alice")).id;
+    await_light_cells(core, id);
+    ASSERT_TRUE(core.cancel(id));
+    ASSERT_TRUE(core.wait_job(id));
+    const campaign::Report cut = campaign::load_report_file(
+        Spool(options.spool_dir, robust::system_io()).files_for(id)
+            .report_path);
+    EXPECT_TRUE(cut.truncated);
+    EXPECT_EQ(cut.truncate_reason, robust::CancelReason::kExternal);
+    ASSERT_EQ(cut.cells.size(), kLightCells);
+    for (const campaign::CellResult& cell : cut.cells) {
+      EXPECT_LT(cell.index, kLightCells);
+    }
+  }
+  // A shutdown cancels the helped cell the same way; the checkpoint keeps
+  // only the light cells, and a new core on the same spool resumes to
+  // one-shot bytes.
+  ServeOptions options = core_options("tail_restart");
+  options.jobs = 4;
+  std::string id;
+  {
+    ServeCore core(options);
+    id = core.submit(request_for(kHeavierTail, "alice")).id;
+    await_light_cells(core, id);
+    core.shutdown();
+  }
+  std::istringstream is(kHeavierTail);
+  const campaign::Plan plan =
+      campaign::expand_plan(campaign::parse_manifest(is));
+  const std::map<std::uint64_t, campaign::CellResult> committed =
+      campaign::load_sweep_checkpoint(
+          Spool(options.spool_dir, robust::system_io()).files_for(id)
+              .checkpoint_path,
+          plan, 1, 0, campaign::run_fingerprint(1, nullptr, 0));
+  EXPECT_EQ(committed.size(), kLightCells);
+  EXPECT_EQ(committed.count(kLightCells), 0u);
+  ServeCore resumed(options);
+  ASSERT_TRUE(resumed.wait_job(id));
+  EXPECT_EQ(resumed.report_bytes(id),
+            one_shot_bytes(kHeavierTail, "tail_restart"));
+}
+
 // ---- daemon wire edges ------------------------------------------------
 
 TEST(ServeDaemon, OversizedRequestLineGetsAnErrorAndTheDaemonServesOn) {

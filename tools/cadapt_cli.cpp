@@ -607,22 +607,16 @@ int run_parallel_cmd(const util::ArgParser& args) {
   cell_options.block = args.get_u64("block");
   cell_options.timing = timing;
 
+  // The cell's trials on `workers` threads of the shared trial loop.
   const auto cell_wall_ns = [&cell, &cell_options,
                              timing](std::uint64_t workers) -> std::uint64_t {
-    cell_options.workers = workers;
-    if (!timing) {
-      (void)campaign::run_cell(cell, cell_options);
-      return 0;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    (void)campaign::run_cell(cell, cell_options);
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+    const std::uint64_t start = obs::steady_now_ns();
+    (void)campaign::run_cell_shared(cell, cell_options,
+                                    static_cast<std::size_t>(workers));
+    return timing ? obs::steady_now_ns() - start : 0;
   };
 
-  // Baseline: the sequential engine and the sequential cell loop.
+  // Baseline: the sequential engine and the cell on one thread.
   sched::ParallelOptions base = popt;
   base.workers = 1;
   auto base_source = fresh_source();
@@ -1289,7 +1283,6 @@ int run_serve_cmd(const util::ArgParser& args) {
   opts.socket_path = args.get_string("socket");
   opts.core.spool_dir = args.get_string("spool");
   opts.core.jobs = args.get_u64("jobs");
-  opts.core.slots = args.get_u64("slots");
   opts.core.stream_buffer = args.get_u64("stream-buffer");
   opts.core.timing = !args.has("no-timing");
 

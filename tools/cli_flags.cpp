@@ -178,8 +178,8 @@ std::vector<Command> build_commands() {
                       {"format", kChoice, "report encoding; binary is the "
                        "columnar container (docs/REPORT.md)", "jsonl|binary",
                        "jsonl"},
-                      {"workers", kU64, "accepted and ignored: the --jobs "
-                       "threads already split a cell's trials", "W", "", 1},
+                      {"workers", kRetired, "use --jobs: the --jobs threads "
+                       "already split a cell's trials"},
                       {"out", kString, "report path", "F", "BENCH_sweep.json"},
                       {"merge", kBool,
                        "merge the shard reports given (either encoding)"},
@@ -217,7 +217,8 @@ std::vector<Command> build_commands() {
        "long-lived multi-tenant campaign daemon (docs/SERVE.md)",
        {socket, jobs, no_timing, trace_to,
         {"spool", kString, "durable job state", "DIR", "", 0, true},
-        {"slots", kU64, "max in-flight cells (default: pool size)", "N"},
+        {"slots", kRetired, "the admitted-cell cap is the pool size "
+         "(--jobs)"},
         {"stream-buffer", kU64, "result lines buffered per job before its "
          "dispatch pauses", "L", "64"}}},
       {"submit", "serve", "<manifest>", 1, 1,

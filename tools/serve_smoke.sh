@@ -3,7 +3,8 @@
 # concurrent tenants, and the headline invariant checked with cmp — a
 # job's report, fetched over the socket, is byte-identical to one-shot
 # `cadapt sweep --no-timing` on the same manifest. Also exercises the
-# cancel path (truncated report, exit codes) and status/hello.
+# cancel path (truncated report, exit codes), status/hello, and the
+# reaping of finished connection threads (daemon VmSize stays flat).
 #
 # Wired as the ctest case `cli_serve_smoke` (label `serve`); run it
 # under the address and thread sanitizer presets too.
@@ -97,6 +98,21 @@ cmp ref_a.json pipe_a.json
 # status: every job done, one line each.
 "$cli" status --socket serve.sock > status.txt
 [ "$(grep -c '"state":"done"' status.txt)" -eq 3 ]
+
+# Finished connections are reaped: 200 status round trips must not leave
+# 200 unjoined handler threads (an 8 MiB stack mapping each) behind.
+vm_kb() { awk '/^VmSize:/ { print $2 }' "/proc/$daemon_pid/status"; }
+vm_before=$(vm_kb)
+i=0
+while [ "$i" -lt 200 ]; do
+  "$cli" status --socket serve.sock > /dev/null
+  i=$((i + 1))
+done
+vm_growth_mb=$(( ($(vm_kb) - vm_before) / 1024 ))
+if [ "$vm_growth_mb" -ge 100 ]; then
+  echo "daemon VmSize grew ${vm_growth_mb} MB over 200 status calls" >&2
+  exit 1
+fi
 
 # cancel on a heavy job: accepted, then a truncated report still lands.
 cat > slow.manifest << 'EOF'
