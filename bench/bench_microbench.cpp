@@ -16,6 +16,7 @@
 #include "obs/recorder.hpp"
 #include "obs/sink.hpp"
 #include "paging/address_space.hpp"
+#include "paging/block_run.hpp"
 #include "paging/ca_machine.hpp"
 #include "paging/lru_cache.hpp"
 #include "paging/reference_lru.hpp"
@@ -311,6 +312,28 @@ void BM_PagingReplayWalk(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(kScanWords));
 }
 BENCHMARK(BM_PagingReplayWalk);
+
+// Capture layer: the record half of record-once/replay-many — a
+// 65536-key funnelsort run through a BlockRunRecorder, plus take(),
+// which builds the replay index. This is what the first trial of every
+// `trace_replay` sort cell pays. Items are captured runs.
+void BM_PagingCapture(benchmark::State& state) {
+  constexpr std::size_t kKeys = 65536;
+  std::uint64_t runs = 0;
+  for (auto _ : state) {
+    paging::BlockRunRecorder recorder(kScanBlock);
+    paging::AddressSpace space(kScanBlock);
+    algos::SimVector<std::int64_t> data(recorder, space, kKeys);
+    util::Rng rng(42);
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 24));
+    }
+    algos::funnelsort(recorder, space, data);
+    runs += recorder.take().runs().size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(runs));
+}
+BENCHMARK(BM_PagingCapture);
 
 // End-to-end layer: one real-algorithm Monte-Carlo cell — funnelsort on
 // 65536 keys under i.i.d. uniform boxes, 32 trials (the E16 scale in

@@ -299,9 +299,13 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
 
   // Shared across the trials of this cell (and across threads when the
   // sweep's --jobs threads or mc's pool split its trials): the
-  // once-recorded trace.
+  // once-recorded trace. A mutex and a flag rather than std::call_once:
+  // a capture that throws (CancelledError) must leave later trials free
+  // to retry, and call_once's exceptional path hangs them on some
+  // toolchains (GCC bug 66146; ThreadSanitizer's pthread_once).
   struct CaptureState {
-    std::once_flag once;
+    std::mutex mutex;
+    bool captured = false;  // guarded by mutex; trace is read-only once set
     paging::BlockRunTrace trace;
     bool verified = false;
   };
@@ -323,13 +327,20 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
 
     engine::RunResult r;
     if (replayable) {
-      std::call_once(state->once, [&] {
-        paging::BlockRunRecorder recorder(block);
-        if (per_access) recorder.set_per_access(true);
-        state->verified =
-            run_program(prog, recorder, keys, input_seed, nullptr);
-        state->trace = recorder.take();
-      });
+      {
+        const std::lock_guard<std::mutex> lock(state->mutex);
+        if (!state->captured) {
+          paging::BlockRunRecorder recorder(block);
+          if (per_access) recorder.set_per_access(true);
+          // A CancelledError unwinds before `captured` is set, so a
+          // half-built trace is never stored or replayed.
+          recorder.set_cancel(cancel);
+          state->verified =
+              run_program(prog, recorder, keys, input_seed, nullptr);
+          state->trace = recorder.take();
+          state->captured = true;
+        }
+      }
       machine.replay_trace(state->trace);
       r.completed = state->verified;
     } else {

@@ -42,10 +42,11 @@ struct CellRunOptions {
   const robust::FaultPlan* faults = nullptr;
   /// Cooperative cancellation token (docs/ROBUSTNESS.md); null =
   /// disabled. Polled at every attempt start, inside ratio trials' box
-  /// loops, and at every sort-cell machine box boundary
-  /// (CaMachine::set_cancel — the replay fast walk stays live), so a
-  /// stuck cell terminates within one box of the request. Must outlive
-  /// the call.
+  /// loops, at every sort-cell machine box boundary
+  /// (CaMachine::set_cancel — the replay fast walk stays live), and every
+  /// 4096 runs of a trace capture (BlockRunRecorder::set_cancel), so a
+  /// stuck cell terminates within one box or one poll interval of the
+  /// request. Must outlive the call.
   const robust::CancelToken* cancel = nullptr;
   /// Seeded retry backoff shared by every cell; disabled by default
   /// (attempt 0 never sleeps — bit-compatible with pre-backoff runs).
@@ -94,7 +95,7 @@ std::shared_ptr<const profile::BoxDistribution> make_distribution(
 /// mm:N|fw:N on an N x N matrix. The runner may be called from several
 /// threads at once: every ratio runner builds a fresh profile source from
 /// its trial seed, and a program runner's only shared state is its
-/// once-captured trace (std::call_once).
+/// once-captured trace (captured under a mutex).
 engine::RobustTrialRunner make_cell_runner(const Cell& cell,
                                            const CellRunOptions& options);
 

@@ -10,32 +10,40 @@ namespace cadapt::paging {
 
 void BlockRunTrace::push(BlockId block, std::uint64_t count) {
   if (count == 0) return;
+  CADAPT_CHECK_MSG(block <= kMaxBlock,
+                   "block id " << block
+                               << " exceeds the 32-bit trace limit (2^32 - 1)");
   accesses_ += count;
   steps_.clear();  // appended runs invalidate the replay index
-  if (!runs_.empty() && runs_.back().block == block) {
-    runs_.back().count += count;
-    return;
+  const auto id = static_cast<std::uint32_t>(block);
+  if (!runs_.empty() && runs_.back().block == id) {
+    const std::uint64_t room = kMaxRunCount - runs_.back().count;
+    const std::uint64_t fill = std::min(room, count);
+    runs_.back().count += static_cast<std::uint32_t>(fill);
+    count -= fill;
   }
-  runs_.push_back(BlockRun{block, count});
+  // A count beyond one run's 32 bits continues as full runs of the same
+  // block: the replay index points each piece at its predecessor, which
+  // the fast walk counts as a hit, so the split is exact.
+  while (count != 0) {
+    const std::uint64_t piece = std::min(kMaxRunCount, count);
+    runs_.push_back(BlockRun{id, static_cast<std::uint32_t>(piece)});
+    count -= piece;
+  }
 }
 
 void BlockRunTrace::ensure_replay_index() {
   if (has_replay_index() || runs_.empty()) return;
-  constexpr std::uint64_t kMax = 0xffffffffull;
-  if (runs_.size() >= kMax) return;  // unindexable: generic replay
-  steps_.assign(runs_.size(), ReplayStep{0, 0});
-  for (std::uint64_t i = 0; i < runs_.size(); ++i) {
-    if (runs_[i].count >= kMax) {
-      steps_.clear();  // unindexable: generic replay
-      return;
-    }
-    steps_[i].count = static_cast<std::uint32_t>(runs_[i].count);
-  }
+  // prev1 = 1 + run index must fit 32 bits.
+  if (runs_.size() >= 0xffffffffull) return;  // unindexable: generic replay
+  steps_.assign(runs_.size(), ReplayStep{0});
   // AddressSpace hands out block ids densely from 0, so a direct-mapped
   // table covers the common case without any hashing; fall back to a
   // hash map only for genuinely sparse id spaces.
-  BlockId max_block = 0;
-  for (const BlockRun& run : runs_) max_block = std::max(max_block, run.block);
+  std::uint64_t max_block = 0;
+  for (const BlockRun& run : runs_) {
+    max_block = std::max<std::uint64_t>(max_block, run.block);
+  }
   if (max_block <= 8 * runs_.size() + 1024) {
     std::vector<std::uint32_t> last(max_block + 1, 0);  // block -> 1 + index
     for (std::uint64_t i = 0; i < runs_.size(); ++i) {
@@ -45,7 +53,7 @@ void BlockRunTrace::ensure_replay_index() {
     }
     return;
   }
-  std::unordered_map<BlockId, std::uint32_t> last;  // block -> 1 + run index
+  std::unordered_map<std::uint32_t, std::uint32_t> last;  // -> 1 + run index
   for (std::uint64_t i = 0; i < runs_.size(); ++i) {
     auto [it, inserted] =
         last.try_emplace(runs_[i].block, static_cast<std::uint32_t>(i + 1));
@@ -65,7 +73,7 @@ void BlockRunTrace::replay_into(Machine& machine) const {
   }
   const std::uint64_t b = machine.block_size();
   for (const BlockRun& run : runs_) {
-    machine.access_run(run.block * b, run.count);
+    machine.access_run(BlockId{run.block} * b, run.count);
   }
 }
 
@@ -73,13 +81,17 @@ std::vector<BlockId> BlockRunTrace::expand() const {
   std::vector<BlockId> blocks;
   blocks.reserve(accesses_);
   for (const BlockRun& run : runs_) {
-    blocks.insert(blocks.end(), run.count, run.block);
+    blocks.insert(blocks.end(), run.count, BlockId{run.block});
   }
   return blocks;
 }
 
 void BlockRunRecorder::access_cold(WordAddr, BlockId block) {
   if (have_run_ && block == run_block_) return;  // per-access-path revisit
+  if (--runs_to_poll_ == 0) {
+    runs_to_poll_ = kCancelPollRuns;
+    if (cancel_ != nullptr) cancel_->poll();
+  }
   const std::uint64_t seen = accesses() - 1;  // this access already counted
   if (have_run_) trace_.push(run_block_, seen - run_start_);
   run_block_ = block;

@@ -11,6 +11,13 @@
 // Machine::access_run at O(runs) cost — no algorithm re-execution, no
 // per-word dispatch.
 //
+// Stored layout: 12 bytes per run — an 8-byte BlockRun (32-bit block id
+// and count) plus the 4-byte ReplayStep of the replay index. Block ids
+// must fit 32 bits (AddressSpace hands them out densely from 0; a larger
+// id is a CheckError), and push() splits a count of 2^32 or more into
+// consecutive runs of the same block, which both replay paths treat
+// exactly like one run.
+//
 // Bit-identity contract: the replayed machine sees the exact block
 // sequence of the original run, so every counter a block-granular
 // machine exposes (misses, boxes, accesses, cache stats) matches a
@@ -23,26 +30,36 @@
 #include <vector>
 
 #include "paging/machine.hpp"
+#include "robust/cancel.hpp"
 
 namespace cadapt::paging {
 
 /// `count` consecutive accesses, all inside block `block`.
 struct BlockRun {
-  BlockId block = 0;
-  std::uint64_t count = 0;
+  std::uint32_t block = 0;
+  std::uint32_t count = 0;
 
   friend bool operator==(const BlockRun&, const BlockRun&) = default;
 };
+static_assert(sizeof(BlockRun) == 8);
 
 /// A coalesced block-access trace. push() merges adjacent runs of the
-/// same block, so the stored form is canonical: no two neighboring runs
-/// share a block and every count is >= 1.
+/// same block, so the stored form is canonical: every count is >= 1, and
+/// two neighboring runs share a block only when the first is full
+/// (count == kMaxRunCount).
 class BlockRunTrace {
  public:
+  /// Largest block id and largest single-run count the packed layout
+  /// stores (2^32 - 1).
+  static constexpr std::uint64_t kMaxBlock = 0xffffffffull;
+  static constexpr std::uint64_t kMaxRunCount = 0xffffffffull;
+
   BlockRunTrace() = default;
   explicit BlockRunTrace(std::uint64_t block_size)
       : block_size_(block_size) {}
 
+  /// Append `count` accesses of `block`. Throws util::CheckError when
+  /// block > kMaxBlock.
   void push(BlockId block, std::uint64_t count);
 
   const std::vector<BlockRun>& runs() const { return runs_; }
@@ -53,22 +70,20 @@ class BlockRunTrace {
   /// One entry per run of the replay index that CaMachine::replay_trace
   /// consumes: prev1 = 1 + index of the nearest earlier run touching the
   /// same block, or 0 if there is none — so run i touches a block unseen
-  /// since run p began iff steps[i].prev1 <= p. count mirrors the run's
-  /// access count. Packed to 8 bytes because the replay walk is
-  /// memory-bound: real traces coalesce poorly (block-alternating merge
-  /// and matrix streams have mean run length < 2), so the walk streams
-  /// the whole index once per trial.
+  /// since run p began iff steps[i].prev1 <= p. The walk needs nothing
+  /// else (access counts come from accesses()), and it is memory-bound:
+  /// real traces coalesce poorly (block-alternating merge and matrix
+  /// streams have mean run length < 2), so it streams the whole index
+  /// once per trial — 4 bytes per run.
   struct ReplayStep {
     std::uint32_t prev1;
-    std::uint32_t count;
   };
 
   /// Build the replay index: one pass, done once per trace
   /// (BlockRunRecorder::take finalizes it); afterwards any number of
   /// threads replay off the shared read-only index. push() invalidates
-  /// it. Traces the packed form cannot represent (>= 2^32 - 1 runs, or a
-  /// single run of >= 2^32 accesses) are left unindexed and replay
-  /// through the generic per-run path.
+  /// it. A trace of >= 2^32 - 1 runs does not fit prev1, so it is left
+  /// unindexed and replays through the generic per-run path.
   void ensure_replay_index();
   bool has_replay_index() const {
     return !runs_.empty() && steps_.size() == runs_.size();
@@ -89,6 +104,7 @@ class BlockRunTrace {
   std::vector<BlockRun> runs_;
   std::vector<ReplayStep> steps_;
 };
+static_assert(sizeof(BlockRunTrace::ReplayStep) == 4);
 
 /// A Machine that captures the coalesced block-run stream of whatever is
 /// run against it (no paging simulated; misses() reports 0). Repeat
@@ -97,10 +113,18 @@ class BlockRunTrace {
 /// counter — the recorder works identically on the per-access path.
 class BlockRunRecorder final : public Machine {
  public:
+  /// Runs started between two polls of the cancel token.
+  static constexpr std::uint32_t kCancelPollRuns = 4096;
+
   explicit BlockRunRecorder(std::uint64_t block_size)
       : Machine(block_size), trace_(block_size) {}
 
   std::uint64_t misses() const override { return 0; }
+
+  /// Poll `cancel` (null = disabled) every kCancelPollRuns new runs, so a
+  /// capture unwinds with robust::CancelledError within a bounded number
+  /// of block changes of a request. Must outlive the recording.
+  void set_cancel(const robust::CancelToken* cancel) { cancel_ = cancel; }
 
   /// Finalize the pending run and move the trace out. The recorder is
   /// spent afterwards (recording into it again is undefined).
@@ -111,8 +135,10 @@ class BlockRunRecorder final : public Machine {
 
  private:
   BlockRunTrace trace_;
+  const robust::CancelToken* cancel_ = nullptr;
   BlockId run_block_ = 0;
   std::uint64_t run_start_ = 0;  ///< accesses() before the open run began
+  std::uint32_t runs_to_poll_ = kCancelPollRuns;
   bool have_run_ = false;
 };
 

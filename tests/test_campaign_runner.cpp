@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
@@ -297,8 +298,8 @@ TEST(SweepRunner, HeavyCellReportIsByteIdenticalAcrossJobCounts) {
 
 TEST(SweepRunner, TraceReplayHelpersShareOneCaptureByteIdentically) {
   // Every trial of a replay cell replays the block-run trace its first
-  // trial captured (std::call_once); helpers that arrive mid-capture wait
-  // for it and replay the same trace.
+  // trial captured (once, under a mutex); helpers that arrive
+  // mid-capture wait for it and replay the same trace.
   std::istringstream is(
       "name = heavy_replay\n"
       "workload = sort\n"
@@ -318,6 +319,48 @@ TEST(SweepRunner, TraceReplayHelpersShareOneCaptureByteIdentically) {
     ASSERT_EQ(report.cells.size(), plan.cells.size()) << "jobs=" << jobs;
     EXPECT_EQ(report.cells.back().completed, 48u) << "jobs=" << jobs;
     EXPECT_EQ(report_bytes(report), reference) << "jobs=" << jobs;
+  }
+}
+
+// Trace capture polls the cell's cancel token. The runner is called
+// directly, past the attempt-start poll, and the box is larger than the
+// whole sort's miss count, so the replay walk never reaches a box
+// boundary: only the capture can observe the request.
+TEST(SweepRunner, TraceCaptureStopsOnCancellation) {
+  campaign::Cell cell;
+  cell.sort = "funnel";
+  cell.profile = campaign::parse_profile_token("const:1048576",
+                                               campaign::Workload::kSort);
+  cell.seed = 9;
+  campaign::CellRunOptions options;
+  options.keys = 16384;
+  options.block = 4;
+  options.timing = false;
+  options.capture_trace = true;
+
+  robust::FaultInjector injector(nullptr, 0, 0);
+  const engine::RunResult plain =
+      campaign::make_cell_runner(cell, options)(1, injector);
+  ASSERT_TRUE(plain.completed);
+  ASSERT_EQ(plain.boxes, 1u);
+
+  robust::CancelToken token;
+  options.cancel = &token;
+  const engine::RunResult idle =
+      campaign::make_cell_runner(cell, options)(1, injector);
+  EXPECT_TRUE(idle.completed);
+  EXPECT_EQ(idle.ratio, plain.ratio);
+
+  token.request(robust::CancelReason::kDeadline);
+  const engine::RobustTrialRunner runner =
+      campaign::make_cell_runner(cell, options);
+  for (int trial = 0; trial < 2; ++trial) {  // no half-built trace is kept
+    try {
+      runner(1, injector);
+      FAIL() << "capture ignored a requested cancel (trial " << trial << ")";
+    } catch (const robust::CancelledError& e) {
+      EXPECT_EQ(e.reason(), robust::CancelReason::kDeadline);
+    }
   }
 }
 

@@ -9,7 +9,12 @@
 #include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <unordered_map>
 #include <vector>
+
+#include "algos/funnelsort.hpp"
+#include "algos/sim_data.hpp"
 
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
@@ -20,11 +25,13 @@
 #include "paging/ca_machine.hpp"
 #include "paging/lru_cache.hpp"
 #include "paging/machine.hpp"
+#include "paging/address_space.hpp"
 #include "paging/policy.hpp"
 #include "paging/reference_lru.hpp"
 #include "paging_test_util.hpp"
 #include "profile/box_source.hpp"
 #include "robust/cancel.hpp"
+#include "util/check.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -271,6 +278,119 @@ TEST(TraceReplayDifferential, SparseBlockIdsIndexAndReplay) {
   expect_stats_eq(walk.cache_stats(), direct.cache_stats());
 }
 
+// ---- The packed 12-byte layout: 32-bit ids and counts ----
+
+constexpr std::uint64_t kMaxRun = BlockRunTrace::kMaxRunCount;
+
+// A run of 2^32 + 5 accesses does not fit one 32-bit count: push splits
+// it into a full run plus the remainder, and both replay paths must still
+// match a direct access_run machine counter for counter. The pushed trace
+// reaches the same runs through a partially filled tail.
+TEST(PackedTrace, RunBeyond32BitCountSplitsExactly) {
+  constexpr std::uint64_t kHuge = (std::uint64_t{1} << 32) + 5;
+  const auto drive = [](auto&& touch) {
+    touch(3, 7);
+    touch(9, kHuge);
+    touch(3, 1);
+    touch(4, 2);
+    touch(9, 4);
+  };
+
+  BlockRunTrace pushed(8);
+  pushed.push(3, 7);
+  pushed.push(9, kMaxRun - 1);
+  pushed.push(9, 7);  // tops up the open run, then starts a new one
+  pushed.push(3, 1);
+  pushed.push(4, 2);
+  pushed.push(9, 4);
+  EXPECT_FALSE(pushed.has_replay_index());
+
+  BlockRunRecorder recorder(8);
+  drive([&](BlockId block, std::uint64_t count) {
+    recorder.access_run(block * 8, count);
+  });
+  const BlockRunTrace recorded = recorder.take();
+  ASSERT_TRUE(recorded.has_replay_index());
+
+  const std::vector<paging::BlockRun> want = {
+      {3, 7}, {9, static_cast<std::uint32_t>(kMaxRun)}, {9, 6}, {3, 1},
+      {4, 2}, {9, 4}};
+  EXPECT_EQ(recorded.runs(), want);
+  EXPECT_EQ(pushed.runs(), want);
+  EXPECT_EQ(recorded.accesses(), kHuge + 14);
+  EXPECT_EQ(pushed.accesses(), recorded.accesses());
+  // The second piece points at the first, so the walk counts it a hit.
+  EXPECT_EQ(recorded.replay_steps()[2].prev1, 2u);
+
+  CaMachine walk(random_boxes(5), 8, /*record_boxes=*/true);
+  walk.replay_trace(recorded);
+  EXPECT_EQ(walk.last_replay_path(), ReplayPath::kFastWalk);
+
+  CaMachine generic(random_boxes(5), 8, /*record_boxes=*/true);
+  generic.replay_trace(pushed);
+  EXPECT_EQ(generic.last_replay_path(), ReplayPath::kGenericUnindexed);
+
+  CaMachine direct(random_boxes(5), 8, /*record_boxes=*/true);
+  drive([&](BlockId block, std::uint64_t count) {
+    direct.access_run(block * 8, count);
+  });
+
+  expect_ca_machines_eq(walk, direct);
+  expect_ca_machines_eq(generic, direct);
+  EXPECT_EQ(walk.accesses(), kHuge + 14);
+}
+
+// Block ids are stored in 32 bits: the largest one round-trips, the
+// next one is a CheckError naming the limit.
+TEST(PackedTrace, BlockIdBeyond32BitsIsACheckError) {
+  BlockRunTrace trace(8);
+  trace.push(BlockRunTrace::kMaxBlock, 1);
+  EXPECT_EQ(trace.runs().back().block, BlockRunTrace::kMaxBlock);
+  try {
+    trace.push(BlockRunTrace::kMaxBlock + 1, 1);
+    FAIL() << "pushing block 2^32 must throw";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("32-bit"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(trace.runs().size(), 1u);
+  EXPECT_EQ(trace.accesses(), 1u);
+}
+
+// The replay index of a real capture equals a naive previous-occurrence
+// oracle over the expanded access stream: coalesce expand() back into
+// runs, then look each run's block up in a hash map of last positions.
+TEST(PackedTrace, FunnelsortIndexMatchesNaiveOracle) {
+  constexpr std::size_t kKeys = 4096;
+  BlockRunRecorder recorder(8);
+  paging::AddressSpace space(8);
+  algos::SimVector<std::int64_t> data(recorder, space, kKeys);
+  util::Rng rng(29);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 24));
+  }
+  algos::funnelsort(recorder, space, data);
+  const BlockRunTrace trace = recorder.take();
+  ASSERT_TRUE(trace.has_replay_index());
+
+  std::vector<BlockId> run_blocks;
+  for (const BlockId block : trace.expand()) {
+    if (run_blocks.empty() || run_blocks.back() != block) {
+      run_blocks.push_back(block);
+    }
+  }
+  ASSERT_EQ(run_blocks.size(), trace.runs().size());
+  ASSERT_EQ(trace.replay_steps().size(), run_blocks.size());
+  std::unordered_map<BlockId, std::uint64_t> last;  // block -> 1 + run index
+  for (std::uint64_t i = 0; i < run_blocks.size(); ++i) {
+    EXPECT_EQ(trace.runs()[i].block, run_blocks[i]);
+    std::uint64_t& slot = last[run_blocks[i]];
+    ASSERT_EQ(trace.replay_steps()[i].prev1, slot) << "run " << i;
+    slot = i + 1;
+  }
+  EXPECT_GT(trace.runs().size(), 4 * last.size());  // blocks do recur
+}
+
 // A machine that already served accesses cannot take the fast walk (its
 // cache holds state the walk does not model): replay_trace must detect
 // this and stay exact via the generic path.
@@ -445,7 +565,7 @@ engine::McSummary run_cell_summary(bool capture, bool per_access,
 }
 
 // Capture/replay is bit-identical to its per-access reference across
-// thread-pool sizes 1/2/8: the trace is captured under std::call_once on
+// thread-pool sizes 1/2/8: the trace is captured once, under a mutex, on
 // whichever trial gets there first, and every trial (including the
 // first) consumes the shared trace.
 TEST(CellReplayDifferential, PoolSizesAndPerAccessAgree) {
