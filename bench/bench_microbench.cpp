@@ -1,14 +1,19 @@
 // Micro-benchmarks (google-benchmark) for the simulator's hot paths:
 // box consumption in the symbolic engine, lazy worst-case profile
-// generation, LRU paging, and the analytic solver. These guard the
-// simulator's throughput — the experiment benches sweep tens of millions
-// of boxes.
+// generation, LRU paging, the analytic solver, and the JSONL report
+// codec. These guard the simulator's throughput — the experiment benches
+// sweep tens of millions of boxes.
 #include <benchmark/benchmark.h>
+
+#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "algos/funnelsort.hpp"
 #include "algos/sim_data.hpp"
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
+#include "campaign/report.hpp"
 #include "campaign/sweep.hpp"
 #include "engine/analytic.hpp"
 #include "engine/exec.hpp"
@@ -23,6 +28,8 @@
 #include "profile/box_source.hpp"
 #include "profile/distributions.hpp"
 #include "profile/worst_case.hpp"
+#include "report/cell_store.hpp"
+#include "report/jsonl_io.hpp"
 #include "sched/deque.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
@@ -465,6 +472,73 @@ void BM_ParallelCell(benchmark::State& state) {
       state.iterations() * static_cast<std::int64_t>(cell.trials));
 }
 BENCHMARK(BM_ParallelCell)->Arg(1)->Arg(4);
+
+// The JSONL report codec (docs/REPORT.md) on a synthesized ratio
+// campaign shaped like perfbench's `report` shards: 3 algos, 4 profiles,
+// 4 samples per cell. Items = cells.
+report::CellStore synth_report_store(std::uint64_t cells) {
+  static const char* kAlgos[] = {"8:4:1", "7:4:1", "4:2:1"};
+  static const char* kProfiles[] = {"worst", "shuffled", "iid:geometric:6",
+                                    "iid:point:16"};
+  report::CellStore store;
+  store.name = "microbench_report";
+  store.config_hash = cells;
+  store.cells_total = cells;
+  store.reserve(cells, cells * 4);
+  util::Rng rng(cells);
+  campaign::CellResult c;
+  for (std::uint64_t i = 0; i < cells; ++i) {
+    c.index = i;
+    c.algo = kAlgos[i % 3];
+    c.profile = kProfiles[(i / 3) % 4];
+    c.k = static_cast<unsigned>(1 + (i / 12) % 12);
+    c.n = std::uint64_t{1} << c.k;
+    c.trials = c.completed = 4;
+    c.samples.clear();
+    for (int t = 0; t < 4; ++t) c.samples.push_back(1.0 + rng.uniform01());
+    c.mean = c.ci_lo = c.ci_hi = c.samples[0];
+    c.q50 = c.q90 = c.q95 = c.samples[1];
+    c.boxes_mean = static_cast<double>(c.n) * (1.0 + rng.uniform01());
+    store.append(c);
+  }
+  return store;
+}
+
+/// Load: report::load_store_jsonl over an in-memory report (the `sweep
+/// --merge` / `report import` read path, without the disk).
+void BM_ReportJsonlLoad(benchmark::State& state) {
+  const auto cells = static_cast<std::uint64_t>(state.range(0));
+  std::ostringstream os;
+  synth_report_store(cells).export_report_stream(os);
+  const std::string text = os.str();
+  for (auto _ : state) {
+    std::istringstream is(text);
+    benchmark::DoNotOptimize(report::load_store_jsonl(is).cell_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ReportJsonlLoad)->Arg(10000)->Arg(100000);
+
+/// Export: CellStore::export_report into a byte-counting sink (the JSONL
+/// write path of `sweep --merge` and `report export`, without the disk).
+void BM_ReportJsonlExport(benchmark::State& state) {
+  const auto cells = static_cast<std::uint64_t>(state.range(0));
+  const report::CellStore store = synth_report_store(cells);
+  std::uint64_t bytes = 0;
+  for (auto _ : state) {
+    store.export_report([&bytes](std::string_view line) {
+      bytes += line.size();
+    });
+  }
+  benchmark::DoNotOptimize(bytes);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(cells));
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_ReportJsonlExport)->Arg(10000)->Arg(100000);
 
 void BM_AnalyticSolve(benchmark::State& state) {
   const auto k = static_cast<unsigned>(state.range(0));

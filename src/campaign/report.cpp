@@ -1,11 +1,11 @@
 #include "campaign/report.hpp"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <utility>
 
@@ -17,47 +17,6 @@
 #include "util/random.hpp"
 
 namespace cadapt::campaign {
-
-namespace {
-
-/// Shortest-round-trip encoding, matching obs/event.cpp's doubles: the
-/// parsed sample is bit-identical to the aggregated one.
-std::string join_samples(const std::vector<double>& samples) {
-  std::string out;
-  std::array<char, 32> buf;
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    if (i != 0) out += ' ';
-    const auto res =
-        std::to_chars(buf.data(), buf.data() + buf.size(), samples[i]);
-    CADAPT_CHECK(res.ec == std::errc());
-    out.append(buf.data(), res.ptr);
-  }
-  return out;
-}
-
-std::vector<double> split_samples(const std::string& joined,
-                                  std::size_t line_no) {
-  std::vector<double> samples;
-  const char* p = joined.data();
-  const char* end = p + joined.size();
-  while (p < end) {
-    if (*p == ' ') {
-      ++p;
-      continue;
-    }
-    double value = 0;
-    const auto res = std::from_chars(p, end, value);
-    if (res.ec != std::errc() || !std::isfinite(value)) {
-      throw util::ParseError("sweep report: malformed samples field",
-                             line_no);
-    }
-    samples.push_back(value);
-    p = res.ptr;
-  }
-  return samples;
-}
-
-}  // namespace
 
 /// log_b a from an "a:b:c" token (0 when the token is malformed — fits
 /// still carry the measured exponent).
@@ -103,8 +62,6 @@ obs::Event report_fit_event(const FitResult& fit) {
   return event;
 }
 
-namespace {
-
 FitResult fit_from_event(const obs::Event& event) {
   FitResult fit;
   fit.algo = event.str_or("algo", "");
@@ -116,7 +73,32 @@ FitResult fit_from_event(const obs::Event& event) {
   return fit;
 }
 
-}  // namespace
+Report report_header_from_event(const obs::Event& head, std::size_t line_no) {
+  if (head.type != "sweep_report") {
+    throw util::ParseError("sweep report: first line must be sweep_report",
+                           line_no);
+  }
+  Report report;
+  report.version = head.u64_or("version", 0);
+  if (report.version != 1) {
+    throw util::ParseError("sweep report: unsupported version " +
+                               std::to_string(report.version),
+                           line_no);
+  }
+  report.name = head.str_or("name", "");
+  report.config_hash = head.u64_or("config_hash", 0);
+  report.cells_total = head.u64_or("cells_total", 0);
+  report.shards = head.u64_or("shards", 1);
+  report.shard_index = head.u64_or("shard_index", 0);
+  report.truncated = head.flag_or("truncated", false);
+  if (const auto reason =
+          robust::parse_cancel_reason(head.str_or("truncate_reason", "none"));
+      reason.has_value()) {
+    report.truncate_reason = *reason;
+  }
+  report.wall_ms = head.u64_or("wall_ms", 0);
+  return report;
+}
 
 std::uint64_t cell_ci_seed(std::uint64_t config_hash,
                            std::uint64_t cell_index) {
@@ -214,16 +196,22 @@ std::vector<FitResult> compute_fits(const Report& report) {
   return fits;
 }
 
-obs::Event cell_event(const CellResult& cell) {
-  obs::Event event("sweep_cell");
-  event.u64("index", cell.index)
+namespace {
+
+/// The sweep_cell field list, written once for every encoder: Sink is
+/// obs::Event (cell_event) or obs::JsonlWriter (append_cell_jsonl), so
+/// the Event route and the direct route emit the same bytes. Keep in
+/// step with CellDecoder's key table.
+template <typename Sink>
+void put_cell_fields(Sink& sink, const CellResult& cell) {
+  sink.u64("index", cell.index)
       .str("algo", cell.algo)
       .str("profile", cell.profile)
       .str("sort", cell.sort);
   // Emitted only when non-empty so policy-free reports stay
   // byte-identical to ones written before the axis existed.
-  if (!cell.policy.empty()) event.str("policy", cell.policy);
-  event.u64("k", cell.k)
+  if (!cell.policy.empty()) sink.str("policy", cell.policy);
+  sink.u64("k", cell.k)
       .u64("n", cell.n)
       .u64("trials", cell.trials)
       .u64("completed", cell.completed)
@@ -231,8 +219,8 @@ obs::Event cell_event(const CellResult& cell) {
       .u64("failed", cell.failed);
   // Emitted only when nonzero so cap-free reports stay byte-identical to
   // ones written before the field existed (the regen diff relies on it).
-  if (cell.capped != 0) event.u64("capped", cell.capped);
-  event.f64("mean", cell.mean)
+  if (cell.capped != 0) sink.u64("capped", cell.capped);
+  sink.f64("mean", cell.mean)
       .f64("ci_lo", cell.ci_lo)
       .f64("ci_hi", cell.ci_hi)
       .f64("q50", cell.q50)
@@ -240,42 +228,150 @@ obs::Event cell_event(const CellResult& cell) {
       .f64("q95", cell.q95)
       .f64("boxes_mean", cell.boxes_mean)
       .u64("wall_ns", cell.wall_ns)
-      .str("samples", join_samples(cell.samples));
+      .f64s("samples", cell.samples);
+}
+
+/// Decode order of the sweep_cell keys: the order put_cell_fields writes
+/// them, so a well-formed line matches each key on the first compare.
+enum CellKey : std::uint8_t {
+  kIndex, kAlgo, kProfile, kSort, kPolicy, kK, kN, kTrials, kCompleted,
+  kIncomplete, kFailed, kCapped, kMean, kCiLo, kCiHi, kQ50, kQ90, kQ95,
+  kBoxesMean, kWallNs, kSamples, kCellKeyCount
+};
+constexpr std::string_view kCellKeyNames[kCellKeyCount] = {
+    "index",   "algo",       "profile", "sort",    "policy",
+    "k",       "n",          "trials",  "completed", "incomplete",
+    "failed",  "capped",     "mean",    "ci_lo",   "ci_hi",
+    "q50",     "q90",        "q95",     "boxes_mean", "wall_ns",
+    "samples"};
+
+}  // namespace
+
+obs::Event cell_event(const CellResult& cell) {
+  obs::Event event("sweep_cell");
+  put_cell_fields(event, cell);
   return event;
+}
+
+void append_cell_jsonl(std::string& out, const CellResult& cell) {
+  obs::JsonlWriter writer(out);
+  writer.begin("sweep_cell");
+  put_cell_fields(writer, cell);
+  writer.end();
+}
+
+void CellDecoder::begin(CellResult& out, std::size_t line_no) {
+  out.index = 0;
+  out.algo.clear();
+  out.profile.clear();
+  out.sort.clear();
+  out.policy.clear();
+  out.k = 0;
+  out.n = out.trials = out.completed = out.incomplete = out.capped =
+      out.failed = 0;
+  out.mean = out.ci_lo = out.ci_hi = out.q50 = out.q90 = out.q95 =
+      out.boxes_mean = 0;
+  out.wall_ns = 0;
+  out.samples.clear();
+  out_ = &out;
+  line_no_ = line_no;
+  seen_ = 0;
+  next_ = 0;
+  error_.clear();
+}
+
+void CellDecoder::field(std::string_view key, const obs::ScalarView& value) {
+  // Look for the key where the canonical order expects it, then wrap
+  // around the table; unknown keys are ignored.
+  std::size_t at = next_;
+  for (std::size_t tried = 0; kCellKeyNames[at] != key; ++tried) {
+    if (tried + 1 == kCellKeyCount) return;
+    at = at + 1 == kCellKeyCount ? 0 : at + 1;
+  }
+  next_ = at + 1 == kCellKeyCount ? 0 : at + 1;
+  const std::uint32_t bit = std::uint32_t{1} << at;
+  if ((seen_ & bit) != 0) return;  // the first occurrence wins
+  seen_ |= bit;
+
+  CellResult& c = *out_;
+  switch (static_cast<CellKey>(at)) {
+    case kIndex: c.index = value.u64_or(0); break;
+    case kAlgo: c.algo = value.str_or(""); break;
+    case kProfile: c.profile = value.str_or(""); break;
+    case kSort: c.sort = value.str_or(""); break;
+    case kPolicy: c.policy = value.str_or(""); break;
+    case kK: {
+      const std::uint64_t k = value.u64_or(0);
+      if (k > std::numeric_limits<std::uint32_t>::max()) {
+        fail("sweep report: k = " + std::to_string(k) +
+             " exceeds the k column's limit of 2^32 - 1");
+      }
+      c.k = static_cast<unsigned>(k);
+      break;
+    }
+    case kN: c.n = value.u64_or(0); break;
+    case kTrials: c.trials = value.u64_or(0); break;
+    case kCompleted: c.completed = value.u64_or(0); break;
+    case kIncomplete: c.incomplete = value.u64_or(0); break;
+    case kFailed: c.failed = value.u64_or(0); break;
+    case kCapped: c.capped = value.u64_or(0); break;
+    case kMean: c.mean = value.f64_or(0); break;
+    case kCiLo: c.ci_lo = value.f64_or(0); break;
+    case kCiHi: c.ci_hi = value.f64_or(0); break;
+    case kQ50: c.q50 = value.f64_or(0); break;
+    case kQ90: c.q90 = value.f64_or(0); break;
+    case kQ95: c.q95 = value.f64_or(0); break;
+    case kBoxesMean: c.boxes_mean = value.f64_or(0); break;
+    case kWallNs: c.wall_ns = value.u64_or(0); break;
+    case kSamples: {
+      const std::string_view joined = value.str_or("");
+      const char* p = joined.data();
+      const char* end = p + joined.size();
+      while (p < end) {
+        if (*p == ' ') {
+          ++p;
+          continue;
+        }
+        double sample = 0;
+        const auto res = std::from_chars(p, end, sample);
+        if (res.ec != std::errc() || !std::isfinite(sample)) {
+          fail("sweep report: malformed samples field");
+          break;
+        }
+        c.samples.push_back(sample);
+        p = res.ptr;
+      }
+      break;
+    }
+    case kCellKeyCount: break;
+  }
+}
+
+void CellDecoder::fail(std::string message) {
+  if (error_.empty()) error_ = std::move(message);
+}
+
+void CellDecoder::finish() {
+  if (!error_.empty()) throw util::ParseError(error_, line_no_);
+  const CellResult& c = *out_;
+  if (c.samples.size() != c.completed) {
+    throw util::ParseError("sweep report: cell " + std::to_string(c.index) +
+                               " carries " + std::to_string(c.samples.size()) +
+                               " samples but claims " +
+                               std::to_string(c.completed) +
+                               " completed trials",
+                           line_no_);
+  }
 }
 
 CellResult cell_from_event(const obs::Event& event, std::size_t line_no) {
   CellResult cell;
-  cell.index = event.u64_or("index", 0);
-  cell.algo = event.str_or("algo", "");
-  cell.profile = event.str_or("profile", "");
-  cell.sort = event.str_or("sort", "");
-  cell.policy = event.str_or("policy", "");
-  cell.k = static_cast<unsigned>(event.u64_or("k", 0));
-  cell.n = event.u64_or("n", 0);
-  cell.trials = event.u64_or("trials", 0);
-  cell.completed = event.u64_or("completed", 0);
-  cell.incomplete = event.u64_or("incomplete", 0);
-  cell.capped = event.u64_or("capped", 0);
-  cell.failed = event.u64_or("failed", 0);
-  cell.mean = event.f64_or("mean", 0);
-  cell.ci_lo = event.f64_or("ci_lo", 0);
-  cell.ci_hi = event.f64_or("ci_hi", 0);
-  cell.q50 = event.f64_or("q50", 0);
-  cell.q90 = event.f64_or("q90", 0);
-  cell.q95 = event.f64_or("q95", 0);
-  cell.boxes_mean = event.f64_or("boxes_mean", 0);
-  cell.wall_ns = event.u64_or("wall_ns", 0);
-  cell.samples = split_samples(event.str_or("samples", ""), line_no);
-  if (cell.samples.size() != cell.completed) {
-    throw util::ParseError("sweep report: cell " +
-                               std::to_string(cell.index) + " carries " +
-                               std::to_string(cell.samples.size()) +
-                               " samples but claims " +
-                               std::to_string(cell.completed) +
-                               " completed trials",
-                           line_no);
+  CellDecoder decoder;
+  decoder.begin(cell, line_no);
+  for (const obs::Field& field : event.fields) {
+    decoder.field(field.key, obs::view_of(field.value));
   }
+  decoder.finish();
   return cell;
 }
 
@@ -294,7 +390,12 @@ void render_report(const Report& report, Sink&& sink) {
   };
   emit(report_header_event(report));
   emit(provenance_event(report.env));
-  for (const CellResult& cell : report.cells) emit(cell_event(cell));
+  for (const CellResult& cell : report.cells) {
+    buf.clear();
+    append_cell_jsonl(buf, cell);
+    buf += '\n';
+    sink(std::string_view(buf));
+  }
   for (const FitResult& fit : report.fits) emit(report_fit_event(fit));
 }
 
@@ -324,30 +425,8 @@ Report load_report(std::istream& is) {
   if (lines.empty()) {
     throw util::ParseError("sweep report: empty stream");
   }
-  const obs::Event& head = lines.front().event;
-  if (head.type != "sweep_report") {
-    throw util::ParseError("sweep report: first line must be sweep_report",
-                           lines.front().line_no);
-  }
-  Report report;
-  report.version = head.u64_or("version", 0);
-  if (report.version != 1) {
-    throw util::ParseError("sweep report: unsupported version " +
-                               std::to_string(report.version),
-                           lines.front().line_no);
-  }
-  report.name = head.str_or("name", "");
-  report.config_hash = head.u64_or("config_hash", 0);
-  report.cells_total = head.u64_or("cells_total", 0);
-  report.shards = head.u64_or("shards", 1);
-  report.shard_index = head.u64_or("shard_index", 0);
-  report.truncated = head.flag_or("truncated", false);
-  if (const auto reason =
-          robust::parse_cancel_reason(head.str_or("truncate_reason", "none"));
-      reason.has_value()) {
-    report.truncate_reason = *reason;
-  }
-  report.wall_ms = head.u64_or("wall_ms", 0);
+  Report report =
+      report_header_from_event(lines.front().event, lines.front().line_no);
 
   for (std::size_t i = 1; i < lines.size(); ++i) {
     const obs::Event& event = lines[i].event;
@@ -374,6 +453,14 @@ Report load_report_file(const std::string& path) {
   std::ifstream is(path);
   if (!is) throw util::IoError("cannot open report: " + path);
   return load_report(is);
+}
+
+void check_cell_in_grid(std::uint64_t index, std::uint64_t cells_total) {
+  if (index >= cells_total) {
+    throw util::ParseError("sweep merge: cell " + std::to_string(index) +
+                           " lies outside the grid of " +
+                           std::to_string(cells_total) + " cells");
+  }
 }
 
 Report merge_reports(std::vector<Report> parts) {
@@ -427,6 +514,10 @@ Report merge_reports(std::vector<Report> parts) {
                              std::to_string(merged.cells[i].index) +
                              " appears in more than one report");
     }
+  }
+  // Sorted, so the last cell holds the largest index.
+  if (!merged.cells.empty()) {
+    check_cell_in_grid(merged.cells.back().index, merged.cells_total);
   }
   if (merged.cells.size() != merged.cells_total) {
     throw util::ParseError(

@@ -1,6 +1,6 @@
 // The sweep report (docs/SWEEPS.md): a versioned JSONL artifact holding
 // one aggregated record per cell, environment provenance, and power-law
-// fits over the n-grid. The encoding reuses obs::Event, so reports are
+// fits over the n-grid. The encoding is obs's JSONL codec, so reports are
 // greppable and parseable by the same tooling as traces and checkpoints:
 //
 //   {"type":"sweep_report","version":1,"name":...,"config_hash":...,
@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "campaign/plan.hpp"
@@ -116,10 +117,48 @@ CellResult aggregate_cell(const Cell& cell,
 /// a shard's partial series would fit a different (misleading) line.
 std::vector<FitResult> compute_fits(const Report& report);
 
-/// Event encodings (the checkpoint shares sweep_cell lines with the
-/// report, so a finished shard's checkpoint is loadable by the same
-/// parser).
+/// sweep_cell encodings (the checkpoint shares sweep_cell lines with
+/// the report, so a finished shard's checkpoint is loadable by the same
+/// parser). The field list is written once, over either sink:
+/// cell_event builds an Event (serve streams, trace sinks, checkpoints);
+/// append_cell_jsonl writes the identical line (no newline) straight
+/// into `out` through obs::JsonlWriter (write_report and the columnar
+/// export, which never build an Event).
 obs::Event cell_event(const CellResult& cell);
+void append_cell_jsonl(std::string& out, const CellResult& cell);
+
+/// Per-field decode of one sweep_cell line — the single decode behind
+/// both report loaders: cell_from_event feeds it an Event's fields, and
+/// report::load_store_jsonl feeds it obs::FlatScanner views, so the row
+/// and columnar loaders agree on every input. Rules: the first
+/// occurrence of a key wins; a missing field keeps its default (0 or
+/// empty; policy and capped are written only when set); a wrong-kind
+/// value falls back to the default as obs::Event::u64_or/f64_or do;
+/// unknown keys are ignored.
+class CellDecoder {
+ public:
+  /// Start decoding line `line_no` into `out`, resetting every field
+  /// but keeping its string and samples capacity.
+  void begin(CellResult& out, std::size_t line_no);
+  /// One (key, value) pair of the line, "type" excluded. Never throws:
+  /// a field error is held for finish().
+  void field(std::string_view key, const obs::ScalarView& value);
+  /// Throw util::ParseError (with the line number) for the first field
+  /// error — malformed or non-finite samples, k above 2^32 - 1 (the k
+  /// column is u32) — or else for a samples count that differs from
+  /// `completed`.
+  void finish();
+
+ private:
+  void fail(std::string message);
+
+  CellResult* out_ = nullptr;
+  std::size_t line_no_ = 0;
+  std::uint32_t seen_ = 0;  ///< bit per key already decoded
+  std::size_t next_ = 0;    ///< where the next key is expected
+  std::string error_;
+};
+
 CellResult cell_from_event(const obs::Event& event, std::size_t line_no);
 
 /// Header/fit line encodings, public so the columnar engine's JSONL
@@ -127,6 +166,12 @@ CellResult cell_from_event(const obs::Event& event, std::size_t line_no);
 /// write_report — equivalence by construction.
 obs::Event report_header_event(const Report& report);
 obs::Event report_fit_event(const FitResult& fit);
+
+/// Inverses of the two above, shared by both loaders. The header decode
+/// returns a cells-free Report and throws util::ParseError (at
+/// `line_no`) unless the line is a version-1 sweep_report.
+Report report_header_from_event(const obs::Event& head, std::size_t line_no);
+FitResult fit_from_event(const obs::Event& event);
 
 /// log_b a from an "a:b:c" algo token (0 when malformed) — the
 /// "expected" column of a fit line.
@@ -146,11 +191,17 @@ void write_report_file(const std::string& path, const Report& report,
 Report load_report(std::istream& is);
 Report load_report_file(const std::string& path);
 
+/// Throws util::ParseError naming the cell and the grid size unless
+/// `index` < `cells_total` — the grid check both merges (this one and
+/// report::CellStore::merge) run on their largest index.
+void check_cell_in_grid(std::uint64_t index, std::uint64_t cells_total);
+
 /// Merge shard reports into the full-grid report: all parts must carry
 /// the same version/name/config_hash/cells_total, cell indices must be
-/// disjoint, and their union must cover the grid. wall_ms is summed
-/// (total compute, not makespan); fits are recomputed over the merged
-/// grid. Mixing reports from different campaigns throws util::ParseError.
+/// disjoint and inside the grid, and their union must cover the grid.
+/// wall_ms is summed (total compute, not makespan); fits are recomputed
+/// over the merged grid. Mixing reports from different campaigns throws
+/// util::ParseError.
 /// Takes the parts by value and moves every cell (samples included)
 /// into the result — pass std::move(parts) to skip the deep copy.
 Report merge_reports(std::vector<Report> parts);

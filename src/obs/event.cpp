@@ -1,9 +1,6 @@
 #include "obs/event.hpp"
 
-#include <array>
-#include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "util/check.hpp"
 
@@ -36,38 +33,58 @@ Event& Event::str(std::string key, std::string v) {
   return *this;
 }
 
+Event& Event::f64s(std::string key, std::span<const double> values) {
+  std::string joined;
+  append_f64s(joined, values);
+  return str(std::move(key), std::move(joined));
+}
+
 const Value* Event::find(std::string_view key) const {
   for (const Field& f : fields)
     if (f.key == key) return &f.value;
   return nullptr;
 }
 
+ScalarView view_of(const Value& value) {
+  ScalarView out;
+  std::visit(
+      [&out](const auto& v) {
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::uint64_t>) {
+          out.kind = ScalarView::Kind::kU64;
+          out.u64 = v;
+        } else if constexpr (std::is_same_v<T, std::int64_t>) {
+          out.kind = ScalarView::Kind::kI64;
+          out.i64 = v;
+        } else if constexpr (std::is_same_v<T, double>) {
+          out.kind = ScalarView::Kind::kF64;
+          out.f64 = v;
+        } else if constexpr (std::is_same_v<T, bool>) {
+          out.kind = ScalarView::Kind::kBool;
+          out.flag = v;
+        } else {
+          out.kind = ScalarView::Kind::kStr;
+          out.str = v;
+        }
+      },
+      value);
+  return out;
+}
+
 std::uint64_t Event::u64_or(std::string_view key,
                             std::uint64_t fallback) const {
   const Value* v = find(key);
-  if (v == nullptr) return fallback;
-  if (const auto* u = std::get_if<std::uint64_t>(v)) return *u;
-  if (const auto* i = std::get_if<std::int64_t>(v))
-    return *i >= 0 ? static_cast<std::uint64_t>(*i) : fallback;
-  return fallback;
+  return v == nullptr ? fallback : view_of(*v).u64_or(fallback);
 }
 
 double Event::f64_or(std::string_view key, double fallback) const {
   const Value* v = find(key);
-  if (v == nullptr) return fallback;
-  if (const auto* d = std::get_if<double>(v)) return *d;
-  if (const auto* u = std::get_if<std::uint64_t>(v))
-    return static_cast<double>(*u);
-  if (const auto* i = std::get_if<std::int64_t>(v))
-    return static_cast<double>(*i);
-  return fallback;
+  return v == nullptr ? fallback : view_of(*v).f64_or(fallback);
 }
 
 bool Event::flag_or(std::string_view key, bool fallback) const {
   const Value* v = find(key);
-  if (v == nullptr) return fallback;
-  if (const auto* b = std::get_if<bool>(v)) return *b;
-  return fallback;
+  return v == nullptr ? fallback : view_of(*v).flag_or(fallback);
 }
 
 std::string Event::str_or(std::string_view key, std::string fallback) const {
@@ -85,54 +102,9 @@ Event& Event::without(std::string_view key) {
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char ch : s) {
-    const auto byte = static_cast<unsigned char>(ch);
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (byte < 0x20) {
-          std::array<char, 8> buf{};
-          std::snprintf(buf.data(), buf.size(), "\\u%04x", byte);
-          out += buf.data();
-        } else {
-          out += ch;
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
-
-namespace {
-
-void append_value(std::string& out, const Value& value) {
-  std::array<char, 32> buf{};
-  std::visit(
-      [&](const auto& v) {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, std::string>) {
-          out += '"';
-          out += json_escape(v);
-          out += '"';
-        } else if constexpr (std::is_same_v<T, bool>) {
-          out += v ? "true" : "false";
-        } else {
-          // Integers, and doubles via shortest-round-trip to_chars: the
-          // parsed value is bit-identical to the written one.
-          const auto res = std::to_chars(buf.data(), buf.data() + buf.size(), v);
-          CADAPT_CHECK(res.ec == std::errc());
-          out.append(buf.data(), res.ptr);
-        }
-      },
-      value);
-}
-
-}  // namespace
 
 std::string to_jsonl(const Event& event) {
   std::string out;
@@ -145,231 +117,64 @@ void to_jsonl(const Event& event, std::string& out) {
   if (out.capacity() < 32 + event.fields.size() * 16) {
     out.reserve(32 + event.fields.size() * 16);
   }
-  out += "{\"type\":\"";
-  out += json_escape(event.type);
-  out += '"';
+  JsonlWriter writer(out);
+  writer.begin(event.type);
   for (const Field& f : event.fields) {
-    out += ",\"";
-    out += json_escape(f.key);
-    out += "\":";
-    append_value(out, f.value);
-  }
-  out += '}';
-}
-
-namespace {
-
-/// Minimal recursive-descent parser for the flat JSONL subset emitted by
-/// to_jsonl. Kept deliberately tiny: the observability layer must be able
-/// to prove its own output well-formed without a JSON dependency.
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  bool parse(Event* out, std::string* error) {
-    skip_ws();
-    if (!expect('{')) return fail(error, "expected '{'");
-    bool first = true;
-    bool saw_type = false;
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-    } else {
-      while (true) {
-        if (!first && !expect(',')) return fail(error, "expected ',' or '}'");
-        first = false;
-        skip_ws();
-        std::string key;
-        if (!parse_string(&key)) return fail(error, "expected field name");
-        skip_ws();
-        if (!expect(':')) return fail(error, "expected ':'");
-        skip_ws();
-        Value value;
-        if (!parse_value(&value)) return fail(error, error_ptr_);
-        if (key == "type") {
-          const auto* s = std::get_if<std::string>(&value);
-          if (s == nullptr) return fail(error, "\"type\" must be a string");
-          out->type = *s;
-          saw_type = true;
-        } else {
-          out->fields.push_back({std::move(key), std::move(value)});
-        }
-        skip_ws();
-        if (peek() == '}') {
-          ++pos_;
-          break;
-        }
-      }
-    }
-    skip_ws();
-    if (pos_ != text_.size()) return fail(error, "trailing content after '}'");
-    if (!saw_type) return fail(error, "missing \"type\" field");
-    return true;
-  }
-
- private:
-  char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  bool expect(char c) {
-    if (peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  static bool fail(std::string* error, const char* message) {
-    if (error != nullptr) *error = message;
-    return false;
-  }
-
-  bool set_error(const char* message) {
-    error_ptr_ = message;
-    return false;
-  }
-
-  bool parse_string(std::string* out) {
-    if (!expect('"')) return false;
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-        *out += c;
-        continue;
-      }
-      if (pos_ >= text_.size()) return false;
-      const char esc = text_[pos_++];
-      switch (esc) {
-        case '"': *out += '"'; break;
-        case '\\': *out += '\\'; break;
-        case '/': *out += '/'; break;
-        case 'b': *out += '\b'; break;
-        case 'f': *out += '\f'; break;
-        case 'n': *out += '\n'; break;
-        case 'r': *out += '\r'; break;
-        case 't': *out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            else
-              return false;
-          }
-          // Encode the code point as UTF-8 (surrogate pairs are not
-          // emitted by our writer; a lone surrogate is rejected).
-          if (code >= 0xD800 && code <= 0xDFFF) return false;
-          if (code < 0x80) {
-            *out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            *out += static_cast<char>(0xC0 | (code >> 6));
-            *out += static_cast<char>(0x80 | (code & 0x3F));
+    std::visit(
+        [&](const auto& v) {
+          using T = std::decay_t<decltype(v)>;
+          if constexpr (std::is_same_v<T, std::uint64_t>) {
+            writer.u64(f.key, v);
+          } else if constexpr (std::is_same_v<T, std::int64_t>) {
+            writer.i64(f.key, v);
+          } else if constexpr (std::is_same_v<T, double>) {
+            writer.f64(f.key, v);
+          } else if constexpr (std::is_same_v<T, bool>) {
+            writer.flag(f.key, v);
           } else {
-            *out += static_cast<char>(0xE0 | (code >> 12));
-            *out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-            *out += static_cast<char>(0x80 | (code & 0x3F));
+            writer.str(f.key, v);
           }
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated string
+        },
+        f.value);
   }
-
-  bool parse_value(Value* out) {
-    const char c = peek();
-    if (c == '"') {
-      std::string s;
-      if (!parse_string(&s)) return set_error("malformed string");
-      *out = std::move(s);
-      return true;
-    }
-    if (c == 't') {
-      if (text_.substr(pos_, 4) != "true") return set_error("bad literal");
-      pos_ += 4;
-      *out = true;
-      return true;
-    }
-    if (c == 'f') {
-      if (text_.substr(pos_, 5) != "false") return set_error("bad literal");
-      pos_ += 5;
-      *out = false;
-      return true;
-    }
-    if (c == '{' || c == '[')
-      return set_error("nested objects/arrays are not part of the schema");
-    if (c == 'n') return set_error("null is not part of the schema");
-    return parse_number(out);
-  }
-
-  bool parse_number(Value* out) {
-    const std::size_t start = pos_;
-    bool is_double = false;
-    if (peek() == '-') ++pos_;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c >= '0' && c <= '9') {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
-        is_double = true;
-        ++pos_;
-      } else {
-        break;
-      }
-    }
-    const std::string_view token = text_.substr(start, pos_ - start);
-    if (token.empty() || token == "-") return set_error("expected a value");
-    const char* begin = token.data();
-    const char* end = token.data() + token.size();
-    if (is_double) {
-      double d = 0;
-      const auto res = std::from_chars(begin, end, d);
-      if (res.ec != std::errc() || res.ptr != end)
-        return set_error("malformed number");
-      *out = d;
-      return true;
-    }
-    if (token.front() == '-') {
-      std::int64_t i = 0;
-      const auto res = std::from_chars(begin, end, i);
-      if (res.ec != std::errc() || res.ptr != end)
-        return set_error("integer out of range");
-      *out = i;
-      return true;
-    }
-    std::uint64_t u = 0;
-    const auto res = std::from_chars(begin, end, u);
-    if (res.ec != std::errc() || res.ptr != end)
-      return set_error("integer out of range");
-    *out = u;
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  const char* error_ptr_ = "parse error";
-};
-
-}  // namespace
+  writer.end();
+}
 
 bool parse_jsonl(std::string_view line, Event* out, std::string* error) {
   CADAPT_CHECK(out != nullptr);
   out->type.clear();
   out->fields.clear();
-  return Parser(line).parse(out, error);
+  const auto fail = [error](const char* message) {
+    if (error != nullptr) *error = message;
+    return false;
+  };
+  FlatScanner scan(line);
+  std::string_view key;
+  ScalarView value;
+  bool saw_type = false;
+  while (scan.next(key, value)) {
+    if (key == "type") {
+      // Last "type" wins; it must be a string.
+      if (value.kind != ScalarView::Kind::kStr) {
+        return fail("\"type\" must be a string");
+      }
+      out->type = value.str;
+      saw_type = true;
+      continue;
+    }
+    Value v;
+    switch (value.kind) {
+      case ScalarView::Kind::kU64: v = value.u64; break;
+      case ScalarView::Kind::kI64: v = value.i64; break;
+      case ScalarView::Kind::kF64: v = value.f64; break;
+      case ScalarView::Kind::kBool: v = value.flag; break;
+      case ScalarView::Kind::kStr: v = std::string(value.str); break;
+    }
+    out->fields.push_back({std::string(key), std::move(v)});
+  }
+  if (scan.error() != nullptr) return fail(scan.error());
+  if (!saw_type) return fail("missing \"type\" field");
+  return true;
 }
 
 }  // namespace cadapt::obs

@@ -7,13 +7,22 @@
 // per-box hot path and lets the parser stay small enough to be obviously
 // correct — it exists so that traces can be *validated* (every emitted
 // line must re-parse and re-sum; see the `cadapt trace` subcommand).
+//
+// The codec itself lives in obs/jsonl.hpp: to_jsonl is JsonlWriter fed
+// from an Event, and parse_jsonl is FlatScanner feeding one. Bulk
+// readers and writers (the report's sweep_cell lines) use that codec
+// directly and never build an Event; anything field-by-field equal
+// encodes to the same bytes either way.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
+
+#include "obs/jsonl.hpp"
 
 namespace cadapt::obs {
 
@@ -45,6 +54,9 @@ struct Event {
   Event& f64(std::string key, double v);
   Event& flag(std::string key, bool v);
   Event& str(std::string key, std::string v);
+  /// A string field holding append_f64s(values) — the same bytes as
+  /// JsonlWriter::f64s.
+  Event& f64s(std::string key, std::span<const double> values);
 
   /// First field with the given key, or nullptr.
   const Value* find(std::string_view key) const;
@@ -63,6 +75,10 @@ struct Event {
   bool operator==(const Event&) const = default;
 };
 
+/// View of one field value, for the typed-fallback rules shared with
+/// the scanner (ScalarView::u64_or and friends).
+ScalarView view_of(const Value& value);
+
 /// Escape a string for inclusion in a JSON string literal (adds no
 /// surrounding quotes). UTF-8 payload bytes pass through untouched.
 std::string json_escape(std::string_view s);
@@ -78,8 +94,9 @@ std::string to_jsonl(const Event& event);
 void to_jsonl(const Event& event, std::string& out);
 
 /// Parse one JSONL line produced by to_jsonl (flat object, "type"
-/// required). Returns false and fills *error (if given) on malformed
-/// input; nested objects/arrays and null are rejected by design.
+/// required; the last "type" wins and must be a string). Returns false
+/// and fills *error (if given) on malformed input; nested
+/// objects/arrays and null are rejected by design.
 /// Integers without sign/fraction/exponent parse as uint64_t (int64_t if
 /// negative); other numbers parse as double. to_jsonl ∘ parse_jsonl is
 /// the identity on events built from u64/i64(negative)/f64/flag/str.

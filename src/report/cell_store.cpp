@@ -257,7 +257,10 @@ void CellStore::export_report(
   campaign::CellResult scratch;
   for (std::size_t row = 0; row < cell_count(); ++row) {
     cell(row, scratch);
-    emit(campaign::cell_event(scratch));
+    buf.clear();
+    campaign::append_cell_jsonl(buf, scratch);
+    buf += '\n';
+    sink(buf);
   }
   campaign::FitResult fit;
   for (const FitRow& row : fits) {
@@ -367,6 +370,10 @@ CellStore CellStore::merge(std::vector<CellStore> parts) {
                              std::to_string(refs[i].cell_index) +
                              " appears in more than one report");
     }
+  }
+  // Sorted, so the last ref holds the largest index.
+  if (!refs.empty()) {
+    campaign::check_cell_in_grid(refs.back().cell_index, merged.cells_total);
   }
   if (refs.size() != merged.cells_total) {
     throw util::ParseError(

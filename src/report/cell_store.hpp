@@ -11,10 +11,12 @@
 // scans instead of millions of small-string allocations.
 //
 // The JSONL report stays the interchange format: export_report() renders
-// the EXACT bytes campaign::write_report produces (it goes through the
-// same cell_event/to_jsonl encoders), so every cmp-based bit-identity
-// gate in the repo holds across a binary round trip. See binary_io.hpp
-// for the on-disk container.
+// the EXACT bytes campaign::write_report produces (both write cells with
+// campaign::append_cell_jsonl, the one sweep_cell field list, through
+// obs::JsonlWriter), so every cmp-based bit-identity gate in the repo
+// holds across a binary round trip. load_store_jsonl (jsonl_io.hpp)
+// reads a JSONL report straight into columns through the same per-field
+// decode as the row loader. See binary_io.hpp for the on-disk container.
 #pragma once
 
 #include <cstddef>
@@ -146,8 +148,9 @@ class CellStore {
 
   /// Render the exact bytes campaign::write_report emits for the
   /// equivalent Report — one line per sink call, '\n' included. Goes
-  /// through the same cell_event/to_jsonl encoders, so equivalence is
-  /// by construction, not by parallel implementation.
+  /// through the same encoders (header/env/fit events, and
+  /// campaign::append_cell_jsonl per cell, with no Event built), so
+  /// equivalence is by construction, not by parallel implementation.
   void export_report(const std::function<void(std::string_view)>& sink) const;
 
   /// export_report into a stream (used by `cadapt report export -`).
@@ -162,8 +165,9 @@ class CellStore {
   /// Columnar shard merge — the twin of campaign::merge_reports, minus
   /// the per-cell CellResult materialization: validates campaign
   /// identity, remaps dictionary ids, orders cells by ascending index,
-  /// rejects duplicate indexes and non-covering shard sets with the
-  /// same util::ParseError messages, sums wall_ms, ORs truncation, and
+  /// rejects duplicate indexes, indexes outside the grid and
+  /// non-covering shard sets with the same util::ParseError messages
+  /// (campaign::check_cell_in_grid), sums wall_ms, ORs truncation, and
   /// recomputes fits.
   static CellStore merge(std::vector<CellStore> parts);
 };

@@ -2,7 +2,9 @@
 // subsystem. Reports must round-trip bit-exactly (doubles included),
 // tolerate a torn final line, refuse cross-campaign merges, and the gate
 // must be a pure deterministic function of the two reports.
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,8 +15,10 @@
 #include "campaign/manifest.hpp"
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
+#include "obs/event.hpp"
 #include "robust/checkpoint.hpp"
 #include "util/check.hpp"
+#include "util/random.hpp"
 
 namespace {
 
@@ -222,6 +226,170 @@ TEST(Report, FitsRecoverTheGrowthExponent) {
   EXPECT_DOUBLE_EQ(report.fits[0].expected, 2.0);  // log_2 4
   // demo samples grow slowly with index, not with n — exponent near 0.
   EXPECT_LT(report.fits[0].exponent, 0.5);
+}
+
+// ---- the sweep_cell codec ------------------------------------------
+
+/// A token drawn to stress the escaper: quotes, backslashes, control
+/// bytes, multi-byte UTF-8, or plain ASCII.
+std::string random_token(util::Rng& rng) {
+  static const char* kPieces[] = {"worst", "8:4:1", "\"",      "\\",
+                                  "\x01",  "\t",    "\n",      "\x1f",
+                                  "é",     "π",     "\xe2\x82\xac", " "};
+  std::string token;
+  const std::uint64_t pieces = rng.below(5);
+  for (std::uint64_t i = 0; i < pieces; ++i) {
+    token += kPieces[rng.below(std::size(kPieces))];
+  }
+  return token;
+}
+
+/// A double from the awkward corners of the shortest-round-trip writer.
+double random_double(util::Rng& rng) {
+  static const double kCorners[] = {
+      -0.0, 0.0, 2.0, 1e308, -1e308, 5e-324, 2.2250738585072009e-308,
+      0.1, 1.0 / 3.0, 123456789.0, 1e21, 1e-7};
+  return rng.bernoulli(0.5) ? kCorners[rng.below(std::size(kCorners))]
+                            : (rng.uniform01() - 0.5) * 1e6;
+}
+
+TEST(CellCodec, WriterBytesMatchTheEventRouteOnRandomCells) {
+  util::Rng rng(2024);
+  std::string direct;
+  for (int iter = 0; iter < 2000; ++iter) {
+    CellResult cell;
+    cell.index = rng();
+    cell.algo = random_token(rng);
+    cell.profile = random_token(rng);
+    cell.sort = random_token(rng);
+    cell.policy = rng.bernoulli(0.5) ? random_token(rng) : "";
+    cell.k = static_cast<unsigned>(rng());
+    cell.n = rng();
+    cell.trials = rng.below(8);
+    cell.incomplete = rng.below(3);
+    cell.capped = rng.bernoulli(0.5) ? 0 : rng.below(3) + 1;
+    cell.failed = rng.below(3);
+    cell.completed = rng.below(6);  // 0 = empty samples
+    for (std::uint64_t t = 0; t < cell.completed; ++t) {
+      cell.samples.push_back(random_double(rng));
+    }
+    cell.mean = random_double(rng);
+    cell.ci_lo = random_double(rng);
+    cell.ci_hi = random_double(rng);
+    cell.q50 = random_double(rng);
+    cell.q90 = random_double(rng);
+    cell.q95 = random_double(rng);
+    cell.boxes_mean = random_double(rng);
+    cell.wall_ns = rng();
+
+    const std::string via_event = obs::to_jsonl(campaign::cell_event(cell));
+    direct.clear();
+    campaign::append_cell_jsonl(direct, cell);
+    ASSERT_EQ(direct, via_event) << "iteration " << iter;
+
+    // The line decodes back to the same cell (samples bit-exact; -0.0
+    // in a scalar field reads back as the integer 0, on both routes).
+    obs::Event parsed;
+    ASSERT_TRUE(obs::parse_jsonl(direct, &parsed));
+    const CellResult back = campaign::cell_from_event(parsed, 1);
+    std::string again;
+    campaign::append_cell_jsonl(again, back);
+    obs::Event reparsed;
+    ASSERT_TRUE(obs::parse_jsonl(again, &reparsed));
+    EXPECT_EQ(campaign::cell_from_event(reparsed, 1), back);
+    EXPECT_EQ(back.algo, cell.algo);
+    EXPECT_EQ(back.policy, cell.policy);
+    ASSERT_EQ(back.samples.size(), cell.samples.size());
+    for (std::size_t i = 0; i < cell.samples.size(); ++i) {
+      EXPECT_EQ(std::signbit(back.samples[i]), std::signbit(cell.samples[i]));
+      EXPECT_EQ(back.samples[i], cell.samples[i]);
+    }
+  }
+}
+
+TEST(CellCodec, FirstKeyWinsAndWrongKindsFallBack) {
+  obs::Event event("sweep_cell");
+  event.u64("index", 4)
+      .u64("index", 9)           // a repeat: the first occurrence wins
+      .str("n", "64")            // a string where a u64 belongs: 0
+      .i64("trials", -3)         // negative: 0
+      .f64("failed", 1.0)        // a double never narrows: 0
+      .u64("mean", 3)            // an integer widens: 3.0
+      .flag("algo", true)        // a bool where a string belongs: ""
+      .u64("completed", 1)
+      .str("samples", "2.5")
+      .str("samples", "")        // the repeat is ignored
+      .u64("unknown", 1);        // unknown keys are ignored
+  const CellResult cell = campaign::cell_from_event(event, 7);
+  EXPECT_EQ(cell.index, 4u);
+  EXPECT_EQ(cell.n, 0u);
+  EXPECT_EQ(cell.trials, 0u);
+  EXPECT_EQ(cell.failed, 0u);
+  EXPECT_EQ(cell.mean, 3.0);
+  EXPECT_EQ(cell.algo, "");
+  EXPECT_EQ(cell.policy, "");  // missing: default
+  EXPECT_EQ(cell.capped, 0u);
+  EXPECT_EQ(cell.samples, std::vector<double>{2.5});
+}
+
+TEST(CellCodec, KAboveTheU32ColumnIsAParseErrorNotATruncation) {
+  CellResult cell = demo_report().cells[0];
+  obs::Event event = campaign::cell_event(cell);
+  for (obs::Field& field : event.fields) {
+    if (field.key == "k") field.value = std::uint64_t{4294967299};
+  }
+  try {
+    campaign::cell_from_event(event, 5);
+    FAIL() << "k = 2^32 + 3 loaded";
+  } catch (const util::ParseError& e) {
+    EXPECT_EQ(e.line(), 5u);
+    EXPECT_NE(std::string(e.what()).find("k = 4294967299"), std::string::npos)
+        << e.what();
+  }
+  // The largest u32 still loads.
+  for (obs::Field& field : event.fields) {
+    if (field.key == "k") field.value = std::uint64_t{4294967295};
+  }
+  EXPECT_EQ(campaign::cell_from_event(event, 5).k, 4294967295u);
+
+  // Through the whole report loader, with the report's line number.
+  const Report report = demo_report();
+  std::ostringstream os;
+  campaign::write_report(os, report);
+  std::string text = os.str();
+  const std::string k_field = "\"k\":" + std::to_string(report.cells[1].k);
+  const std::size_t second_cell = text.find("\"index\":1,");
+  const std::size_t at = text.find(k_field, second_cell);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, k_field.size(), "\"k\":4294967299");
+  std::istringstream is(text);
+  try {
+    campaign::load_report(is);
+    FAIL() << "k = 2^32 + 3 loaded";
+  } catch (const util::ParseError& e) {
+    EXPECT_EQ(e.line(), 4u);  // header, env, cell 0, cell 1
+  }
+}
+
+TEST(Report, MergeRejectsCellsOutsideTheGrid) {
+  // Two shards of a 2-cell grid holding cells 0 and 7: the count matches
+  // the grid, but cell 7 does not exist and cell 1 is missing.
+  Report full = demo_report();
+  Report a = full, b = full;
+  a.cells_total = b.cells_total = 2;
+  a.cells = {full.cells[0]};
+  b.cells = {full.cells[1]};
+  b.cells[0].index = 7;
+  a.fits.clear();
+  b.fits.clear();
+  try {
+    campaign::merge_reports({a, b});
+    FAIL() << "merged a cell outside the grid";
+  } catch (const util::ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cell 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("grid of 2"), std::string::npos) << what;
+  }
 }
 
 TEST(Gate, SelfComparisonPasses) {

@@ -8,11 +8,14 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "engine/exec.hpp"
 #include "obs/counters.hpp"
 #include "obs/event.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/recorder.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -126,6 +129,109 @@ TEST(Jsonl, IntegersParseBackAsIntegersNotDoubles) {
   // f64_or widens integers; u64_or does not narrow doubles.
   EXPECT_EQ(out.f64_or("u", 0.0), 7.0);
   EXPECT_EQ(out.u64_or("d", 99), 99u);
+}
+
+// ----------------------------------------------------------- jsonl codec
+
+TEST(FlatScanner, ViewsPointIntoTheLineUnlessEscaped) {
+  const std::string line =
+      R"({"type":"t", "plain":"abc","esc":"a\"b\u00e9","n":7,"neg":-2,)"
+      R"("d":2.5,"b":false})";
+  const auto inside = [&line](std::string_view v) {
+    return v.data() >= line.data() && v.data() + v.size() <= line.data() +
+                                                                line.size();
+  };
+  FlatScanner scan(line);
+  std::string_view key;
+  ScalarView value;
+  ASSERT_TRUE(scan.next(key, value));
+  EXPECT_EQ(key, "type");
+  EXPECT_EQ(value.kind, ScalarView::Kind::kStr);
+  EXPECT_EQ(value.str, "t");
+  EXPECT_TRUE(inside(key));
+  EXPECT_TRUE(inside(value.str));
+  ASSERT_TRUE(scan.next(key, value));
+  EXPECT_EQ(key, "plain");
+  EXPECT_EQ(value.str, "abc");
+  EXPECT_TRUE(inside(value.str));
+  ASSERT_TRUE(scan.next(key, value));
+  EXPECT_EQ(key, "esc");
+  EXPECT_EQ(value.str, "a\"b\xc3\xa9");  // decoded into scratch
+  EXPECT_FALSE(inside(value.str));
+  ASSERT_TRUE(scan.next(key, value));
+  EXPECT_EQ(value.kind, ScalarView::Kind::kU64);
+  EXPECT_EQ(value.u64, 7u);
+  ASSERT_TRUE(scan.next(key, value));
+  EXPECT_EQ(value.kind, ScalarView::Kind::kI64);
+  EXPECT_EQ(value.i64, -2);
+  EXPECT_EQ(value.u64_or(9), 9u);  // negative: falls back
+  ASSERT_TRUE(scan.next(key, value));
+  EXPECT_EQ(value.kind, ScalarView::Kind::kF64);
+  EXPECT_EQ(value.f64, 2.5);
+  EXPECT_EQ(value.u64_or(9), 9u);  // never narrows a double
+  ASSERT_TRUE(scan.next(key, value));
+  EXPECT_EQ(value.kind, ScalarView::Kind::kBool);
+  EXPECT_FALSE(value.flag);
+  EXPECT_FALSE(scan.next(key, value));
+  EXPECT_EQ(scan.error(), nullptr);
+  EXPECT_FALSE(scan.next(key, value));  // stays finished
+}
+
+TEST(FlatScanner, StopsAtTheFirstSyntaxErrorAndNamesIt) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"", "expected '{'"},
+      {"{\"a\":1 \"b\":2}", "expected ',' or '}'"},
+      {"{\"a\" 1}", "expected ':'"},
+      {"{\"a\":1,}", "expected field name"},
+      {"{\"a\":1} x", "trailing content after '}'"},
+      {"{\"a\":\"\\q\"}", "malformed string"},
+      {"{\"a\":tru}", "bad literal"},
+      {"{\"a\":-}", "expected a value"},
+      {"{\"a\":1e999}", "malformed number"},
+      {"{\"a\":18446744073709551616}", "integer out of range"},
+      {"{\"a\":null}", "null is not part of the schema"},
+  };
+  for (const auto& [line, message] : cases) {
+    FlatScanner scan(line);
+    std::string_view key;
+    ScalarView value;
+    while (scan.next(key, value)) {
+    }
+    ASSERT_NE(scan.error(), nullptr) << line;
+    EXPECT_STREQ(scan.error(), message) << line;
+  }
+}
+
+TEST(JsonlWriter, DoublesUseTheShortestRoundTripForm) {
+  std::string out = "kept:";
+  JsonlWriter(out)
+      .begin("d")
+      .f64("neg_zero", -0.0)
+      .f64("denormal", 5e-324)
+      .f64("big", 1e308)
+      .f64("two", 2.0)
+      .f64s("list", std::vector<double>{0.1, -0.0, 3.0})
+      .end();
+  EXPECT_EQ(out,
+            "kept:{\"type\":\"d\",\"neg_zero\":-0,\"denormal\":5e-324,"
+            "\"big\":1e+308,\"two\":2,\"list\":\"0.1 -0 3\"}");
+  std::string buf;
+  JsonlWriter writer(buf);
+  EXPECT_THROW(writer.f64("v", std::numeric_limits<double>::infinity()),
+               util::CheckError);
+}
+
+TEST(JsonlWriter, EscapesEveryByteLikeJsonEscapeAndRoundTrips) {
+  std::string all;
+  for (int b = 1; b < 256; ++b) all += static_cast<char>(b);
+  std::string out;
+  JsonlWriter(out).begin("s").str("k\"ey", all).end();
+  EXPECT_EQ(out, "{\"type\":\"s\",\"" + json_escape("k\"ey") + "\":\"" +
+                     json_escape(all) + "\"}");
+  Event back;
+  std::string error;
+  ASSERT_TRUE(parse_jsonl(out, &back, &error)) << error;
+  EXPECT_EQ(back.str_or("k\"ey", ""), all);
 }
 
 // --------------------------------------------------------------- counters

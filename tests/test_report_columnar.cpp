@@ -6,6 +6,7 @@
 // field variant (capped, policy, truncation, empty samples), shard
 // merges, and a 1e6-cell synthetic campaign. The container itself must
 // reject corruption loudly, naming the wounded section.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +21,8 @@
 #include "obs/event.hpp"
 #include "report/binary_io.hpp"
 #include "report/cell_store.hpp"
+#include "report/jsonl_io.hpp"
+#include "report_load_util.hpp"
 #include "robust/cancel.hpp"
 #include "robust/io.hpp"
 #include "util/check.hpp"
@@ -254,6 +257,267 @@ TEST(CellStoreMerge, RejectsNonCoveringShardSet) {
     EXPECT_NE(std::string(e.what()).find("does not cover the grid"),
               std::string::npos);
   }
+}
+
+TEST(CellStoreMerge, RejectsCellsOutsideTheGrid) {
+  // Two shards of a 2-cell grid holding cells 0 and 7: the count matches
+  // the grid, but cell 7 does not exist and cell 1 is missing.
+  const Report full = random_report(62, 2);
+  Report a = full, b = full;
+  a.cells = {full.cells[0]};
+  b.cells = {full.cells[1]};
+  b.cells[0].index = 7;
+  a.fits.clear();
+  b.fits.clear();
+  std::vector<CellStore> parts;
+  parts.push_back(CellStore::from_report(a));
+  parts.push_back(CellStore::from_report(b));
+  try {
+    CellStore::merge(std::move(parts));
+    FAIL() << "merged a cell outside the grid";
+  } catch (const util::ParseError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("cell 7"), std::string::npos) << what;
+    EXPECT_NE(what.find("grid of 2"), std::string::npos) << what;
+  }
+}
+
+// ---- the columnar JSONL loader -------------------------------------
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+/// Replace the first `from` in `line` (which must occur) with `to`.
+std::string replaced(std::string line, const std::string& from,
+                     const std::string& to) {
+  const std::size_t at = line.find(from);
+  EXPECT_NE(at, std::string::npos) << from << " in " << line;
+  if (at != std::string::npos) line.replace(at, from.size(), to);
+  return line;
+}
+
+/// Lines of a 12-cell report: [0] header, [1] env, [2..13] cells, fits.
+std::vector<std::string> report_lines(std::uint64_t seed = 71) {
+  return split_lines(render_jsonl(random_report(seed, 12)));
+}
+
+TEST(JsonlLoad, MatchesTheRowLoaderOnRandomReports) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    const Report report = random_report(seed, 50, seed % 2 == 0);
+    const std::string text = render_jsonl(report);
+    EXPECT_EQ(test_support::loader_disagreement(text), "") << "seed " << seed;
+    const test_support::LoadOutcome columns = test_support::load_columns(text);
+    ASSERT_TRUE(columns.ok) << columns.what;
+    EXPECT_EQ(test_support::store_difference(
+                  columns.store, CellStore::from_report(report)),
+              "");
+    EXPECT_EQ(export_jsonl(columns.store), text);
+  }
+}
+
+/// Equivalence matrix: each case must load identically through both
+/// loaders, or fail on both with the same message and line number.
+TEST(JsonlLoad, EquivalenceMatrix) {
+  struct Case {
+    const char* name;
+    std::string text;
+    bool loads;
+  };
+  std::vector<Case> cases;
+  const auto lines = report_lines();
+  const auto with = [&](auto&& edit) {
+    std::vector<std::string> copy = lines;
+    edit(copy);
+    return join_lines(copy);
+  };
+
+  cases.push_back({"out-of-order cells", with([](auto& l) {
+                     std::reverse(l.begin() + 2, l.begin() + 14);
+                   }),
+                   true});
+  cases.push_back({"duplicate indexes out of order", with([](auto& l) {
+                     l.insert(l.begin() + 3, l[9]);
+                     l.insert(l.begin() + 2, l[12]);
+                   }),
+                   true});
+  cases.push_back({"torn final line", with([](auto& l) {
+                     l.back().resize(l.back().size() / 2);
+                   }),
+                   true});
+  cases.push_back({"torn final cell line", with([](auto& l) {
+                     l.resize(14);
+                     l.back().resize(40);
+                   }),
+                   true});
+  cases.push_back({"malformed middle line", with([](auto& l) {
+                     l[6].resize(l[6].size() / 2);
+                   }),
+                   false});
+  cases.push_back({"unknown line type", with([](auto& l) {
+                     l.insert(l.begin() + 5, R"({"type":"mystery","a":1})");
+                   }),
+                   false});
+  cases.push_back({"duplicate keys: first wins", with([](auto& l) {
+                     l[4] = replaced(l[4], "\"index\":2,",
+                                     "\"index\":2,\"index\":3,\"k\":99,");
+                     l[5].pop_back();
+                     l[5] += ",\"mean\":7,\"samples\":\"\",\"algo\":\"x\"}";
+                   }),
+                   true});
+  cases.push_back({"a trailing type renames a cell line", with([](auto& l) {
+                     l[7].pop_back();
+                     l[7] += ",\"type\":\"sweep_fit\"}";
+                   }),
+                   true});
+  cases.push_back({"a second non-string type", with([](auto& l) {
+                     l[7].pop_back();
+                     l[7] += ",\"type\":5}";
+                   }),
+                   false});
+  cases.push_back({"type not first", with([](auto& l) {
+                     const std::string lead = "{\"type\":\"sweep_cell\",";
+                     l[8] = "{" + l[8].substr(lead.size());
+                     l[8].pop_back();
+                     l[8] += ",\"type\":\"sweep_cell\"}";
+                   }),
+                   true});
+  cases.push_back({"wrong-kind values", with([](auto& l) {
+                     l[3] = replaced(l[3], "\"n\":", "\"n\":\"4\",\"x\":");
+                     l[3] = replaced(l[3], "\"mean\":", "\"mean\":true,\"y\":");
+                     l[3] = replaced(l[3], "\"algo\":", "\"algo\":-1,\"z\":");
+                     l[3] = replaced(l[3], "\"wall_ns\":",
+                                     "\"wall_ns\":-5,\"w\":");
+                   }),
+                   true});
+  cases.push_back({"missing optional fields", with([](auto& l) {
+                     for (std::size_t i = 2; i < 14; ++i) {
+                       for (const char* key : {"\"capped\":", "\"policy\":",
+                                               "\"mean\":"}) {
+                         const std::size_t at = l[i].find(key);
+                         if (at == std::string::npos) continue;
+                         const std::size_t end = l[i].find(',', at);
+                         l[i].erase(at, end - at + 1);
+                       }
+                     }
+                   }),
+                   true});
+  cases.push_back({"samples/completed mismatch", with([](auto& l) {
+                     l[9] = replaced(l[9], "\"samples\":\"",
+                                     "\"samples\":\"1 ");
+                   }),
+                   false});
+  cases.push_back({"malformed samples", with([](auto& l) {
+                     l[9] = replaced(l[9], "\"samples\":\"",
+                                     "\"samples\":\"x ");
+                   }),
+                   false});
+  cases.push_back({"k above 2^32 - 1", with([](auto& l) {
+                     l[10] = replaced(l[10], "\"k\":",
+                                      "\"k\":4294967299,\"_\":");
+                   }),
+                   false});
+  cases.push_back({"escapes in tokens", with([](auto& l) {
+                     l[3] = replaced(l[3], "\"profile\":\"",
+                                     R"("profile":"é\"é\\)");
+                     l[4] = replaced(l[4], "\"profile\":\"",
+                                     R"("profile":"é\"é\\)");
+                   }),
+                   true});
+  cases.push_back({"CRLF line ends", with([](auto& l) {
+                     for (std::string& line : l) line += '\r';
+                   }),
+                   true});
+  cases.push_back({"blank lines", with([](auto& l) {
+                     l.insert(l.begin() + 4, "");
+                     l.insert(l.begin(), "");
+                   }),
+                   true});
+  cases.push_back({"a semantic error, then a malformed middle line",
+                   with([](auto& l) {
+                     l[3] = replaced(l[3], "\"samples\":\"",
+                                     "\"samples\":\"1 ");
+                     l[8].resize(20);
+                   }),
+                   false});
+  cases.push_back({"a semantic error, then a torn final line",
+                   with([](auto& l) {
+                     l[3] = replaced(l[3], "\"samples\":\"",
+                                     "\"samples\":\"1 ");
+                     l.back().resize(5);
+                   }),
+                   false});
+  cases.push_back({"header not first", with([](auto& l) {
+                     std::swap(l[0], l[1]);
+                   }),
+                   false});
+  cases.push_back({"header after a torn-looking first line",
+                   with([](auto& l) { l.insert(l.begin(), "{\"type\""); }),
+                   false});
+  cases.push_back({"unsupported version", with([](auto& l) {
+                     l[0] = replaced(l[0], "\"version\":1", "\"version\":2");
+                   }),
+                   false});
+  cases.push_back({"a second header", with([](auto& l) {
+                     l.push_back(l[0]);
+                   }),
+                   false});
+  cases.push_back({"empty stream", "", false});
+  cases.push_back({"only a torn line", "{\"type\":\"sweep_re", false});
+
+  for (const Case& c : cases) {
+    EXPECT_EQ(test_support::loader_disagreement(c.text), "") << c.name;
+    const test_support::LoadOutcome columns =
+        test_support::load_columns(c.text);
+    EXPECT_EQ(columns.ok, c.loads) << c.name << ": " << columns.what;
+    if (columns.ok) {
+      EXPECT_TRUE(std::is_sorted(columns.store.index.begin(),
+                                 columns.store.index.end()))
+          << c.name;
+    }
+  }
+}
+
+TEST(JsonlLoad, ErrorsCarryTheRowLoadersMessageAndLine) {
+  auto lines = report_lines();
+  lines[6].resize(10);
+  const test_support::LoadOutcome malformed =
+      test_support::load_columns(join_lines(lines));
+  ASSERT_FALSE(malformed.ok);
+  EXPECT_EQ(malformed.line, 7u);
+  EXPECT_EQ(malformed.what.rfind("sweep report line 7: ", 0), 0u)
+      << malformed.what;
+
+  lines = report_lines();
+  lines[10] = replaced(lines[10], "\"k\":", "\"k\":4294967299,\"_\":");
+  const test_support::LoadOutcome big_k =
+      test_support::load_columns(join_lines(lines));
+  ASSERT_FALSE(big_k.ok);
+  EXPECT_EQ(big_k.line, 11u);
+  EXPECT_NE(big_k.what.find("k = 4294967299"), std::string::npos)
+      << big_k.what;
+}
+
+TEST(JsonlLoad, LoadStoreAnySniffsTheEncoding) {
+  const Report report = random_report(81, 20);
+  const std::string json = temp_path("columnar_any.json");
+  const std::string bin = temp_path("columnar_any.bin");
+  campaign::write_report_file(json, report);
+  report::save_store_file(bin, CellStore::from_report(report));
+  EXPECT_EQ(export_jsonl(report::load_store_any(json)), render_jsonl(report));
+  EXPECT_EQ(export_jsonl(report::load_store_any(bin)), render_jsonl(report));
+  std::remove(json.c_str());
+  std::remove(bin.c_str());
+  EXPECT_THROW(report::load_store_any(json), util::IoError);
 }
 
 // ---- container corruption ------------------------------------------

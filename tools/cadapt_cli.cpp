@@ -31,6 +31,7 @@
 #include "campaign/sweep.hpp"
 #include "report/binary_io.hpp"
 #include "report/cell_store.hpp"
+#include "report/jsonl_io.hpp"
 #include "paging/policy.hpp"
 #include "core/cadapt.hpp"
 #include "core/report.hpp"
@@ -743,24 +744,6 @@ struct TraceFlag {
   }
 };
 
-// ---- report encodings (docs/REPORT.md) -----------------------------
-
-/// Load either encoding as a row report (binary sniffed by magic).
-campaign::Report load_report_any(const std::string& path) {
-  if (report::is_binary_report_file(path)) {
-    return report::load_store_file(path).to_report();
-  }
-  return campaign::load_report_file(path);
-}
-
-/// Load either encoding as a columnar store.
-report::CellStore load_store_any(const std::string& path) {
-  if (report::is_binary_report_file(path)) {
-    return report::load_store_file(path);
-  }
-  return report::CellStore::from_report(campaign::load_report_file(path));
-}
-
 int run_sweep_cmd(const util::ArgParser& args) {
   const std::string out_path = args.get_string("out");
   const bool binary = args.get_string("format") == "binary";
@@ -769,39 +752,20 @@ int run_sweep_cmd(const util::ArgParser& args) {
   // backend must outlive the report commit at the bottom.
   RobustFlags flags;
 
-  campaign::Report report;
-  // Set on the all-binary merge path: cells stay columnar end to end
-  // (load, merge, write) and a row Report is only materialized if the
-  // baseline gate needs one.
-  std::optional<report::CellStore> store;
+  // Both paths end in one columnar store: a merge loads every shard
+  // (either encoding) through report::load_store_any, and a run's report
+  // is converted once.
+  report::CellStore store;
   if (args.has("merge")) {
-    const std::vector<std::string>& inputs = args.positionals();
-    const bool all_binary =
-        std::all_of(inputs.begin(), inputs.end(),
-                    [](const std::string& path) {
-                      return report::is_binary_report_file(path);
-                    });
-    if (all_binary) {
-      std::vector<report::CellStore> parts;
-      parts.reserve(inputs.size());
-      for (const std::string& path : inputs) {
-        parts.push_back(report::load_store_file(path));
-      }
-      const std::size_t part_count = parts.size();
-      store = report::CellStore::merge(std::move(parts));
-      std::cout << "merged " << part_count << " shard reports ("
-                << store->cell_count() << " cells)\n";
-    } else {
-      std::vector<campaign::Report> parts;
-      parts.reserve(inputs.size());
-      for (const std::string& path : inputs) {
-        parts.push_back(load_report_any(path));
-      }
-      const std::size_t part_count = parts.size();
-      report = campaign::merge_reports(std::move(parts));
-      std::cout << "merged " << part_count << " shard reports ("
-                << report.cells.size() << " cells)\n";
+    std::vector<report::CellStore> parts;
+    parts.reserve(args.positionals().size());
+    for (const std::string& path : args.positionals()) {
+      parts.push_back(report::load_store_any(path));
     }
+    const std::size_t part_count = parts.size();
+    store = report::CellStore::merge(std::move(parts));
+    std::cout << "merged " << part_count << " shard reports ("
+              << store.cell_count() << " cells)\n";
   } else {
     if (args.positionals().size() != 1) {
       throw util::UsageError(
@@ -832,7 +796,7 @@ int run_sweep_cmd(const util::ArgParser& args) {
     TraceFlag trace;
     opts.trace = trace.open(args);
 
-    report = campaign::run_sweep(plan, opts);
+    const campaign::Report report = campaign::run_sweep(plan, opts);
     std::cout << "sweep '" << report.name << "' (config "
               << report.config_hash << "): ran "
               << report.cells.size() << " of " << report.cells_total
@@ -846,23 +810,15 @@ int run_sweep_cmd(const util::ArgParser& args) {
                 << truncate_reason_text(report.truncate_reason);
     }
     std::cout << "\n";
+    store = report::CellStore::from_report(report);
   }
 
   std::uint64_t completed = 0, incomplete = 0, capped = 0, failed = 0;
-  if (store.has_value()) {
-    for (std::size_t row = 0; row < store->cell_count(); ++row) {
-      completed += store->completed[row];
-      incomplete += store->incomplete[row];
-      capped += store->capped[row];
-      failed += store->failed[row];
-    }
-  } else {
-    for (const campaign::CellResult& cell : report.cells) {
-      completed += cell.completed;
-      incomplete += cell.incomplete;
-      capped += cell.capped;
-      failed += cell.failed;
-    }
+  for (std::size_t row = 0; row < store.cell_count(); ++row) {
+    completed += store.completed[row];
+    incomplete += store.incomplete[row];
+    capped += store.capped[row];
+    failed += store.failed[row];
   }
   std::cout << "  trials: " << completed << " completed, " << incomplete
             << " incomplete, " << failed << " failed\n";
@@ -870,55 +826,35 @@ int run_sweep_cmd(const util::ArgParser& args) {
     std::cout << "  incomplete breakdown: " << capped << " hit the box cap, "
               << (incomplete - capped) << " exhausted the source\n";
   }
-  const bool have_fits =
-      store.has_value() ? !store->fits.empty() : !report.fits.empty();
-  if (have_fits) {
+  if (!store.fits.empty()) {
     util::Table table({"algo", "profile", "exponent", "expected", "r^2"});
-    if (store.has_value()) {
-      for (const report::FitRow& fit : store->fits) {
-        table.row()
-            .cell(store->algo_dict.token(fit.algo_id))
-            .cell(store->profile_dict.token(fit.profile_id))
-            .cell(fit.exponent, 3)
-            .cell(fit.expected, 3)
-            .cell(fit.r2, 4);
-      }
-    } else {
-      for (const campaign::FitResult& fit : report.fits) {
-        table.row()
-            .cell(fit.algo)
-            .cell(fit.profile)
-            .cell(fit.exponent, 3)
-            .cell(fit.expected, 3)
-            .cell(fit.r2, 4);
-      }
+    for (const report::FitRow& fit : store.fits) {
+      table.row()
+          .cell(store.algo_dict.token(fit.algo_id))
+          .cell(store.profile_dict.token(fit.profile_id))
+          .cell(fit.exponent, 3)
+          .cell(fit.expected, 3)
+          .cell(fit.r2, 4);
     }
     std::cout << "power-law fits (mean ~ scale * n^exponent):\n";
     table.print(std::cout);
   }
   if (binary) {
-    if (store.has_value()) {
-      report::save_store_file(out_path, *store, flags.io());
-    } else {
-      report::save_store_file(
-          out_path, report::CellStore::from_report(report), flags.io());
-    }
-  } else if (store.has_value()) {
-    store->export_report_file(out_path, flags.io());
+    report::save_store_file(out_path, store, flags.io());
   } else {
-    campaign::write_report_file(out_path, report, flags.io());
+    store.export_report_file(out_path, flags.io());
   }
   std::cout << "report written to " << out_path << "\n";
 
   const std::string baseline_path = args.get_string("baseline");
   if (!baseline_path.empty()) {
-    const campaign::Report baseline = load_report_any(baseline_path);
-    if (store.has_value()) report = store->to_report();
+    const campaign::Report baseline =
+        report::load_store_any(baseline_path).to_report();
     campaign::GateOptions gate_opts;
     gate_opts.rel_threshold = args.get_double("gate-rel");
     gate_opts.inject_factor = args.get_double("gate-inject");
-    const campaign::GateResult verdict =
-        campaign::gate_against_baseline(baseline, report, gate_opts);
+    const campaign::GateResult verdict = campaign::gate_against_baseline(
+        baseline, store.to_report(), gate_opts);
     campaign::print_gate(std::cout, verdict, gate_opts);
     if (!verdict.passed()) return 4;
   }
@@ -937,7 +873,7 @@ std::uint64_t peak_rss_bytes() {
 }
 
 int run_report_export_cmd(const util::ArgParser& args) {
-  const report::CellStore store = load_store_any(args.positionals()[0]);
+  const report::CellStore store = report::load_store_any(args.positionals()[0]);
   const std::string out_path = args.get_string("out");
   if (out_path == "-") {
     store.export_report_stream(std::cout);
@@ -951,7 +887,7 @@ int run_report_export_cmd(const util::ArgParser& args) {
 
 int run_report_import_cmd(const util::ArgParser& args) {
   const std::string& path = args.positionals()[0];
-  const report::CellStore store = load_store_any(path);
+  const report::CellStore store = report::load_store_any(path);
   const std::string out_path =
       args.has("out") ? args.get_string("out") : path + ".bin";
   report::save_store_file(out_path, store);
@@ -963,7 +899,7 @@ int run_report_import_cmd(const util::ArgParser& args) {
 int run_report_info_cmd(const util::ArgParser& args) {
   const std::string& path = args.positionals()[0];
   const bool binary = report::is_binary_report_file(path);
-  const report::CellStore store = load_store_any(path);
+  const report::CellStore store = report::load_store_any(path);
   std::cout << "format:      " << (binary ? "binary" : "jsonl") << " ("
             << std::filesystem::file_size(path) << " bytes)\n"
             << "campaign:    '" << store.name << "' (config "
@@ -995,7 +931,7 @@ int run_report_info_cmd(const util::ArgParser& args) {
 int run_report_merge_cmd(const util::ArgParser& args) {
   std::vector<report::CellStore> parts;
   for (const std::string& path : args.positionals()) {
-    parts.push_back(load_store_any(path));
+    parts.push_back(report::load_store_any(path));
   }
   const std::size_t part_count = parts.size();
   const report::CellStore merged = report::CellStore::merge(std::move(parts));
