@@ -442,12 +442,12 @@ void BM_StealDeque(benchmark::State& state) {
 BENCHMARK(BM_StealDeque)->Arg(0)->Arg(1);
 
 // An adaptive-sort cell — the workload trace replay cannot cover — on
-// the shared trial loop (campaign::run_cell_shared, the loop `cadapt
-// sweep` and `cadapt serve` run) at 1 vs 4 threads. Items = trials, so
-// items/sec across the two args is the cell-level speedup
+// the shared trial loop (campaign::run_cell_trials, the loop `cadapt
+// sweep`, `cadapt serve` and `cadapt mc` run) at 1 vs 4 threads. Items =
+// trials, so items/sec across the two args is the cell-level speedup
 // BENCH_parallel.json reports as cell_wall_speedup. Records land at their
-// trial index either way; the identity tests hold them byte-equal to the
-// sequential run_cell.
+// trial index either way; the identity tests hold the summary equal to
+// the sequential run_cell's.
 void BM_ParallelCell(benchmark::State& state) {
   campaign::Cell cell;
   cell.sort = "adaptive";
@@ -459,13 +459,14 @@ void BM_ParallelCell(benchmark::State& state) {
   options.keys = 4096;
   options.block = kScanBlock;
   options.timing = false;
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::uint64_t boxes = 0;
+  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
+  engine::McOptions trial_options = campaign::trial_options_for(cell, options);
+  trial_options.pool = &pool;
+  double boxes = 0;
   for (auto _ : state) {
-    for (const robust::TrialRecord& record :
-         campaign::run_cell_shared(cell, options, threads)) {
-      boxes += record.boxes;
-    }
+    boxes += campaign::run_cell_trials(
+                 trial_options, campaign::make_cell_runner(cell, options))
+                 .boxes.mean();
   }
   benchmark::DoNotOptimize(boxes);
   state.SetItemsProcessed(

@@ -415,6 +415,7 @@ paging::CaConfig ca_config_for(const Cell& cell,
 engine::McOptions trial_options_for(const Cell& cell,
                                      const CellRunOptions& options) {
   engine::McOptions trial_options;
+  trial_options.trials = cell.trials;
   trial_options.seed = cell.seed;
   trial_options.max_attempts = options.max_attempts;
   trial_options.faults = options.faults;

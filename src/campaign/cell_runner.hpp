@@ -99,8 +99,9 @@ std::shared_ptr<const profile::BoxDistribution> make_distribution(
 engine::RobustTrialRunner make_cell_runner(const Cell& cell,
                                            const CellRunOptions& options);
 
-/// The engine::run_single_trial options of the cell's trials: the cell
-/// seed plus options' attempts, faults, cancel token and backoff.
+/// The engine::run_single_trial options of the cell's trials: the cell's
+/// trials and seed plus options' attempts, faults, cancel token and
+/// backoff.
 engine::McOptions trial_options_for(const Cell& cell,
                                     const CellRunOptions& options);
 

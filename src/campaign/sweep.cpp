@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -14,6 +13,7 @@
 
 #include "campaign/cell_runner.hpp"
 #include "campaign/trial_scheduler.hpp"
+#include "robust/budget.hpp"
 #include "robust/cancel.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/error.hpp"
@@ -47,58 +47,16 @@ obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
   return event;
 }
 
-std::map<std::uint64_t, CellResult> load_sweep_checkpoint(
-    const std::string& path, const Plan& plan, std::uint64_t shards,
-    std::uint64_t shard_index, const std::string& run) {
-  std::ifstream is(path);
-  if (!is) return {};  // nothing to resume from — a fresh start
-  const std::vector<robust::JsonlLine> lines =
-      robust::load_jsonl_tolerant(is, "sweep checkpoint");
-  if (lines.empty()) return {};
-  const obs::Event& head = lines.front().event;
-  const obs::Event expected =
-      sweep_checkpoint_header(plan, shards, shard_index, run);
-  if (head != expected) {
-    // Name every mismatched field with both values: "does not match"
-    // alone sends the user diffing JSONL headers by hand.
-    std::string detail;
-    const auto note = [&detail, &head, &expected](const char* field) {
-      const std::uint64_t have = head.u64_or(field, 0);
-      const std::uint64_t want = expected.u64_or(field, 0);
-      if (have == want) return;
-      if (!detail.empty()) detail += ", ";
-      detail += std::string(field) + " is " + std::to_string(have) +
-                " but this campaign has " + std::to_string(want);
-    };
-    note("version");
-    note("config_hash");
-    note("shards");
-    note("shard_index");
-    note("cells");
-    const std::string default_run = run_fingerprint(1, nullptr, 0);
-    const std::string have_run = head.str_or("run", default_run);
-    if (have_run != run) {
-      if (!detail.empty()) detail += ", ";
-      detail += "run is '" + have_run + "' but this campaign has '" + run +
-                "'";
-    }
-    std::string message = "sweep checkpoint '" + path +
-                          "' does not match this campaign/sharding";
-    if (!detail.empty()) message += " (its " + detail + ")";
-    message += " — refusing to resume";
-    throw util::ParseError(std::move(message), lines.front().line_no);
-  }
-  std::map<std::uint64_t, CellResult> finished;
-  for (std::size_t i = 1; i < lines.size(); ++i) {
-    if (lines[i].event.type != "sweep_cell") {
+robust::RecordFn restore_cells(std::map<std::uint64_t, CellResult>& finished) {
+  return [&finished](const robust::JsonlLine& line) {
+    if (line.event.type != "sweep_cell") {
       throw util::ParseError("sweep checkpoint: unexpected line type '" +
-                                 lines[i].event.type + "'",
-                             lines[i].line_no);
+                                 line.event.type + "'",
+                             line.line_no);
     }
-    CellResult cell = cell_from_event(lines[i].event, lines[i].line_no);
+    CellResult cell = cell_from_event(line.event, line.line_no);
     finished.insert_or_assign(cell.index, std::move(cell));
-  }
-  return finished;
+  };
 }
 
 Report assemble_report(const Plan& plan, std::vector<CellResult> cells,
@@ -146,6 +104,68 @@ void emit_trial_errors(obs::TraceSink& sink, const Cell& cell,
   }
 }
 
+// What stops a drive early, shared by run_sweep and run_cell_trials: the
+// first truncation reason noted, and the error of the lowest-indexed
+// abandoned cell — rethrown by settle() once every worker is done
+// (deterministic across thread counts, like util::parallel_for) unless
+// it is a cancellation, which truncates instead: the cancelled cells were
+// discarded whole, and committed ones survive for --resume.
+class Stops {
+ public:
+  void truncate(robust::CancelReason reason) {
+    std::uint8_t none = 0;  // keep the first reason observed
+    reason_.compare_exchange_strong(none, static_cast<std::uint8_t>(reason),
+                                    std::memory_order_relaxed);
+  }
+
+  // The admission checks for cell `index`: false once a lower-indexed
+  // cell failed (its error ends the drive, so later cells are not run;
+  // lower ones still are, which keeps the rethrown error the lowest), and
+  // false (and truncated) once the token fired or the budget is spent.
+  bool admissible(std::uint64_t index, const robust::CancelToken* cancel,
+                  const robust::BudgetTracker& tracker) {
+    if (index > error_index_.load(std::memory_order_relaxed)) return false;
+    if (cancel != nullptr && cancel->requested()) {
+      truncate(cancel->reason());
+    } else if (tracker.exceeded()) {
+      truncate(tracker.boxes_exceeded() ? robust::CancelReason::kBudget
+                                        : robust::CancelReason::kDeadline);
+    } else {
+      return true;
+    }
+    return false;
+  }
+
+  // Call inside the catch of cell `index`'s error.
+  void fail(std::uint64_t index) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (index < error_index_.load(std::memory_order_relaxed)) {
+      error_ = std::current_exception();
+      error_index_.store(index, std::memory_order_relaxed);
+    }
+  }
+
+  void settle() {
+    if (!error_) return;
+    try {
+      std::rethrow_exception(error_);
+    } catch (const robust::CancelledError& e) {
+      truncate(e.reason());
+    }
+  }
+
+  robust::CancelReason reason() const {
+    return static_cast<robust::CancelReason>(
+        reason_.load(std::memory_order_relaxed));
+  }
+
+ private:
+  std::atomic<std::uint8_t> reason_{0};
+  std::mutex mutex_;
+  std::exception_ptr error_;
+  std::atomic<std::uint64_t> error_index_{UINT64_MAX};
+};
+
 }  // namespace
 
 Report run_sweep(const Plan& plan, const SweepOptions& options) {
@@ -153,31 +173,17 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
       shard_cells(plan, options.shards, options.shard_index);
   const std::uint64_t started_ns = options.timing ? options.clock() : 0;
 
-  const std::string fingerprint = run_fingerprint(
-      options.max_attempts, options.faults, options.backoff.base_ns);
   std::map<std::uint64_t, CellResult> finished;
-  if (options.resume && !options.checkpoint_path.empty()) {
-    finished = load_sweep_checkpoint(options.checkpoint_path, plan,
-                                     options.shards, options.shard_index,
-                                     fingerprint);
-  }
-
-  robust::IoBackend& io =
-      options.io != nullptr ? *options.io : robust::system_io();
   std::unique_ptr<robust::DurableAppender> checkpoint;
   if (!options.checkpoint_path.empty()) {
-    // A kill can land mid-write; drop the torn tail before appending so
-    // new records start on a fresh line.
-    robust::truncate_torn_tail(options.checkpoint_path);
-    const bool fresh = finished.empty() && !options.resume;
-    checkpoint = std::make_unique<robust::DurableAppender>(
-        options.checkpoint_path, /*truncate=*/fresh, io);
-    if (checkpoint->initial_size() == 0) {
-      checkpoint->write(obs::to_jsonl(sweep_checkpoint_header(
-          plan, options.shards, options.shard_index, fingerprint)));
-      checkpoint->write("\n");
-      checkpoint->commit();
-    }
+    checkpoint = robust::open_checkpoint(
+        options.checkpoint_path,
+        sweep_checkpoint_header(plan, options.shards, options.shard_index,
+                                run_fingerprint(options.max_attempts,
+                                                options.faults,
+                                                options.backoff.base_ns)),
+        options.resume, restore_cells(finished),
+        options.io != nullptr ? *options.io : robust::system_io());
   }
 
   // Cancellation: an external token wins; otherwise an armed deadline
@@ -205,32 +211,10 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
 
   robust::BudgetTracker tracker(options.budget, options.clock);
   std::vector<std::optional<CellResult>> results(mine.size());
-  std::atomic<bool> truncated{false};
-  std::atomic<std::uint8_t> reason_raw{0};
-  const auto note_truncation = [&truncated, &reason_raw](
-                                   robust::CancelReason reason) {
-    truncated.store(true, std::memory_order_relaxed);
-    std::uint8_t expected = 0;  // keep the first reason observed
-    reason_raw.compare_exchange_strong(expected,
-                                       static_cast<std::uint8_t>(reason),
-                                       std::memory_order_relaxed);
-  };
+  // A cell that throws (cancellation, a malformed cell) is abandoned.
+  Stops stops;
   std::mutex sink_mutex;  // checkpoint + trace share one writer lock
   std::string checkpoint_line;  // encode buffer reused under sink_mutex
-
-  // A cell that throws (cancellation, a malformed cell) is abandoned; the
-  // error of the lowest shard slot is rethrown once every worker is done,
-  // deterministic across --jobs like util::parallel_for.
-  std::mutex error_mutex;
-  std::exception_ptr error;
-  std::size_t error_slot = mine.size();
-  const auto note_error = [&](std::size_t slot) {
-    const std::lock_guard<std::mutex> lock(error_mutex);
-    if (slot < error_slot) {
-      error = std::current_exception();
-      error_slot = slot;
-    }
-  };
 
   // Admission: the next cell of the shard that still has to run, with its
   // runner built once. Null once the shard is exhausted.
@@ -246,16 +230,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
         results[slot] = it->second;
         continue;
       }
-      if (cancel != nullptr && cancel->requested()) {
-        note_truncation(cancel->reason());
-        continue;
-      }
-      if (tracker.exceeded()) {
-        note_truncation(tracker.boxes_exceeded()
-                            ? robust::CancelReason::kBudget
-                            : robust::CancelReason::kDeadline);
-        continue;
-      }
+      if (!stops.admissible(slot, cancel, tracker)) continue;
       auto run = std::make_shared<Claimed>();
       run->owner = slot;
       run->cell = &cell;
@@ -268,7 +243,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
                          "cell " << cell.index << " has no trials");
         run->runner = make_cell_runner(cell, cell_options);
       } catch (...) {
-        note_error(slot);
+        stops.fail(slot);
         continue;
       }
       return run;
@@ -292,7 +267,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
       if (checkpoint != nullptr) {
         // One durable commit per cell: a kill between cells loses
         // nothing, a kill mid-commit loses only the torn tail that
-        // truncate_torn_tail drops on resume.
+        // open_checkpoint drops on resume.
         obs::to_jsonl(cell_event(result), checkpoint_line);
         checkpoint->write(checkpoint_line);
         checkpoint->write("\n");
@@ -311,20 +286,12 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   TrialScheduler<std::size_t> scheduler(
       {.admit = admit,
        .finish = finish,
-       .abandon = [&note_error](Claimed& run) { note_error(run.owner); }},
+       .abandon = [&stops](Claimed& run) { stops.fail(run.owner); }},
       options.timing);
   util::ThreadPool pool(static_cast<std::size_t>(options.jobs));
   util::parallel_for(pool, pool.size(),
                      [&scheduler](std::size_t) { scheduler.work(); });
-  if (error) {
-    try {
-      std::rethrow_exception(error);
-    } catch (const robust::CancelledError& e) {
-      // In-flight cells were discarded wholesale; committed cells
-      // survive for --resume.
-      note_truncation(e.reason());
-    }
-  }
+  stops.settle();
 
   std::vector<CellResult> cells;
   for (std::optional<CellResult>& result : results) {
@@ -334,33 +301,154 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
       options.timing ? (options.clock() - started_ns) / 1000000u : 0;
   return assemble_report(plan, std::move(cells), options.shards,
                          options.shard_index,
-                         truncated.load(std::memory_order_relaxed),
-                         static_cast<robust::CancelReason>(
-                             reason_raw.load(std::memory_order_relaxed)),
-                         wall_ms);
+                         stops.reason() != robust::CancelReason::kNone,
+                         stops.reason(), wall_ms);
 }
 
-std::vector<robust::TrialRecord> run_cell_shared(const Cell& cell,
-                                                 const CellRunOptions& options,
-                                                 std::size_t threads) {
-  using Claimed = ClaimedCell<std::size_t>;
-  auto claimed = std::make_shared<Claimed>();
-  claimed->cell = &cell;
-  claimed->trial_options = trial_options_for(cell, options);
-  claimed->runner = make_cell_runner(cell, options);
-  claimed->records.resize(cell.trials);
-  std::atomic<bool> taken{false};
-  std::exception_ptr error;
-  TrialScheduler<std::size_t> scheduler(
-      {.admit = [&] { return taken.exchange(true) ? nullptr : claimed; },
-       .finish = [](Claimed&) {},
-       .abandon = [&error](Claimed&) { error = std::current_exception(); }},
-      options.timing);
-  util::ThreadPool pool(threads);
+engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
+                                  const engine::RobustTrialRunner& runner,
+                                  const CellTrials& options) {
+  const std::uint64_t trials = trial_options.trials;
+  CADAPT_CHECK(trials >= 1);
+  CADAPT_CHECK(trial_options.max_attempts >= 1);
+  CADAPT_CHECK(runner != nullptr);
+  const std::uint64_t size = std::max<std::uint64_t>(1, options.chunk);
+  const std::uint64_t chunks = (trials + size - 1) / size;
+  // The cells of this sweep: `size`-trial chunks, the last one shorter.
+  Cell full, last;
+  full.trials = size;
+  last.trials = trials - (chunks - 1) * size;
+  obs::McRecorder* recorder = trial_options.recorder;
+
+  struct Landed {
+    std::vector<robust::TrialRecord> records;  // records[trial - first]
+    std::uint64_t restored = 0;  // distinct trials the checkpoint holds
+    bool landed = false;  // restored whole, or run to its last trial
+    bool fresh = false;   // ran in this call: its boxes count to the budget
+    bool late = false;    // landed past the deadline
+  };
+  std::vector<Landed> landed(chunks);
+  std::unique_ptr<robust::DurableAppender> checkpoint;
+  if (!options.checkpoint_path.empty()) {
+    obs::Event header("mc_checkpoint");
+    header.u64("version", 2)
+        .u64("trials", trials)
+        .u64("seed", trial_options.seed)
+        .str("config_hash", options.config);
+    std::vector<bool> seen(trials);
+    // Decode straight into the chunks: a resume never holds the file.
+    const auto restore = [&](const robust::JsonlLine& line) {
+      robust::TrialRecord record = robust::trial_record_from(line);
+      if (record.trial >= trials) {
+        throw util::ParseError("checkpoint line " +
+                                   std::to_string(line.line_no) +
+                                   ": trial out of range",
+                               line.line_no);
+      }
+      const std::uint64_t c = record.trial / size;
+      Landed& slot = landed[c];
+      slot.records.resize((c + 1 < chunks ? full : last).trials);
+      if (!seen[record.trial]) ++slot.restored;
+      seen[record.trial] = true;
+      slot.records[record.trial - c * size] = std::move(record);
+    };
+    checkpoint = robust::open_checkpoint(
+        options.checkpoint_path, header, options.resume, restore,
+        options.io != nullptr ? *options.io : robust::system_io());
+  }
+
+  robust::BudgetTracker tracker(options.budget, options.clock);
+  Stops stops;
+  std::mutex commit_mutex;
+  std::string line;  // encode buffer reused under commit_mutex
+
+  using Claimed = ClaimedCell<std::uint64_t>;
+  std::atomic<std::uint64_t> next_chunk{0};
+  const auto admit = [&]() -> std::shared_ptr<Claimed> {
+    for (;;) {
+      const std::uint64_t c =
+          next_chunk.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return nullptr;
+      const Cell& cell = c + 1 < chunks ? full : last;
+      // A chunk the checkpoint holds whole is restored; a partial one
+      // (a kill mid-commit, or another chunk size) runs again.
+      if (landed[c].restored == cell.trials) {
+        landed[c].landed = true;
+        continue;
+      }
+      if (!stops.admissible(c, trial_options.cancel, tracker)) continue;
+      auto run = std::make_shared<Claimed>();
+      run->owner = c;
+      run->cell = &cell;
+      run->first = c * size;
+      run->trial_options = trial_options;
+      run->runner = runner;
+      run->records.resize(cell.trials);
+      return run;
+    }
+  };
+
+  // Run by whoever lands a chunk's last trial: one durable commit of its
+  // records (a kill loses at most the chunks in flight), then park them
+  // for the fold.
+  const auto finish = [&](Claimed& run) {
+    const bool late = tracker.deadline_exceeded();
+    for (const robust::TrialRecord& record : run.records) {
+      tracker.add_boxes(record.boxes);
+    }
+    if (checkpoint != nullptr) {
+      const std::lock_guard<std::mutex> lock(commit_mutex);
+      for (const robust::TrialRecord& record : run.records) {
+        obs::to_jsonl(robust::trial_record_event(record), line);
+        checkpoint->write(line);
+        checkpoint->write("\n");
+      }
+      checkpoint->commit();
+    }
+    Landed& slot = landed[run.owner];
+    slot.records = std::move(run.records);
+    slot.landed = slot.fresh = true;
+    slot.late = late;
+  };
+
+  TrialScheduler<std::uint64_t> scheduler(
+      {.admit = admit,
+       .finish = finish,
+       .abandon = [&stops](Claimed& run) { stops.fail(run.owner); }},
+      recorder != nullptr && recorder->record_timing());
+  util::ThreadPool& pool = trial_options.pool != nullptr
+                               ? *trial_options.pool
+                               : util::default_pool();
   util::parallel_for(pool, pool.size(),
                      [&scheduler](std::size_t) { scheduler.work(); });
-  if (error) std::rethrow_exception(error);
-  return std::move(claimed->records);
+  stops.settle();
+
+  // The fold, in trial order: the same summary at every thread count.
+  engine::McSummary summary;
+  summary.trials_requested = trials;
+  std::uint64_t spent = 0;
+  for (std::uint64_t c = 0; c < chunks; ++c) {
+    const Landed& slot = landed[c];
+    if (!slot.landed) {
+      summary.truncated = true;
+      summary.truncate_reason = stops.reason();
+      break;
+    }
+    for (const robust::TrialRecord& record : slot.records) {
+      engine::fold_trial(summary, record, recorder);
+      if (slot.fresh) spent += record.boxes;
+    }
+    const bool broke = options.budget.max_total_boxes != 0 &&
+                       spent >= options.budget.max_total_boxes;
+    if (c + 1 < chunks && (broke || slot.late)) {
+      summary.truncated = true;
+      summary.truncate_reason = broke ? robust::CancelReason::kBudget
+                                      : robust::CancelReason::kDeadline;
+      break;
+    }
+  }
+  engine::finish_summary(summary, recorder);
+  return summary;
 }
 
 }  // namespace cadapt::campaign

@@ -22,6 +22,9 @@
 //
 // Cells are the checkpoint grain: a killed sweep loses at most the cells
 // in flight, and --resume re-derives exactly the missing ones.
+//
+// `cadapt mc` runs on the same loop (run_cell_trials): a sweep whose
+// cells are the trial chunks of one cell, checkpointed per chunk.
 #pragma once
 
 #include <map>
@@ -31,11 +34,13 @@
 #include "campaign/cell_runner.hpp"
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
+#include "engine/montecarlo.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
 #include "robust/backoff.hpp"
 #include "robust/budget.hpp"
 #include "robust/cancel.hpp"
+#include "robust/checkpoint.hpp"
 #include "robust/fault.hpp"
 #include "robust/io.hpp"
 
@@ -94,20 +99,46 @@ struct SweepOptions {
 
 /// Run this shard of the plan. Throws util::ParseError for a mismatched
 /// resume checkpoint, util::UsageError for bad sharding, and
-/// util::IoError when a checkpoint commit fails (a failed commit never
-/// leaves a torn line: the appender either durably commits a whole cell
-/// record or reports); per-trial failures never throw (contained in the
+/// util::IoError when a checkpoint commit fails (no later cell is then
+/// admitted or committed, so a torn record stays the file's final line,
+/// which a resume repairs); per-trial failures never throw (contained in the
 /// cells' failed counts). Cancellation (deadline watchdog or external
 /// token) discards the in-flight cells and returns a truncated report
 /// carrying the reason — committed checkpoint cells survive for resume.
 Report run_sweep(const Plan& plan, const SweepOptions& options = {});
 
-/// run_cell's records, claimed by `threads` threads (0 = hardware)
-/// through run_sweep's loop: byte-identical at every thread count. The
-/// first thrown trial is rethrown.
-std::vector<robust::TrialRecord> run_cell_shared(const Cell& cell,
-                                                 const CellRunOptions& options,
-                                                 std::size_t threads);
+/// The controls of run_cell_trials beyond the trial options (`cadapt mc`).
+struct CellTrials {
+  /// Trials per chunk (`--checkpoint-every`): the grain of admission,
+  /// budget checks and checkpoint commits; never changes the summary.
+  std::uint64_t chunk = 256;
+  robust::Budget budget;  ///< where each stops the fold: run_cell_trials
+  obs::ClockFn clock = &obs::steady_now_ns;  ///< test seam for the deadline
+  std::string checkpoint_path;  ///< empty = no checkpointing
+  bool resume = false;  ///< restore the chunks checkpoint_path holds whole
+  /// The header's config_hash: what shapes a trial besides (trials, seed).
+  std::string config;
+  robust::IoBackend* io = nullptr;  ///< null = robust::system_io()
+};
+
+/// Run trial_options.trials trials of `runner` on the sweep's trial loop
+/// (TrialScheduler), with trial_options.pool's threads (null =
+/// util::default_pool()), as a sweep whose cells are the `chunk`-trial
+/// chunks of one cell:
+///   admit  — the next chunk, after the resume, cancel and budget checks;
+///   finish — the lander of a chunk's last trial commits its trial
+///            records in one durable commit (chunks land in any order);
+///   abandon — as run_sweep: a cancelled chunk is discarded whole.
+/// Once the pool drains, the landed chunks fold into the summary in trial
+/// order, stopping at the first chunk that did not land, after the first
+/// chunk that takes the box spend of this run to the budget, or after
+/// the first chunk that landed past the deadline — so the summary is the
+/// same at every thread count. Durations are recorded when
+/// trial_options.recorder asks for timing. Throws util::ParseError for a
+/// foreign checkpoint and util::IoError for a failed commit.
+engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
+                                  const engine::RobustTrialRunner& runner,
+                                  const CellTrials& options = {});
 
 // The pieces run_sweep is made of, exposed so other drivers of the same
 // checkpoint/report formats — the `cadapt serve` daemon foremost — reuse
@@ -127,19 +158,17 @@ std::string run_fingerprint(std::uint32_t max_attempts,
 /// The checkpoint's header line: version, config_hash, sharding, grid
 /// size, and the run fingerprint — emitted only when it differs from the
 /// default run (no retries, faults or backoff), so default checkpoints
-/// keep their bytes. A resume refuses any mismatch (see
-/// load_sweep_checkpoint).
+/// keep their bytes. A resume refuses any mismatch
+/// (robust::open_checkpoint).
 obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
                                    std::uint64_t shard_index,
                                    const std::string& run);
 
-/// Finished cells recorded by a previous run of this exact shard and
-/// run fingerprint, keyed by cell index. A missing file is an empty map
-/// (fresh start). Throws util::ParseError when the header does not match
-/// — every divergent field is NAMED with both values.
-std::map<std::uint64_t, CellResult> load_sweep_checkpoint(
-    const std::string& path, const Plan& plan, std::uint64_t shards,
-    std::uint64_t shard_index, const std::string& run);
+/// The robust::open_checkpoint record callback of a sweep checkpoint:
+/// decodes each sweep_cell line into `finished`, keyed by cell index (a
+/// cell recorded twice keeps its last line). Throws util::ParseError for
+/// any other line type.
+robust::RecordFn restore_cells(std::map<std::uint64_t, CellResult>& finished);
 
 /// Assemble the deterministic report exactly as run_sweep does: cells
 /// sorted by index, fits only at full grid coverage, this binary's build

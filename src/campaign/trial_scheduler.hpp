@@ -1,5 +1,6 @@
-// The one trial scheduler of `cadapt sweep` (run_sweep) and `cadapt
-// serve` (ServeCore); docs/SWEEPS.md, "Execution". It owns no threads:
+// The one trial scheduler of `cadapt sweep` (run_sweep), `cadapt serve`
+// (ServeCore) and `cadapt mc` (run_cell_trials, whose cells are the
+// trial chunks of one cell); docs/SWEEPS.md, "Execution". It owns no threads:
 // each caller runs work() on its own, and supplies the admit, finish
 // and abandon steps.
 //
@@ -13,7 +14,7 @@
 // per thread is unfinished.
 //
 // Every trial is a pure function of (cell seed, trial index, attempt) and
-// lands at records[trial], so a cell's records never depend on which
+// lands at its index in records, so a cell's records never depend on which
 // thread, how many threads, or which orchestrator ran it.
 #pragma once
 
@@ -33,14 +34,16 @@
 namespace cadapt::campaign {
 
 /// An admitted cell. `Owner` is the caller's handle for it: run_sweep's
-/// shard slot, ServeCore's job.
+/// shard slot, ServeCore's job, run_cell_trials's chunk.
 template <class Owner>
 struct ClaimedCell {
   Owner owner{};
   const Cell* cell = nullptr;
+  /// Trial index of records[0]: a chunk of a larger cell starts past 0.
+  std::uint64_t first = 0;
   engine::McOptions trial_options;  ///< trial_options_for(cell, ...)
   engine::RobustTrialRunner runner;  ///< make_cell_runner(cell, ...)
-  std::vector<robust::TrialRecord> records;  ///< records[trial]
+  std::vector<robust::TrialRecord> records;  ///< records[trial - first]
   std::atomic<std::uint64_t> next{0};        ///< next unclaimed trial
   std::atomic<std::uint64_t> done{0};        ///< trials landed
   std::atomic<bool> abandoned{false};
@@ -120,7 +123,7 @@ class TrialScheduler {
       if (trial >= trials) return;
       try {
         cell.records[trial] = engine::run_single_trial(
-            cell.trial_options, cell.runner, trial, timing_);
+            cell.trial_options, cell.runner, cell.first + trial, timing_);
         // acq_rel: the last lander sees every other helper's record.
         if (cell.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             trials) {

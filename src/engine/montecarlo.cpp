@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "robust/checkpoint.hpp"
 #include "util/check.hpp"
 
 namespace cadapt::engine {
@@ -80,7 +78,7 @@ robust::TrialRecord run_single_trial(const McOptions& options,
     } catch (const robust::CancelledError&) {
       // Cancellation is not a trial failure: never contained, never
       // retried, never persisted. It propagates to the campaign driver,
-      // which discards the whole in-flight chunk.
+      // which discards the whole in-flight chunk or cell.
       throw;
     } catch (const std::exception& e) {
       record.failed = true;
@@ -135,13 +133,9 @@ RobustTrialRunner as_robust_runner(TrialRunner runner) {
   };
 }
 
-namespace {
-
-/// Fold one finished trial into the summary and the recorder — always on
-/// the driver thread, always in trial order, so summary and event stream
-/// are independent of the pool size and of chunk boundaries.
-void aggregate_trial(McSummary& summary, const robust::TrialRecord& t,
-                     obs::McRecorder* recorder) {
+void fold_trial(McSummary& summary, const robust::TrialRecord& t,
+                obs::McRecorder* recorder) {
+  ++summary.trials_run;
   if (t.failed) {
     summary.errors.push_back({t.trial, t.seed, t.attempts, t.category, t.what});
     ++summary.failed;
@@ -170,140 +164,45 @@ void aggregate_trial(McSummary& summary, const robust::TrialRecord& t,
   summary.unit_ratio_samples.push_back(t.unit_ratio);
 }
 
-}  // namespace
-
-McSummary run_monte_carlo_robust(const McOptions& options,
-                                 const RobustTrialRunner& runner) {
-  CADAPT_CHECK(options.trials >= 1);
-  CADAPT_CHECK(runner != nullptr);
-  CADAPT_CHECK(options.max_attempts >= 1);
-  util::ThreadPool& the_pool =
-      options.pool != nullptr ? *options.pool : util::default_pool();
-  obs::McRecorder* recorder = options.recorder;
-  const bool timing = recorder != nullptr && recorder->record_timing();
-
-  // Resume: a missing file is a fresh start, anything else must parse and
-  // must identify the same campaign.
-  const robust::CheckpointHeader header{1, options.trials, options.seed,
-                                        options.config};
-  std::map<std::uint64_t, robust::TrialRecord> known;
-  if (options.resume && !options.checkpoint_path.empty()) {
-    std::ifstream probe(options.checkpoint_path);
-    if (probe.good()) {
-      robust::CheckpointData data = robust::load_checkpoint(probe);
-      if (!(data.header == header)) {
-        // Name every mismatched field: "different campaign" alone sends
-        // the user diffing JSONL headers by hand.
-        std::string detail;
-        const auto note = [&detail](const char* field, const std::string& have,
-                                    const std::string& want) {
-          if (!detail.empty()) detail += ", ";
-          detail += std::string(field) + " is " + have + " but campaign has " +
-                    want;
-        };
-        if (data.header.version != header.version) {
-          note("version", std::to_string(data.header.version),
-               std::to_string(header.version));
-        }
-        if (data.header.trials != header.trials) {
-          note("trials", std::to_string(data.header.trials),
-               std::to_string(header.trials));
-        }
-        if (data.header.seed != header.seed) {
-          note("seed", std::to_string(data.header.seed),
-               std::to_string(header.seed));
-        }
-        if (data.header.config != header.config) {
-          note("config_hash", "'" + data.header.config + "'",
-               "'" + header.config + "'");
-        }
-        throw util::ParseError("checkpoint '" + options.checkpoint_path +
-                               "' belongs to a different campaign (its " +
-                               detail + ")");
-      }
-      known = std::move(data.records);
-    }
-  }
-  robust::IoBackend& io =
-      options.io != nullptr ? *options.io : robust::system_io();
-  std::unique_ptr<robust::CheckpointWriter> writer;
-  if (!options.checkpoint_path.empty()) {
-    writer = std::make_unique<robust::CheckpointWriter>(
-        options.checkpoint_path, header, /*append=*/options.resume, io);
-  }
-
-  robust::BudgetTracker tracker(options.budget, options.clock);
-
-  // Chunk size only matters when something observes chunk boundaries
-  // (checkpoint flushes, budget checks); otherwise run one big chunk.
-  // Chunking never changes the summary: aggregation happens in trial
-  // order either way.
-  const std::uint64_t chunk_size =
-      (writer != nullptr || options.budget.enabled())
-          ? std::max<std::uint64_t>(1, options.checkpoint_every)
-          : options.trials;
-
-  McSummary summary;
-  summary.trials_requested = options.trials;
-  summary.ratio_samples.reserve(options.trials);
-  summary.unit_ratio_samples.reserve(options.trials);
-  for (std::uint64_t start = 0; start < options.trials; start += chunk_size) {
-    if (options.cancel != nullptr && options.cancel->requested()) {
-      summary.truncated = true;
-      summary.truncate_reason = options.cancel->reason();
-      break;
-    }
-    if (tracker.exceeded()) {
-      summary.truncated = true;
-      summary.truncate_reason = tracker.boxes_exceeded()
-                                    ? robust::CancelReason::kBudget
-                                    : robust::CancelReason::kDeadline;
-      break;
-    }
-    const std::uint64_t end =
-        std::min(options.trials, start + chunk_size);
-
-    // Indices in this chunk that the checkpoint does not already cover.
-    std::vector<std::uint64_t> todo;
-    todo.reserve(end - start);
-    for (std::uint64_t i = start; i < end; ++i) {
-      if (known.find(i) == known.end()) todo.push_back(i);
-    }
-    std::vector<robust::TrialRecord> fresh(todo.size());
-    try {
-      util::parallel_for(the_pool, todo.size(), [&](std::size_t k) {
-        fresh[k] = run_single_trial(options, runner, todo[k], timing);
-      });
-    } catch (const robust::CancelledError& e) {
-      // Discard the whole in-flight chunk: aggregating a partially
-      // filled `fresh` would make the reported prefix depend on which
-      // trials happened to finish before the token fired. Committed
-      // chunks are untouched, so a --resume re-runs exactly this chunk
-      // and the merged summary stays bit-identical.
-      summary.truncated = true;
-      summary.truncate_reason = e.reason();
-      break;
-    }
-
-    // Merge, account, aggregate, persist — single-threaded, trial order.
-    std::size_t next_fresh = 0;
-    for (std::uint64_t i = start; i < end; ++i) {
-      const auto it = known.find(i);
-      const robust::TrialRecord& t =
-          it != known.end() ? it->second : fresh[next_fresh++];
-      if (it == known.end() && !t.failed) tracker.add_boxes(t.boxes);
-      aggregate_trial(summary, t, recorder);
-    }
-    if (writer != nullptr && !fresh.empty()) writer->append(fresh);
-    summary.trials_run = end;
-  }
-
+void finish_summary(const McSummary& summary, obs::McRecorder* recorder) {
   CADAPT_CHECK(summary.ratio_samples.size() + summary.incomplete +
                    summary.failed ==
                summary.trials_run);
   if (recorder != nullptr) {
     recorder->finish({summary.trials_requested, summary.truncated});
   }
+}
+
+McSummary run_monte_carlo_robust(const McOptions& options,
+                                 const RobustTrialRunner& runner) {
+  CADAPT_CHECK(options.trials >= 1);
+  CADAPT_CHECK(runner != nullptr);
+  CADAPT_CHECK(options.max_attempts >= 1);
+  util::ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : util::default_pool();
+  obs::McRecorder* recorder = options.recorder;
+  const bool timing = recorder != nullptr && recorder->record_timing();
+
+  McSummary summary;
+  summary.trials_requested = options.trials;
+  std::vector<robust::TrialRecord> records(options.trials);
+  try {
+    util::parallel_for(pool, records.size(), [&](std::size_t trial) {
+      records[trial] = run_single_trial(options, runner, trial, timing);
+    });
+  } catch (const robust::CancelledError& e) {
+    // Discard every trial: keeping the ones that happened to finish
+    // before the token fired would make the summary depend on timing.
+    summary.truncated = true;
+    summary.truncate_reason = e.reason();
+    records.clear();
+  }
+  summary.ratio_samples.reserve(records.size());
+  summary.unit_ratio_samples.reserve(records.size());
+  for (const robust::TrialRecord& record : records) {
+    fold_trial(summary, record, recorder);
+  }
+  finish_summary(summary, recorder);
   return summary;
 }
 

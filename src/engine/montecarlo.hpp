@@ -3,14 +3,14 @@
 // drawn random profiles and aggregate the adaptivity ratio
 // Σ min(n,|□_i|)^{log_b a} / n^{log_b a} and the stopping time S_n.
 //
-// The driver is the robustness layer's main customer
-// (docs/ROBUSTNESS.md): a trial that throws is *contained* as a
-// structured robust::TrialError in the summary (with a bounded
-// retry-with-reseed policy) instead of tearing down the campaign; a
-// seeded robust::FaultPlan can inject failures at registered sites;
-// resource budgets truncate a campaign explicitly; and periodic JSONL
-// checkpoints make a killed campaign resumable with a bit-identical
-// summary.
+// This is the trial layer of the robustness toolkit (docs/ROBUSTNESS.md):
+// run_single_trial contains a throwing trial as a structured
+// robust::TrialError (with a bounded retry-with-reseed policy) instead of
+// tearing down the campaign, and a seeded robust::FaultPlan can inject
+// failures at registered sites. run_monte_carlo* are plain parallel folds
+// in trial order for library callers; chunked, budgeted, checkpointed
+// campaigns (`cadapt mc`) run through campaign::run_cell_trials, the
+// sweep's trial loop, which folds with fold_trial too.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 #include "profile/box_source.hpp"
 #include "profile/distributions.hpp"
 #include "robust/backoff.hpp"
-#include "robust/budget.hpp"
 #include "robust/cancel.hpp"
 #include "robust/checkpoint.hpp"
 #include "robust/error.hpp"
@@ -70,33 +69,12 @@ struct McOptions {
   /// each trial's profile stream so FaultSite::kBoxDraw is visited per
   /// drawn box. Must outlive the call.
   const robust::FaultPlan* faults = nullptr;
-  /// Wall-clock / total-box budget. A tripped budget stops the campaign
-  /// at the next chunk boundary and marks the summary truncated; the
-  /// trials that did run are always the prefix [0, trials_run).
-  robust::Budget budget;
-  /// Path for periodic JSONL checkpoints; empty = no checkpointing.
-  std::string checkpoint_path;
-  /// Trials per chunk: the driver runs, aggregates, and checkpoints in
-  /// chunks of this size (budget checks happen at chunk boundaries).
-  /// Chunking never changes the summary or the event stream.
-  std::uint64_t checkpoint_every = 256;
-  /// Load checkpoint_path (if it exists) and skip the trials it records;
-  /// newly run trials are appended to the same file. The merged summary
-  /// is bit-identical to an uninterrupted run. The checkpoint's header
-  /// (trials, seed, config) must match or the driver throws ParseError.
-  bool resume = false;
-  /// Free-form fingerprint of the campaign stored in the checkpoint
-  /// header and verified on resume (fill it with params/distribution/
-  /// semantics — anything that shapes a trial besides trials and seed).
-  std::string config;
-  /// Test seam for the wall-clock deadline.
-  obs::ClockFn clock = &obs::steady_now_ns;
   /// Cooperative cancellation token polled at every attempt start and
   /// forwarded into the engine's box loops (docs/ROBUSTNESS.md). Null =
   /// disabled. Create the token (and any robust::Watchdog) BEFORE
   /// building runners: make_regular_trial_runner captures options by
-  /// value. A fired token truncates the campaign at the next chunk
-  /// boundary, discarding the in-flight chunk wholesale.
+  /// value. A fired token truncates the campaign, discarding the
+  /// in-flight trials wholesale.
   const robust::CancelToken* cancel = nullptr;
   /// Seeded exponential backoff between retry attempts of a failed
   /// trial; disabled (base_ns == 0) by default. Attempt 0 never sleeps,
@@ -107,10 +85,6 @@ struct McOptions {
   /// that poll `cancel` between slices (a cancelled campaign never waits
   /// out a long backoff schedule).
   void (*sleep_fn)(std::uint64_t ns) = nullptr;
-  /// Durable I/O backend for checkpoint writes; null = robust::system_io().
-  /// Tests substitute robust::FaultyIo to exercise ENOSPC/short-write/
-  /// fsync failures without touching a real filesystem knob.
-  robust::IoBackend* io = nullptr;
 };
 
 struct McSummary {
@@ -174,9 +148,9 @@ std::uint64_t derive_trial_seed(std::uint64_t seed, std::uint64_t trial,
 /// reseed, fault injection, categorized capture). Never throws: the
 /// record of a trial that exhausts its attempts carries the last
 /// attempt's category and message. Only `options`' seed, max_attempts and
-/// faults fields participate. This is the unit the campaign runner
-/// (src/campaign) drives inline from its own worker threads — same
-/// containment as run_monte_carlo_robust, no nested thread pools.
+/// faults fields participate (plus cancel, backoff and sleep_fn). This is
+/// the unit every driver runs: run_monte_carlo_robust and the campaign
+/// layer's TrialScheduler (src/campaign), inline on their own threads.
 robust::TrialRecord run_single_trial(const McOptions& options,
                                      const RobustTrialRunner& runner,
                                      std::uint64_t trial, bool timing = false);
@@ -196,10 +170,19 @@ RobustTrialRunner make_regular_trial_runner(model::RegularParams params,
 /// kTrialBody site still fires in run_single_trial before the body runs).
 RobustTrialRunner as_robust_runner(TrialRunner runner);
 
-/// The full robust driver: containment, retries, fault injection,
-/// budgets, checkpoint/resume — all controlled by `options` (trials,
-/// seed, pool, recorder and the robustness fields; placement/semantics/
-/// max_boxes are ignored here, they belong to run_monte_carlo's runner).
+/// Fold one finished trial into `summary` (and `recorder`, when set):
+/// callers fold in trial order, so the summary and the event stream never
+/// depend on thread count or scheduling. Advances trials_run.
+void fold_trial(McSummary& summary, const robust::TrialRecord& record,
+                obs::McRecorder* recorder);
+
+/// Close a folded summary: check its invariants and send the recorder's
+/// final "mc" event.
+void finish_summary(const McSummary& summary, obs::McRecorder* recorder);
+
+/// Run options.trials trials with full containment on options.pool and
+/// fold them in trial order. A fired cancel token discards every trial
+/// and returns a truncated summary with trials_run == 0.
 McSummary run_monte_carlo_robust(const McOptions& options,
                                  const RobustTrialRunner& runner);
 

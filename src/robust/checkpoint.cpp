@@ -1,8 +1,12 @@
 #include "robust/checkpoint.hpp"
 
+#include <algorithm>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <istream>
+#include <sstream>
+#include <variant>
 
 #include "obs/event.hpp"
 #include "util/check.hpp"
@@ -11,16 +15,72 @@ namespace cadapt::robust {
 
 namespace {
 
-obs::Event header_event(const CheckpointHeader& header) {
-  obs::Event event("mc_checkpoint");
-  event.u64("version", header.version)
-      .u64("trials", header.trials)
-      .u64("seed", header.seed)
-      .str("config", header.config);
-  return event;
+// A header value as the mismatch error shows it; "none" when absent.
+std::string value_text(const obs::Value* value) {
+  if (value == nullptr) return "none";
+  if (const auto* text = std::get_if<std::string>(value)) {
+    return "'" + *text + "'";
+  }
+  std::ostringstream os;
+  std::visit([&os](const auto& v) { os << v; }, *value);
+  return os.str();
 }
 
-obs::Event record_event(const TrialRecord& record) {
+// "F is A but campaign has B" for every field (and the type tag) where
+// the file's header differs from the campaign's: "does not match" alone
+// sends the user diffing JSONL headers by hand.
+std::string header_diff(const obs::Event& have, const obs::Event& want) {
+  std::string detail;
+  const auto note = [&detail](const std::string& field,
+                              const std::string& a, const std::string& b) {
+    if (a == b) return;
+    if (!detail.empty()) detail += ", ";
+    detail += field + " is " + a + " but campaign has " + b;
+  };
+  note("type", "'" + have.type + "'", "'" + want.type + "'");
+  for (const obs::Field& field : want.fields) {
+    note(field.key, value_text(have.find(field.key)), value_text(&field.value));
+  }
+  for (const obs::Field& field : have.fields) {
+    if (want.find(field.key) == nullptr) {
+      note(field.key, value_text(&field.value), "none");
+    }
+  }
+  if (detail.empty()) detail = "fields are in a different order";
+  return detail;
+}
+
+// Parse `is` line by line with the torn-final-line rule of
+// load_jsonl_tolerant, handing each parsed line to `on_line`.
+void scan_jsonl_tolerant(std::istream& is, const std::string& what,
+                         const std::function<void(JsonlLine&)>& on_line) {
+  std::string text;
+  std::size_t line_no = 0;
+  bool pending_torn = false;  // a parse failure that may be a torn tail
+  std::string pending_error;
+  std::size_t pending_line = 0;
+  while (std::getline(is, text)) {
+    ++line_no;
+    if (text.empty()) continue;
+    if (pending_torn) {
+      // The malformed line was not the final one after all.
+      throw util::ParseError(pending_error, pending_line);
+    }
+    JsonlLine line{line_no, {}};
+    std::string error;
+    if (!obs::parse_jsonl(text, &line.event, &error)) {
+      pending_torn = true;
+      pending_error = what + " line " + std::to_string(line_no) + ": " + error;
+      pending_line = line_no;
+      continue;
+    }
+    on_line(line);
+  }
+}
+
+}  // namespace
+
+obs::Event trial_record_event(const TrialRecord& record) {
   if (record.failed) {
     obs::Event event("trial_error");
     event.u64("trial", record.trial)
@@ -49,7 +109,13 @@ obs::Event record_event(const TrialRecord& record) {
   return event;
 }
 
-TrialRecord record_from(const obs::Event& event, std::size_t line_no) {
+TrialRecord trial_record_from(const JsonlLine& line) {
+  const obs::Event& event = line.event;
+  const std::string where = "checkpoint line " + std::to_string(line.line_no);
+  if (event.type != "trial_result" && event.type != "trial_error") {
+    throw util::ParseError(
+        where + ": unexpected event type '" + event.type + "'", line.line_no);
+  }
   TrialRecord record;
   record.trial = event.u64_or("trial", 0);
   record.seed = event.u64_or("seed", 0);
@@ -61,9 +127,7 @@ TrialRecord record_from(const obs::Event& event, std::size_t line_no) {
     const auto category = parse_error_category(name);
     if (!category) {
       throw util::ParseError(
-          "checkpoint line " + std::to_string(line_no) +
-              ": unknown error category '" + name + "'",
-          line_no);
+          where + ": unknown error category '" + name + "'", line.line_no);
     }
     record.category = *category;
     record.what = event.str_or("what", "");
@@ -78,85 +142,14 @@ TrialRecord record_from(const obs::Event& event, std::size_t line_no) {
   return record;
 }
 
-}  // namespace
-
 std::vector<JsonlLine> load_jsonl_tolerant(std::istream& is,
                                            const std::string& what) {
   std::vector<JsonlLine> lines;
-  std::string line;
-  std::size_t line_no = 0;
-  bool pending_torn = false;  // a parse failure that may be a torn tail
-  std::string pending_error;
-  std::size_t pending_line = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (pending_torn) {
-      // The malformed line was not the final one after all.
-      throw util::ParseError(pending_error, pending_line);
-    }
-    obs::Event event;
-    std::string error;
-    if (!obs::parse_jsonl(line, &event, &error)) {
-      pending_torn = true;
-      pending_error = what + " line " + std::to_string(line_no) + ": " + error;
-      pending_line = line_no;
-      continue;
-    }
-    lines.push_back({line_no, std::move(event)});
-  }
+  scan_jsonl_tolerant(is, what,
+                      [&lines](JsonlLine& line) {
+                        lines.push_back(std::move(line));
+                      });
   return lines;
-}
-
-CheckpointData load_checkpoint(std::istream& is) {
-  CheckpointData data;
-  bool saw_header = false;
-  for (JsonlLine& parsed : load_jsonl_tolerant(is, "checkpoint")) {
-    const std::size_t line_no = parsed.line_no;
-    const obs::Event& event = parsed.event;
-    if (event.type == "mc_checkpoint") {
-      if (saw_header) {
-        throw util::ParseError("checkpoint line " + std::to_string(line_no) +
-                                   ": duplicate header",
-                               line_no);
-      }
-      saw_header = true;
-      data.header.version = event.u64_or("version", 0);
-      data.header.trials = event.u64_or("trials", 0);
-      data.header.seed = event.u64_or("seed", 0);
-      data.header.config = event.str_or("config", "");
-      if (data.header.version != 1) {
-        throw util::ParseError(
-            "unsupported checkpoint version " +
-                std::to_string(data.header.version),
-            line_no);
-      }
-      continue;
-    }
-    if (event.type == "trial_result" || event.type == "trial_error") {
-      if (!saw_header) {
-        throw util::ParseError("checkpoint line " + std::to_string(line_no) +
-                                   ": record before header",
-                               line_no);
-      }
-      TrialRecord record = record_from(event, line_no);
-      data.records[record.trial] = std::move(record);
-      continue;
-    }
-    throw util::ParseError("checkpoint line " + std::to_string(line_no) +
-                               ": unexpected event type '" + event.type + "'",
-                           line_no);
-  }
-  if (!saw_header) throw util::ParseError("checkpoint has no header line");
-  return data;
-}
-
-CheckpointData load_checkpoint_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is.good()) {
-    throw util::IoError("cannot open checkpoint '" + path + "' for reading");
-  }
-  return load_checkpoint(is);
 }
 
 std::uint64_t truncate_torn_tail(const std::string& path) {
@@ -181,27 +174,36 @@ std::uint64_t truncate_torn_tail(const std::string& path) {
   return static_cast<std::uint64_t>(size - keep);
 }
 
-CheckpointWriter::CheckpointWriter(const std::string& path,
-                                   const CheckpointHeader& header, bool append,
-                                   IoBackend& io)
-    : recovered_bytes_(append ? truncate_torn_tail(path) : 0),
-      out_(path, /*truncate=*/!append, io) {
-  if (!append || out_.initial_size() == 0) {
-    out_.write(obs::to_jsonl(header_event(header)));
-    out_.write("\n");
-    out_.commit();
+std::unique_ptr<DurableAppender> open_checkpoint(
+    const std::string& path, const obs::Event& header, bool resume,
+    const RecordFn& on_record, IoBackend& io) {
+  // Repair before loading: a record the loader accepted and the repair
+  // then erased would be used by this run but missing from the next.
+  if (resume) truncate_torn_tail(path);
+  auto out = std::make_unique<DurableAppender>(path, /*truncate=*/!resume, io);
+  bool headed = false;
+  if (out->initial_size() != 0) {
+    std::ifstream is(path);
+    std::string what = header.type;
+    std::replace(what.begin(), what.end(), '_', ' ');
+    scan_jsonl_tolerant(is, what, [&](JsonlLine& line) {
+      if (headed) return on_record(line);
+      if (line.event != header) {
+        throw util::ParseError("checkpoint '" + path +
+                                   "' belongs to a different campaign (its " +
+                                   header_diff(line.event, header) +
+                                   ") — refusing to resume",
+                               line.line_no);
+      }
+      headed = true;
+    });
   }
-}
-
-void CheckpointWriter::append(const std::vector<TrialRecord>& chunk) {
-  std::string line;
-  for (const TrialRecord& record : chunk) {
-    obs::to_jsonl(record_event(record), line);
-    out_.write(line);
-    out_.write("\n");
-    ++records_written_;
+  if (!headed) {
+    out->write(obs::to_jsonl(header));
+    out->write("\n");
+    out->commit();
   }
-  out_.commit();
+  return out;
 }
 
 }  // namespace cadapt::robust

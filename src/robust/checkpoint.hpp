@@ -1,27 +1,31 @@
-// Checkpoint/resume for Monte-Carlo campaigns.
+// Checkpoints: append-only JSONL logs that make a killed campaign
+// resumable. Every checkpoint in the repo — the sweep's cell log
+// (src/campaign/sweep.hpp), a serve job's, and `cadapt mc`'s trial-chunk
+// log — is one header line followed by records, and is opened through
+// open_checkpoint, the one place that repairs a torn tail, opens the
+// DurableAppender, writes the header into an empty file and loads what a
+// resume restores.
 //
-// Format: JSONL, reusing the observability layer's event encoding
-// (obs/event.hpp) so checkpoints are greppable, diffable, and parseable by
-// the same tooling as traces:
+// The Monte-Carlo records (campaign::run_cell_trials):
 //
-//   {"type":"mc_checkpoint","version":1,"trials":N,"seed":S,"config":"..."}
+//   {"type":"mc_checkpoint","version":2,"trials":N,"seed":S,
+//    "config_hash":"..."}
 //   {"type":"trial_result","trial":0,"seed":...,"attempts":1,
 //    "completed":true,"boxes":...,"ratio":...,"unit_ratio":...}
 //   {"type":"trial_error","trial":7,"seed":...,"attempts":2,
 //    "category":"injected","what":"..."}
 //
-// Records are appended per chunk and flushed, so a killed campaign loses
-// at most the in-flight chunk. The loader tolerates a torn final line
-// (the kill may land mid-write); every earlier line must parse. Because
-// each trial's outcome is a pure function of (campaign seed, trial index),
-// resuming from a checkpoint and re-running the missing trials yields a
-// summary bit-identical to an uninterrupted run — doubles round-trip
-// exactly through the shortest-round-trip encoding (obs/event.cpp).
+// Because each trial's outcome is a pure function of (campaign seed,
+// trial index), resuming from a checkpoint and re-running the missing
+// trials yields a summary bit-identical to an uninterrupted run —
+// doubles round-trip exactly through the shortest-round-trip encoding
+// (obs/event.cpp).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -43,32 +47,37 @@ struct JsonlLine {
 /// silently dropped — the expected wound of a process killed mid-write.
 /// A malformed line anywhere else throws util::ParseError (line-numbered,
 /// prefixed with `what`). Empty lines are skipped. This is the shared
-/// substrate of every resumable JSONL format in the repo (the Monte-Carlo
-/// checkpoint below, the campaign sweep checkpoint in src/campaign).
+/// substrate of every resumable JSONL format in the repo.
 std::vector<JsonlLine> load_jsonl_tolerant(std::istream& is,
                                            const std::string& what);
 
 /// Truncate a torn final line in place (no trailing '\n' means the last
-/// write was cut mid-line). Appending to the file without this would
-/// concatenate the first new record onto the torn tail and corrupt it for
-/// every later load. Missing or empty files are left untouched. Returns
-/// the number of torn bytes dropped (0 for a clean tail) so callers can
-/// report the recovery instead of hiding it.
+/// write was cut mid-line, whether or not the cut prefix happens to
+/// parse). Appending to the file without this would concatenate the
+/// first new record onto the torn tail and corrupt it for every later
+/// load. Missing or empty files are left untouched. Returns the number
+/// of torn bytes dropped (0 for a clean tail) so callers can report the
+/// recovery instead of hiding it.
 std::uint64_t truncate_torn_tail(const std::string& path);
 
-/// Identity of a campaign; a resume refuses to mix checkpoints across
-/// campaigns with different identities.
-struct CheckpointHeader {
-  std::uint64_t version = 1;
-  std::uint64_t trials = 0;  ///< trials requested (not yet run)
-  std::uint64_t seed = 0;    ///< campaign base seed
-  /// Free-form fingerprint of everything else that shapes a trial
-  /// (params, n, distribution, semantics, fault spec...). Exact string
-  /// equality is required on resume.
-  std::string config;
+/// Receives each record line of a resumed checkpoint, in file order.
+using RecordFn = std::function<void(const JsonlLine&)>;
 
-  bool operator==(const CheckpointHeader&) const = default;
-};
+/// Open the checkpoint at `path` whose first line is `header` and return
+/// the appender new records commit through. Fresh
+/// (resume == false): truncate and write the header. Resume: drop a torn
+/// tail first — so a final line without '\n' is torn even if it parses,
+/// and is re-derived rather than loaded and then erased — then append,
+/// writing the header into an empty or missing file, and pass every
+/// record after the header to `on_record`, with the tolerance rules of
+/// load_jsonl_tolerant (line by line: a resume never holds the whole
+/// file). Throws util::ParseError when the file's header differs from
+/// `header`, naming every differing field with both values ("seed is 7
+/// but campaign has 8"), and util::IoError when the file cannot be opened
+/// or the header commit fails.
+std::unique_ptr<DurableAppender> open_checkpoint(
+    const std::string& path, const obs::Event& header, bool resume,
+    const RecordFn& on_record, IoBackend& io = system_io());
 
 /// Outcome of one finished trial, as persisted. Exactly one of
 /// {failed, completed, !completed} interpretations applies:
@@ -100,45 +109,11 @@ struct TrialRecord {
   bool operator==(const TrialRecord&) const = default;
 };
 
-/// A loaded checkpoint: header plus records keyed by trial index
-/// (duplicates keep the last occurrence, so a re-appended trial wins).
-struct CheckpointData {
-  CheckpointHeader header;
-  std::map<std::uint64_t, TrialRecord> records;
-};
+/// The record's checkpoint line: trial_result, or trial_error when failed.
+obs::Event trial_record_event(const TrialRecord& record);
 
-/// Parse a checkpoint stream. Throws util::ParseError (line-numbered) on
-/// malformed content, except that a torn *final* line is silently dropped
-/// — that is the expected wound of a killed campaign.
-CheckpointData load_checkpoint(std::istream& is);
-/// File variant; throws util::IoError if the file cannot be opened.
-CheckpointData load_checkpoint_file(const std::string& path);
-
-/// Append-only checkpoint writer over the durable I/O layer
-/// (robust/io.hpp): each append() is one batched write + fsync, so a
-/// SIGKILL loses at most the in-flight chunk and a failed commit throws
-/// util::IoError with every previously committed record intact. Writes
-/// the header when starting fresh; in append mode the existing file's
-/// header must match (checked by the caller via load_checkpoint).
-class CheckpointWriter {
- public:
-  /// append == false truncates; append == true continues an existing file
-  /// (or creates it, header included, if missing/empty), first truncating
-  /// any torn final line a kill may have left so appended records start
-  /// on a fresh line. `io` is the fault-injection seam (FaultyIo in the
-  /// differential suite); default is the real filesystem.
-  CheckpointWriter(const std::string& path, const CheckpointHeader& header,
-                   bool append, IoBackend& io = system_io());
-
-  void append(const std::vector<TrialRecord>& chunk);
-  std::uint64_t records_written() const { return records_written_; }
-  /// Torn-tail bytes dropped while opening in append mode (0 otherwise).
-  std::uint64_t recovered_bytes() const { return recovered_bytes_; }
-
- private:
-  std::uint64_t recovered_bytes_ = 0;  // must init before out_ opens
-  DurableAppender out_;
-  std::uint64_t records_written_ = 0;
-};
+/// Decode a trial_result/trial_error line. Throws util::ParseError
+/// (line-numbered) for any other line type or an unknown error category.
+TrialRecord trial_record_from(const JsonlLine& line);
 
 }  // namespace cadapt::robust

@@ -281,19 +281,18 @@ void DurableAppender::commit() {
   if (buffer_.empty()) return;
   const std::string batch = std::move(buffer_);
   buffer_.clear();
+  if (!failed_.empty()) throw util::IoError(failed_);
   CrashPoint::instance().visit(io_, fd_, batch.data(), batch.size());
   const std::int64_t wrote = io_.write(fd_, batch.data(), batch.size());
   if (wrote < 0) {
-    throw util::IoError("write to '" + path_ + "' failed: " + errno_detail());
+    failed_ = "write to '" + path_ + "' failed: " + errno_detail();
+  } else if (static_cast<std::size_t>(wrote) != batch.size()) {
+    failed_ = "short write to '" + path_ + "' (" + std::to_string(wrote) +
+              " of " + std::to_string(batch.size()) + " bytes)";
+  } else if (io_.fsync(fd_) != 0) {
+    failed_ = "fsync of '" + path_ + "' failed: " + errno_detail();
   }
-  if (static_cast<std::size_t>(wrote) != batch.size()) {
-    throw util::IoError("short write to '" + path_ + "' (" +
-                        std::to_string(wrote) + " of " +
-                        std::to_string(batch.size()) + " bytes)");
-  }
-  if (io_.fsync(fd_) != 0) {
-    throw util::IoError("fsync of '" + path_ + "' failed: " + errno_detail());
-  }
+  if (!failed_.empty()) throw util::IoError(failed_);
 }
 
 }  // namespace cadapt::robust

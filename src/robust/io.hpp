@@ -193,6 +193,10 @@ class DurableAppender {
 
   /// Write the buffered batch and fsync it. The buffer is cleared even on
   /// failure: the batch is either durable or abandoned, never half-owned.
+  /// A failed commit may leave part of its batch in the file, so every
+  /// later commit of a non-empty batch throws the same IoError without
+  /// writing: nothing is ever appended after a torn record, and the torn
+  /// tail stays the final line that truncate_torn_tail repairs.
   void commit();
 
  private:
@@ -201,6 +205,7 @@ class DurableAppender {
   int fd_ = -1;
   std::uint64_t initial_size_ = 0;
   std::string buffer_;
+  std::string failed_;  ///< the first failed commit's error, if any
 };
 
 }  // namespace cadapt::robust

@@ -186,22 +186,13 @@ void ServeCore::init_job(const JobFiles& files, const SubmitRequest& request,
 
   // The checkpoint is the sweep format at shards=1 — the SAME header,
   // loader, and cell lines as one-shot `cadapt sweep --checkpoint`.
-  const std::string run =
-      campaign::run_fingerprint(request.retries + 1, job->faults.get(), 0);
-  robust::truncate_torn_tail(files.checkpoint_path);
-  job->checkpoint = std::make_unique<robust::DurableAppender>(
-      files.checkpoint_path, /*truncate=*/!resuming, *job->io);
-  if (resuming) {
-    job->results = campaign::load_sweep_checkpoint(files.checkpoint_path,
-                                                   job->plan, 1, 0, run);
-  }
-  if (job->checkpoint->initial_size() == 0) {
-    obs::to_jsonl(campaign::sweep_checkpoint_header(job->plan, 1, 0, run),
-                  line_buf_);
-    job->checkpoint->write(line_buf_);
-    job->checkpoint->write("\n");
-    job->checkpoint->commit();
-  }
+  job->checkpoint = robust::open_checkpoint(
+      files.checkpoint_path,
+      campaign::sweep_checkpoint_header(
+          job->plan, 1, 0,
+          campaign::run_fingerprint(request.retries + 1, job->faults.get(),
+                                    0)),
+      resuming, campaign::restore_cells(job->results), *job->io);
 
   std::vector<std::uint64_t> pending;
   for (std::uint64_t i = 0; i < job->cells_total; ++i) {

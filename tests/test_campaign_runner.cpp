@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -139,6 +140,41 @@ TEST(SweepRunner, ResumeAfterTornCheckpointIsBitIdentical) {
   // report without running anything.
   const Report cached = campaign::run_sweep(plan, options);
   expect_same_report(full, cached);
+}
+
+TEST(SweepRunner, ResumeKeepsACellWhoseNewlineWasTorn) {
+  // A final sweep_cell line that parses but lost its '\n' (a short write
+  // stopping one byte early) is torn: the resume re-runs the cell and
+  // commits it again, so the checkpoint keeps every cell the report used.
+  std::istringstream is(
+      "name = torn_newline\nalgos = 4:2:1\nprofiles = shuffled\n"
+      "k = 1..3\ntrials = 4\nseed = 5\n");
+  const Plan plan = campaign::expand_plan(campaign::parse_manifest(is));
+  const Report full = campaign::run_sweep(plan, untimed(1));
+  const std::string ckpt = temp_path("sweep_torn_newline.ckpt");
+  SweepOptions options = untimed(1);
+  options.checkpoint_path = ckpt;
+  campaign::run_sweep(plan, options);
+  std::string text;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_EQ(text.back(), '\n');
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out << text.substr(0, text.size() - 1);
+  }
+
+  options.resume = true;
+  expect_same_report(full, campaign::run_sweep(plan, options));
+  std::ifstream in(ckpt);
+  std::string line;
+  std::size_t cells = 0;
+  while (std::getline(in, line)) {
+    cells += line.find("\"type\":\"sweep_cell\"") != std::string::npos;
+  }
+  EXPECT_EQ(cells, plan.cells.size());
 }
 
 TEST(SweepRunner, ResumeRefusesForeignCheckpoint) {

@@ -11,11 +11,14 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "campaign/sweep.hpp"
 #include "engine/montecarlo.hpp"
 #include "robust/backoff.hpp"
 #include "robust/checkpoint.hpp"
@@ -164,6 +167,19 @@ void expect_same_summary(const engine::McSummary& a,
   EXPECT_EQ(a.boxes.mean(), b.boxes.mean());
 }
 
+// The records a checkpoint holds, read without opening it for appending.
+std::map<std::uint64_t, TrialRecord> checkpoint_records(
+    const std::string& path) {
+  std::ifstream is(path);
+  const std::vector<JsonlLine> lines = load_jsonl_tolerant(is, "checkpoint");
+  std::map<std::uint64_t, TrialRecord> records;
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    TrialRecord record = trial_record_from(lines[i]);
+    records.insert_or_assign(record.trial, std::move(record));
+  }
+  return records;
+}
+
 TEST(CancelMc, MidCampaignCancelDiscardsTheChunkAndResumesBitIdentical) {
   const std::string path = temp_path("cancel_resume.jsonl");
   std::remove(path.c_str());
@@ -177,8 +193,10 @@ TEST(CancelMc, MidCampaignCancelDiscardsTheChunkAndResumesBitIdentical) {
   engine::McOptions base;
   base.trials = 8;
   base.seed = 20260808;
-  base.checkpoint_every = 2;
-  base.config = "cancel drill";
+  campaign::CellTrials chunked;
+  chunked.chunk = 2;
+  chunked.config = "cancel drill";
+  chunked.checkpoint_path = path;
 
   // The uninterrupted reference.
   const engine::McSummary full = engine::run_monte_carlo_robust(base, runner);
@@ -189,27 +207,27 @@ TEST(CancelMc, MidCampaignCancelDiscardsTheChunkAndResumesBitIdentical) {
   // 4's finished result — is discarded, never checkpointed.
   CancelToken token;
   engine::McOptions cancelled = base;
-  cancelled.checkpoint_path = path;
   cancelled.cancel = &token;
   util::ThreadPool one(1);  // deterministic cancellation point
   cancelled.pool = &one;
-  const engine::McSummary cut = engine::run_monte_carlo_robust(
-      cancelled, [&token, &runner](std::uint64_t seed, FaultInjector& f) {
+  const engine::McSummary cut = campaign::run_cell_trials(
+      cancelled,
+      [&token, &runner](std::uint64_t seed, FaultInjector& f) {
         if (f.trial() == 4) token.request(CancelReason::kExternal);
         return runner(seed, f);
-      });
+      },
+      chunked);
   EXPECT_TRUE(cut.truncated);
   EXPECT_EQ(cut.truncate_reason, CancelReason::kExternal);
   EXPECT_EQ(cut.trials_run, 4u);
-  EXPECT_EQ(load_checkpoint_file(path).records.size(), 4u);
+  EXPECT_EQ(checkpoint_records(path).size(), 4u);
 
   // Resume without cancellation: re-runs exactly trials 4..7 and lands on
   // the uninterrupted summary bit-for-bit.
-  engine::McOptions resumed = base;
-  resumed.checkpoint_path = path;
+  campaign::CellTrials resumed = chunked;
   resumed.resume = true;
   const engine::McSummary merged =
-      engine::run_monte_carlo_robust(resumed, runner);
+      campaign::run_cell_trials(base, runner, resumed);
   EXPECT_FALSE(merged.truncated);
   EXPECT_EQ(merged.truncate_reason, CancelReason::kNone);
   expect_same_summary(merged, full);
@@ -221,19 +239,21 @@ TEST(CancelMc, ResumeMismatchNamesEveryDivergentField) {
   engine::McOptions options;
   options.trials = 2;
   options.seed = 1;
-  options.config = "fingerprint A";
-  options.checkpoint_path = path;
+  campaign::CellTrials trials;
+  trials.config = "fingerprint A";
+  trials.checkpoint_path = path;
   const auto runner = [](std::uint64_t, FaultInjector&) {
     return ok_result(1.0);
   };
-  (void)engine::run_monte_carlo_robust(options, runner);
+  (void)campaign::run_cell_trials(options, runner, trials);
 
   engine::McOptions other = options;
   other.seed = 9;
-  other.config = "fingerprint B";
-  other.resume = true;
+  campaign::CellTrials other_trials = trials;
+  other_trials.config = "fingerprint B";
+  other_trials.resume = true;
   try {
-    (void)engine::run_monte_carlo_robust(other, runner);
+    (void)campaign::run_cell_trials(other, runner, other_trials);
     FAIL() << "expected ParseError";
   } catch (const util::ParseError& e) {
     const std::string what = e.what();
@@ -344,16 +364,19 @@ TEST(Backoff, ScheduleIsSleptViaTheSeamAndPersistedPerTrial) {
   options.backoff.base_ns = 1'000'000;
   options.backoff.seed = options.seed;
   options.sleep_fn = &sleep_seam::record;
-  options.checkpoint_path = path;
   util::ThreadPool one(1);  // keep the recorded schedule in trial order
   options.pool = &one;
+  campaign::CellTrials trials;
+  trials.checkpoint_path = path;
 
   // Every trial fails attempts 0 and 1 and succeeds on attempt 2.
-  const engine::McSummary summary = engine::run_monte_carlo_robust(
-      options, [](std::uint64_t, FaultInjector& f) -> engine::RunResult {
+  const engine::McSummary summary = campaign::run_cell_trials(
+      options,
+      [](std::uint64_t, FaultInjector& f) -> engine::RunResult {
         if (f.attempt() < 2) throw std::runtime_error("transient");
         return ok_result(1.0);
-      });
+      },
+      trials);
   EXPECT_EQ(summary.failed, 0u);
   EXPECT_EQ(summary.trials_run, 2u);
 
@@ -370,11 +393,12 @@ TEST(Backoff, ScheduleIsSleptViaTheSeamAndPersistedPerTrial) {
 
   // The realized schedule is part of the durable record: backoff_ns
   // round-trips through the checkpoint, per trial.
-  const CheckpointData data = load_checkpoint_file(path);
-  ASSERT_EQ(data.records.size(), 2u);
-  EXPECT_EQ(data.records.at(0).backoff_ns, expected[0] + expected[1]);
-  EXPECT_EQ(data.records.at(1).backoff_ns, expected[2] + expected[3]);
-  for (const auto& [trial, record] : data.records) {
+  const std::map<std::uint64_t, TrialRecord> records =
+      checkpoint_records(path);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records.at(0).backoff_ns, expected[0] + expected[1]);
+  EXPECT_EQ(records.at(1).backoff_ns, expected[2] + expected[3]);
+  for (const auto& [trial, record] : records) {
     EXPECT_EQ(record.attempts, 3u) << trial;
   }
 }

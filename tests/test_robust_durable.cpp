@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -149,6 +150,27 @@ TEST(DurableAppender, FailedCommitKeepsCommittedRecordsAndDropsTheBatch) {
   EXPECT_EQ(read_file(path), "committed\n");
 }
 
+TEST(DurableAppender, CommitAfterAFailedCommitThrowsAndWritesNothing) {
+  const std::string path = temp_path("appender_after_fail.jsonl");
+  FaultPlan plan = always(FaultSite::kIoShortWrite);
+  FaultyIo io(system_io(), &plan);
+  DurableAppender out(path, /*truncate=*/true, io);
+  out.write("0123456789");
+  EXPECT_THROW(out.commit(), util::IoError);
+  // The disk recovered, but the file ends in a torn record: appending
+  // after it would bury the tear mid-file, where no resume repairs it.
+  plan.set_rate(FaultSite::kIoShortWrite, 0.0);
+  out.write("next\n");
+  try {
+    out.commit();
+    FAIL() << "expected IoError";
+  } catch (const util::IoError& e) {
+    EXPECT_NE(std::string(e.what()).find("5 of 10 bytes"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(read_file(path), "01234");
+}
+
 TEST(DurableAppender, ShortWriteReportsByteCountsAndLeavesATornTail) {
   const std::string path = temp_path("appender_short.jsonl");
   const FaultPlan plan = always(FaultSite::kIoShortWrite);
@@ -182,61 +204,76 @@ TEST(TruncateTornTail, CleanAndMissingFilesAreUntouched) {
   EXPECT_EQ(truncate_torn_tail(temp_path("torn_never_written.jsonl")), 0u);
 }
 
-TEST(CheckpointWriter, FailedAppendLeavesPriorRecordsLoadable) {
-  const std::string path = temp_path("ckpt_io_fail.jsonl");
-  CheckpointHeader header;
-  header.trials = 4;
-  header.seed = 99;
-  header.config = "durable drill";
+obs::Event drill_header() {
+  obs::Event header("mc_checkpoint");
+  header.u64("version", 2).u64("trials", 4).u64("seed", 99).str(
+      "config_hash", "durable drill");
+  return header;
+}
 
+// One committed batch, as run_cell_trials commits a chunk.
+void commit_records(DurableAppender& out,
+                    const std::vector<TrialRecord>& records) {
+  for (const TrialRecord& record : records) {
+    out.write(obs::to_jsonl(trial_record_event(record)));
+    out.write("\n");
+  }
+  out.commit();
+}
+
+std::vector<TrialRecord> reload_records(const std::string& path) {
+  std::vector<TrialRecord> records;
+  (void)open_checkpoint(path, drill_header(), true,
+                        [&records](const JsonlLine& line) {
+                          records.push_back(trial_record_from(line));
+                        });
+  return records;
+}
+
+TEST(OpenCheckpoint, FailedCommitLeavesPriorRecordsLoadable) {
+  const std::string path = temp_path("ckpt_io_fail.jsonl");
   TrialRecord first;
   first.trial = 0;
   first.seed = 1;
   first.completed = true;
   first.boxes = 10;
-  {
-    CheckpointWriter writer(path, header, /*append=*/false);
-    writer.append({first});
-  }
+  commit_records(*open_checkpoint(path, drill_header(), false, {}), {first});
 
   const FaultPlan plan = always(FaultSite::kIoEnospc);
   FaultyIo io(system_io(), &plan);
-  CheckpointWriter writer(path, header, /*append=*/true, io);
+  const std::unique_ptr<DurableAppender> resumed = open_checkpoint(
+      path, drill_header(), true, [](const JsonlLine&) {}, io);
   TrialRecord second = first;
   second.trial = 1;
-  EXPECT_THROW(writer.append({second}), util::IoError);
+  EXPECT_THROW(commit_records(*resumed, {second}), util::IoError);
 
   // The failed chunk vanished wholesale; header + trial 0 still load.
-  const CheckpointData data = load_checkpoint_file(path);
-  EXPECT_EQ(data.header, header);
-  ASSERT_EQ(data.records.size(), 1u);
-  EXPECT_EQ(data.records.at(0), first);
+  const std::vector<TrialRecord> records = reload_records(path);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], first);
 }
 
-TEST(CheckpointWriter, AppendModeRecoversATornTailAndReportsIt) {
+TEST(OpenCheckpoint, ResumeRecoversATornTail) {
   const std::string path = temp_path("ckpt_torn_recover.jsonl");
-  CheckpointHeader header;
-  header.trials = 2;
-  header.seed = 7;
-  {
-    CheckpointWriter writer(path, header, /*append=*/false);
-  }
+  (void)open_checkpoint(path, drill_header(), false, {});
   const std::string committed = read_file(path);
   write_raw(path, committed + "{\"type\":\"trial_res");  // kill mid-write
 
-  CheckpointWriter writer(path, header, /*append=*/true);
-  EXPECT_EQ(writer.recovered_bytes(), std::string("{\"type\":\"trial_res").size());
+  std::size_t loaded = 0;
+  const std::unique_ptr<DurableAppender> resumed = open_checkpoint(
+      path, drill_header(), true, [&loaded](const JsonlLine&) { ++loaded; });
+  EXPECT_EQ(read_file(path), committed);  // the torn bytes are gone
+  EXPECT_EQ(loaded, 0u);
   TrialRecord record;
   record.trial = 0;
   record.seed = 3;
   record.completed = true;
-  writer.append({record});
+  commit_records(*resumed, {record});
 
   // The new record landed on a fresh line, not glued onto the torn one.
-  const CheckpointData data = load_checkpoint_file(path);
-  EXPECT_EQ(data.header, header);
-  ASSERT_EQ(data.records.size(), 1u);
-  EXPECT_EQ(data.records.at(0), record);
+  const std::vector<TrialRecord> records = reload_records(path);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0], record);
 }
 
 TEST(FaultyIo, OccurrenceDecisionsAreDeterministicAcrossInstances) {

@@ -2,7 +2,7 @@
 // FaultSite has an injection test proving the campaign survives, the
 // contained failures are reported deterministically across pool sizes,
 // retry-with-reseed recovers transient faults, and budgets truncate
-// explicitly at deterministic chunk boundaries.
+// campaign::run_cell_trials explicitly at deterministic chunk boundaries.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/sweep.hpp"
 #include "engine/montecarlo.hpp"
 #include "obs/event.hpp"
 #include "obs/recorder.hpp"
@@ -278,15 +279,19 @@ TEST(RobustMcInjection, PagingStepSite) {
 
 // ---- Budgets ----
 
+// Budgets truncate run_cell_trials (the loop `cadapt mc` runs) at chunk
+// boundaries of its trial-order fold.
+
 TEST(RobustMc, BoxBudgetTruncatesAtChunkBoundary) {
   McOptions options;
   options.trials = 10;
   options.seed = 3;
-  options.checkpoint_every = 2;            // chunk boundaries every 2 trials
-  options.budget.max_total_boxes = 300;    // each chunk consumes 200 boxes
   obs::MemorySink sink;
   obs::McRecorder recorder(&sink, /*record_timing=*/false);
   options.recorder = &recorder;
+  campaign::CellTrials trials;
+  trials.chunk = 2;                       // chunk boundaries every 2 trials
+  trials.budget.max_total_boxes = 300;    // each chunk consumes 200 boxes
 
   const auto runner = [](std::uint64_t, robust::FaultInjector&) {
     RunResult r;
@@ -296,12 +301,14 @@ TEST(RobustMc, BoxBudgetTruncatesAtChunkBoundary) {
     r.unit_ratio = 1.0;
     return r;
   };
-  const McSummary summary = run_monte_carlo_robust(options, runner);
+  const McSummary summary =
+      campaign::run_cell_trials(options, runner, trials);
 
   // Chunk [0,2) spends 200 < 300, chunk [2,4) pushes the spend to 400;
-  // the boundary before chunk [4,6) trips. Deterministic: the budget is
-  // only consulted between chunks, never mid-flight.
+  // the fold stops after it. Deterministic: the spend is summed in trial
+  // order, whichever chunks landed first.
   EXPECT_TRUE(summary.truncated);
+  EXPECT_EQ(summary.truncate_reason, robust::CancelReason::kBudget);
   EXPECT_EQ(summary.trials_run, 4u);
   EXPECT_EQ(summary.trials_requested, 10u);
   EXPECT_EQ(summary.ratio_samples.size(), 4u);
@@ -315,15 +322,16 @@ TEST(RobustMc, BoxBudgetTruncatesAtChunkBoundary) {
   EXPECT_EQ(mc.u64_or("trials", ~0ull), 4u);
   EXPECT_EQ(mc.u64_or("trials_requested", ~0ull), 10u);
 
-  // Pool size cannot move the stopping point.
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+  // Thread count cannot move the stopping point.
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     util::ThreadPool pool(threads);
     McOptions again = options;
     again.recorder = nullptr;
     again.pool = &pool;
-    const McSummary other = run_monte_carlo_robust(again, runner);
-    EXPECT_TRUE(other.truncated);
-    EXPECT_EQ(other.trials_run, 4u);
+    const McSummary other = campaign::run_cell_trials(again, runner, trials);
+    EXPECT_TRUE(other.truncated) << threads;
+    EXPECT_EQ(other.trials_run, 4u) << threads;
   }
 }
 
@@ -333,24 +341,33 @@ std::uint64_t read() { return now.load(); }
 }  // namespace fake_clock
 
 TEST(RobustMc, DeadlineTruncatesViaInjectedClock) {
-  fake_clock::now = 0;
-  McOptions options;
-  options.trials = 6;
-  options.seed = 4;
-  options.checkpoint_every = 2;
-  options.budget.deadline_ns = 100;
-  options.clock = &fake_clock::read;
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    fake_clock::now = 0;
+    util::ThreadPool pool(threads);
+    McOptions options;
+    options.trials = 6;
+    options.seed = 4;
+    options.pool = &pool;
+    campaign::CellTrials trials;
+    trials.chunk = 2;
+    trials.budget.deadline_ns = 100;
+    trials.clock = &fake_clock::read;
 
-  const McSummary summary = run_monte_carlo_robust(
-      options, [](std::uint64_t, robust::FaultInjector&) {
-        fake_clock::now += 60;  // each trial "takes" 60ns
-        return ok_result();
-      });
+    const McSummary summary = campaign::run_cell_trials(
+        options,
+        [](std::uint64_t, robust::FaultInjector&) {
+          fake_clock::now += 60;  // each trial "takes" 60ns
+          return ok_result();
+        },
+        trials);
 
-  // Chunk [0,2) ends at t=120 >= 100: exactly one chunk ran.
-  EXPECT_TRUE(summary.truncated);
-  EXPECT_EQ(summary.trials_run, 2u);
-  EXPECT_EQ(summary.ratio_samples.size(), 2u);
+    // Chunk [0,2) lands at t >= 120 >= 100: the fold stops after it.
+    EXPECT_TRUE(summary.truncated) << threads;
+    EXPECT_EQ(summary.truncate_reason, robust::CancelReason::kDeadline);
+    EXPECT_EQ(summary.trials_run, 2u) << threads;
+    EXPECT_EQ(summary.ratio_samples.size(), 2u) << threads;
+  }
 }
 
 TEST(RobustMc, UnarmedPlanMatchesNoPlanBitForBit) {

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <sstream>
 #include <thread>
@@ -17,6 +19,7 @@
 #include "paging/lru_cache.hpp"
 #include "profile/distributions.hpp"
 #include "profile/square_approx.hpp"
+#include "robust/checkpoint.hpp"
 #include "sched/deque.hpp"
 #include "util/random.hpp"
 
@@ -284,8 +287,10 @@ TEST(ParallelEngine, OneWorkerEqualsSequentialEngine) {
 
 // ---------------------------------------------------------------------------
 // The campaign surface: a sort cell run on the shared trial loop at 4
-// threads produces records byte-equal to the sequential run_cell (the
-// report bit-identity contract).
+// threads produces records equal, field by field, to the sequential
+// run_cell's (the report bit-identity contract). The shared loop's
+// records are read back from its checkpoint, which holds every trial's
+// seed, attempts, flags, boxes, ratios and backoff.
 
 TEST(ParallelTrials, RunCellRecordsIdenticalAcrossWorkerCounts) {
   std::istringstream is(
@@ -303,11 +308,45 @@ TEST(ParallelTrials, RunCellRecordsIdenticalAcrossWorkerCounts) {
   campaign::CellRunOptions options = campaign::cell_options_from(plan.manifest);
   options.timing = false;
 
-  const std::vector<robust::TrialRecord> sequential =
+  // The sequential reference, folded in trial order...
+  const std::vector<robust::TrialRecord> records =
       campaign::run_cell(plan.cells[0], options);
-  const std::vector<robust::TrialRecord> shared =
-      campaign::run_cell_shared(plan.cells[0], options, 4);
-  EXPECT_EQ(shared, sequential);
+  engine::McSummary sequential;
+  for (const robust::TrialRecord& record : records) {
+    engine::fold_trial(sequential, record, nullptr);
+  }
+  // ... equals the cell on 4 threads of the shared trial loop, in 2-trial
+  // chunks that commit in landing order.
+  util::ThreadPool pool(4);
+  engine::McOptions trial_options =
+      campaign::trial_options_for(plan.cells[0], options);
+  trial_options.pool = &pool;
+  campaign::CellTrials chunks;
+  chunks.chunk = 2;
+  chunks.checkpoint_path = ::testing::TempDir() + "ws_cell_records.jsonl";
+  chunks.config = "ws_cell";
+  const engine::McSummary shared = campaign::run_cell_trials(
+      trial_options, campaign::make_cell_runner(plan.cells[0], options),
+      chunks);
+
+  std::ifstream file(chunks.checkpoint_path);
+  const std::vector<robust::JsonlLine> lines =
+      robust::load_jsonl_tolerant(file, "checkpoint");
+  ASSERT_EQ(lines.size(), 1 + records.size());  // the header, then trials
+  std::vector<robust::TrialRecord> committed(records.size());
+  for (std::size_t i = 1; i < lines.size(); ++i) {
+    robust::TrialRecord record = robust::trial_record_from(lines[i]);
+    ASSERT_LT(record.trial, committed.size());
+    committed[record.trial] = std::move(record);
+  }
+  EXPECT_EQ(committed, records);
+  std::remove(chunks.checkpoint_path.c_str());
+
+  EXPECT_EQ(shared.trials_run, sequential.trials_run);
+  EXPECT_EQ(shared.ratio_samples, sequential.ratio_samples);
+  EXPECT_EQ(shared.unit_ratio_samples, sequential.unit_ratio_samples);
+  EXPECT_EQ(shared.errors, sequential.errors);
+  EXPECT_EQ(shared.boxes.mean(), sequential.boxes.mean());
 }
 
 // ---------------------------------------------------------------------------

@@ -521,11 +521,13 @@ TEST(ServeCore, CancelMidHelpedCellDiscardsItWholeAndResumes) {
   std::istringstream is(kHeavierTail);
   const campaign::Plan plan =
       campaign::expand_plan(campaign::parse_manifest(is));
-  const std::map<std::uint64_t, campaign::CellResult> committed =
-      campaign::load_sweep_checkpoint(
-          Spool(options.spool_dir, robust::system_io()).files_for(id)
-              .checkpoint_path,
-          plan, 1, 0, campaign::run_fingerprint(1, nullptr, 0));
+  std::map<std::uint64_t, campaign::CellResult> committed;
+  (void)robust::open_checkpoint(
+      Spool(options.spool_dir, robust::system_io()).files_for(id)
+          .checkpoint_path,
+      campaign::sweep_checkpoint_header(
+          plan, 1, 0, campaign::run_fingerprint(1, nullptr, 0)),
+      /*resume=*/true, campaign::restore_cells(committed));
   EXPECT_EQ(committed.size(), kLightCells);
   EXPECT_EQ(committed.count(kLightCells), 0u);
   ServeCore resumed(options);

@@ -96,20 +96,24 @@ struct RobustFlags {
     return faulty_io ? *faulty_io : robust::system_io();
   }
 
-  /// Fill engine::McOptions or campaign::SweepOptions; `seed` seeds the
-  /// backoff jitter and the default --fault-seed. Call it BEFORE building
-  /// runners from the options: they capture the token pointer by value.
-  template <typename Options>
-  void apply(const util::ArgParser& args, std::uint64_t seed, Options& opts) {
-    opts.max_attempts =
+  /// Fill the trial controls (`trial`: retries, faults, backoff, cancel)
+  /// and the run controls (`run`: budget, checkpoint, resume, io) — one
+  /// campaign::SweepOptions for sweep; campaign::CellRunOptions and
+  /// campaign::CellTrials for mc. `seed` seeds the backoff jitter and the
+  /// default --fault-seed. Call it BEFORE building runners from the
+  /// options: they capture the token pointer by value.
+  template <typename Trial, typename Run>
+  void apply(const util::ArgParser& args, std::uint64_t seed, Trial& trial,
+             Run& run) {
+    trial.max_attempts =
         static_cast<std::uint32_t>(args.get_u64("retries")) + 1;
-    opts.budget.deadline_ns = args.get_u64("deadline-ms") * 1'000'000ull;
-    opts.budget.max_total_boxes = args.get_u64("box-budget");
-    opts.backoff.base_ns = args.get_u64("retry-backoff-ms") * 1'000'000ull;
-    opts.backoff.seed = seed;
-    opts.checkpoint_path = args.get_string("checkpoint");
-    opts.resume = args.has("resume");
-    if (opts.resume && opts.checkpoint_path.empty()) {
+    run.budget.deadline_ns = args.get_u64("deadline-ms") * 1'000'000ull;
+    run.budget.max_total_boxes = args.get_u64("box-budget");
+    trial.backoff.base_ns = args.get_u64("retry-backoff-ms") * 1'000'000ull;
+    trial.backoff.seed = seed;
+    run.checkpoint_path = args.get_string("checkpoint");
+    run.resume = args.has("resume");
+    if (run.resume && run.checkpoint_path.empty()) {
       throw util::UsageError("--resume requires --checkpoint");
     }
     const std::string fault_spec = args.get_string("fault");
@@ -117,10 +121,10 @@ struct RobustFlags {
       plan = robust::FaultPlan::parse_spec(
           fault_spec, args.has("fault-seed") ? args.get_u64("fault-seed")
                                              : seed ^ 0xFA17ull);
-      opts.faults = &plan;
+      trial.faults = &plan;
       if (robust::FaultyIo::plan_arms_io(plan)) {
         faulty_io.emplace(robust::system_io(), &plan);
-        opts.io = &*faulty_io;
+        run.io = &*faulty_io;
       }
     }
     // The first SIGINT/SIGTERM cancels cooperatively (the second falls
@@ -130,11 +134,11 @@ struct RobustFlags {
     // suppresses run_sweep's internal one). Box budgets stay boundary-
     // checked: their truncation point must be deterministic.
     robust::install_signal_cancel();
-    if (opts.budget.deadline_ns != 0) {
+    if (run.budget.deadline_ns != 0) {
       watchdog.emplace(robust::process_cancel_token(),
-                       opts.budget.deadline_ns);
+                       run.budget.deadline_ns);
     }
-    opts.cancel = &robust::process_cancel_token();
+    trial.cancel = &robust::process_cancel_token();
   }
 };
 
@@ -408,15 +412,14 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
 // campaign cell. The summary never hides a degradation: failed and
 // truncated are always printed.
 int run_mc(const util::ArgParser& args, const model::RegularParams& p) {
-  const CellArgs ca = cell_args_from(args, p);
-  const campaign::Cell& cell = ca.cell;
+  CellArgs ca = cell_args_from(args, p);
+  campaign::Cell& cell = ca.cell;
   const bool sort = !cell.sort.empty();
-  engine::McOptions opts;
-  opts.trials = args.get_u64("trials");
-  opts.seed = cell.seed;
-  opts.checkpoint_every = args.get_u64("checkpoint-every");
+  cell.trials = args.get_u64("trials");
+  campaign::CellTrials trials;
+  trials.chunk = args.get_u64("checkpoint-every");
   RobustFlags flags;
-  flags.apply(args, opts.seed, opts);
+  flags.apply(args, cell.seed, ca.options, trials);
 
   // Checkpoint fingerprint: everything that shapes a trial besides
   // (trials, seed) — the cell's canonical tokens plus the robust flags —
@@ -425,23 +428,19 @@ int run_mc(const util::ArgParser& args, const model::RegularParams& p) {
   // bit-identical by contract, so resuming across them must be allowed.
   // Backoff never changes a trial's RESULT, but it changes the persisted
   // backoff_ns schedule.
-  opts.config = describe(ca) + "; " +
-                campaign::run_fingerprint(opts.max_attempts, opts.faults,
-                                          opts.backoff.base_ns);
+  trials.config = describe(ca) + "; " +
+                  campaign::run_fingerprint(ca.options.max_attempts,
+                                            ca.options.faults,
+                                            ca.options.backoff.base_ns);
 
-  // --workers N: a private N-thread pool for the trials; summaries are
-  // deterministic across pool sizes (trial-index-keyed aggregation).
-  std::optional<util::ThreadPool> pool;
-  if (args.has("workers")) {
-    pool.emplace(static_cast<std::size_t>(args.get_u64("workers")));
-    opts.pool = &*pool;
-  }
-
-  campaign::CellRunOptions options = ca.options;
-  options.faults = opts.faults;
-  options.cancel = opts.cancel;
-  const engine::McSummary s = engine::run_monte_carlo_robust(
-      opts, campaign::make_cell_runner(cell, options));
+  // The chunks run on --jobs threads (0 = hardware) of the sweep's trial
+  // loop; the summary is the same at every thread count.
+  util::ThreadPool pool(static_cast<std::size_t>(args.get_u64("jobs")));
+  engine::McOptions trial_options =
+      campaign::trial_options_for(cell, ca.options);
+  trial_options.pool = &pool;
+  const engine::McSummary s = campaign::run_cell_trials(
+      trial_options, campaign::make_cell_runner(cell, ca.options), trials);
 
   std::cout << "Monte-Carlo campaign of " << describe(ca) << ":\n"
             << "  trials: " << s.trials_run << " of " << s.trials_requested
@@ -612,8 +611,12 @@ int run_parallel_cmd(const util::ArgParser& args) {
   const auto cell_wall_ns = [&cell, &cell_options,
                              timing](std::uint64_t workers) -> std::uint64_t {
     const std::uint64_t start = obs::steady_now_ns();
-    (void)campaign::run_cell_shared(cell, cell_options,
-                                    static_cast<std::size_t>(workers));
+    util::ThreadPool pool(static_cast<std::size_t>(workers));
+    engine::McOptions trial_options =
+        campaign::trial_options_for(cell, cell_options);
+    trial_options.pool = &pool;
+    (void)campaign::run_cell_trials(
+        trial_options, campaign::make_cell_runner(cell, cell_options));
     return timing ? obs::steady_now_ns() - start : 0;
   };
 
@@ -791,7 +794,7 @@ int run_sweep_cmd(const util::ArgParser& args) {
     opts.timing = !args.has("no-timing");
     opts.per_box = args.has("per-box");
     opts.per_access = args.has("per-access");
-    flags.apply(args, manifest.seed, opts);
+    flags.apply(args, manifest.seed, opts, opts);
 
     TraceFlag trace;
     opts.trace = trace.open(args);

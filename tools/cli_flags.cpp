@@ -2,6 +2,7 @@
 
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -134,12 +135,12 @@ std::vector<Command> build_commands() {
        shape + cell + robust + retired +
            Flags{{"profile", kString, profile, "TOKEN", "shuffled"},
                  {"trials", kU64, "Monte-Carlo trials", "T", "64"},
-                 {"checkpoint-every", kU64, "trials per checkpoint commit",
-                  "K", "256"},
+                 {"checkpoint-every", kU64, "trials per chunk: the grain of "
+                  "checkpoint commits and budget checks", "K", "256"},
                  {"errors-shown", kU64, "trial errors to print", "E", "5"},
-                 {"workers", kU64, "run the trials on an N-thread pool", "N",
-                  "", 1},
-                 per_box}},
+                 jobs, per_box,
+                 {"workers", kRetired, "use --jobs: the --jobs threads "
+                  "run the trial chunks"}}},
       {"parallel", "parallel", "", 0, 0,
        "seeded work-stealing parallel engine (docs/PARALLEL.md)",
        shape + retired +
@@ -375,11 +376,14 @@ void print_help(std::ostream& os, const std::string& name) {
     os << "cadapt " << command.name << " " << command.synopsis
        << (command.synopsis.empty() ? "" : " ") << "[flags]\n";
     two_columns(os, "", command.summary);
-    std::string retired_names, retired_help;
+    // Retired rows grouped by their shared help text, in table order.
+    std::vector<std::pair<std::string, std::string>> retired;  // help, names
     for (const FlagSpec& flag : command.flags) {
       if (flag.kind == util::FlagKind::kRetired) {
-        retired_names += " --" + flag.name;
-        retired_help = flag.help;
+        if (retired.empty() || retired.back().first != flag.help) {
+          retired.push_back({flag.help, ""});
+        }
+        retired.back().second += " --" + flag.name;
       } else if (!flag.hidden) {
         std::string text = flag.help;
         if (flag.min != 0) text += " (>= " + std::to_string(flag.min) + ")";
@@ -388,9 +392,8 @@ void print_help(std::ostream& os, const std::string& name) {
         two_columns(os, "  --" + flag.name + " " + flag.meta, text);
       }
     }
-    if (!retired_names.empty()) {
-      two_columns(os, "  retired (exit 2):",
-                  retired_names + ": " + retired_help);
+    for (const auto& [help, names] : retired) {
+      two_columns(os, "  retired (exit 2):", names + ": " + help);
     }
     os << "\n";
   }
