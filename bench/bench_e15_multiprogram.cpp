@@ -17,6 +17,8 @@
 #include "algos/mm.hpp"
 #include "algos/sort.hpp"
 #include "bench_common.hpp"
+#include "campaign/sweep.hpp"
+#include "core/workloads.hpp"
 #include "engine/analytic.hpp"
 #include "engine/montecarlo.hpp"
 #include "paging/trace.hpp"
@@ -116,17 +118,18 @@ int main() {
       const auto boxes = profile::inner_square_profile(proc.occupancy_profile);
       profile::BoxSize max_box = 0;
       for (const auto b : boxes) max_box = std::max(max_box, b);
-      profile::Empirical census(boxes);
+      const auto census = std::make_shared<profile::Empirical>(boxes);
 
       // Monte-Carlo probe: (8,4,1) on i.i.d. boxes from the census.
       engine::McOptions mc;
       mc.trials = 24;
       mc.seed = 99;
-      const engine::McSummary probe_result =
-          engine::run_monte_carlo_iid(probe, probe_n, census, mc);
+      const engine::McSummary probe_result = campaign::run_cell_trials(
+          mc, engine::make_regular_trial_runner(
+                  probe, probe_n, core::iid_source(census), mc));
 
       // Analytic check via Lemma 3.
-      engine::AnalyticSolver solver(probe, census);
+      engine::AnalyticSolver solver(probe, *census);
       const double analytic_ratio = solver.solve(probe_n).back().ratio;
 
       table.row()

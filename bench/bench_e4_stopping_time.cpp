@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "campaign/sweep.hpp"
+#include "core/workloads.hpp"
 #include "engine/analytic.hpp"
 #include "engine/montecarlo.hpp"
 #include "profile/distributions.hpp"
@@ -27,11 +29,12 @@ int main() {
   const unsigned kmax = 6;
   const std::uint64_t n_max = util::ipow(4, kmax);
 
-  std::vector<std::unique_ptr<profile::BoxDistribution>> dists;
-  dists.push_back(std::make_unique<profile::GeometricPowers>(4, 8.0, 0, kmax));
-  dists.push_back(std::make_unique<profile::UniformPowers>(4, 0, 4));
-  dists.push_back(std::make_unique<profile::Bimodal>(2, 1024, 0.03));
-  dists.push_back(std::make_unique<profile::UniformRange>(1, 64));
+  const std::vector<std::shared_ptr<const profile::BoxDistribution>> dists = {
+      std::make_shared<profile::GeometricPowers>(4, 8.0, 0, kmax),
+      std::make_shared<profile::UniformPowers>(4, 0, 4),
+      std::make_shared<profile::Bimodal>(2, 1024, 0.03),
+      std::make_shared<profile::UniformRange>(1, 64),
+  };
 
   for (const auto& dist : dists) {
     std::cout << "\n--- Σ = " << dist->name() << " ---\n";
@@ -45,8 +48,9 @@ int main() {
       engine::McOptions mc;
       mc.trials = 3000;
       mc.seed = 4242 + lvl.n;
-      const engine::McSummary sim =
-          run_monte_carlo_iid(params, lvl.n, *dist, mc);
+      const engine::McSummary sim = campaign::run_cell_trials(
+          mc, engine::make_regular_trial_runner(params, lvl.n,
+                                                core::iid_source(dist), mc));
       const double mc_f = sim.boxes.mean();
       const double rel =
           lvl.f > 0 ? std::abs(mc_f - lvl.f) / lvl.f : 0.0;

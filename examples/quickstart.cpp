@@ -9,6 +9,7 @@
 // Build: cmake -B build -G Ninja && cmake --build build
 // Run:   ./build/examples/quickstart
 #include <iostream>
+#include <memory>
 
 #include "core/cadapt.hpp"
 
@@ -39,12 +40,13 @@ int main() {
   // --- The same boxes, i.i.d. reshuffled (Theorem 1) ---
   {
     // The box census of M_{a,b}(n) is geometric over powers of b.
-    profile::GeometricPowers census(mm_scan.b, static_cast<double>(mm_scan.a),
-                                    0, util::ilog(n, mm_scan.b));
+    const auto census = std::make_shared<profile::GeometricPowers>(
+        mm_scan.b, static_cast<double>(mm_scan.a), 0, util::ilog(n, mm_scan.b));
     engine::McOptions opts;
     opts.trials = 64;
-    const engine::McSummary s =
-        engine::run_monte_carlo_iid(mm_scan, n, census, opts);
+    const engine::McSummary s = campaign::run_cell_trials(
+        opts, engine::make_regular_trial_runner(
+                  mm_scan, n, core::iid_source(census), opts));
     std::cout << "On i.i.d. boxes from the same census (64 trials):\n"
               << "  E[boxes]:         " << s.boxes.mean() << "\n"
               << "  adaptivity ratio: " << s.ratio.mean() << " +/- "
@@ -52,7 +54,7 @@ int main() {
               << "   <- O(1): cache-adaptive in expectation\n\n";
 
     // Cross-check the simulation against the exact Lemma 3 recurrence.
-    engine::AnalyticSolver solver(mm_scan, census);
+    engine::AnalyticSolver solver(mm_scan, *census);
     std::cout << "Lemma 3 analytic E[boxes]: " << solver.solve(n).back().f
               << "\n";
   }

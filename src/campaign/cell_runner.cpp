@@ -85,16 +85,13 @@ engine::RobustTrialRunner ratio_runner(const Cell& cell,
               p, n, profile::uniform_real_perturb(cell.profile.farg)),
           mc);
     case ProfileKind::kOrder:
-      return engine::as_robust_runner(
-          core::order_perturb_runner(p, n, /*matched=*/false,
-                                     options.semantics));
+      return core::order_perturb_runner(p, n, /*matched=*/false,
+                                        options.semantics);
     case ProfileKind::kOrderMatched:
-      return engine::as_robust_runner(
-          core::order_perturb_runner(p, n, /*matched=*/true,
-                                     options.semantics));
+      return core::order_perturb_runner(p, n, /*matched=*/true,
+                                        options.semantics);
     case ProfileKind::kRandScan:
-      return engine::as_robust_runner(
-          core::randomized_scan_runner(p, n, options.semantics));
+      return core::randomized_scan_runner(p, n, options.semantics);
     case ProfileKind::kShuffled:
     case ProfileKind::kIid:
       return engine::make_regular_trial_runner(

@@ -5,7 +5,9 @@
 //   profile::*                — square profiles, distributions, transforms
 //   engine::RegularExecution  — symbolic cache-adaptive execution
 //   engine::AnalyticSolver    — exact Lemma-3 stopping-time recurrence
-//   engine::run_monte_carlo   — parallel expectation estimation
+//   campaign::run_cell_trials — parallel expectation estimation: trials
+//                               of engine::make_regular_trial_runner over
+//                               a core::iid_source (or any runner)
 //   paging::CaMachine         — concrete cache-adaptive paging machine
 //   algos::*                  — instrumented real algorithms (MM-Scan, ...)
 //   campaign::run_sweep       — one-call reproductions of the paper's
@@ -17,6 +19,7 @@
 #include "campaign/plan.hpp"        // IWYU pragma: export
 #include "campaign/sweep.hpp"       // IWYU pragma: export
 #include "core/experiments.hpp"     // IWYU pragma: export
+#include "core/workloads.hpp"       // IWYU pragma: export
 #include "engine/analytic.hpp"      // IWYU pragma: export
 #include "engine/exec.hpp"          // IWYU pragma: export
 #include "engine/montecarlo.hpp"    // IWYU pragma: export

@@ -87,10 +87,11 @@ engine::TrialSourceFactory cyclic_shift_source(model::RegularParams params,
   };
 }
 
-engine::TrialRunner order_perturb_runner(model::RegularParams params,
-                                         std::uint64_t n, bool matched,
-                                         engine::BoxSemantics semantics) {
-  return [params, n, matched, semantics](std::uint64_t trial_seed) {
+engine::RobustTrialRunner order_perturb_runner(
+    model::RegularParams params, std::uint64_t n, bool matched,
+    engine::BoxSemantics semantics) {
+  return [params, n, matched, semantics](std::uint64_t trial_seed,
+                                         robust::FaultInjector&) {
     // The same perturbed profile repeats each cycle (the factory captures
     // the trial seed by value), and — when matched — the execution places
     // its scans with the same seed.
@@ -108,10 +109,11 @@ engine::TrialRunner order_perturb_runner(model::RegularParams params,
   };
 }
 
-engine::TrialRunner randomized_scan_runner(model::RegularParams params,
-                                           std::uint64_t n,
-                                           engine::BoxSemantics semantics) {
-  return [params, n, semantics](std::uint64_t trial_seed) {
+engine::RobustTrialRunner randomized_scan_runner(
+    model::RegularParams params, std::uint64_t n,
+    engine::BoxSemantics semantics) {
+  return [params, n, semantics](std::uint64_t trial_seed,
+                                robust::FaultInjector&) {
     auto factory = [params, n]() -> std::unique_ptr<profile::BoxSource> {
       return std::make_unique<profile::WorstCaseSource>(params.a, params.b, n);
     };

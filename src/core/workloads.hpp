@@ -54,18 +54,18 @@ engine::TrialSourceFactory cyclic_shift_source(model::RegularParams params,
 
 /// E7's trial body (negative): order-perturbed recursive construction.
 /// Profile and execution are coupled through the trial seed, so this is a
-/// full TrialRunner rather than a source factory; with matched = true the
+/// full trial runner rather than a source factory; with matched = true the
 /// algorithm's scan placement mirrors the perturbation
 /// (ScanPlacement::kAdversaryMatched).
-engine::TrialRunner order_perturb_runner(model::RegularParams params,
-                                         std::uint64_t n, bool matched,
-                                         engine::BoxSemantics semantics);
+engine::RobustTrialRunner order_perturb_runner(
+    model::RegularParams params, std::uint64_t n, bool matched,
+    engine::BoxSemantics semantics);
 
 /// E18's trial body (beyond the paper): the profile is the FIXED
 /// adversarial M_{a,b}(n); the trial seed randomizes the ALGORITHM's
 /// per-node scan placement instead.
-engine::TrialRunner randomized_scan_runner(model::RegularParams params,
-                                           std::uint64_t n,
-                                           engine::BoxSemantics semantics);
+engine::RobustTrialRunner randomized_scan_runner(
+    model::RegularParams params, std::uint64_t n,
+    engine::BoxSemantics semantics);
 
 }  // namespace cadapt::core

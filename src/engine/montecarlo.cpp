@@ -125,14 +125,6 @@ RobustTrialRunner make_regular_trial_runner(model::RegularParams params,
   };
 }
 
-RobustTrialRunner as_robust_runner(TrialRunner runner) {
-  CADAPT_CHECK(runner != nullptr);
-  return [runner = std::move(runner)](std::uint64_t trial_seed,
-                                      robust::FaultInjector&) {
-    return runner(trial_seed);
-  };
-}
-
 void fold_trial(McSummary& summary, const robust::TrialRecord& t,
                 obs::McRecorder* recorder) {
   ++summary.trials_run;
@@ -171,58 +163,6 @@ void finish_summary(const McSummary& summary, obs::McRecorder* recorder) {
   if (recorder != nullptr) {
     recorder->finish({summary.trials_requested, summary.truncated});
   }
-}
-
-McSummary run_monte_carlo_robust(const McOptions& options,
-                                 const RobustTrialRunner& runner) {
-  CADAPT_CHECK(options.trials >= 1);
-  CADAPT_CHECK(runner != nullptr);
-  CADAPT_CHECK(options.max_attempts >= 1);
-  util::ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : util::default_pool();
-  obs::McRecorder* recorder = options.recorder;
-  const bool timing = recorder != nullptr && recorder->record_timing();
-
-  McSummary summary;
-  summary.trials_requested = options.trials;
-  std::vector<robust::TrialRecord> records(options.trials);
-  try {
-    util::parallel_for(pool, records.size(), [&](std::size_t trial) {
-      records[trial] = run_single_trial(options, runner, trial, timing);
-    });
-  } catch (const robust::CancelledError& e) {
-    // Discard every trial: keeping the ones that happened to finish
-    // before the token fired would make the summary depend on timing.
-    summary.truncated = true;
-    summary.truncate_reason = e.reason();
-    records.clear();
-  }
-  summary.ratio_samples.reserve(records.size());
-  summary.unit_ratio_samples.reserve(records.size());
-  for (const robust::TrialRecord& record : records) {
-    fold_trial(summary, record, recorder);
-  }
-  finish_summary(summary, recorder);
-  return summary;
-}
-
-McSummary run_monte_carlo(const model::RegularParams& params, std::uint64_t n,
-                          const TrialSourceFactory& make_source,
-                          const McOptions& options) {
-  return run_monte_carlo_robust(
-      options, make_regular_trial_runner(params, n, make_source, options));
-}
-
-McSummary run_monte_carlo_iid(const model::RegularParams& params,
-                              std::uint64_t n,
-                              const profile::BoxDistribution& dist,
-                              const McOptions& options) {
-  return run_monte_carlo(
-      params, n,
-      [&dist](util::Rng& rng) {
-        return std::make_unique<profile::DistributionSource>(dist, rng.split());
-      },
-      options);
 }
 
 }  // namespace cadapt::engine

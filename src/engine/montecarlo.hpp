@@ -1,5 +1,5 @@
-// Parallel Monte-Carlo estimation of cache-adaptivity in expectation
-// (Definition 3): repeatedly run an (a,b,c)-regular execution on freshly
+// The Monte-Carlo trial unit for estimating cache-adaptivity in
+// expectation (Definition 3): repeatedly run an (a,b,c)-regular execution on freshly
 // drawn random profiles and aggregate the adaptivity ratio
 // Σ min(n,|□_i|)^{log_b a} / n^{log_b a} and the stopping time S_n.
 //
@@ -7,10 +7,10 @@
 // run_single_trial contains a throwing trial as a structured
 // robust::TrialError (with a bounded retry-with-reseed policy) instead of
 // tearing down the campaign, and a seeded robust::FaultPlan can inject
-// failures at registered sites. run_monte_carlo* are plain parallel folds
-// in trial order for library callers; chunked, budgeted, checkpointed
-// campaigns (`cadapt mc`) run through campaign::run_cell_trials, the
-// sweep's trial loop, which folds with fold_trial too.
+// failures at registered sites. Every campaign — `cadapt mc`, `trace`,
+// the benches and library callers — runs its trials through
+// campaign::run_cell_trials, the sweep's trial loop, which folds them in
+// trial order with fold_trial.
 #pragma once
 
 #include <cstdint>
@@ -64,17 +64,17 @@ struct McOptions {
   /// uses the same derivation as always, so retries change nothing for
   /// campaigns that never fail.
   std::uint32_t max_attempts = 1;
-  /// Seeded fault injection plan; null = no injection. The driver visits
-  /// FaultSite::kTrialBody at every attempt, and run_monte_carlo wraps
-  /// each trial's profile stream so FaultSite::kBoxDraw is visited per
-  /// drawn box. Must outlive the call.
+  /// Seeded fault injection plan; null = no injection. run_single_trial
+  /// visits FaultSite::kTrialBody at every attempt, and
+  /// make_regular_trial_runner wraps each trial's profile stream so
+  /// FaultSite::kBoxDraw is visited per drawn box. Must outlive the call.
   const robust::FaultPlan* faults = nullptr;
   /// Cooperative cancellation token polled at every attempt start and
   /// forwarded into the engine's box loops (docs/ROBUSTNESS.md). Null =
   /// disabled. Create the token (and any robust::Watchdog) BEFORE
   /// building runners: make_regular_trial_runner captures options by
-  /// value. A fired token truncates the campaign, discarding the
-  /// in-flight trials wholesale.
+  /// value. A fired token truncates the campaign: run_cell_trials
+  /// discards the in-flight chunks whole and keeps the landed prefix.
   const robust::CancelToken* cancel = nullptr;
   /// Seeded exponential backoff between retry attempts of a failed
   /// trial; disabled (base_ns == 0) by default. Attempt 0 never sleeps,
@@ -127,13 +127,10 @@ struct McSummary {
   std::uint64_t trials_run = 0;  ///< prefix of trials actually aggregated
 };
 
-/// Fully custom trial body for experiments that must couple the profile
-/// and the execution (e.g. the adversary-matched order perturbation):
-/// receives a per-trial seed and returns the finished RunResult.
-using TrialRunner = std::function<RunResult(std::uint64_t trial_seed)>;
-
-/// Trial body with access to the trial's fault injector, so custom
-/// runners can visit registered fault sites (wrap sources in
+/// The trial body: receives a per-trial seed and the trial's fault
+/// injector and returns the finished RunResult. Custom runners couple the
+/// profile and the execution (e.g. the adversary-matched order
+/// perturbation) and may visit registered fault sites (wrap sources in
 /// robust::FaultyBoxSource, sinks in robust::FaultySink, ...).
 using RobustTrialRunner =
     std::function<RunResult(std::uint64_t trial_seed,
@@ -149,26 +146,21 @@ std::uint64_t derive_trial_seed(std::uint64_t seed, std::uint64_t trial,
 /// record of a trial that exhausts its attempts carries the last
 /// attempt's category and message. Only `options`' seed, max_attempts and
 /// faults fields participate (plus cancel, backoff and sleep_fn). This is
-/// the unit every driver runs: run_monte_carlo_robust and the campaign
-/// layer's TrialScheduler (src/campaign), inline on their own threads.
+/// the unit the campaign layer's TrialScheduler (src/campaign) runs,
+/// inline on its own threads.
 robust::TrialRecord run_single_trial(const McOptions& options,
                                      const RobustTrialRunner& runner,
                                      std::uint64_t trial, bool timing = false);
 
-/// Package the standard (params, n, source-factory) trial body — the one
-/// run_monte_carlo executes — as a self-contained runner: draws a fresh
-/// profile per trial from make_source and runs the regular execution
-/// against it, routing box draws through the trial's fault injector when
-/// options.faults is armed. Captures everything by value except
+/// Package the standard (params, n, source-factory) trial body as a
+/// self-contained runner: draws a fresh profile per trial from
+/// make_source and runs the regular execution against it, routing box
+/// draws through the trial's fault injector when options.faults is armed. Captures everything by value except
 /// options.faults (a borrowed pointer that must outlive the runner).
 RobustTrialRunner make_regular_trial_runner(model::RegularParams params,
                                             std::uint64_t n,
                                             TrialSourceFactory make_source,
                                             const McOptions& options);
-
-/// Adapt a seed-only TrialRunner to the robust interface (the injector's
-/// kTrialBody site still fires in run_single_trial before the body runs).
-RobustTrialRunner as_robust_runner(TrialRunner runner);
 
 /// Fold one finished trial into `summary` (and `recorder`, when set):
 /// callers fold in trial order, so the summary and the event stream never
@@ -179,23 +171,5 @@ void fold_trial(McSummary& summary, const robust::TrialRecord& record,
 /// Close a folded summary: check its invariants and send the recorder's
 /// final "mc" event.
 void finish_summary(const McSummary& summary, obs::McRecorder* recorder);
-
-/// Run options.trials trials with full containment on options.pool and
-/// fold them in trial order. A fired cancel token discards every trial
-/// and returns a truncated summary with trials_run == 0.
-McSummary run_monte_carlo_robust(const McOptions& options,
-                                 const RobustTrialRunner& runner);
-
-/// Run `options.trials` independent executions of the (params, n) algorithm
-/// on profiles produced by `make_source`.
-McSummary run_monte_carlo(const model::RegularParams& params, std::uint64_t n,
-                          const TrialSourceFactory& make_source,
-                          const McOptions& options = {});
-
-/// Convenience: i.i.d. profile from a distribution (Theorem 1's setting).
-McSummary run_monte_carlo_iid(const model::RegularParams& params,
-                              std::uint64_t n,
-                              const profile::BoxDistribution& dist,
-                              const McOptions& options = {});
 
 }  // namespace cadapt::engine

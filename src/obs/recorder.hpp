@@ -5,7 +5,8 @@
 //
 // Layer map (docs/OBSERVABILITY.md):
 //   ExecRecorder   — engine::RegularExecution, one observation per box
-//   McRecorder     — engine::run_monte_carlo_robust, one per trial
+//   McRecorder     — campaign::run_cell_trials, one per trial (its
+//                    trial-order fold, engine::fold_trial)
 //   PagingRecorder — paging::CaMachine, per-access tallies by box class
 #pragma once
 

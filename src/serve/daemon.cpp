@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <list>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -131,9 +132,8 @@ void handle_connection(ServeCore& core, int fd) {
   }
 }
 
-}  // namespace
-
-void serve_connection(ServeCore& core, int fd) {
+// Answer one connection; the caller closes `fd`.
+void answer(ServeCore& core, int fd) {
   try {
     handle_connection(core, fd);
   } catch (const util::ParseError& e) {
@@ -156,6 +156,12 @@ void serve_connection(ServeCore& core, int fd) {
     } catch (...) {
     }
   }
+}
+
+}  // namespace
+
+void serve_connection(ServeCore& core, int fd) {
+  answer(core, fd);
   close_fd(fd);
 }
 
@@ -164,8 +170,12 @@ int run_daemon(const DaemonOptions& options) {
   const int listen_fd = listen_unix(options.socket_path);
   // A handler raises `finished` as it returns and the loop joins it, so a
   // finished connection's thread and stack go at once, not at shutdown.
+  // `fd` is -1 once the handler closed it; the drain shuts down only open
+  // fds, under `mutex`, so it never touches a reused fd number.
   struct Handler {
     std::atomic<bool> finished{false};
+    std::mutex mutex;
+    int fd = -1;
     std::thread thread;
   };
   std::list<Handler> handlers;
@@ -179,15 +189,27 @@ int run_daemon(const DaemonOptions& options) {
     const std::optional<int> fd = accept_unix(listen_fd, /*timeout_ms=*/200);
     if (!fd.has_value()) continue;
     Handler& handler = handlers.emplace_back();
-    handler.thread = std::thread([&core, &handler, fd = *fd] {
-      serve_connection(core, fd);
+    handler.fd = *fd;
+    handler.thread = std::thread([&core, &handler] {
+      answer(core, handler.fd);
+      {
+        const std::lock_guard<std::mutex> lock(handler.mutex);
+        close_fd(handler.fd);
+        handler.fd = -1;
+      }
       handler.finished.store(true, std::memory_order_release);
     });
   }
   // Graceful drain: stop dispatching (in-flight cells unwind through the
-  // cooperative cancel path), wake blocked results streams, then join.
+  // cooperative cancel path), wake blocked results streams, shut down
+  // every open connection (a client that sent half a line and waits
+  // would block its handler's read forever), then join.
   core.shutdown();
   close_fd(listen_fd);
+  for (Handler& handler : handlers) {
+    const std::lock_guard<std::mutex> lock(handler.mutex);
+    if (handler.fd >= 0) shutdown_fd(handler.fd);
+  }
   for (Handler& handler : handlers) handler.thread.join();
   return 0;
 }

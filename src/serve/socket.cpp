@@ -95,6 +95,8 @@ void close_fd(int fd) {
   if (fd >= 0) ::close(fd);
 }
 
+void shutdown_fd(int fd) { ::shutdown(fd, SHUT_RDWR); }
+
 bool LineReader::fill() {
   char chunk[4096];
   for (;;) {

@@ -30,6 +30,10 @@ void write_all(int fd, std::string_view data);
 
 void close_fd(int fd);
 
+/// shutdown(2) both directions of a connected socket: a thread blocked
+/// reading or writing `fd` wakes with EOF or an error. Does not close it.
+void shutdown_fd(int fd);
+
 /// Buffered newline-delimited reads from a socket fd (does not own it).
 class LineReader {
  public:

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "campaign/sweep.hpp"
+#include "core/workloads.hpp"
 #include "engine/montecarlo.hpp"
 #include "profile/distributions.hpp"
 #include "util/math.hpp"
@@ -114,12 +116,12 @@ TEST_P(AnalyticVsMonteCarlo, ExpectedBoxesAgree) {
   const RegularParams params{8, 4, 1.0};
   const std::uint64_t n = util::ipow(4, k);
 
-  std::unique_ptr<profile::BoxDistribution> dist;
+  std::shared_ptr<const profile::BoxDistribution> dist;
   switch (dist_id) {
-    case 0: dist = std::make_unique<profile::UniformPowers>(4, 0, 3); break;
-    case 1: dist = std::make_unique<profile::GeometricPowers>(4, 8.0, 0, 4); break;
-    case 2: dist = std::make_unique<profile::Bimodal>(2, 64, 0.05); break;
-    default: dist = std::make_unique<profile::UniformRange>(1, 20); break;
+    case 0: dist = std::make_shared<profile::UniformPowers>(4, 0, 3); break;
+    case 1: dist = std::make_shared<profile::GeometricPowers>(4, 8.0, 0, 4); break;
+    case 2: dist = std::make_shared<profile::Bimodal>(2, 64, 0.05); break;
+    default: dist = std::make_shared<profile::UniformRange>(1, 20); break;
   }
 
   AnalyticSolver solver(params, *dist);
@@ -128,7 +130,8 @@ TEST_P(AnalyticVsMonteCarlo, ExpectedBoxesAgree) {
   McOptions mc;
   mc.trials = 2000;
   mc.seed = 12345 + static_cast<std::uint64_t>(dist_id);
-  const McSummary summary = run_monte_carlo_iid(params, n, *dist, mc);
+  const McSummary summary = campaign::run_cell_trials(
+      mc, make_regular_trial_runner(params, n, core::iid_source(dist), mc));
   EXPECT_EQ(summary.incomplete, 0u);
 
   // The Lemma 3 recurrence should match the simulation within a few

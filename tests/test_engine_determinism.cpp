@@ -1,4 +1,5 @@
-// Determinism property tests for the Monte-Carlo driver with
+// Determinism property tests for the Monte-Carlo campaign
+// (campaign::run_cell_trials, the sweep's trial loop) with
 // observability attached: the same seed must produce bit-identical
 // summaries AND bit-identical trace event streams regardless of the
 // thread-pool size, because every trial's RNG is derived from
@@ -10,6 +11,8 @@
 #include <string>
 #include <vector>
 
+#include "campaign/sweep.hpp"
+#include "core/workloads.hpp"
 #include "engine/montecarlo.hpp"
 #include "obs/event.hpp"
 #include "obs/recorder.hpp"
@@ -30,7 +33,7 @@ struct McRun {
 McRun run_with_pool(std::size_t threads, bool record_timing,
                     std::uint64_t max_boxes = UINT64_C(1) << 40) {
   const RegularParams params{8, 4, 1.0};
-  profile::UniformPowers dist(4, 0, 3);
+  const auto dist = std::make_shared<profile::UniformPowers>(4, 0, 3);
   util::ThreadPool pool(threads);
   obs::MemorySink sink;
   obs::McRecorder recorder(&sink, record_timing);
@@ -43,7 +46,9 @@ McRun run_with_pool(std::size_t threads, bool record_timing,
   options.max_boxes = max_boxes;
 
   McRun run;
-  run.summary = run_monte_carlo_iid(params, 64, dist, options);
+  run.summary = campaign::run_cell_trials(
+      options, make_regular_trial_runner(params, 64, core::iid_source(dist),
+                                         options));
   for (const obs::Event& event : sink.events())
     run.jsonl.push_back(obs::to_jsonl(event));
   return run;
@@ -89,7 +94,7 @@ TEST(EngineDeterminism, TimingFieldsAreTheOnlyNondeterminism) {
   // With record_timing on, wall-clock durations differ run to run, but
   // stripping "duration_ns" must leave identical streams.
   const RegularParams params{8, 4, 1.0};
-  profile::UniformPowers dist(4, 0, 3);
+  const auto dist = std::make_shared<profile::UniformPowers>(4, 0, 3);
   std::vector<std::string> stripped[2];
   for (int round = 0; round < 2; ++round) {
     util::ThreadPool pool(round == 0 ? 1 : 8);
@@ -100,7 +105,9 @@ TEST(EngineDeterminism, TimingFieldsAreTheOnlyNondeterminism) {
     options.seed = 7;
     options.pool = &pool;
     options.recorder = &recorder;
-    run_monte_carlo_iid(params, 64, dist, options);
+    campaign::run_cell_trials(
+        options, make_regular_trial_runner(params, 64, core::iid_source(dist),
+                                           options));
     for (obs::Event event : sink.events())
       stripped[round].push_back(obs::to_jsonl(event.without("duration_ns")));
   }

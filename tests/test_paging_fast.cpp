@@ -18,6 +18,7 @@
 
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
+#include "campaign/sweep.hpp"
 #include "core/report.hpp"
 #include "engine/montecarlo.hpp"
 #include "obs/recorder.hpp"
@@ -560,8 +561,8 @@ engine::McSummary run_cell_summary(bool capture, bool per_access,
   mc.seed = cell.seed;
   util::ThreadPool pool(threads);
   mc.pool = &pool;
-  return engine::run_monte_carlo_robust(
-      mc, campaign::make_cell_runner(cell, options));
+  return campaign::run_cell_trials(mc,
+                                   campaign::make_cell_runner(cell, options));
 }
 
 // Capture/replay is bit-identical to its per-access reference across

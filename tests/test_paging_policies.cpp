@@ -17,6 +17,7 @@
 
 #include "campaign/cell_runner.hpp"
 #include "campaign/manifest.hpp"
+#include "campaign/sweep.hpp"
 #include "engine/montecarlo.hpp"
 #include "paging/arc_cache.hpp"
 #include "paging/assoc_cache.hpp"
@@ -709,8 +710,8 @@ engine::McSummary run_policy_cell(const std::string& policy, bool tiers,
   mc.seed = cell.seed;
   util::ThreadPool pool(threads);
   mc.pool = &pool;
-  return engine::run_monte_carlo_robust(
-      mc, campaign::make_cell_runner(cell, options));
+  return campaign::run_cell_trials(mc,
+                                   campaign::make_cell_runner(cell, options));
 }
 
 // Every policy's campaign cell is bit-identical across thread pools

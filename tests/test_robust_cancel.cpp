@@ -96,7 +96,7 @@ TEST(Watchdog, CleanDestructionBeforeTheDeadlineNeverFires) {
   EXPECT_FALSE(token.requested());
 }
 
-// ---- The Monte-Carlo driver under cancellation ----
+// ---- The Monte-Carlo campaign (run_cell_trials) under cancellation ----
 
 engine::RunResult ok_result(double ratio) {
   engine::RunResult r;
@@ -115,7 +115,7 @@ TEST(CancelMc, PreCancelledTokenTruncatesBeforeAnyTrial) {
   options.seed = 2;
   options.cancel = &token;
   std::atomic<int> calls{0};
-  const engine::McSummary summary = engine::run_monte_carlo_robust(
+  const engine::McSummary summary = campaign::run_cell_trials(
       options, [&calls](std::uint64_t, FaultInjector&) {
         ++calls;
         return ok_result(1.0);
@@ -137,7 +137,7 @@ TEST(CancelMc, CancelledErrorIsNeverContainedOrRetried) {
   options.seed = 3;
   options.max_attempts = 3;
   std::atomic<int> calls{0};
-  const engine::McSummary summary = engine::run_monte_carlo_robust(
+  const engine::McSummary summary = campaign::run_cell_trials(
       options, [&calls](std::uint64_t, FaultInjector&) -> engine::RunResult {
         ++calls;
         throw CancelledError(CancelReason::kExternal);
@@ -199,7 +199,7 @@ TEST(CancelMc, MidCampaignCancelDiscardsTheChunkAndResumesBitIdentical) {
   chunked.checkpoint_path = path;
 
   // The uninterrupted reference.
-  const engine::McSummary full = engine::run_monte_carlo_robust(base, runner);
+  const engine::McSummary full = campaign::run_cell_trials(base, runner);
   ASSERT_EQ(full.trials_run, 8u);
 
   // Cancelled run: trial 4's body requests cancellation, so trial 5's
@@ -283,7 +283,7 @@ TEST(CancelMc, StuckTrialIsTerminatedByTheWatchdog) {
   options.pool = &one;
 
   const auto start = std::chrono::steady_clock::now();
-  const engine::McSummary summary = engine::run_monte_carlo_robust(
+  const engine::McSummary summary = campaign::run_cell_trials(
       options, [&token](std::uint64_t, FaultInjector&) -> engine::RunResult {
         for (;;) {  // stuck forever, but cooperative
           std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -418,7 +418,7 @@ TEST(Backoff, NeverRetryingCampaignNeverSleeps) {
   options.backoff.base_ns = 50'000'000;
   options.backoff.seed = options.seed;
   options.sleep_fn = &sleep_seam::record;
-  const engine::McSummary summary = engine::run_monte_carlo_robust(
+  const engine::McSummary summary = campaign::run_cell_trials(
       options,
       [](std::uint64_t, FaultInjector&) { return ok_result(0.5); });
   EXPECT_EQ(summary.failed, 0u);

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "campaign/sweep.hpp"
+#include "core/workloads.hpp"
 #include "engine/montecarlo.hpp"
 #include "obs/event.hpp"
 #include "obs/recorder.hpp"
@@ -273,12 +274,12 @@ struct McRun {
 
 constexpr std::uint64_t kTrials = 32;
 
-// The campaign run by run_cell_trials (or, with no `trials`, the plain
-// run_monte_carlo_iid fold) on `threads` threads (0 = default pool).
+// The campaign run by run_cell_trials (with no `trials`, unchunked and
+// without a checkpoint) on `threads` threads (0 = default pool).
 McRun run_campaign(const campaign::CellTrials* trials,
                    std::size_t threads = 0) {
   const model::RegularParams params{8, 4, 1.0};
-  profile::UniformPowers dist(4, 0, 3);
+  const auto dist = std::make_shared<profile::UniformPowers>(4, 0, 3);
   obs::MemorySink sink;
   obs::McRecorder recorder(&sink, /*record_timing=*/false);
   std::optional<util::ThreadPool> pool;
@@ -288,20 +289,11 @@ McRun run_campaign(const campaign::CellTrials* trials,
   options.recorder = &recorder;
   if (threads != 0) options.pool = &pool.emplace(threads);
   McRun run;
-  if (trials == nullptr) {
-    run.summary = engine::run_monte_carlo_iid(params, 64, dist, options);
-  } else {
-    run.summary = campaign::run_cell_trials(
-        options,
-        engine::make_regular_trial_runner(
-            params, 64,
-            [&dist](util::Rng& rng) {
-              return std::make_unique<profile::DistributionSource>(
-                  dist, rng.split());
-            },
-            options),
-        *trials);
-  }
+  run.summary = campaign::run_cell_trials(
+      options,
+      engine::make_regular_trial_runner(params, 64, core::iid_source(dist),
+                                        options),
+      trials != nullptr ? *trials : campaign::CellTrials{});
   for (const obs::Event& event : sink.events())
     run.jsonl.push_back(obs::to_jsonl(event));
   return run;

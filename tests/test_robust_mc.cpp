@@ -1,4 +1,5 @@
-// Fault containment in the Monte-Carlo driver: every registered
+// Fault containment in the Monte-Carlo campaign (campaign::run_cell_trials,
+// the sweep's trial loop): every registered
 // FaultSite has an injection test proving the campaign survives, the
 // contained failures are reported deterministically across pool sizes,
 // retry-with-reseed recovers transient faults, and budgets truncate
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "campaign/sweep.hpp"
+#include "core/workloads.hpp"
 #include "engine/montecarlo.hpp"
 #include "obs/event.hpp"
 #include "obs/recorder.hpp"
@@ -35,11 +37,12 @@ struct McRun {
 };
 
 /// An injected iid campaign: faults armed at trial_body and box_draw, the
-/// two sites run_monte_carlo visits by itself.
+/// two sites run_single_trial and make_regular_trial_runner visit by
+/// themselves.
 McRun run_injected(std::size_t threads, const robust::FaultPlan& plan,
                    std::uint32_t max_attempts = 1) {
   const RegularParams params{8, 4, 1.0};
-  profile::UniformPowers dist(4, 0, 3);
+  const auto dist = std::make_shared<profile::UniformPowers>(4, 0, 3);
   util::ThreadPool pool(threads);
   obs::MemorySink sink;
   obs::McRecorder recorder(&sink, /*record_timing=*/false);
@@ -53,7 +56,9 @@ McRun run_injected(std::size_t threads, const robust::FaultPlan& plan,
   options.max_attempts = max_attempts;
 
   McRun run;
-  run.summary = run_monte_carlo_iid(params, 64, dist, options);
+  run.summary = campaign::run_cell_trials(
+      options, make_regular_trial_runner(params, 64, core::iid_source(dist),
+                                         options));
   for (const obs::Event& event : sink.events())
     run.jsonl.push_back(obs::to_jsonl(event));
   return run;
@@ -148,7 +153,7 @@ TEST(RobustMc, RetryWithReseedRecoversTransientFaults) {
   obs::McRecorder recorder(nullptr, /*record_timing=*/false);
   options.recorder = &recorder;
 
-  const McSummary summary = run_monte_carlo_robust(
+  const McSummary summary = campaign::run_cell_trials(
       options, [](std::uint64_t, robust::FaultInjector& injector) {
         if (injector.attempt() == 0) throw std::runtime_error("transient");
         RunResult r;
@@ -176,7 +181,7 @@ TEST(RobustMc, ExhaustedRetriesRecordTheLastAttempt) {
   options.max_attempts = 3;
 
   std::atomic<std::uint64_t> calls{0};
-  const McSummary summary = run_monte_carlo_robust(
+  const McSummary summary = campaign::run_cell_trials(
       options, [&calls](std::uint64_t, robust::FaultInjector&) -> RunResult {
         ++calls;
         throw std::runtime_error("persistent");
@@ -204,7 +209,7 @@ McSummary run_with_site(robust::FaultSite site,
   options.trials = 4;
   options.seed = 1;
   options.faults = &plan;
-  return run_monte_carlo_robust(options, runner);
+  return campaign::run_cell_trials(options, runner);
 }
 
 void expect_all_injected(const McSummary& summary, robust::FaultSite site) {
@@ -377,7 +382,7 @@ TEST(RobustMc, UnarmedPlanMatchesNoPlanBitForBit) {
   const McRun with_plan = run_injected(2, unarmed);
 
   const RegularParams params{8, 4, 1.0};
-  profile::UniformPowers dist(4, 0, 3);
+  const auto dist = std::make_shared<profile::UniformPowers>(4, 0, 3);
   util::ThreadPool pool(2);
   obs::MemorySink sink;
   obs::McRecorder recorder(&sink, /*record_timing=*/false);
@@ -387,7 +392,9 @@ TEST(RobustMc, UnarmedPlanMatchesNoPlanBitForBit) {
   options.pool = &pool;
   options.recorder = &recorder;
   McRun without;
-  without.summary = run_monte_carlo_iid(params, 64, dist, options);
+  without.summary = campaign::run_cell_trials(
+      options, make_regular_trial_runner(params, 64, core::iid_source(dist),
+                                         options));
   for (const obs::Event& event : sink.events())
     without.jsonl.push_back(obs::to_jsonl(event));
 

@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <sstream>
 #include <string>
@@ -19,6 +21,7 @@
 
 #include "campaign/manifest.hpp"
 #include "campaign/sweep.hpp"
+#include "robust/cancel.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -581,6 +584,61 @@ TEST(ServeDaemon, OversizedRequestLineGetsAnErrorAndTheDaemonServesOn) {
       << *error;
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(parse_line(*hello).type, "serve_hello");
+}
+
+TEST(ServeDaemon, DrainShutsDownAClientThatSentHalfALine) {
+  // The real accept loop. It stops on the process cancel token, which
+  // never resets, so this is the only test that runs run_daemon.
+  DaemonOptions options;
+  options.socket_path = temp_path("serve_drain.sock");
+  options.core = core_options("drain");
+  std::filesystem::remove(options.socket_path);
+  std::promise<int> exit_code;
+  std::future<int> exited = exit_code.get_future();
+  std::thread daemon([&options, &exit_code] {
+    try {
+      exit_code.set_value(run_daemon(options));
+    } catch (...) {
+      exit_code.set_exception(std::current_exception());
+    }
+  });
+
+  // Nothing may leave the test body before the daemon is joined: a
+  // joinable thread must not be destroyed.
+  int hostile = -1;
+  std::optional<std::string> hello;
+  std::string failure;
+  try {
+    for (int attempt = 0; hostile < 0; ++attempt) {
+      try {
+        hostile = connect_unix(options.socket_path);
+      } catch (const util::IoError&) {  // not listening yet
+        if (attempt == 500) throw;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+    }
+    write_all(hostile, "{\"type\":\"hel");
+    // Connections are accepted in order: once a later hello is answered,
+    // the hostile one has a handler, blocked reading the rest of its line.
+    const int polite = connect_unix(options.socket_path);
+    write_all(polite, "{\"type\":\"hello\"}\n");
+    hello = LineReader(polite).next();
+    close_fd(polite);
+  } catch (const std::exception& e) {
+    failure = e.what();
+  }
+
+  robust::process_cancel_token().request(robust::CancelReason::kExternal);
+  const bool drained =
+      exited.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Closing our end lets a daemon that did not drain exit, so a failure
+  // here never hangs the suite.
+  close_fd(hostile);
+  daemon.join();
+  ASSERT_EQ(failure, "");
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_TRUE(drained) << "a half-line client blocked the drain";
+  EXPECT_EQ(exited.get(), 0);
 }
 
 }  // namespace

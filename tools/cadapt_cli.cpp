@@ -325,7 +325,9 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
     opts.seed = seed;
     opts.semantics = semantics;
     opts.recorder = &mc_rec;
-    mc = engine::run_monte_carlo_iid(p, n, *dist, opts);
+    mc = campaign::run_cell_trials(
+        opts, engine::make_regular_trial_runner(p, n, core::iid_source(dist),
+                                                opts));
   }
 
   // Serialize, then validate what was serialized: every line must re-parse

@@ -3,8 +3,9 @@
 # concurrent tenants, and the headline invariant checked with cmp — a
 # job's report, fetched over the socket, is byte-identical to one-shot
 # `cadapt sweep --no-timing` on the same manifest. Also exercises the
-# cancel path (truncated report, exit codes), status/hello, and the
-# reaping of finished connection threads (daemon VmSize stays flat).
+# cancel path (truncated report, exit codes), status/hello, the
+# reaping of finished connection threads (daemon VmSize stays flat), and
+# a drain that a half-line client cannot block.
 #
 # Wired as the ctest case `cli_serve_smoke` (label `serve`); run it
 # under the address and thread sanitizer presets too.
@@ -21,8 +22,10 @@ mkdir -p "$workdir"
 cd "$workdir"
 
 daemon_pid=""
+holder_pid=""
 cleanup() {
-  [ -n "$daemon_pid" ] && kill "$daemon_pid" 2> /dev/null || true
+  [ -n "$holder_pid" ] && kill "$holder_pid" 2> /dev/null || true
+  [ -n "$daemon_pid" ] && kill -9 "$daemon_pid" 2> /dev/null || true
 }
 trap cleanup EXIT INT TERM
 
@@ -148,8 +151,43 @@ if grep -q job-5 status2.txt; then
   exit 1
 fi
 
-# Graceful shutdown: SIGTERM drains and exits 0.
+# A client that sends half a request line and waits must not block the
+# drain: the daemon shuts its connection down. (The drill needs python3
+# for a raw socket; without it, the drain is still checked below.)
+if command -v python3 > /dev/null; then
+  python3 -c '
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect("serve.sock")
+s.sendall(b"{\"type\":\"hel")
+open("half_sent", "w").close()
+time.sleep(60)
+' &
+  holder_pid=$!
+  tries=0
+  while [ ! -f half_sent ]; do
+    tries=$((tries + 1))
+    [ "$tries" -gt 100 ] && { echo "half-line client never sent" >&2; exit 1; }
+    sleep 0.1
+  done
+  # Connections are accepted in order: once this answers, the half-line
+  # connection has a handler, blocked reading the rest of its line.
+  "$cli" status --socket serve.sock > /dev/null
+fi
+
+# Graceful shutdown: SIGTERM drains and exits 0, within a bounded wait.
 kill "$daemon_pid"
+tries=0
+while kill -0 "$daemon_pid" 2> /dev/null; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 100 ]; then
+    echo "daemon did not drain within 10 s of SIGTERM" >&2
+    exit 1
+  fi
+  # A zombie has exited; `wait` below reaps it.
+  grep -q '^State:.*Z' "/proc/$daemon_pid/status" 2> /dev/null && break
+  sleep 0.1
+done
 wait "$daemon_pid" || { echo "daemon exited non-zero" >&2; exit 1; }
 daemon_pid=""
 
