@@ -34,19 +34,6 @@ std::string run_fingerprint(std::uint32_t max_attempts,
   return os.str();
 }
 
-obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
-                                   std::uint64_t shard_index,
-                                   const std::string& run) {
-  obs::Event event("sweep_checkpoint");
-  event.u64("version", 1)
-      .u64("config_hash", plan.config_hash)
-      .u64("shards", shards)
-      .u64("shard_index", shard_index)
-      .u64("cells", plan.cells.size());
-  if (run != run_fingerprint(1, nullptr, 0)) event.str("run", run);
-  return event;
-}
-
 robust::RecordFn restore_cells(std::map<std::uint64_t, CellResult>& finished) {
   return [&finished](const robust::JsonlLine& line) {
     if (line.event.type != "sweep_cell") {
@@ -88,6 +75,22 @@ Report assemble_report(const Plan& plan, std::vector<CellResult> cells,
 }
 
 namespace {
+
+// The checkpoint's header line: version, config_hash, sharding, grid size,
+// and the run fingerprint — only when it differs from the default run, so
+// default checkpoints keep their bytes.
+obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
+                                   std::uint64_t shard_index,
+                                   const std::string& run) {
+  obs::Event event("sweep_checkpoint");
+  event.u64("version", 1)
+      .u64("config_hash", plan.config_hash)
+      .u64("shards", shards)
+      .u64("shard_index", shard_index)
+      .u64("cells", plan.cells.size());
+  if (run != run_fingerprint(1, nullptr, 0)) event.str("run", run);
+  return event;
+}
 
 void emit_trial_errors(obs::TraceSink& sink, const Cell& cell,
                        const std::vector<robust::TrialRecord>& records) {
@@ -335,6 +338,10 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
         .u64("trials", trials)
         .u64("seed", trial_options.seed)
         .str("config_hash", options.config);
+    // Only when set: checkpoints at the default chunk keep their bytes. A
+    // resume at another chunk size is refused rather than re-running
+    // every chunk the file holds only in part.
+    if (size != CellTrials{}.chunk) header.u64("chunk", size);
     std::vector<bool> seen(trials);
     // Decode straight into the chunks: a resume never holds the file.
     const auto restore = [&](const robust::JsonlLine& line) {
@@ -371,7 +378,7 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
       if (c >= chunks) return nullptr;
       const Cell& cell = c + 1 < chunks ? full : last;
       // A chunk the checkpoint holds whole is restored; a partial one
-      // (a kill mid-commit, or another chunk size) runs again.
+      // (a commit torn mid-chunk) runs again.
       if (landed[c].restored == cell.trials) {
         landed[c].landed = true;
         continue;

@@ -140,29 +140,18 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
                                   const engine::RobustTrialRunner& runner,
                                   const CellTrials& options = {});
 
-// The pieces run_sweep is made of, exposed so other drivers of the same
-// checkpoint/report formats — the `cadapt serve` daemon foremost — reuse
-// them instead of re-deriving the encoding. A serve job IS a shards=1
-// sweep of its manifest: same header, same loader, same report assembly,
-// which is what makes "daemon report == one-shot sweep report" a
+// The pieces run_sweep is made of that `cadapt serve` reuses: a served
+// job's file holds the same sweep_cell lines and renders through the same
+// report assembly, so "daemon report == one-shot sweep report" is a
 // byte-for-byte identity rather than a convention.
 
 /// The robust settings a trial's records depend on besides the plan:
 /// "retries=R fault=SPEC fault_seed=S backoff_ms=B". `cadapt mc` ends
-/// its checkpoint fingerprint with it; a sweep checkpoint header carries
-/// it as `run`.
+/// its checkpoint fingerprint with it; sweep checkpoint and serve job
+/// headers carry it as `run`.
 std::string run_fingerprint(std::uint32_t max_attempts,
                             const robust::FaultPlan* faults,
                             std::uint64_t backoff_base_ns);
-
-/// The checkpoint's header line: version, config_hash, sharding, grid
-/// size, and the run fingerprint — emitted only when it differs from the
-/// default run (no retries, faults or backoff), so default checkpoints
-/// keep their bytes. A resume refuses any mismatch
-/// (robust::open_checkpoint).
-obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
-                                   std::uint64_t shard_index,
-                                   const std::string& run);
 
 /// The robust::open_checkpoint record callback of a sweep checkpoint:
 /// decodes each sweep_cell line into `finished`, keyed by cell index (a

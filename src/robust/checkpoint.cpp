@@ -5,6 +5,7 @@
 #include <functional>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <sstream>
 #include <variant>
 
@@ -174,6 +175,31 @@ std::uint64_t truncate_torn_tail(const std::string& path) {
   return static_cast<std::uint64_t>(size - keep);
 }
 
+void check_header(const std::string& path, const obs::Event& have,
+                  const obs::Event& want, std::size_t line_no) {
+  if (have == want) return;
+  throw util::ParseError("checkpoint '" + path +
+                             "' belongs to a different campaign (its " +
+                             header_diff(have, want) +
+                             ") — refusing to resume",
+                         line_no);
+}
+
+obs::Event read_checkpoint(const std::string& path,
+                           const RecordFn& on_record) {
+  std::ifstream is(path);
+  if (!is) throw util::IoError("cannot open checkpoint '" + path + "'");
+  std::optional<obs::Event> header;
+  scan_jsonl_tolerant(is, "checkpoint", [&](JsonlLine& line) {
+    if (header.has_value()) return on_record(line);
+    header = std::move(line.event);
+  });
+  if (!header.has_value()) {
+    throw util::ParseError("checkpoint '" + path + "' is empty");
+  }
+  return *header;
+}
+
 std::unique_ptr<DurableAppender> open_checkpoint(
     const std::string& path, const obs::Event& header, bool resume,
     const RecordFn& on_record, IoBackend& io) {
@@ -188,13 +214,7 @@ std::unique_ptr<DurableAppender> open_checkpoint(
     std::replace(what.begin(), what.end(), '_', ' ');
     scan_jsonl_tolerant(is, what, [&](JsonlLine& line) {
       if (headed) return on_record(line);
-      if (line.event != header) {
-        throw util::ParseError("checkpoint '" + path +
-                                   "' belongs to a different campaign (its " +
-                                   header_diff(line.event, header) +
-                                   ") — refusing to resume",
-                               line.line_no);
-      }
+      check_header(path, line.event, header, line.line_no);
       headed = true;
     });
   }

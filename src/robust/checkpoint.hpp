@@ -9,7 +9,7 @@
 // The Monte-Carlo records (campaign::run_cell_trials):
 //
 //   {"type":"mc_checkpoint","version":2,"trials":N,"seed":S,
-//    "config_hash":"..."}
+//    "config_hash":"..."[,"chunk":K]}      — chunk only when K != 256
 //   {"type":"trial_result","trial":0,"seed":...,"attempts":1,
 //    "completed":true,"boxes":...,"ratio":...,"unit_ratio":...}
 //   {"type":"trial_error","trial":7,"seed":...,"attempts":2,
@@ -78,6 +78,19 @@ using RecordFn = std::function<void(const JsonlLine&)>;
 std::unique_ptr<DurableAppender> open_checkpoint(
     const std::string& path, const obs::Event& header, bool resume,
     const RecordFn& on_record, IoBackend& io = system_io());
+
+/// Read a checkpoint no writer appends to any more (a finished serve
+/// job's) without opening it for append: return its first line and pass
+/// every later record to `on_record`, with the tolerance rules of
+/// load_jsonl_tolerant. Throws util::IoError when the file cannot be
+/// opened and util::ParseError when it holds no line.
+obs::Event read_checkpoint(const std::string& path, const RecordFn& on_record);
+
+/// The header check of open_checkpoint: throws util::ParseError (at
+/// `line_no`) unless `have`, the header of the file at `path`, equals
+/// `want`, naming every differing field with both values.
+void check_header(const std::string& path, const obs::Event& have,
+                  const obs::Event& want, std::size_t line_no = 1);
 
 /// Outcome of one finished trial, as persisted. Exactly one of
 /// {failed, completed, !completed} interpretations applies:

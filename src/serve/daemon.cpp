@@ -15,22 +15,6 @@ namespace cadapt::serve {
 
 namespace {
 
-obs::Event status_line(const JobStatus& status) {
-  obs::Event event("job_status");
-  event.str("job", status.id)
-      .str("client", status.client)
-      .str("state", job_state_name(status.state))
-      .u64("config_hash", status.config_hash)
-      .u64("cells", status.cells_total)
-      .u64("done", status.cells_done);
-  if (status.truncated) {
-    event.flag("truncated", true)
-        .str("reason", robust::cancel_reason_name(status.reason));
-  }
-  if (!status.error.empty()) event.str("error", status.error);
-  return event;
-}
-
 void send_line(int fd, const obs::Event& event) {
   write_all(fd, obs::to_jsonl(event) + "\n");
 }
@@ -53,11 +37,11 @@ void handle_status(ServeCore& core, int fd, const obs::Event& request) {
       send_line(fd, error_event(3, "unknown job '" + job + "'"));
       return;
     }
-    send_line(fd, status_line(*status));
+    send_line(fd, status_event(*status));
     return;
   }
   for (const JobStatus& status : core.status()) {
-    send_line(fd, status_line(status));
+    send_line(fd, status_event(status));
   }
   send_line(fd, obs::Event("end"));
 }
@@ -112,8 +96,8 @@ void handle_results(ServeCore& core, int fd, const obs::Event& request) {
 /// any real one and bounds what a hostile peer can make the daemon buffer.
 constexpr std::size_t kMaxRequestLine = std::size_t{1} << 20;
 
-void handle_connection(ServeCore& core, int fd) {
-  LineReader reader(fd, kMaxRequestLine);
+void handle_connection(ServeCore& core, int fd, int read_deadline_ms) {
+  LineReader reader(fd, kMaxRequestLine, read_deadline_ms);
   const std::optional<std::string> line = reader.next();
   if (!line.has_value()) return;  // client connected and left
   const obs::Event request = parse_line(*line);
@@ -133,9 +117,9 @@ void handle_connection(ServeCore& core, int fd) {
 }
 
 // Answer one connection; the caller closes `fd`.
-void answer(ServeCore& core, int fd) {
+void answer(ServeCore& core, int fd, int read_deadline_ms) {
   try {
-    handle_connection(core, fd);
+    handle_connection(core, fd, read_deadline_ms);
   } catch (const util::ParseError& e) {
     try {
       send_line(fd, error_event(3, e.what()));
@@ -160,8 +144,8 @@ void answer(ServeCore& core, int fd) {
 
 }  // namespace
 
-void serve_connection(ServeCore& core, int fd) {
-  answer(core, fd);
+void serve_connection(ServeCore& core, int fd, int read_deadline_ms) {
+  answer(core, fd, read_deadline_ms);
   close_fd(fd);
 }
 
@@ -191,7 +175,7 @@ int run_daemon(const DaemonOptions& options) {
     Handler& handler = handlers.emplace_back();
     handler.fd = *fd;
     handler.thread = std::thread([&core, &handler] {
-      answer(core, handler.fd);
+      answer(core, handler.fd, kRequestDeadlineMs);
       {
         const std::lock_guard<std::mutex> lock(handler.mutex);
         close_fd(handler.fd);

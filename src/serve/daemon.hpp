@@ -18,12 +18,19 @@ struct DaemonOptions {
   ServeOptions core;
 };
 
+/// How long a connection may take to send its request line. A client
+/// that sends half a line and waits gets one error line and is closed,
+/// so it cannot hold its handler thread until the drain.
+inline constexpr int kRequestDeadlineMs = 10'000;
+
 /// Run the daemon until the process cancel token fires (the CLI installs
 /// the SIGINT/SIGTERM handler first). Returns the CLI exit code.
 int run_daemon(const DaemonOptions& options);
 
 /// Handle one accepted connection against `core` (exposed for tests:
-/// the wire handlers without the accept loop). Closes `fd`.
-void serve_connection(ServeCore& core, int fd);
+/// the wire handlers without the accept loop, with any request-line
+/// deadline). Closes `fd`.
+void serve_connection(ServeCore& core, int fd,
+                      int read_deadline_ms = kRequestDeadlineMs);
 
 }  // namespace cadapt::serve

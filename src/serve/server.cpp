@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
+#include <cerrno>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -26,6 +27,28 @@ bool terminal(JobState state) {
          state == JobState::kFailed;
 }
 
+std::unique_ptr<robust::FaultPlan> job_faults(
+    const SubmitRequest& request, const campaign::Manifest& manifest) {
+  if (request.fault_spec.empty()) return nullptr;
+  return std::make_unique<robust::FaultPlan>(robust::FaultPlan::parse_spec(
+      request.fault_spec, request.fault_seed != 0 ? request.fault_seed
+                                                  : manifest.seed ^ 0xFA17ull));
+}
+
+// The job file's header. A resume and a report render rebuild it from the
+// stored request, so a build whose fingerprint drifted is refused.
+obs::Event job_header(const std::string& id, const SubmitRequest& request,
+                      const campaign::Plan& plan,
+                      const robust::FaultPlan* faults) {
+  obs::Event header = submit_event(request);  // manifest text included
+  header.type = "serve_job";
+  header.str("job", id)
+      .u64("config_hash", plan.config_hash)
+      .u64("cells", plan.cells.size())
+      .str("run", campaign::run_fingerprint(request.retries + 1, faults, 0));
+  return header;
+}
+
 }  // namespace
 
 const char* job_state_name(JobState state) {
@@ -34,13 +57,51 @@ const char* job_state_name(JobState state) {
   return kStateNames[idx];
 }
 
+obs::Event status_event(const JobStatus& status) {
+  obs::Event event("job_status");
+  event.str("job", status.id)
+      .str("client", status.client)
+      .str("state", job_state_name(status.state))
+      .u64("config_hash", status.config_hash)
+      .u64("cells", status.cells_total)
+      .u64("done", status.cells_done);
+  if (status.truncated) {
+    event.flag("truncated", true)
+        .str("reason", robust::cancel_reason_name(status.reason));
+  }
+  if (!status.error.empty()) event.str("error", status.error);
+  return event;
+}
+
+JobStatus status_from_event(const obs::Event& event) {
+  const auto state = std::find(kStateNames.begin(), kStateNames.end(),
+                               event.str_or("state", ""));
+  const std::optional<robust::CancelReason> reason =
+      robust::parse_cancel_reason(event.str_or("reason", "none"));
+  if (state == kStateNames.end() || !reason.has_value()) {
+    throw util::ParseError("malformed " + event.type + " line");
+  }
+  JobStatus status;
+  status.id = event.str_or("job", "");
+  status.client = event.str_or("client", "");
+  status.state = static_cast<JobState>(state - kStateNames.begin());
+  status.config_hash = event.u64_or("config_hash", 0);
+  status.cells_total = event.u64_or("cells", 0);
+  status.cells_done = event.u64_or("done", 0);
+  status.truncated = event.flag_or("truncated", false);
+  status.reason = *reason;
+  status.error = event.str_or("error", "");
+  return status;
+}
+
 // One tenant job. Heap-allocated and never erased from jobs_ while the
-// core lives, so worker threads may hold pointers into plan/options
-// outside the mutex (both are immutable after init).
+// core lives, so worker threads may hold pointers to its cancel token,
+// faults and cell options outside the mutex (all immutable after init).
+// release() drops the rest of the run state once the job is terminal.
 struct ServeCore::Job {
-  JobFiles files;
-  SubmitRequest request;
-  campaign::Plan plan;                     // empty for restored-terminal jobs
+  JobStatus status;
+  campaign::Plan plan;
+  bool unit_progress = false;  // plan.manifest's, read by finish()
   campaign::CellRunOptions cell_options;
   std::unique_ptr<robust::FaultPlan> faults;
   std::unique_ptr<robust::FaultyIo> faulty_io;
@@ -48,18 +109,11 @@ struct ServeCore::Job {
   robust::CancelToken cancel;
   std::unique_ptr<robust::Watchdog> watchdog;
   std::unique_ptr<robust::DurableAppender> checkpoint;
-  std::map<std::uint64_t, campaign::CellResult> results;
+  std::map<std::uint64_t, std::string> committed;  // sweep_cell lines
 
-  JobState state = JobState::kQueued;
-  bool truncated = false;
-  robust::CancelReason reason = robust::CancelReason::kNone;
   bool client_cancelled = false;
-  std::uint64_t config_hash = 0;
-  std::uint64_t cells_total = 0;
-  std::uint64_t restored_cells_done = 0;  // terminal jobs after a restart
   std::uint64_t in_flight = 0;  // admitted cells not finished or abandoned
   std::uint64_t started_ns = 0;
-  std::string error;
 
   // Streaming (docs/SERVE.md, "Backpressure").
   bool subscriber = false;
@@ -70,7 +124,7 @@ struct ServeCore::Job {
 ServeCore::ServeCore(const ServeOptions& options)
     : options_(options),
       io_(options.io != nullptr ? *options.io : robust::system_io()),
-      spool_(options.spool_dir, io_),
+      spool_(options.spool_dir),
       pool_(static_cast<std::size_t>(options.jobs)),
       trials_({.admit = [this] { return admit(); },
                .admitted =
@@ -94,30 +148,20 @@ ServeCore::~ServeCore() { shutdown(); }
 
 void ServeCore::resume_spool() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  for (const JobFiles& files : spool_.scan()) {
-    const SubmitRequest request =
-        submit_from_event(spool_.load_meta(files));
-    if (files.has_report) {
-      // Terminal history: status answers from the report header, nothing
-      // re-enters the scheduler.
-      const campaign::Report report =
-          campaign::load_report_file(files.report_path);
-      auto job = std::make_unique<Job>();
-      job->files = files;
-      job->request = request;
-      job->config_hash = report.config_hash;
-      job->cells_total = report.cells_total;
-      job->restored_cells_done = report.cells.size();
-      job->truncated = report.truncated;
-      job->reason = report.truncate_reason;
-      job->state = report.truncated && report.truncate_reason ==
-                                           robust::CancelReason::kExternal
-                       ? JobState::kCancelled
-                       : JobState::kDone;
-      jobs_.emplace(files.id, std::move(job));
+  for (const std::string& id : spool_.scan()) {
+    const Spool::Ends ends = spool_.ends(id);
+    if (!ends.header.has_value()) continue;  // a submit never acknowledged
+    if (!ends.done.has_value()) {
+      const SubmitRequest request = submit_from_event(*ends.header);
+      std::istringstream is(request.manifest_text);
+      init_job(id, request, campaign::parse_manifest(is), /*resuming=*/true);
       continue;
     }
-    init_job(files, request, /*resuming=*/true);
+    // Terminal history: status answers from the job_done line; no cell
+    // is loaded and nothing re-enters the scheduler.
+    auto job = std::make_unique<Job>();
+    job->status = status_from_event(*ends.done);
+    jobs_.emplace(id, std::move(job));
   }
 }
 
@@ -126,54 +170,58 @@ JobStatus ServeCore::submit(const SubmitRequest& request) {
   // util::ParseError here and no job id, spool entry, or queue slot ever
   // exists for it.
   std::istringstream is(request.manifest_text);
-  (void)campaign::parse_manifest(is);
+  const campaign::Manifest manifest = campaign::parse_manifest(is);
+  // The request as the job file will read back (a weight of 0 reads as
+  // 1), so a resume rebuilds the same header.
+  const SubmitRequest stored = submit_from_event(submit_event(request));
 
   const std::lock_guard<std::mutex> lock(mutex_);
   CADAPT_CHECK_MSG(!shutting_down_, "serve core is shutting down");
-  const JobFiles files = spool_.files_for(spool_.allocate_id());
-  obs::Event meta = submit_event(request);
-  meta.type = "serve_job";
-  meta.without("manifest").str("job", files.id);
-  spool_.persist_job(files, request.manifest_text, meta);
-  init_job(files, request, /*resuming=*/false);
+  const std::string id = spool_.allocate_id();
+  init_job(id, stored, manifest, /*resuming=*/false);
   wake();
-  return status_of(*jobs_.at(files.id));
+  return jobs_.at(id)->status;
 }
 
-void ServeCore::init_job(const JobFiles& files, const SubmitRequest& request,
-                         bool resuming) {
-  campaign::Manifest manifest;
-  {
-    std::istringstream is(request.manifest_text.empty() && resuming
-                              ? spool_.load_manifest_text(files)
-                              : request.manifest_text);
-    manifest = campaign::parse_manifest(is);
-  }
+void ServeCore::init_job(const std::string& id, const SubmitRequest& request,
+                         const campaign::Manifest& manifest, bool resuming) {
   auto job = std::make_unique<Job>();
-  job->files = files;
-  job->request = request;
   job->plan = campaign::expand_plan(manifest);
-  job->config_hash = job->plan.config_hash;
-  job->cells_total = job->plan.cells.size();
+  job->unit_progress = manifest.unit_progress;
+  job->status.id = id;
+  job->status.client = request.client;
+  job->status.config_hash = job->plan.config_hash;
+  job->status.cells_total = job->plan.cells.size();
 
   job->cell_options = campaign::cell_options_from(manifest);
   job->cell_options.timing = options_.timing;
   job->cell_options.max_attempts = request.retries + 1;
   job->cell_options.cancel = &job->cancel;
-  if (!request.fault_spec.empty()) {
-    const std::uint64_t seed = request.fault_seed != 0
-                                   ? request.fault_seed
-                                   : manifest.seed ^ 0xFA17ull;
-    job->faults = std::make_unique<robust::FaultPlan>(
-        robust::FaultPlan::parse_spec(request.fault_spec, seed));
-    job->cell_options.faults = job->faults.get();
-  }
+  job->faults = job_faults(request, manifest);
+  job->cell_options.faults = job->faults.get();
   job->io = &io_;
   if (job->faults != nullptr && robust::FaultyIo::plan_arms_io(*job->faults)) {
     job->faulty_io = std::make_unique<robust::FaultyIo>(io_,
                                                         job->faults.get());
     job->io = job->faulty_io.get();
   }
+
+  // The job file. A submit commits its header and syncs the directory
+  // before it is acknowledged; a resume refuses a header that differs
+  // from the one rebuilt here and restores the committed cells.
+  const std::string path = spool_.path_for(id);
+  JobFile file;
+  job->checkpoint = robust::open_checkpoint(
+      path, job_header(id, request, job->plan, job->faults.get()), resuming,
+      job_records(file), *job->io);
+  if (!resuming && job->io->fsync_parent(path.c_str()) != 0) {
+    throw util::IoError("fsync of parent directory of '" + path +
+                        "' failed: " + std::strerror(errno));
+  }
+  for (const auto& [index, cell] : file.cells) {
+    job->committed.emplace(index, obs::to_jsonl(campaign::cell_event(cell)));
+  }
+  job->status.cells_done = job->committed.size();
 
   // Per-client box budget: the tracker accrues across every job the
   // client submits; the first submit naming a budget creates it.
@@ -184,22 +232,11 @@ void ServeCore::init_job(const JobFiles& files, const SubmitRequest& request,
     client.tracker = std::make_unique<robust::BudgetTracker>(budget);
   }
 
-  // The checkpoint is the sweep format at shards=1 — the SAME header,
-  // loader, and cell lines as one-shot `cadapt sweep --checkpoint`.
-  job->checkpoint = robust::open_checkpoint(
-      files.checkpoint_path,
-      campaign::sweep_checkpoint_header(
-          job->plan, 1, 0,
-          campaign::run_fingerprint(request.retries + 1, job->faults.get(),
-                                    0)),
-      resuming, campaign::restore_cells(job->results), *job->io);
-
   std::vector<std::uint64_t> pending;
-  for (std::uint64_t i = 0; i < job->cells_total; ++i) {
-    if (job->results.find(i) == job->results.end()) pending.push_back(i);
+  for (std::uint64_t i = 0; i < job->status.cells_total; ++i) {
+    if (job->committed.count(i) == 0) pending.push_back(i);
   }
-  scheduler_.add_job(files.id, request.client, request.weight,
-                     std::move(pending));
+  scheduler_.add_job(id, request.client, request.weight, std::move(pending));
   if (request.deadline_ms != 0) {
     // The deadline is wall clock from (re)admission — a restarted daemon
     // re-arms it in full, like any other watchdog.
@@ -209,14 +246,14 @@ void ServeCore::init_job(const JobFiles& files, const SubmitRequest& request,
   if (options_.timing) job->started_ns = obs::steady_now_ns();
   if (options_.trace != nullptr) {
     obs::Event event("job_accepted");
-    event.str("job", files.id)
+    event.str("job", id)
         .str("client", request.client)
-        .u64("config_hash", job->config_hash)
-        .u64("cells", job->cells_total);
+        .u64("config_hash", job->status.config_hash)
+        .u64("cells", job->status.cells_total);
     options_.trace->write(event);
   }
   Job& ref = *job;
-  jobs_.emplace(files.id, std::move(job));
+  jobs_.emplace(id, std::move(job));
   maybe_finalize(ref);  // a fully-checkpointed job finishes right here
 }
 
@@ -261,22 +298,23 @@ std::shared_ptr<ServeCore::ClaimedCell> ServeCore::admit() {
       truncate_job(job, job.cancel.reason());
       continue;
     }
-    const ClientState& client = clients_[job.request.client];
+    const ClientState& client = clients_[job.status.client];
     if (client.tracker != nullptr && client.tracker->exceeded()) {
       truncate_job(job, robust::CancelReason::kBudget);
       continue;
     }
     dispatch_log_.push_back(*pick);
-    job.state = JobState::kRunning;
+    job.status.state = JobState::kRunning;
     ++job.in_flight;
     if (options_.trace != nullptr) {
       obs::Event event("cell_scheduled");
       event.str("job", pick->job).u64("cell", pick->cell);
       options_.trace->write(event);
     }
-    auto claimed = std::make_shared<ClaimedCell>();
+    auto claimed = std::make_shared<OwnedCell>();
     claimed->owner = &job;
-    claimed->cell = &job.plan.cells[pick->cell];
+    claimed->copy = job.plan.cells[pick->cell];
+    claimed->cell = &claimed->copy;
     claimed->trial_options =
         campaign::trial_options_for(*claimed->cell, job.cell_options);
     claimed->records.resize(claimed->cell->trials);
@@ -297,7 +335,6 @@ std::shared_ptr<ServeCore::ClaimedCell> ServeCore::admit() {
 
 void ServeCore::finish(ClaimedCell& claimed) {
   Job& job = *claimed.owner;
-  const std::uint64_t cell_index = claimed.cell->index;
   std::uint64_t boxes = 0;
   for (const robust::TrialRecord& record : claimed.records) {
     boxes += record.boxes;
@@ -305,8 +342,8 @@ void ServeCore::finish(ClaimedCell& claimed) {
   // Aggregate OUTSIDE the mutex, then drop the runner (and any captured
   // block-run trace) and the records.
   campaign::CellResult result = campaign::aggregate_cell(
-      *claimed.cell, claimed.records, job.config_hash,
-      job.plan.manifest.unit_progress);
+      *claimed.cell, claimed.records, job.status.config_hash,
+      job.unit_progress);
   claimed.runner = nullptr;
   claimed.records = {};
 
@@ -315,9 +352,9 @@ void ServeCore::finish(ClaimedCell& claimed) {
   cv_.notify_all();
   // After shutdown, and for a failed job's stragglers, cells unwind
   // without touching the job's artifacts.
-  if (shutting_down_ || terminal(job.state)) return;
+  if (shutting_down_ || terminal(job.status.state)) return;
   if (robust::BudgetTracker* tracker =
-          clients_[job.request.client].tracker.get()) {
+          clients_[job.status.client].tracker.get()) {
     tracker->add_boxes(boxes);
   }
   obs::to_jsonl(campaign::cell_event(result), line_buf_);
@@ -325,7 +362,8 @@ void ServeCore::finish(ClaimedCell& claimed) {
     job.checkpoint->write(line_buf_);
     job.checkpoint->write("\n");
     job.checkpoint->commit();
-    job.results.emplace(cell_index, std::move(result));
+    job.committed.emplace(claimed.cell->index, line_buf_);
+    job.status.cells_done = job.committed.size();
     if (job.subscriber) {
       job.stream.push_back(line_buf_);
       if (!job.stream_paused &&
@@ -333,11 +371,11 @@ void ServeCore::finish(ClaimedCell& claimed) {
         // Backpressure: this subscriber stopped draining, so THIS job
         // stops admitting cells. Nobody else's queue position moves.
         job.stream_paused = true;
-        scheduler_.pause_job(job.files.id);
+        scheduler_.pause_job(job.status.id);
       }
     }
     if (options_.trace != nullptr) {
-      options_.trace->write(campaign::cell_event(job.results[cell_index]));
+      options_.trace->write(campaign::cell_event(result));
     }
     maybe_finalize(job);
   } catch (const util::IoError& e) {
@@ -349,7 +387,7 @@ void ServeCore::abandon(Job& job) {
   const std::lock_guard<std::mutex> lock(mutex_);
   --job.in_flight;
   cv_.notify_all();
-  if (shutting_down_ || terminal(job.state)) return;
+  if (shutting_down_ || terminal(job.status.state)) return;
   try {
     throw;  // the cell's first error, still being handled
   } catch (const robust::CancelledError& e) {
@@ -363,84 +401,71 @@ void ServeCore::abandon(Job& job) {
 }
 
 void ServeCore::truncate_job(Job& job, robust::CancelReason reason) {
-  if (terminal(job.state)) return;
-  job.truncated = true;
-  if (job.reason == robust::CancelReason::kNone) job.reason = reason;
-  scheduler_.remove_job(job.files.id);
+  JobStatus& status = job.status;
+  if (terminal(status.state)) return;
+  status.truncated = true;
+  if (status.reason == robust::CancelReason::kNone) status.reason = reason;
+  scheduler_.remove_job(status.id);
   maybe_finalize(job);
 }
 
 void ServeCore::maybe_finalize(Job& job) {
-  if (terminal(job.state) || job.in_flight != 0) return;
-  if (!job.truncated && job.results.size() != job.cells_total) return;
-  std::vector<campaign::CellResult> cells;
-  cells.reserve(job.results.size());
-  for (const auto& [index, result] : job.results) cells.push_back(result);
-  const std::uint64_t wall_ms =
-      options_.timing && job.started_ns != 0
-          ? (obs::steady_now_ns() - job.started_ns) / 1000000u
-          : 0;
-  const campaign::Report report = campaign::assemble_report(
-      job.plan, std::move(cells), 1, 0, job.truncated,
-      job.truncated ? job.reason : robust::CancelReason::kNone, wall_ms);
+  const JobStatus& now = job.status;
+  if (terminal(now.state) || job.in_flight != 0) return;
+  if (!now.truncated && now.cells_done != now.cells_total) return;
+  JobStatus status = now;
+  status.state = job.client_cancelled ? JobState::kCancelled : JobState::kDone;
+  obs::Event done = status_event(status);
+  done.type = "job_done";
+  done.u64("wall_ms", options_.timing && job.started_ns != 0
+                          ? (obs::steady_now_ns() - job.started_ns) / 1000000u
+                          : 0);
+  // One commit: this build's provenance (the report's sweep_env, so a
+  // restart on a newer binary still renders the same bytes), then the
+  // terminal status a restart reads back.
   try {
-    campaign::write_report_file(job.files.report_path, report, *job.io);
+    for (const obs::Event& event : {campaign::provenance_event(), done}) {
+      obs::to_jsonl(event, line_buf_);
+      job.checkpoint->write(line_buf_);
+      job.checkpoint->write("\n");
+    }
+    job.checkpoint->commit();
   } catch (const util::IoError& e) {
     fail_job(job, e.what());
     return;
   }
-  job.files.has_report = true;
-  job.state = job.client_cancelled ? JobState::kCancelled : JobState::kDone;
-  scheduler_.remove_job(job.files.id);
+  job.status.state = status.state;
+  release(job);
+  if (options_.trace != nullptr) options_.trace->write(done);
+}
+
+void ServeCore::release(Job& job) {
+  scheduler_.remove_job(job.status.id);
+  job.checkpoint = nullptr;  // closes the job file
+  job.watchdog = nullptr;
+  job.committed = {};
+  job.plan = {};
   cv_.notify_all();
-  if (options_.trace != nullptr) {
-    obs::Event event("job_done");
-    event.str("job", job.files.id)
-        .str("state", job_state_name(job.state))
-        .flag("truncated", job.truncated);
-    if (job.truncated) {
-      event.str("reason", robust::cancel_reason_name(job.reason));
-    }
-    options_.trace->write(event);
-  }
 }
 
 void ServeCore::fail_job(Job& job, const std::string& what) {
-  if (terminal(job.state)) return;
-  job.state = JobState::kFailed;
-  job.error = what;
+  if (terminal(job.status.state)) return;
+  job.status.state = JobState::kFailed;
+  job.status.error = what;
   job.cancel.request(robust::CancelReason::kExternal);  // stop stragglers
-  scheduler_.remove_job(job.files.id);
+  release(job);
   if (options_.trace != nullptr) {
-    obs::Event event("job_done");
-    event.str("job", job.files.id)
-        .str("state", job_state_name(job.state))
-        .str("error", what);
+    obs::Event event = status_event(job.status);
+    event.type = "job_done";
     options_.trace->write(event);
   }
-}
-
-JobStatus ServeCore::status_of(const Job& job) const {
-  JobStatus status;
-  status.id = job.files.id;
-  status.client = job.request.client;
-  status.state = job.state;
-  status.config_hash = job.config_hash;
-  status.cells_total = job.cells_total;
-  status.cells_done = job.restored_cells_done != 0
-                          ? job.restored_cells_done
-                          : job.results.size();
-  status.truncated = job.truncated;
-  status.reason = job.reason;
-  status.error = job.error;
-  return status;
 }
 
 std::vector<JobStatus> ServeCore::status() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::vector<JobStatus> out;
   out.reserve(jobs_.size());
-  for (const auto& [id, job] : jobs_) out.push_back(status_of(*job));
+  for (const auto& [id, job] : jobs_) out.push_back(job->status);
   // Numeric id order (the map is lexicographic: job-10 < job-2).
   std::sort(out.begin(), out.end(),
             [](const JobStatus& a, const JobStatus& b) {
@@ -454,13 +479,13 @@ std::optional<JobStatus> ServeCore::status(const std::string& job) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(job);
   if (it == jobs_.end()) return std::nullopt;
-  return status_of(*it->second);
+  return it->second->status;
 }
 
 bool ServeCore::cancel(const std::string& id) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end() || terminal(it->second->state)) return false;
+  if (it == jobs_.end() || terminal(it->second->status.state)) return false;
   Job& job = *it->second;
   job.client_cancelled = true;
   job.cancel.request(robust::CancelReason::kExternal);
@@ -475,7 +500,7 @@ bool ServeCore::wait_job(const std::string& id) {
   if (it == jobs_.end()) return false;
   Job& job = *it->second;
   cv_.wait(lock, [this, &job] {
-    return shutting_down_ || terminal(job.state);
+    return shutting_down_ || terminal(job.status.state);
   });
   return true;
 }
@@ -485,29 +510,38 @@ void ServeCore::wait_idle() {
   cv_.wait(lock, [this] {
     if (shutting_down_) return true;
     for (const auto& [id, job] : jobs_) {
-      if (!terminal(job->state)) return false;
+      if (!terminal(job->status.state)) return false;
     }
     return true;
   });
 }
 
 bool ServeCore::attach(const std::string& id) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  std::unique_lock<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) return false;
   Job& job = *it->second;
   if (job.subscriber) return true;
-  job.subscriber = true;
-  // Backfill cells that finished (or were restored from the checkpoint)
-  // before the subscriber arrived: a late `results` call still sees one
-  // line per cell. job.results is keyed by cell index, so the backlog
-  // comes out in plan order.
-  job.stream.clear();
-  for (const auto& [index, result] : job.results) {
-    (void)index;
-    job.stream.push_back(obs::to_jsonl(campaign::cell_event(result)));
+  // Backfill the cells committed before the subscriber arrived, in plan
+  // order: a late `results` call still sees one line per cell. A terminal
+  // job holds none: its file is read outside the mutex (it is never
+  // written again).
+  const bool finished = terminal(job.status.state);
+  std::map<std::uint64_t, std::string> lines;
+  if (finished) {
+    lock.unlock();
+    for (const auto& [index, cell] : read_job(spool_.path_for(id)).cells) {
+      lines.emplace(index, obs::to_jsonl(campaign::cell_event(cell)));
+    }
+    lock.lock();
+    if (job.subscriber) return true;
   }
-  if (!terminal(job.state) && !job.stream_paused &&
+  job.subscriber = true;
+  job.stream.clear();
+  for (const auto& [index, line] : finished ? lines : job.committed) {
+    job.stream.push_back(line);
+  }
+  if (!finished && !job.stream_paused &&
       job.stream.size() >= options_.stream_buffer) {
     job.stream_paused = true;
     scheduler_.pause_job(id);
@@ -522,7 +556,8 @@ std::optional<std::string> ServeCore::next_stream_line(const std::string& id) {
   if (it == jobs_.end()) return std::nullopt;
   Job& job = *it->second;
   cv_.wait(lock, [this, &job] {
-    return shutting_down_ || !job.stream.empty() || terminal(job.state);
+    return shutting_down_ || !job.stream.empty() ||
+           terminal(job.status.state);
   });
   if (job.stream.empty()) return std::nullopt;
   std::string line = std::move(job.stream.front());
@@ -550,23 +585,37 @@ void ServeCore::detach(const std::string& id) {
 }
 
 std::string ServeCore::report_bytes(const std::string& id) const {
-  std::string path;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
-    if (it == jobs_.end()) {
-      throw util::IoError("unknown job '" + id + "'");
-    }
-    if (!it->second->files.has_report) {
+    if (it == jobs_.end()) throw util::IoError("unknown job '" + id + "'");
+    const JobState state = it->second->status.state;
+    if (state != JobState::kDone && state != JobState::kCancelled) {
       throw util::IoError("job '" + id + "' has no report (state " +
-                          job_state_name(it->second->state) + ")");
+                          job_state_name(state) + ")");
     }
-    path = it->second->files.report_path;
   }
-  std::ifstream is(path, std::ios::binary);
-  if (!is) throw util::IoError("cannot open report '" + path + "'");
+  const std::string path = spool_.path_for(id);
+  // Rendered from the job file, outside the mutex: the one path for jobs
+  // finished live and jobs restored by a restart.
+  JobFile file = read_job(path);
+  const SubmitRequest request = submit_from_event(file.header);
+  std::istringstream is(request.manifest_text);
+  const campaign::Manifest manifest = campaign::parse_manifest(is);
+  const campaign::Plan plan = campaign::expand_plan(manifest);
+  robust::check_header(
+      path, file.header,
+      job_header(id, request, plan, job_faults(request, manifest).get()));
+  CADAPT_CHECK_MSG(file.done.has_value(), "job file without job_done");
+  const JobStatus status = status_from_event(*file.done);
+  std::vector<campaign::CellResult> cells;
+  for (auto& [index, cell] : file.cells) cells.push_back(std::move(cell));
+  campaign::Report report = campaign::assemble_report(
+      plan, std::move(cells), 1, 0, status.truncated, status.reason,
+      file.done->u64_or("wall_ms", 0));
+  report.env = file.env;
   std::ostringstream os;
-  os << is.rdbuf();
+  campaign::write_report(os, report);
   return os.str();
 }
 
@@ -584,7 +633,7 @@ void ServeCore::shutdown() {
     // results are discarded (never checkpointed), so the next daemon
     // resumes them from the last committed cell — bit-identically.
     for (auto& [id, job] : jobs_) {
-      if (!terminal(job->state)) {
+      if (!terminal(job->status.state)) {
         job->cancel.request(robust::CancelReason::kExternal);
       }
     }

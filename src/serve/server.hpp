@@ -5,11 +5,10 @@
 // `cadapt sweep` runs; a FairScheduler decides WHICH job's cell is
 // admitted next (weighted round-robin across clients); per-job
 // robust::CancelToken + Watchdog handle cancellation and deadlines;
-// per-client robust::BudgetTracker caps total boxes. Every durable write
-// goes through robust/io: cell results append to a per-job
-// DurableAppender checkpoint (the sweep format at shards=1), final
-// reports land via atomic_write_file. A SIGKILL'd daemon restarts from
-// the Spool and resumes every unfinished job from its checkpoint.
+// per-client robust::BudgetTracker caps total boxes. Each job is one
+// append-only file in the Spool (src/serve/spool.hpp), and its report is
+// rendered from that file on request. A SIGKILL'd daemon restarts from
+// the Spool and resumes every unfinished job from its file.
 //
 // The invariant everything here serves: a job's final report is
 // byte-identical to one-shot `cadapt sweep --no-timing` on the same
@@ -46,8 +45,8 @@ namespace cadapt::serve {
 enum class JobState : std::uint8_t {
   kQueued = 0,
   kRunning = 1,
-  kDone = 2,       ///< report written (possibly truncated: deadline/budget)
-  kCancelled = 3,  ///< client-cancelled; truncated report written
+  kDone = 2,       ///< finalized (possibly truncated: deadline/budget)
+  kCancelled = 3,  ///< client-cancelled; finalized truncated
   kFailed = 4,     ///< internal error (message in JobStatus::error)
 };
 const char* job_state_name(JobState state);
@@ -63,6 +62,12 @@ struct JobStatus {
   robust::CancelReason reason = robust::CancelReason::kNone;
   std::string error;
 };
+
+/// A job's status as the `status` reply's job_status line (typed
+/// job_done, the job file's last record) and back; status_from_event
+/// throws util::ParseError for an unknown state or reason.
+obs::Event status_event(const JobStatus& status);
+JobStatus status_from_event(const obs::Event& event);
 
 struct ServeOptions {
   std::string spool_dir;          ///< required
@@ -91,9 +96,9 @@ class ServeCore {
   ServeCore(const ServeCore&) = delete;
   ServeCore& operator=(const ServeCore&) = delete;
 
-  /// Accept a job: parse + expand the manifest, persist it durably,
-  /// enqueue its cells. Throws util::ParseError on a malformed manifest
-  /// (no job is created). Returns the accepted job's status.
+  /// Accept a job: parse + expand the manifest, commit the job file's
+  /// header, enqueue its cells. Throws util::ParseError on a malformed
+  /// manifest (no job is created). Returns the accepted job's status.
   JobStatus submit(const SubmitRequest& request);
 
   /// Begin dispatching (no-op when autostart or already started).
@@ -112,18 +117,19 @@ class ServeCore {
   /// Block until no job is queued or running.
   void wait_idle();
 
-  /// Streaming (one subscriber per job): attach() starts buffering the
-  /// job's sweep_cell report lines in completion order; next_stream_line
-  /// blocks for the next line, returning nullopt once the job is
-  /// terminal and the buffer is drained (or the core shuts down);
-  /// detach() drops the buffer and un-pauses. A subscriber that stops
-  /// draining fills the bounded buffer and pauses ONLY its own job's
-  /// dispatch (docs/SERVE.md, "Backpressure").
+  /// Streaming (one subscriber per job): attach() backfills the cells
+  /// already committed (a terminal job's from its file, read outside the
+  /// mutex) and buffers later sweep_cell lines in completion order;
+  /// next_stream_line blocks for the next line, returning nullopt once
+  /// the job is terminal and the buffer is drained (or the core shuts
+  /// down); detach() drops the buffer and un-pauses. A subscriber that
+  /// stops draining fills the bounded buffer and pauses ONLY its own
+  /// job's dispatch (docs/SERVE.md, "Backpressure").
   bool attach(const std::string& job);
   std::optional<std::string> next_stream_line(const std::string& job);
   void detach(const std::string& job);
 
-  /// The finished report's bytes (the durable file, verbatim). Throws
+  /// The finished report's bytes, rendered from the job file. Throws
   /// util::IoError when the job has no report (not terminal / failed).
   std::string report_bytes(const std::string& job) const;
 
@@ -141,10 +147,15 @@ class ServeCore {
   };
   struct Job;
   using ClaimedCell = campaign::ClaimedCell<Job*>;
+  /// Owns a copy of its plan cell: helpers may still run a trial of an
+  /// abandoned cell after its job dropped the plan.
+  struct OwnedCell : ClaimedCell {
+    campaign::Cell copy;
+  };
 
   void resume_spool();
-  void init_job(const JobFiles& files, const SubmitRequest& request,
-                bool resuming);
+  void init_job(const std::string& id, const SubmitRequest& request,
+                const campaign::Manifest& manifest, bool resuming);
   void work_loop();  // one per pool thread, until shutdown
   void wake();       // new work may be admissible or helpable (mutex held)
   std::shared_ptr<ClaimedCell> admit();  // the TrialScheduler's steps
@@ -153,7 +164,7 @@ class ServeCore {
   void truncate_job(Job& job, robust::CancelReason reason);  // mutex held
   void maybe_finalize(Job& job);                             // mutex held
   void fail_job(Job& job, const std::string& what);          // mutex held
-  JobStatus status_of(const Job& job) const;                 // mutex held
+  void release(Job& job);  // a terminal job's run state (mutex held)
 
   ServeOptions options_;
   robust::IoBackend& io_;

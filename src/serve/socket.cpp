@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -97,9 +98,35 @@ void close_fd(int fd) {
 
 void shutdown_fd(int fd) { ::shutdown(fd, SHUT_RDWR); }
 
+LineReader::LineReader(int fd, std::size_t max_line, int deadline_ms)
+    : fd_(fd),
+      max_line_(max_line),
+      deadline_ms_(deadline_ms),
+      deadline_(std::chrono::steady_clock::now() +
+                std::chrono::milliseconds(deadline_ms)) {}
+
 bool LineReader::fill() {
   char chunk[4096];
   for (;;) {
+    if (deadline_ms_ > 0) {
+      const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+          deadline_ - std::chrono::steady_clock::now());
+      pollfd pfd{};
+      pfd.fd = fd_;
+      pfd.events = POLLIN;
+      const int ready =
+          ::poll(&pfd, 1, static_cast<int>(std::max<std::int64_t>(
+                              0, left.count())));
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready < 0) {
+        throw util::IoError(std::string("socket poll failed: ") +
+                            std::strerror(errno));
+      }
+      if (ready == 0) {
+        throw util::ParseError("request line incomplete after " +
+                               std::to_string(deadline_ms_) + " ms");
+      }
+    }
     const ssize_t n = ::read(fd_, chunk, sizeof(chunk));
     if (n < 0) {
       if (errno == EINTR) continue;

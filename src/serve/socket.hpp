@@ -5,6 +5,7 @@
 // with the socket path in the message.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -37,17 +38,20 @@ void shutdown_fd(int fd);
 /// Buffered newline-delimited reads from a socket fd (does not own it).
 class LineReader {
  public:
-  /// `max_line` caps one line's length in bytes; 0 = uncapped. The daemon
-  /// caps request lines so a peer cannot grow its buffer without bound;
-  /// clients stay uncapped because streamed `sweep_cell` lines grow with
-  /// a cell's trials.
-  explicit LineReader(int fd, std::size_t max_line = 0)
-      : fd_(fd), max_line_(max_line) {}
+  /// `max_line` caps one line's length in bytes; 0 = uncapped.
+  /// `deadline_ms` bounds the whole wait for data, counted from
+  /// construction; 0 = none. The daemon sets both on request lines, so a
+  /// peer can neither grow its buffer without bound nor hold its handler
+  /// thread by sending half a line; clients set neither, because
+  /// streamed `sweep_cell` lines grow with a cell's trials and a job may
+  /// run for hours.
+  explicit LineReader(int fd, std::size_t max_line = 0, int deadline_ms = 0);
 
   /// Next line without its trailing '\n'; nullopt at EOF. A final
   /// unterminated chunk is returned as a line (torn-tail tolerant, like
   /// the JSONL loaders). Throws util::ParseError once a line is longer
-  /// than `max_line`, without waiting for its newline.
+  /// than `max_line`, without waiting for its newline, and once the
+  /// deadline passes with the line still incomplete.
   std::optional<std::string> next();
 
   /// Everything left: buffered bytes plus the stream to EOF, verbatim.
@@ -59,6 +63,8 @@ class LineReader {
 
   int fd_;
   std::size_t max_line_;
+  int deadline_ms_;
+  std::chrono::steady_clock::time_point deadline_;
   std::string buffer_;
   std::size_t pos_ = 0;
 };

@@ -8,125 +8,120 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
-#include <sstream>
 #include <utility>
 
-#include "serve/protocol.hpp"
+#include "campaign/sweep.hpp"
 #include "util/check.hpp"
 
 namespace cadapt::serve {
 
 namespace {
 
-constexpr const char* kMetaSuffix = ".job";
-
-/// "job-12.job" -> 12; nullopt for anything else.
-std::optional<std::uint64_t> id_number(const std::string& filename) {
-  const std::string prefix = "job-";
-  if (filename.rfind(prefix, 0) != 0) return std::nullopt;
-  const std::string suffix = kMetaSuffix;
-  if (filename.size() <= prefix.size() + suffix.size()) return std::nullopt;
-  if (filename.compare(filename.size() - suffix.size(), suffix.size(),
-                       suffix) != 0) {
-    return std::nullopt;
-  }
-  const std::string digits = filename.substr(
-      prefix.size(), filename.size() - prefix.size() - suffix.size());
+/// "job-12.ckpt" -> {12, "ckpt"}; nullopt for a name of any other shape.
+std::optional<std::pair<std::uint64_t, std::string>> job_file(
+    const std::string& name) {
+  if (name.rfind("job-", 0) != 0) return std::nullopt;
+  const char* end = name.data() + name.size();
   std::uint64_t n = 0;
-  const auto [ptr, ec] =
-      std::from_chars(digits.data(), digits.data() + digits.size(), n);
-  if (ec != std::errc() || ptr != digits.data() + digits.size()) {
-    return std::nullopt;
-  }
-  return n;
+  const auto [dot, ec] = std::from_chars(name.data() + 4, end, n);
+  if (ec != std::errc() || dot == end || *dot != '.') return std::nullopt;
+  return std::pair{n, std::string(dot + 1, end)};
 }
 
 }  // namespace
 
-Spool::Spool(std::string dir, robust::IoBackend& io)
-    : dir_(std::move(dir)), io_(io) {
+robust::RecordFn job_records(JobFile& into) {
+  return [&into, cells = campaign::restore_cells(into.cells)](
+             const robust::JsonlLine& line) {
+    if (line.event.type == "sweep_env") {
+      into.env = campaign::provenance_from_event(line.event);
+    } else if (line.event.type == "job_done") {
+      into.done = line.event;
+    } else {
+      cells(line);  // sweep_cell, or a ParseError naming the type
+    }
+  };
+}
+
+JobFile read_job(const std::string& path) {
+  JobFile file;
+  file.header = robust::read_checkpoint(path, job_records(file));
+  return file;
+}
+
+Spool::Spool(std::string dir) : dir_(std::move(dir)) {
   CADAPT_CHECK(!dir_.empty());
   if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST) {
     throw util::IoError("cannot create spool directory '" + dir_ +
                         "': " + std::strerror(errno));
   }
   // Start ids past everything on disk — a restart must never reuse an
-  // id (the old job's artifacts would be silently blended with the new).
-  for (const JobFiles& files : scan()) {
-    if (const auto n = id_number(files.id + kMetaSuffix)) {
-      next_id_ = std::max(next_id_, *n + 1);
-    }
-  }
+  // id, not even a torn header's.
+  const std::vector<std::string> ids = scan();
+  if (!ids.empty()) next_id_ = job_file(ids.back() + ".ckpt")->first + 1;
 }
 
-JobFiles Spool::files_for(const std::string& id) const {
-  JobFiles files;
-  files.id = id;
-  const std::string base = dir_ + "/" + id;
-  files.manifest_path = base + ".manifest";
-  files.meta_path = base + kMetaSuffix;
-  files.checkpoint_path = base + ".ckpt";
-  files.report_path = base + ".json";
-  std::error_code ec;
-  files.has_report = std::filesystem::exists(files.report_path, ec);
-  return files;
+std::string Spool::path_for(const std::string& id) const {
+  return dir_ + "/" + id + ".ckpt";
 }
 
-std::vector<JobFiles> Spool::scan() const {
-  std::vector<std::pair<std::uint64_t, std::string>> ids;
+std::vector<std::string> Spool::scan() const {
+  std::vector<std::uint64_t> numbers;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (const auto n = id_number(name)) {
-      ids.emplace_back(*n, name.substr(0, name.size() -
-                                              std::strlen(kMetaSuffix)));
+    const auto file = job_file(entry.path().filename().string());
+    if (!file.has_value()) continue;
+    if (file->second == "ckpt") {
+      numbers.push_back(file->first);
+    } else if (file->second == "manifest" || file->second == "job" ||
+               file->second == "json") {
+      throw util::ParseError(
+          "spool file '" + entry.path().string() +
+          "' is from the older four-files-per-job layout; this daemon "
+          "keeps one job-N.ckpt per job and refuses to mix the two");
     }
   }
   if (ec) {
     throw util::IoError("cannot read spool directory '" + dir_ +
                         "': " + ec.message());
   }
-  std::sort(ids.begin(), ids.end());
-  std::vector<JobFiles> out;
-  out.reserve(ids.size());
-  for (const auto& [n, id] : ids) out.push_back(files_for(id));
-  return out;
+  std::sort(numbers.begin(), numbers.end());
+  std::vector<std::string> ids;
+  for (const std::uint64_t n : numbers) {
+    ids.push_back("job-" + std::to_string(n));
+  }
+  return ids;
 }
 
 std::string Spool::allocate_id() {
   return "job-" + std::to_string(next_id_++);
 }
 
-void Spool::persist_job(const JobFiles& files,
-                        const std::string& manifest_text,
-                        const obs::Event& meta) {
-  // Manifest before meta: the scan keys off meta files, so a crash
-  // between the two leaves an invisible orphan, never a job whose
-  // manifest is missing.
-  robust::atomic_write_file(files.manifest_path, manifest_text, io_);
-  robust::atomic_write_file(files.meta_path, obs::to_jsonl(meta) + "\n", io_);
-}
-
-std::string Spool::load_manifest_text(const JobFiles& files) const {
-  std::ifstream is(files.manifest_path, std::ios::binary);
-  if (!is) {
-    throw util::IoError("cannot open job manifest '" + files.manifest_path +
-                        "'");
-  }
-  std::ostringstream os;
-  os << is.rdbuf();
-  return os.str();
-}
-
-obs::Event Spool::load_meta(const JobFiles& files) const {
-  std::ifstream is(files.meta_path);
-  if (!is) {
-    throw util::IoError("cannot open job meta '" + files.meta_path + "'");
-  }
+Spool::Ends Spool::ends(const std::string& id) const {
+  Ends ends;
+  std::ifstream is(path_for(id), std::ios::binary);
   std::string line;
-  std::getline(is, line);
-  return parse_line(line);
+  obs::Event event;
+  // No '\n': the header commit was cut, so the submit was never acked.
+  if (!std::getline(is, line) || is.eof()) return ends;
+  if (!obs::parse_jsonl(line, &event, nullptr) || event.type != "serve_job") {
+    throw util::ParseError("job file '" + path_for(id) +
+                               "' does not start with a serve_job header",
+                           1);
+  }
+  ends.header = event;
+  // Take the last complete line (a torn final line leaves none) from a
+  // tail window that holds any job_done line: its only long field, the
+  // client name, is in the header too.
+  const auto window = static_cast<std::streamoff>(line.size()) + 4096;
+  is.seekg(0, std::ios::end);
+  is.seekg(std::max<std::streamoff>(0, is.tellg() - window));
+  std::string last;
+  while (std::getline(is, line)) last = is.eof() ? std::string() : line;
+  if (obs::parse_jsonl(last, &event, nullptr) && event.type == "job_done") {
+    ends.done = event;
+  }
+  return ends;
 }
 
 }  // namespace cadapt::serve

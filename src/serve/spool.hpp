@@ -1,69 +1,78 @@
-// The daemon's durable state: one spool directory holding, per job,
+// The daemon's durable state: one append-only file per job,
+// <spool>/job-N.ckpt, written only through the job's
+// robust::DurableAppender and read through robust::open_checkpoint (a
+// resume) or read_job (a finished job), with one record decoder:
 //
-//   <id>.manifest   the submitted manifest bytes, verbatim
-//   <id>.job        a serve_job meta line (client, weight, budgets, ...)
-//   <id>.ckpt       the cell-granular checkpoint (sweep format, shards=1)
-//   <id>.json       the final report (atomic commit; exists = finished)
+//   {"type":"serve_job","manifest":...,"client":...,...,"job":...,
+//    "config_hash":...,"cells":...,"run":...}    header, one commit
+//   {"type":"sweep_cell",...}                    one commit per cell
+//   {"type":"sweep_env",...}                     finalize, one commit
+//   {"type":"job_done","job":...,"state":...,...,"wall_ms":...}
 //
-// manifest and meta are committed via robust::atomic_write_file BEFORE a
-// submit is acknowledged, so every acknowledged job survives SIGKILL.
-// A restarted daemon scans the spool: jobs with a report are terminal
-// history; jobs without one re-enter the scheduler and resume from their
-// checkpoint — the same loader one-shot `cadapt sweep --resume` uses
-// (docs/SERVE.md, "Durability & restart").
+// docs/SERVE.md, "Crash safety".
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "campaign/provenance.hpp"
+#include "campaign/report.hpp"
 #include "obs/event.hpp"
-#include "robust/io.hpp"
+#include "robust/checkpoint.hpp"
 
 namespace cadapt::serve {
 
-/// The on-disk locations of one job, plus what the last scan saw.
-struct JobFiles {
-  std::string id;
-  std::string manifest_path;
-  std::string meta_path;
-  std::string checkpoint_path;
-  std::string report_path;
-  bool has_report = false;
+/// What a job file holds.
+struct JobFile {
+  obs::Event header;
+  std::map<std::uint64_t, campaign::CellResult> cells;  ///< by cell index
+  campaign::Provenance env;        ///< the last sweep_env line
+  std::optional<obs::Event> done;  ///< the job_done line, once finalized
 };
+
+/// The decoder of every record after the header: sweep_cell lines into
+/// `into.cells` (campaign::restore_cells: a cell recorded twice keeps its
+/// last line), sweep_env into `env`, job_done into `done`. Throws
+/// util::ParseError for any other line type.
+robust::RecordFn job_records(JobFile& into);
+
+/// Read a job file no writer appends to any more, whole.
+JobFile read_job(const std::string& path);
 
 class Spool {
  public:
-  /// Creates `dir` if missing (one level). Throws util::IoError when the
-  /// directory cannot be created or read.
-  Spool(std::string dir, robust::IoBackend& io);
+  /// Creates `dir` if missing (one level) and scans it. Throws
+  /// util::IoError when the directory cannot be created or read.
+  explicit Spool(std::string dir);
 
-  const std::string& dir() const { return dir_; }
+  std::string path_for(const std::string& id) const;
 
-  JobFiles files_for(const std::string& id) const;
+  /// Every job id with a file in the spool, in numeric order (= submission
+  /// order, so a restarted daemon re-enqueues in the original order).
+  /// Throws util::ParseError naming the file when the spool holds a file
+  /// of the older four-files-per-job layout (job-N.manifest/.job/.json):
+  /// such a spool is refused, never blended.
+  std::vector<std::string> scan() const;
 
-  /// Every job with a persisted meta file, ordered by numeric id suffix
-  /// (= submission order, so a restarted daemon re-enqueues in the
-  /// original order — dispatch determinism across restarts).
-  std::vector<JobFiles> scan() const;
-
-  /// Next unused job id ("job-N"); N starts past every id seen on disk.
+  /// Next unused job id ("job-N"); N starts past every file on disk, so a
+  /// skipped file's id is never reused.
   std::string allocate_id();
 
-  /// Durably persist a new job: manifest bytes first, then the meta line
-  /// (atomic commits both). Only after this returns is the job
-  /// acknowledged to the client — a meta file on disk is the job's
-  /// existence proof.
-  void persist_job(const JobFiles& files, const std::string& manifest_text,
-                   const obs::Event& meta);
-
-  /// Load what persist_job wrote. Throws util::IoError / ParseError.
-  std::string load_manifest_text(const JobFiles& files) const;
-  obs::Event load_meta(const JobFiles& files) const;
+  /// The first and last lines of `id`'s file, read without loading a
+  /// cell. No header: it is missing or torn, so the submit was never
+  /// acknowledged. No done: the job is unfinished. Throws
+  /// util::ParseError when the first line is not a serve_job header.
+  struct Ends {
+    std::optional<obs::Event> header;
+    std::optional<obs::Event> done;  ///< the job_done line
+  };
+  Ends ends(const std::string& id) const;
 
  private:
   std::string dir_;
-  robust::IoBackend& io_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -7,8 +7,10 @@
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -80,6 +82,12 @@ std::string one_shot_bytes(const std::string& manifest_text,
   const std::string path = temp_path("serve_oneshot_" + tag + ".json");
   campaign::write_report_file(path, report);
   return read_file(path);
+}
+
+/// A finished job's report, parsed back into rows.
+campaign::Report parsed_report(const ServeCore& core, const std::string& id) {
+  std::istringstream is(core.report_bytes(id));
+  return campaign::load_report(is);
 }
 
 ServeOptions core_options(const std::string& tag) {
@@ -210,28 +218,35 @@ TEST(ServeProtocol, ParseLineRejectsGarbage) {
 
 // ---- spool -----------------------------------------------------------
 
+/// A job file holding a header line only, as a submit leaves it.
+void persist_header(const Spool& spool, const std::string& id,
+                    const SubmitRequest& request) {
+  obs::Event header = submit_event(request);
+  header.type = "serve_job";
+  std::ofstream(spool.path_for(id)) << obs::to_jsonl(header) << "\n";
+}
+
 TEST(Spool, PersistScanAndIdAllocationSurviveReopen) {
   const std::string dir = fresh_dir("spool_unit");
-  robust::IoBackend& io = robust::system_io();
   {
-    Spool spool(dir, io);
+    Spool spool(dir);
     EXPECT_TRUE(spool.scan().empty());
     const std::string id1 = spool.allocate_id();
     const std::string id2 = spool.allocate_id();
     EXPECT_EQ(id1, "job-1");
     EXPECT_EQ(id2, "job-2");
-    spool.persist_job(spool.files_for(id2), kSmall,
-                      submit_event(request_for(kSmall, "bob")));
-    spool.persist_job(spool.files_for(id1), kSix,
-                      submit_event(request_for(kSix, "alice")));
+    persist_header(spool, id2, request_for(kSmall, "bob"));
+    persist_header(spool, id1, request_for(kSix, "alice"));
   }
-  Spool reopened(dir, io);
-  const std::vector<JobFiles> jobs = reopened.scan();
+  Spool reopened(dir);
+  const std::vector<std::string> jobs = reopened.scan();
   ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0].id, "job-1");  // numeric order = submission order
-  EXPECT_EQ(jobs[1].id, "job-2");
-  EXPECT_EQ(reopened.load_manifest_text(jobs[0]), kSix);
-  EXPECT_EQ(submit_from_event(reopened.load_meta(jobs[1])).client, "bob");
+  EXPECT_EQ(jobs[0], "job-1");  // numeric order = submission order
+  EXPECT_EQ(jobs[1], "job-2");
+  const Spool::Ends first = reopened.ends(jobs[0]);
+  EXPECT_EQ(submit_from_event(*first.header).manifest_text, kSix);
+  EXPECT_FALSE(first.done.has_value());  // not finalized
+  EXPECT_EQ(submit_from_event(*reopened.ends(jobs[1]).header).client, "bob");
   // Ids continue past everything on disk — never reused after restart.
   EXPECT_EQ(reopened.allocate_id(), "job-3");
 }
@@ -261,8 +276,7 @@ TEST(ServeCore, MalformedManifestIsRejectedWithoutAJob) {
   EXPECT_TRUE(core.status().empty());
   // Nothing was spooled either — a rejected submit leaves no trace to
   // resume.
-  EXPECT_TRUE(
-      Spool(options.spool_dir, robust::system_io()).scan().empty());
+  EXPECT_TRUE(Spool(options.spool_dir).scan().empty());
 }
 
 /// One full multi-tenant run at a given pool size: three clients with
@@ -331,10 +345,8 @@ TEST(ServeCore, FaultsAndCancellationNeverPerturbANeighborsReport) {
   EXPECT_EQ(cancelled.state, JobState::kCancelled);
   EXPECT_TRUE(cancelled.truncated);
   EXPECT_EQ(cancelled.reason, robust::CancelReason::kExternal);
-  // The cancelled job still committed a (truncated) report artifact.
-  const campaign::Report truncated_report = campaign::load_report_file(
-      Spool(options.spool_dir, robust::system_io()).files_for(b.id)
-          .report_path);
+  // The cancelled job still has a (truncated) report.
+  const campaign::Report truncated_report = parsed_report(core, b.id);
   EXPECT_TRUE(truncated_report.truncated);
   EXPECT_EQ(core.report_bytes(c.id), one_shot_bytes(kWide, "isolation_c"));
 }
@@ -379,9 +391,7 @@ TEST(ServeCore, ClientBoxBudgetTruncatesDeterministically) {
   EXPECT_TRUE(done.truncated);
   EXPECT_EQ(done.reason, robust::CancelReason::kBudget);
   EXPECT_EQ(done.cells_done, 1u);
-  const campaign::Report report = campaign::load_report_file(
-      Spool(options.spool_dir, robust::system_io())
-          .files_for(accepted.id).report_path);
+  const campaign::Report report = parsed_report(core, accepted.id);
   EXPECT_TRUE(report.truncated);
   EXPECT_EQ(report.truncate_reason, robust::CancelReason::kBudget);
   EXPECT_EQ(report.cells.size(), 1u);
@@ -417,7 +427,9 @@ TEST(ServeCore, RestartResumesToByteIdenticalReports) {
     ServeCore core(first);
     id_a = core.submit(request_for(kSix, "alice")).id;
     core.start();
-    id_b = core.submit(request_for(kSmall, "bob")).id;
+    // Weight 0 reads back from the job file as 1: the resume must still
+    // match the header it committed.
+    id_b = core.submit(request_for(kSmall, "bob", /*weight=*/0)).id;
     core.shutdown();
   }
   ServeCore resumed(options);
@@ -450,6 +462,150 @@ TEST(ServeCore, StreamDeliversEveryCellLineThenEnds) {
   }
   core.detach(accepted.id);
   EXPECT_FALSE(core.attach("job-999"));
+}
+
+// ---- the job file ------------------------------------------------------
+
+TEST(ServeCore, RestoredFinishedJobStreamsEveryCellLine) {
+  // A job that finished before a restart holds nothing in memory: its
+  // backlog is read back from its file, one line per cell, in plan order.
+  const ServeOptions options = core_options("restored_stream");
+  std::string id;
+  {
+    ServeCore core(options);
+    id = core.submit(request_for(kSmall, "alice")).id;
+    ASSERT_TRUE(core.wait_job(id));
+  }
+  ServeCore restored(options);
+  ASSERT_TRUE(restored.attach(id));
+  std::vector<std::uint64_t> indices;
+  while (const std::optional<std::string> line =
+             restored.next_stream_line(id)) {
+    const obs::Event event = parse_line(*line);
+    EXPECT_EQ(event.type, "sweep_cell");
+    indices.push_back(event.u64_or("index", 99));
+  }
+  EXPECT_EQ(indices, (std::vector<std::uint64_t>{0, 1, 2}));
+  restored.detach(id);
+  EXPECT_EQ(restored.report_bytes(id), one_shot_bytes(kSmall, "restored"));
+}
+
+/// Counts the durable syncs and the file opens and closes that go
+/// through the backend.
+class CountingIo final : public robust::IoBackend {
+ public:
+  int open_trunc(const char* path) override {
+    ++opens;
+    return inner_.open_trunc(path);
+  }
+  int open_append(const char* path) override {
+    ++opens;
+    return inner_.open_append(path);
+  }
+  std::int64_t write(int fd, const void* data, std::size_t size) override {
+    return inner_.write(fd, data, size);
+  }
+  int fsync(int fd) override {
+    ++syncs;
+    return inner_.fsync(fd);
+  }
+  int close(int fd) override {
+    ++closes;
+    return inner_.close(fd);
+  }
+  std::int64_t seek_end(int fd) override { return inner_.seek_end(fd); }
+  int rename(const char* from, const char* to) override {
+    return inner_.rename(from, to);
+  }
+  int remove(const char* path) override { return inner_.remove(path); }
+  int fsync_parent(const char* path) override {
+    ++syncs;
+    return inner_.fsync_parent(path);
+  }
+
+  std::atomic<std::uint64_t> syncs{0};
+  std::atomic<std::uint64_t> opens{0};
+  std::atomic<std::uint64_t> closes{0};
+
+ private:
+  robust::IoBackend& inner_ = robust::system_io();
+};
+
+TEST(ServeCore, AJobCostsItsCellsPlusThreeSyncsAndReleasesItsFile) {
+  // k cells: the header commit and its directory sync, one commit per
+  // cell, and one finalize commit. A finished job closes its file.
+  CountingIo io;
+  ServeOptions options = core_options("sync_count");
+  options.io = &io;
+  ServeCore core(options);
+  const JobStatus accepted = core.submit(request_for(kSix, "alice"));
+  ASSERT_TRUE(core.wait_job(accepted.id));
+  EXPECT_EQ(io.syncs.load(), accepted.cells_total + 3);
+  EXPECT_GT(io.opens.load(), 0u);
+  EXPECT_EQ(io.opens.load(), io.closes.load());
+  // One file per job, and nothing else in the spool.
+  std::vector<std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options.spool_dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(files, std::vector<std::string>{accepted.id + ".ckpt"});
+}
+
+TEST(ServeCore, OlderSpoolLayoutIsRefusedNamingTheFile) {
+  // A spool of the four-files-per-job layout: refused at startup, never
+  // blended with the one-file layout.
+  const ServeOptions options = core_options("old_layout");
+  std::filesystem::create_directories(options.spool_dir);
+  std::ofstream(options.spool_dir + "/job-1.manifest") << kSmall;
+  std::ofstream(options.spool_dir + "/job-1.job")
+      << obs::to_jsonl(submit_event(request_for(kSmall, "alice"))) << "\n";
+  try {
+    ServeCore core(options);
+    FAIL() << "a spool of the older layout was accepted";
+  } catch (const util::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find(options.spool_dir + "/job-1."),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ServeCore, ACancelledJobStaysCancelledAcrossARestart) {
+  // The restart reads the job_done line from the file's tail; a client
+  // name longer than any fixed tail window must not hide it (the job
+  // would resume and run its cancelled cells).
+  ServeOptions options = core_options("cancelled_restart");
+  options.autostart = false;
+  std::string id;
+  {
+    ServeCore core(options);
+    id = core.submit(request_for(kSix, std::string(6000, 'c'))).id;
+    ASSERT_TRUE(core.cancel(id));
+  }
+  options.autostart = true;
+  ServeCore restarted(options);
+  restarted.wait_idle();
+  const JobStatus status = *restarted.status(id);
+  EXPECT_EQ(status.state, JobState::kCancelled);
+  EXPECT_TRUE(status.truncated);
+  EXPECT_EQ(status.reason, robust::CancelReason::kExternal);
+  EXPECT_EQ(status.cells_done, 0u);
+  EXPECT_TRUE(parsed_report(restarted, id).truncated);
+}
+
+TEST(ServeCore, TornJobHeaderIsSkippedAndItsIdIsNeverReused) {
+  // A header cut mid-commit is a submit that was never acknowledged: no
+  // job, but its id stays taken.
+  const ServeOptions options = core_options("torn_header");
+  std::filesystem::create_directories(options.spool_dir);
+  std::ofstream(options.spool_dir + "/job-1.ckpt")
+      << "{\"type\":\"serve_job\",\"version\":1,\"jo";
+  ServeCore core(options);
+  EXPECT_TRUE(core.status().empty());
+  const JobStatus accepted = core.submit(request_for(kSmall, "alice"));
+  EXPECT_EQ(accepted.id, "job-2");
+  ASSERT_TRUE(core.wait_job(accepted.id));
+  EXPECT_EQ(core.report_bytes(accepted.id), one_shot_bytes(kSmall, "torn"));
 }
 
 // ---- trial-grain scheduling: a served job's heavy tail cell ------------
@@ -499,9 +655,7 @@ TEST(ServeCore, CancelMidHelpedCellDiscardsItWholeAndResumes) {
     await_light_cells(core, id);
     ASSERT_TRUE(core.cancel(id));
     ASSERT_TRUE(core.wait_job(id));
-    const campaign::Report cut = campaign::load_report_file(
-        Spool(options.spool_dir, robust::system_io()).files_for(id)
-            .report_path);
+    const campaign::Report cut = parsed_report(core, id);
     EXPECT_TRUE(cut.truncated);
     EXPECT_EQ(cut.truncate_reason, robust::CancelReason::kExternal);
     ASSERT_EQ(cut.cells.size(), kLightCells);
@@ -521,16 +675,8 @@ TEST(ServeCore, CancelMidHelpedCellDiscardsItWholeAndResumes) {
     await_light_cells(core, id);
     core.shutdown();
   }
-  std::istringstream is(kHeavierTail);
-  const campaign::Plan plan =
-      campaign::expand_plan(campaign::parse_manifest(is));
-  std::map<std::uint64_t, campaign::CellResult> committed;
-  (void)robust::open_checkpoint(
-      Spool(options.spool_dir, robust::system_io()).files_for(id)
-          .checkpoint_path,
-      campaign::sweep_checkpoint_header(
-          plan, 1, 0, campaign::run_fingerprint(1, nullptr, 0)),
-      /*resume=*/true, campaign::restore_cells(committed));
+  const std::map<std::uint64_t, campaign::CellResult> committed =
+      read_job(Spool(options.spool_dir).path_for(id)).cells;
   EXPECT_EQ(committed.size(), kLightCells);
   EXPECT_EQ(committed.count(kLightCells), 0u);
   ServeCore resumed(options);
@@ -582,6 +728,57 @@ TEST(ServeDaemon, OversizedRequestLineGetsAnErrorAndTheDaemonServesOn) {
   EXPECT_NE(error_line.str_or("message", "").find("exceeds"),
             std::string::npos)
       << *error;
+  ASSERT_TRUE(hello.has_value());
+  EXPECT_EQ(parse_line(*hello).type, "serve_hello");
+}
+
+TEST(ServeDaemon, HalfLineClientGetsAnErrorAtTheReadDeadline) {
+  // A client that sends half a request line and waits is answered with
+  // one error line and closed once the read deadline passes — no drain
+  // needed — and the daemon serves the next connection.
+  ServeCore core(core_options("read_deadline"));
+  const std::string socket_path = temp_path("serve_read_deadline.sock");
+  const int listen_fd = listen_unix(socket_path);
+  std::thread daemon([&core, listen_fd] {
+    for (int served = 0; served < 2;) {
+      const std::optional<int> fd = accept_unix(listen_fd, 200);
+      if (!fd.has_value()) continue;
+      serve_connection(core, *fd, /*read_deadline_ms=*/200);
+      ++served;
+    }
+  });
+
+  const int hostile = connect_unix(socket_path);
+  write_all(hostile, "{\"type\":\"hel");
+  // A daemon without a deadline never answers: give up after 10 s and
+  // half-close, which lets its reader see EOF, so a failure here never
+  // hangs the suite.
+  pollfd pfd{};
+  pfd.fd = hostile;
+  pfd.events = POLLIN;
+  const bool answered = ::poll(&pfd, 1, 10'000) == 1;
+  ::shutdown(hostile, SHUT_WR);
+  LineReader hostile_reader(hostile);
+  const std::optional<std::string> error = hostile_reader.next();
+  const std::optional<std::string> eof = hostile_reader.next();
+  close_fd(hostile);
+
+  const int polite = connect_unix(socket_path);
+  write_all(polite, "{\"type\":\"hello\"}\n");
+  const std::optional<std::string> hello = LineReader(polite).next();
+  close_fd(polite);
+  daemon.join();
+  close_fd(listen_fd);
+
+  EXPECT_TRUE(answered) << "the half-line client was never answered";
+  ASSERT_TRUE(error.has_value());
+  const obs::Event error_line = parse_line(*error);
+  EXPECT_EQ(error_line.type, "error");
+  EXPECT_EQ(error_line.u64_or("code", 0), 3u);
+  EXPECT_NE(error_line.str_or("message", "").find("incomplete"),
+            std::string::npos)
+      << *error;
+  EXPECT_FALSE(eof.has_value());
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(parse_line(*hello).type, "serve_hello");
 }

@@ -3,9 +3,11 @@
 # concurrent tenants, and the headline invariant checked with cmp — a
 # job's report, fetched over the socket, is byte-identical to one-shot
 # `cadapt sweep --no-timing` on the same manifest. Also exercises the
-# cancel path (truncated report, exit codes), status/hello, the
-# reaping of finished connection threads (daemon VmSize stays flat), and
-# a drain that a half-line client cannot block.
+# spool (one file per job) and a restart that serves a finished job's
+# cell lines and bytes from it, the cancel path (truncated report, exit
+# codes), status/hello, the reaping of finished connection threads
+# (daemon VmSize stays flat), and a drain that a half-line client cannot
+# block.
 #
 # Wired as the ctest case `cli_serve_smoke` (label `serve`); run it
 # under the address and thread sanitizer presets too.
@@ -59,19 +61,41 @@ for m in a b c; do
   "$cli" sweep "$m.manifest" --no-timing --out "ref_$m.json" > /dev/null
 done
 
-"$cli" serve --spool spool --socket serve.sock --no-timing \
-  > daemon.log 2>&1 &
-daemon_pid=$!
+start_daemon() {
+  rm -f serve.sock
+  "$cli" serve --spool spool --socket serve.sock --no-timing \
+    >> daemon.log 2>&1 &
+  daemon_pid=$!
+  # Wait for the socket (the daemon resumes its spool before listening).
+  tries=0
+  while [ ! -S serve.sock ]; do
+    tries=$((tries + 1))
+    [ "$tries" -gt 100 ] && { echo "daemon never listened" >&2; exit 1; }
+    kill -0 "$daemon_pid" 2> /dev/null || {
+      echo "daemon died: $(cat daemon.log)" >&2; exit 1; }
+    sleep 0.1
+  done
+}
 
-# Wait for the socket (the daemon resumes its spool before listening).
-tries=0
-while [ ! -S serve.sock ]; do
-  tries=$((tries + 1))
-  [ "$tries" -gt 100 ] && { echo "daemon never listened" >&2; exit 1; }
-  kill -0 "$daemon_pid" 2> /dev/null || {
-    echo "daemon died: $(cat daemon.log)" >&2; exit 1; }
-  sleep 0.1
-done
+# Graceful shutdown: SIGTERM drains and exits 0, within a bounded wait.
+stop_daemon() {
+  kill "$daemon_pid"
+  tries=0
+  while kill -0 "$daemon_pid" 2> /dev/null; do
+    tries=$((tries + 1))
+    if [ "$tries" -gt 100 ]; then
+      echo "daemon did not drain within 10 s of SIGTERM" >&2
+      exit 1
+    fi
+    # A zombie has exited; `wait` below reaps it.
+    grep -q '^State:.*Z' "/proc/$daemon_pid/status" 2> /dev/null && break
+    sleep 0.1
+  done
+  wait "$daemon_pid" || { echo "daemon exited non-zero" >&2; exit 1; }
+  daemon_pid=""
+}
+
+start_daemon
 
 # Three tenants with distinct weights, submitted concurrently.
 "$cli" submit a.manifest --socket serve.sock --client alice --weight 2 \
@@ -101,6 +125,23 @@ cmp ref_a.json pipe_a.json
 # status: every job done, one line each.
 "$cli" status --socket serve.sock > status.txt
 [ "$(grep -c '"state":"done"' status.txt)" -eq 3 ]
+
+# The spool holds one file per job. A restarted daemon serves a finished
+# job from that file alone: every cell line, then the same bytes.
+if [ "$(ls spool | wc -l)" -ne 3 ]; then
+  echo "spool holds" $(ls spool) "— not one file per job" >&2
+  exit 1
+fi
+stop_daemon
+start_daemon
+"$cli" results --socket serve.sock --job job-1 --progress \
+  --out restarted_a.json 2> progress_a.txt
+cells=$(grep -c '"type":"sweep_cell"' progress_a.txt || true)
+if [ "$cells" -ne 6 ]; then
+  echo "restarted daemon streamed $cells of job-1's 6 cell lines" >&2
+  exit 1
+fi
+cmp ref_a.json restarted_a.json
 
 # Finished connections are reaped: 200 status round trips must not leave
 # 200 unjoined handler threads (an 8 MiB stack mapping each) behind.
@@ -175,20 +216,6 @@ time.sleep(60)
   "$cli" status --socket serve.sock > /dev/null
 fi
 
-# Graceful shutdown: SIGTERM drains and exits 0, within a bounded wait.
-kill "$daemon_pid"
-tries=0
-while kill -0 "$daemon_pid" 2> /dev/null; do
-  tries=$((tries + 1))
-  if [ "$tries" -gt 100 ]; then
-    echo "daemon did not drain within 10 s of SIGTERM" >&2
-    exit 1
-  fi
-  # A zombie has exited; `wait` below reaps it.
-  grep -q '^State:.*Z' "/proc/$daemon_pid/status" 2> /dev/null && break
-  sleep 0.1
-done
-wait "$daemon_pid" || { echo "daemon exited non-zero" >&2; exit 1; }
-daemon_pid=""
+stop_daemon
 
-echo "serve smoke: 3 tenants byte-identical, cancel + errors OK"
+echo "serve smoke: 3 tenants byte-identical, restart + cancel + errors OK"
