@@ -4,6 +4,7 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 #include <utility>
 
@@ -119,6 +120,9 @@ struct ServeCore::Job {
   bool subscriber = false;
   bool stream_paused = false;
   std::deque<std::string> stream;  // sweep_cell jsonl, completion order
+  // A terminal job's file, read once by attach() for the backfill and
+  // the report; dropped by detach().
+  std::shared_ptr<const JobFile> file;
 };
 
 ServeCore::ServeCore(const ServeOptions& options)
@@ -149,18 +153,26 @@ ServeCore::~ServeCore() { shutdown(); }
 void ServeCore::resume_spool() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (const std::string& id : spool_.scan()) {
-    const Spool::Ends ends = spool_.ends(id);
-    if (!ends.header.has_value()) continue;  // a submit never acknowledged
-    if (!ends.done.has_value()) {
-      const SubmitRequest request = submit_from_event(*ends.header);
+    const std::string path = spool_.path_for(id);
+    // open_checkpoint's repair: a header cut before its '\n' leaves an
+    // empty file, a submit never acknowledged, which is skipped.
+    robust::truncate_torn_tail(path);
+    if (std::filesystem::file_size(path) == 0) continue;
+    std::optional<obs::Event> done;  // cells are skipped, not decoded
+    const obs::Event header =
+        robust::read_checkpoint(path, [&done](const robust::JsonlLine& line) {
+          if (line.event.type == "job_done") done = line.event;
+        });
+    if (!done.has_value()) {
+      const SubmitRequest request = submit_from_event(header);
       std::istringstream is(request.manifest_text);
       init_job(id, request, campaign::parse_manifest(is), /*resuming=*/true);
       continue;
     }
-    // Terminal history: status answers from the job_done line; no cell
-    // is loaded and nothing re-enters the scheduler.
+    // Terminal history: status answers from the job_done line; nothing
+    // re-enters the scheduler.
     auto job = std::make_unique<Job>();
-    job->status = status_from_event(*ends.done);
+    job->status = status_from_event(*done);
     jobs_.emplace(id, std::move(job));
   }
 }
@@ -421,7 +433,7 @@ void ServeCore::maybe_finalize(Job& job) {
                           ? (obs::steady_now_ns() - job.started_ns) / 1000000u
                           : 0);
   // One commit: this build's provenance (the report's sweep_env, so a
-  // restart on a newer binary still renders the same bytes), then the
+  // later build with the same header renders the same bytes), then the
   // terminal status a restart reads back.
   try {
     for (const obs::Event& event : {campaign::provenance_event(), done}) {
@@ -530,11 +542,13 @@ bool ServeCore::attach(const std::string& id) {
   std::map<std::uint64_t, std::string> lines;
   if (finished) {
     lock.unlock();
-    for (const auto& [index, cell] : read_job(spool_.path_for(id)).cells) {
+    auto file = std::make_shared<const JobFile>(read_job(spool_.path_for(id)));
+    for (const auto& [index, cell] : file->cells) {
       lines.emplace(index, obs::to_jsonl(campaign::cell_event(cell)));
     }
     lock.lock();
     if (job.subscriber) return true;
+    job.file = std::move(file);
   }
   job.subscriber = true;
   job.stream.clear();
@@ -577,6 +591,7 @@ void ServeCore::detach(const std::string& id) {
   Job& job = *it->second;
   job.subscriber = false;
   job.stream.clear();
+  job.file = nullptr;
   if (job.stream_paused) {
     job.stream_paused = false;
     scheduler_.resume_job(id);
@@ -585,6 +600,7 @@ void ServeCore::detach(const std::string& id) {
 }
 
 std::string ServeCore::report_bytes(const std::string& id) const {
+  std::shared_ptr<const JobFile> file;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = jobs_.find(id);
@@ -594,26 +610,27 @@ std::string ServeCore::report_bytes(const std::string& id) const {
       throw util::IoError("job '" + id + "' has no report (state " +
                           job_state_name(state) + ")");
     }
+    file = it->second->file;
   }
   const std::string path = spool_.path_for(id);
   // Rendered from the job file, outside the mutex: the one path for jobs
   // finished live and jobs restored by a restart.
-  JobFile file = read_job(path);
-  const SubmitRequest request = submit_from_event(file.header);
+  if (file == nullptr) file = std::make_shared<const JobFile>(read_job(path));
+  const SubmitRequest request = submit_from_event(file->header);
   std::istringstream is(request.manifest_text);
   const campaign::Manifest manifest = campaign::parse_manifest(is);
   const campaign::Plan plan = campaign::expand_plan(manifest);
   robust::check_header(
-      path, file.header,
+      path, file->header,
       job_header(id, request, plan, job_faults(request, manifest).get()));
-  CADAPT_CHECK_MSG(file.done.has_value(), "job file without job_done");
-  const JobStatus status = status_from_event(*file.done);
+  CADAPT_CHECK_MSG(file->done.has_value(), "job file without job_done");
+  const JobStatus status = status_from_event(*file->done);
   std::vector<campaign::CellResult> cells;
-  for (auto& [index, cell] : file.cells) cells.push_back(std::move(cell));
+  for (const auto& [index, cell] : file->cells) cells.push_back(cell);
   campaign::Report report = campaign::assemble_report(
       plan, std::move(cells), 1, 0, status.truncated, status.reason,
-      file.done->u64_or("wall_ms", 0));
-  report.env = file.env;
+      file->done->u64_or("wall_ms", 0));
+  report.env = file->env;
   std::ostringstream os;
   campaign::write_report(os, report);
   return os.str();

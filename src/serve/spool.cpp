@@ -7,7 +7,6 @@
 #include <charconv>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "campaign/sweep.hpp"
@@ -95,33 +94,6 @@ std::vector<std::string> Spool::scan() const {
 
 std::string Spool::allocate_id() {
   return "job-" + std::to_string(next_id_++);
-}
-
-Spool::Ends Spool::ends(const std::string& id) const {
-  Ends ends;
-  std::ifstream is(path_for(id), std::ios::binary);
-  std::string line;
-  obs::Event event;
-  // No '\n': the header commit was cut, so the submit was never acked.
-  if (!std::getline(is, line) || is.eof()) return ends;
-  if (!obs::parse_jsonl(line, &event, nullptr) || event.type != "serve_job") {
-    throw util::ParseError("job file '" + path_for(id) +
-                               "' does not start with a serve_job header",
-                           1);
-  }
-  ends.header = event;
-  // Take the last complete line (a torn final line leaves none) from a
-  // tail window that holds any job_done line: its only long field, the
-  // client name, is in the header too.
-  const auto window = static_cast<std::streamoff>(line.size()) + 4096;
-  is.seekg(0, std::ios::end);
-  is.seekg(std::max<std::streamoff>(0, is.tellg() - window));
-  std::string last;
-  while (std::getline(is, line)) last = is.eof() ? std::string() : line;
-  if (obs::parse_jsonl(last, &event, nullptr) && event.type == "job_done") {
-    ends.done = event;
-  }
-  return ends;
 }
 
 }  // namespace cadapt::serve

@@ -1,7 +1,8 @@
 // The daemon's durable state: one append-only file per job,
 // <spool>/job-N.ckpt, written only through the job's
 // robust::DurableAppender and read through robust::open_checkpoint (a
-// resume) or read_job (a finished job), with one record decoder:
+// resume) or robust::read_checkpoint (a restart's scan, and read_job for
+// a finished job), with one record decoder:
 //
 //   {"type":"serve_job","manifest":...,"client":...,...,"job":...,
 //    "config_hash":...,"cells":...,"run":...}    header, one commit
@@ -60,16 +61,6 @@ class Spool {
   /// Next unused job id ("job-N"); N starts past every file on disk, so a
   /// skipped file's id is never reused.
   std::string allocate_id();
-
-  /// The first and last lines of `id`'s file, read without loading a
-  /// cell. No header: it is missing or torn, so the submit was never
-  /// acknowledged. No done: the job is unfinished. Throws
-  /// util::ParseError when the first line is not a serve_job header.
-  struct Ends {
-    std::optional<obs::Event> header;
-    std::optional<obs::Event> done;  ///< the job_done line
-  };
-  Ends ends(const std::string& id) const;
 
  private:
   std::string dir_;

@@ -243,10 +243,12 @@ TEST(Spool, PersistScanAndIdAllocationSurviveReopen) {
   ASSERT_EQ(jobs.size(), 2u);
   EXPECT_EQ(jobs[0], "job-1");  // numeric order = submission order
   EXPECT_EQ(jobs[1], "job-2");
-  const Spool::Ends first = reopened.ends(jobs[0]);
-  EXPECT_EQ(submit_from_event(*first.header).manifest_text, kSix);
+  const JobFile first = read_job(reopened.path_for(jobs[0]));
+  EXPECT_EQ(submit_from_event(first.header).manifest_text, kSix);
   EXPECT_FALSE(first.done.has_value());  // not finalized
-  EXPECT_EQ(submit_from_event(*reopened.ends(jobs[1]).header).client, "bob");
+  EXPECT_EQ(submit_from_event(read_job(reopened.path_for(jobs[1])).header)
+                .client,
+            "bob");
   // Ids continue past everything on disk — never reused after restart.
   EXPECT_EQ(reopened.allocate_id(), "job-3");
 }
@@ -571,9 +573,9 @@ TEST(ServeCore, OlderSpoolLayoutIsRefusedNamingTheFile) {
 }
 
 TEST(ServeCore, ACancelledJobStaysCancelledAcrossARestart) {
-  // The restart reads the job_done line from the file's tail; a client
-  // name longer than any fixed tail window must not hide it (the job
-  // would resume and run its cancelled cells).
+  // The restart finds the job_done line, however long the client name
+  // it carries; missing it, the job would resume and run its cancelled
+  // cells.
   ServeOptions options = core_options("cancelled_restart");
   options.autostart = false;
   std::string id;
@@ -595,15 +597,19 @@ TEST(ServeCore, ACancelledJobStaysCancelledAcrossARestart) {
 
 TEST(ServeCore, TornJobHeaderIsSkippedAndItsIdIsNeverReused) {
   // A header cut mid-commit is a submit that was never acknowledged: no
-  // job, but its id stays taken.
+  // job, but its id stays taken. A header cut just before its '\n' is
+  // torn too, although it parses.
   const ServeOptions options = core_options("torn_header");
   std::filesystem::create_directories(options.spool_dir);
   std::ofstream(options.spool_dir + "/job-1.ckpt")
       << "{\"type\":\"serve_job\",\"version\":1,\"jo";
+  obs::Event header = submit_event(request_for(kSmall, "bob"));
+  header.type = "serve_job";
+  std::ofstream(options.spool_dir + "/job-2.ckpt") << obs::to_jsonl(header);
   ServeCore core(options);
   EXPECT_TRUE(core.status().empty());
   const JobStatus accepted = core.submit(request_for(kSmall, "alice"));
-  EXPECT_EQ(accepted.id, "job-2");
+  EXPECT_EQ(accepted.id, "job-3");
   ASSERT_TRUE(core.wait_job(accepted.id));
   EXPECT_EQ(core.report_bytes(accepted.id), one_shot_bytes(kSmall, "torn"));
 }
@@ -826,8 +832,14 @@ TEST(ServeDaemon, DrainShutsDownAClientThatSentHalfALine) {
   }
 
   robust::process_cancel_token().request(robust::CancelReason::kExternal);
+  // The bound stays well below the request-line read deadline, which
+  // would otherwise close the half-line connection and hide a drain that
+  // does not shut it down.
+  constexpr int kDrainBoundMs = 3'000;
+  static_assert(2 * kDrainBoundMs < kRequestDeadlineMs);
   const bool drained =
-      exited.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+      exited.wait_for(std::chrono::milliseconds(kDrainBoundMs)) ==
+      std::future_status::ready;
   // Closing our end lets a daemon that did not drain exit, so a failure
   // here never hangs the suite.
   close_fd(hostile);
