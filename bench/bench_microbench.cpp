@@ -145,6 +145,39 @@ void BM_EnginePointMassRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePointMassRun)->Arg(8)->Arg(10)->Arg(12);
 
+// Varied box sizes (docs/PERF.md, "Table-driven leaf levels"): one
+// (8,4,1) trial on the shuffled census of M_{8,4}(n) (uniform = 0) or on
+// iid:uniform-range:1:64 (uniform = 1), through the default driver
+// (per_box = 0: batched draws, the leaf transition table, in-scan
+// stretches) or the per-box reference loop (per_box = 1). Items
+// processed counts boxes retired, so each pair shows the engine-layer
+// gain apart from process and sweep overhead.
+void BM_EngineVaried(benchmark::State& state) {
+  const bool uniform = state.range(0) != 0;
+  const auto k = static_cast<unsigned>(state.range(1));
+  const model::RegularParams p{8, 4, 1.0};
+  const std::uint64_t n = util::ipow(p.b, k);
+  const profile::GeometricPowers census(p.b, static_cast<double>(p.a), 0, k);
+  const profile::UniformRange range(1, 64);
+  const profile::BoxDistribution& dist =
+      uniform ? static_cast<const profile::BoxDistribution&>(range) : census;
+  engine::RunOptions options;
+  options.per_box = state.range(2) != 0;
+  std::uint64_t boxes = 0;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    engine::RegularExecution exec(p, n);
+    profile::DistributionSource source(dist, util::Rng(seed++));
+    benchmark::DoNotOptimize(engine::run_to_completion(exec, source, options));
+    boxes += exec.boxes_consumed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
+}
+BENCHMARK(BM_EngineVaried)
+    ->ArgNames({"uniform", "k", "per_box"})
+    ->ArgsProduct({{0, 1}, {6, 7}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
 // The bulk driver forced down the per-box fallback (RunOptions.per_box):
 // the "before" side of the pair at the old toy scales. Any gap between
 // this and BM_EngineWorstCaseProfile is dispatch overhead only.

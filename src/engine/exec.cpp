@@ -1,6 +1,9 @@
 #include "engine/exec.hpp"
 
 #include <algorithm>
+#include <array>
+#include <mutex>
+#include <utility>
 
 #include "obs/recorder.hpp"
 #include "profile/worst_case.hpp"
@@ -23,14 +26,18 @@ RegularExecution::RegularExecution(const model::RegularParams& params,
   total_leaves_ = params_.leaves(n);
   // U(b^0) = 1; U(b^k) = a·U(b^{k-1}) + scan_size(b^k).
   const unsigned levels = util::ilog(n, params_.b);
-  units_by_level_.resize(levels + 1);
-  units_by_level_[0] = 1;
-  std::uint64_t size = 1;
+  levels_.resize(levels + 1);
   for (unsigned k = 1; k <= levels; ++k) {
-    size *= params_.b;
-    units_by_level_[k] =
-        params_.a * units_by_level_[k - 1] + params_.scan_size(size);
+    const Level& below = levels_[k - 1];
+    Level& level = levels_[k];
+    level.size = below.size * params_.b;
+    level.leaves = below.leaves * params_.a;
+    level.scan = params_.scan_size(level.size);
+    level.units = params_.a * below.units + level.scan;
+    level.scan_base = level.scan / params_.a;
+    level.scan_rem = level.scan % params_.a;
   }
+  stack_.reserve(levels + 1);
   stack_.push_back(
       {n, 0, 0, profile::OrderPerturbedWorstCaseSource::root_hash(adversary_seed_)});
   normalize();
@@ -39,68 +46,111 @@ RegularExecution::RegularExecution(const model::RegularParams& params,
 
 std::uint64_t RegularExecution::units_done() const {
   if (stack_.empty()) return total_units();
+  return units_done_within(0);
+}
+
+std::uint64_t RegularExecution::units_done_within(std::size_t idx) const {
   std::uint64_t total = 0;
-  for (const Frame& f : stack_) {
+  for (std::size_t i = idx; i < stack_.size(); ++i) {
+    const Frame& f = stack_[i];
     if (f.size == 1) break;  // pending base case contributes nothing
-    const unsigned child_level = util::ilog(f.size / params_.b, params_.b);
-    total += completed_children(f) * units_by_level_[child_level];
-    const std::uint64_t chunks_complete = f.phase / 2;
-    for (std::uint64_t j = 0; j < chunks_complete; ++j)
-      total += chunk_size(f, j);
+    total += completed_children(f) * level_at(i + 1).units +
+             scan_before(i, f.phase / 2);
     if (f.phase % 2 == 1) total += f.scan_offset;
   }
   return total;
 }
 
-std::uint64_t RegularExecution::chunk_size(const Frame& f,
+std::uint64_t RegularExecution::chunk_size(std::size_t idx,
                                            std::uint64_t chunk) const {
-  const std::uint64_t scan = params_.scan_size(f.size);
+  const Level& level = level_at(idx);
   const std::uint64_t a = params_.a;
   CADAPT_CHECK(chunk < a);
   switch (placement_) {
     case ScanPlacement::kEnd:
-      return chunk + 1 == a ? scan : 0;
+      return chunk + 1 == a ? level.scan : 0;
     case ScanPlacement::kAdversaryMatched: {
       // The whole scan goes right after child own_after (1-based); chunk
       // i follows child i+1, so the scan lands in chunk own_after - 1.
       const std::uint64_t after = profile::OrderPerturbedWorstCaseSource::
-          own_after(f.node_hash, a);
-      return chunk + 1 == after ? scan : 0;
+          own_after(stack_[idx].node_hash, a);
+      return chunk + 1 == after ? level.scan : 0;
     }
     case ScanPlacement::kInterleaved:
       break;
   }
   // kInterleaved: distribute as evenly as possible; earlier chunks take
   // the remainder.
-  const std::uint64_t base = scan / a;
-  const std::uint64_t extra = chunk < scan % a ? 1 : 0;
-  return base + extra;
+  return level.scan_base + (chunk < level.scan_rem ? 1 : 0);
+}
+
+std::uint64_t RegularExecution::scan_before(std::size_t idx,
+                                            std::uint64_t chunks) const {
+  const Level& level = level_at(idx);
+  switch (placement_) {
+    case ScanPlacement::kEnd:
+      return chunks == params_.a ? level.scan : 0;
+    case ScanPlacement::kInterleaved:
+      return chunks * level.scan_base + std::min(chunks, level.scan_rem);
+    case ScanPlacement::kAdversaryMatched:
+      break;
+  }
+  std::uint64_t total = 0;
+  for (std::uint64_t j = 0; j < chunks; ++j) total += chunk_size(idx, j);
+  return total;
 }
 
 std::uint64_t RegularExecution::leaves_done_within(std::size_t idx) const {
   std::uint64_t total = 0;
   for (std::size_t i = idx; i < stack_.size(); ++i) {
     if (stack_[i].size == 1) break;  // a pending base case contributes 0
-    total += completed_children(stack_[i]) * params_.leaves(stack_[i].size / params_.b);
+    total += completed_children(stack_[i]) * level_at(i + 1).leaves;
   }
   return total;
+}
+
+void RegularExecution::seek_within(std::size_t idx, std::uint64_t units) {
+  stack_.resize(idx + 1);
+  for (std::size_t i = idx; stack_[i].size > 1; ++i) {
+    // Walk child 0, chunk 0, child 1, chunk 1, ... until `units` ends
+    // inside one: inside a child, descend; inside a chunk, stop there.
+    // Empty chunks are never a resting place, as in normalize().
+    const std::uint64_t child_units = level_at(i + 1).units;
+    std::uint64_t child = 0;
+    for (;; ++child) {
+      if (units < child_units) break;
+      units -= child_units;
+      const std::uint64_t chunk = chunk_size(i, child);
+      if (units < chunk) {
+        stack_[i].phase = 2 * child + 1;
+        stack_[i].scan_offset = units;
+        return;
+      }
+      units -= chunk;
+    }
+    stack_[i].phase = 2 * child;
+    stack_[i].scan_offset = 0;
+    stack_.push_back({level_at(i + 1).size, 0, 0,
+                      util::hash_combine(stack_[i].node_hash, child)});
+  }
 }
 
 std::uint64_t RegularExecution::normalize() {
   const std::uint64_t a = params_.a;
   std::uint64_t largest_retired = 0;
   while (!stack_.empty()) {
-    Frame& f = stack_.back();
+    const std::size_t idx = stack_.size() - 1;
+    Frame& f = stack_[idx];
     if (f.size == 1) break;  // pending base case
     if (f.phase % 2 == 0) {
       // Descend into child phase/2.
       const std::uint64_t child_index = f.phase / 2;
-      stack_.push_back({f.size / params_.b, 0, 0,
+      stack_.push_back({level_at(idx + 1).size, 0, 0,
                         util::hash_combine(f.node_hash, child_index)});
       continue;
     }
     // Odd phase: scan chunk (phase - 1) / 2.
-    if (f.scan_offset < chunk_size(f, (f.phase - 1) / 2)) break;
+    if (f.scan_offset < chunk_size(idx, (f.phase - 1) / 2)) break;
     f.phase += 1;
     f.scan_offset = 0;
     if (f.phase == 2 * a) {
@@ -164,7 +214,7 @@ BoxReport RegularExecution::consume_box_optimistic(profile::BoxSize s) {
     // completes that problem in full and goes no further (§4 semantics).
     const std::uint64_t completed_size = stack_[idx].size;
     const std::uint64_t remaining =
-        params_.leaves(completed_size) - leaves_done_within(idx);
+        level_at(idx).leaves - leaves_done_within(idx);
     leaves_done_ += remaining;
     report.progress = remaining;
     report.completed_problem = completed_size;
@@ -185,7 +235,7 @@ BoxReport RegularExecution::consume_box_optimistic(profile::BoxSize s) {
   // caught above).
   Frame& f = stack_.back();
   CADAPT_CHECK(f.phase % 2 == 1);
-  const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+  const std::uint64_t chunk = chunk_size(stack_.size() - 1, (f.phase - 1) / 2);
   CADAPT_CHECK(f.scan_offset < chunk);
   const std::uint64_t advance = std::min<std::uint64_t>(s, chunk - f.scan_offset);
   f.scan_offset += advance;
@@ -202,7 +252,8 @@ BoxReport RegularExecution::consume_box_budgeted(profile::BoxSize s) {
     Frame& f = stack_.back();
     if (f.phase % 2 == 1) {
       // In a scan: each scan access loads one (fresh) block.
-      const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+      const std::uint64_t chunk =
+          chunk_size(stack_.size() - 1, (f.phase - 1) / 2);
       CADAPT_CHECK(f.scan_offset < chunk);
       const std::uint64_t advance =
           std::min<std::uint64_t>(budget, chunk - f.scan_offset);
@@ -225,8 +276,8 @@ BoxReport RegularExecution::consume_box_budgeted(profile::BoxSize s) {
     if (stack_[idx].size > budget) break;  // cannot even afford the leaf
     const std::uint64_t completed_size = stack_[idx].size;
     const std::uint64_t remaining =
-        params_.leaves(completed_size) - leaves_done_within(idx);
-    CADAPT_CHECK(remaining == params_.leaves(completed_size));  // at start
+        level_at(idx).leaves - leaves_done_within(idx);
+    CADAPT_CHECK(remaining == level_at(idx).leaves);  // at start
     leaves_done_ += remaining;
     report.progress += remaining;
     report.completed_problem = std::max(report.completed_problem, completed_size);
@@ -248,10 +299,13 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
   CADAPT_CHECK_MSG(!done(), "consume_run on a finished execution");
   RunReport report;
   std::uint64_t consumed = 0;
+  // Boxes per path, added to path_counts_ on return.
+  std::uint64_t literal = 0, stretched = 0, replayed = 0;
   std::uint64_t until_poll = kCancelPollBoxes;
   const auto literal_box = [&] {
     const BoxReport r = consume_box(s);
     ++consumed;
+    ++literal;
     report.progress += r.progress;
     report.completed_problem =
         std::max(report.completed_problem, r.completed_problem);
@@ -263,6 +317,7 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
   // A per-box recorder must observe every box: literal reference loop.
   if (recorder_ != nullptr && !recorder_->aggregates_runs()) {
     while (consumed < count && !done()) literal_box();
+    path_counts_.literal += literal;
     return report;
   }
   CADAPT_CHECK_MSG(s >= 1, "box size must be >= 1");
@@ -285,7 +340,8 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
       Frame& f = stack_.back();
       if (f.phase % 2 == 1 &&
           (semantics_ == BoxSemantics::kBudgeted || f.size > s)) {
-        const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+        const std::uint64_t chunk =
+            chunk_size(stack_.size() - 1, (f.phase - 1) / 2);
         const std::uint64_t remaining = chunk - f.scan_offset;
         if (remaining > s) {
           const std::uint64_t q =
@@ -294,6 +350,7 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
             f.scan_offset += q * s;
             boxes_consumed_ += q;
             consumed += q;
+            stretched += q;
             if (recorder_ != nullptr) {
               recorder_->on_run(
                   {boxes_consumed_ - q, s, q, 0, q * s, 0,
@@ -334,6 +391,7 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
             leaves_done_ - open.leaves_before;
         apply_period(*delta, m, boxes_per_repeat, leaves_per_repeat);
         consumed += m * boxes_per_repeat;
+        replayed += m * boxes_per_repeat;
         report.progress += m * leaves_per_repeat;
         if (recorder_ != nullptr) recorder_->replay(marks[probe.opening], m);
       }
@@ -364,7 +422,252 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
     }
     literal_box();
   }
+  path_counts_.literal += literal;
+  path_counts_.scan_stretch += stretched;
+  path_counts_.subtree_replay += replayed;
   return report;
+}
+
+/// The transition table of the bottom subtree of size B = b^level
+/// (docs/PERF.md, "Table-driven leaf levels"). A normalized position
+/// inside the subtree is one integer, u = units done within it, and a box
+/// of size s < B that starts at u and does not finish the subtree moves
+/// it to a fixed u', whatever lies above: an optimistic box completes the
+/// largest enclosing problem of size <= s, and a budgeted box's chain of
+/// untouched ancestors stops below size B, so neither reaches past the
+/// subtree root. steps[u * B + s] holds that move; its row is u' * B, so
+/// the stepping loop chains loads without a multiply.
+struct LeafTable {
+  struct Step {
+    std::uint32_t row = 0;       ///< u' * size, or kExit
+    std::uint16_t leaves = 0;    ///< base cases the box completes
+    std::uint8_t completed = 0;  ///< 1 + level of the largest problem
+                                 ///< retired, or 0
+    std::uint8_t jump = 0;       ///< an optimistic box completing a problem
+  };
+  /// The box finishes the subtree; the literal path takes it from there.
+  static constexpr std::uint32_t kExit = UINT32_MAX;
+  unsigned level = 0;
+  std::uint64_t size = 0;   ///< B
+  std::uint64_t units = 0;  ///< U(B), the number of positions
+  std::vector<Step> steps;  ///< units * size; column 0 is unused
+};
+
+namespace {
+
+/// Largest table a level may have: 2^14 eight-byte steps (128 KiB) stay
+/// in L2 and keep every row and leaf count inside its field.
+constexpr std::uint64_t kMaxLeafTableEntries = UINT64_C(1) << 14;
+
+struct LeafTableKey {
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+  double c = 0;
+  unsigned level = 0;
+  ScanPlacement placement = ScanPlacement::kEnd;
+  BoxSemantics semantics = BoxSemantics::kOptimistic;
+  bool operator==(const LeafTableKey&) const = default;
+};
+
+/// Tables shared across executions (and so across a cell's trials): a
+/// handful of keys per process, bounded by evicting the oldest.
+struct LeafTableCache {
+  static constexpr std::size_t kMaxTables = 32;
+  std::mutex mutex;
+  std::vector<std::pair<LeafTableKey, std::shared_ptr<const LeafTable>>>
+      tables;
+};
+
+LeafTableCache& leaf_table_cache() {
+  static LeafTableCache cache;
+  return cache;
+}
+
+}  // namespace
+
+void RegularExecution::attach_leaf_table() {
+  // Under kAdversaryMatched node hashes place the scans, so a subtree's
+  // moves are not a function of its units done.
+  if (placement_ == ScanPlacement::kAdversaryMatched) return;
+  unsigned level = 0;
+  while (level + 1 < levels_.size() &&
+         levels_[level + 1].units <=
+             kMaxLeafTableEntries / levels_[level + 1].size) {
+    ++level;
+  }
+  if (level == 0) return;
+  const LeafTableKey key{params_.a, params_.b, params_.c, level, placement_,
+                         semantics_};
+  LeafTableCache& cache = leaf_table_cache();
+  std::lock_guard<std::mutex> lock(cache.mutex);
+  for (const auto& [cached_key, table] : cache.tables) {
+    if (cached_key == key) {
+      table_ = table;
+      return;
+    }
+  }
+  table_ = build_leaf_table(params_, level, placement_, semantics_);
+  if (cache.tables.size() == LeafTableCache::kMaxTables) {
+    cache.tables.erase(cache.tables.begin());
+  }
+  cache.tables.emplace_back(key, table_);
+}
+
+std::shared_ptr<const LeafTable> RegularExecution::build_leaf_table(
+    const model::RegularParams& params, unsigned level,
+    ScanPlacement placement, BoxSemantics semantics) {
+  auto table = std::make_shared<LeafTable>();
+  table->level = level;
+  table->size = util::ipow(params.b, level);
+  const std::uint64_t size = table->size;
+  // A standalone problem of size B moves exactly as the subtree does:
+  // chunk sizes depend only on (level, placement) here.
+  RegularExecution cursor(params, size, placement, 0, semantics);
+  table->units = cursor.total_units();
+  table->steps.resize(table->units * size);
+  for (std::uint64_t u = 0; u < table->units; ++u) {
+    CADAPT_CHECK(cursor.units_done() == u);
+    for (std::uint64_t s = 1; s < size; ++s) {
+      RegularExecution probe = cursor;
+      const bool jump = semantics == BoxSemantics::kOptimistic &&
+                        probe.stack_.back().size <= s;
+      const BoxReport r = probe.consume_box(s);
+      LeafTable::Step& step = table->steps[u * size + s];
+      if (probe.done()) {
+        step.row = LeafTable::kExit;
+        continue;
+      }
+      step.row = static_cast<std::uint32_t>(probe.units_done() * size);
+      step.leaves = static_cast<std::uint16_t>(r.progress);
+      step.completed =
+          r.completed_problem == 0
+              ? 0
+              : static_cast<std::uint8_t>(
+                    util::ilog(r.completed_problem, params.b) + 1);
+      step.jump = jump ? 1 : 0;
+    }
+    cursor.consume_box(1);  // one unit access, in either semantics
+  }
+  return table;
+}
+
+namespace {
+
+/// Fails the checks a short run must pass, out of line so that
+/// consume_runs' stepping loops can inline their run cursor.
+[[gnu::cold, gnu::noinline]] void reject_run(const profile::BoxRun& run) {
+  CADAPT_CHECK_MSG(run.size >= 1, "box size must be >= 1");
+  CADAPT_CHECK_MSG(run.count >= 1, "run count must be >= 1");
+}
+
+}  // namespace
+
+[[gnu::cold, gnu::noinline]] void RegularExecution::record_box(
+    profile::BoxSize s, std::uint64_t progress, std::uint64_t scan,
+    std::uint64_t completed_problem, bool jump) {
+  recorder_->on_box({boxes_consumed_ - 1, s, progress, scan, completed_problem,
+                     semantics_ == BoxSemantics::kBudgeted
+                         ? obs::ExecBranch::kBudgeted
+                     : jump ? obs::ExecBranch::kCompleteJump
+                            : obs::ExecBranch::kScanAdvance});
+}
+
+std::uint64_t RegularExecution::consume_runs(
+    std::span<const profile::BoxRun> runs) {
+  CADAPT_CHECK_MSG(!done(), "consume_runs on a finished execution");
+  if (table_ == nullptr) attach_leaf_table();
+  const std::uint64_t start = boxes_consumed_;
+  // Boxes per path, added to path_counts_ on return.
+  std::uint64_t literal = 0, stretched = 0, tabled = 0;
+  std::uint64_t polled = boxes_consumed_;
+  std::size_t next = 0;    // the next run to open
+  profile::BoxSize s = 0;  // the open run: its box size ...
+  std::uint64_t left = 0;  // ... and its boxes not yet consumed
+  const auto poll_due = [&] {
+    return cancel_ != nullptr && boxes_consumed_ - polled >= kCancelPollBoxes;
+  };
+  // Open the next run when it is short and no poll is due; the stepping
+  // loops stop at a long run, a due poll or the end of the batch.
+  const auto open_short = [&] {
+    if (next == runs.size() || runs[next].count > kTableRunMax || poll_due())
+      return false;
+    s = runs[next].size;
+    left = runs[next].count;
+    if (s == 0 || left == 0) [[unlikely]] reject_run(runs[next]);
+    ++next;
+    return true;
+  };
+  // Stack index of the bottom subtree's root, when a table applies.
+  const std::size_t root =
+      table_ != nullptr ? levels_.size() - 1 - table_->level : 0;
+  while (!done()) {
+    if (left == 0) {
+      if (poll_due()) {
+        polled = boxes_consumed_;
+        cancel_->poll();
+      }
+      if (next == runs.size()) break;
+      if (runs[next].count > kTableRunMax) {
+        const profile::BoxRun run = runs[next++];
+        consume_run(run.size, run.count);  // counts its own paths
+        continue;
+      }
+      open_short();
+    }
+    if (table_ != nullptr && stack_.size() > root) {
+      // Inside the bottom subtree: step through the table while the
+      // boxes stay inside it.
+      const std::uint64_t size = table_->size;
+      const LeafTable::Step* steps = table_->steps.data();
+      const std::uint64_t first_row = units_done_within(root) * size;
+      std::uint64_t row = first_row;
+      for (;;) {
+        if (left == 0 && !open_short()) break;
+        if (s >= size) break;
+        const LeafTable::Step step = steps[row + s];
+        if (step.row == LeafTable::kExit) break;
+        ++boxes_consumed_;
+        leaves_done_ += step.leaves;
+        --left;
+        ++tabled;
+        if (recorder_ != nullptr) [[unlikely]] {
+          record_box(s, step.leaves, (step.row - row) / size - step.leaves,
+                     step.completed == 0 ? 0 : levels_[step.completed - 1].size,
+                     step.jump != 0);
+        }
+        row = step.row;
+      }
+      if (row != first_row) seek_within(root, row / size);
+    } else if (stack_.back().phase % 2 == 1) {
+      // Inside a scan chunk: a box smaller than the rest of the chunk
+      // advances it by exactly its size (no problem of size <= s
+      // encloses the position: chunk <= scan <= frame size).
+      const std::size_t idx = stack_.size() - 1;
+      const std::uint64_t chunk =
+          chunk_size(idx, (stack_[idx].phase - 1) / 2);
+      std::uint64_t offset = stack_[idx].scan_offset;
+      for (;;) {
+        if (left == 0 && !open_short()) break;
+        if (s >= chunk - offset) break;
+        offset += s;
+        ++boxes_consumed_;
+        --left;
+        ++stretched;
+        if (recorder_ != nullptr) [[unlikely]] record_box(s, 0, s, 0, false);
+      }
+      stack_[idx].scan_offset = offset;
+    }
+    if (left == 0) continue;
+    // The box leaves the subtree, is at least its size, ends the scan
+    // chunk, or starts at a base case no table covers: step it literally.
+    consume_box(s);
+    --left;
+    ++literal;
+  }
+  path_counts_.literal += literal;
+  path_counts_.scan_stretch += stretched;
+  path_counts_.table += tabled;
+  return boxes_consumed_ - start;
 }
 
 StackSignature RegularExecution::signature() const {
@@ -414,7 +717,7 @@ std::optional<PeriodicDelta> RegularExecution::classify_period(
     if (p + 1 != len || f.phase % 2 != 1) return std::nullopt;
     if (f.scan_offset <= off0) return std::nullopt;
     delta.doffset = f.scan_offset - off0;
-    const std::uint64_t chunk = chunk_size(f, (f.phase - 1) / 2);
+    const std::uint64_t chunk = chunk_size(p, (f.phase - 1) / 2);
     CADAPT_CHECK(f.scan_offset < chunk);  // normalized resting state
     // Stay strictly inside the chunk so every replayed state is exactly
     // the normalized state literal execution would rest in.
@@ -440,7 +743,7 @@ std::optional<PeriodicDelta> RegularExecution::classify_period(
       if (i1 + r * di > a - 1) break;
       bool same = true;
       for (std::uint64_t j = 0; j < di && same; ++j) {
-        same = chunk_size(f, i1 + (r - 1) * di + j) == chunk_size(f, i0 + j);
+        same = chunk_size(p, i1 + (r - 1) * di + j) == chunk_size(p, i0 + j);
       }
       if (!same) break;
       m = r;
@@ -464,6 +767,9 @@ void RegularExecution::apply_period(const PeriodicDelta& delta, std::uint64_t m,
 }
 
 namespace {
+
+/// Runs the bulk driver draws per batch (docs/PERF.md).
+constexpr std::size_t kBatchRuns = 64;
 
 /// In-flight block probe of the bulk driver (docs/PERF.md): opened at a
 /// source repeat boundary, closed when the execution reaches the end of
@@ -499,6 +805,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   const robust::CancelToken* cancel = options.cancel;
   if (cancel != nullptr) exec.set_cancel(cancel);
   if (!bulk) {
+    const std::uint64_t first_box = exec.boxes_consumed();
     while (!exec.done()) {
       if (cancel != nullptr) cancel->poll();
       if (exec.boxes_consumed() >= max_boxes) {
@@ -515,9 +822,13 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
           model::bounded_rho_units(exec.params(), exec.problem_size(), *box);
       exec.consume_box(*box);
     }
+    exec.path_counts_.literal += exec.boxes_consumed() - first_box;
   } else {
     std::vector<BlockProbe> probes;
     const bool blocks = source.provides_blocks();
+    model::PotentialMemo potentials(exec.params(), exec.problem_size());
+    std::array<profile::BoxRun, kBatchRuns> batch;
+    std::size_t want = 1;
     while (!exec.done()) {
       // Per-run, not per-box: the bulk path retires millions of boxes per
       // iteration, so this is the bounded-interval poll point.
@@ -546,25 +857,37 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
           }
         }
       }
-      const auto run = source.next_run();
-      if (!run) {
+      // A source with blocks is drawn one run at a time: its probes open
+      // and close at run boundaries. Others draw batches that double up
+      // to kBatchRuns, so a trial that ends within a few runs draws at
+      // most about twice the runs it consumes.
+      const std::size_t drawn =
+          source.next_runs(std::span(batch).first(blocks ? 1 : want));
+      want = std::min(2 * want, batch.size());
+      if (drawn == 0) {
         result.stop = StopReason::kSourceExhausted;
         break;
       }
-      const std::uint64_t take = std::min<std::uint64_t>(
-          run->count, max_boxes - exec.boxes_consumed());
-      const std::uint64_t before_boxes = exec.boxes_consumed();
-      exec.consume_run(run->size, take);
-      // Only the boxes actually consumed are charged (the run may end
-      // early when the execution completes) — same count, same values,
-      // same addition sequence as the per-box loop.
-      const std::uint64_t used = exec.boxes_consumed() - before_boxes;
-      acc.add_boxes(run->size, used);
-      sum_unit_potential = model::bulk_add(
-          sum_unit_potential,
-          model::bounded_rho_units(exec.params(), exec.problem_size(),
-                                   run->size),
-          used);
+      // Clamp the batch to the box cap.
+      std::uint64_t room = max_boxes - exec.boxes_consumed();
+      std::size_t take = 0;
+      while (take < drawn && room > 0) {
+        batch[take].count = std::min(batch[take].count, room);
+        room -= batch[take].count;
+        ++take;
+      }
+      std::uint64_t used = exec.consume_runs(std::span(batch).first(take));
+      // Only the boxes actually consumed are charged (the execution may
+      // complete inside a run), run by run — the same count, the same
+      // values and the same addition sequence as the per-box loop.
+      for (std::size_t i = 0; i < take && used > 0; ++i) {
+        const std::uint64_t count = std::min(batch[i].count, used);
+        used -= count;
+        const model::BoxPotential& x = potentials.get(batch[i].size);
+        acc.add_potential(x, count);
+        sum_unit_potential =
+            model::bulk_add(sum_unit_potential, x.rho_units, count);
+      }
       // Close every probe whose first repeat just ended.
       while (!probes.empty() &&
              exec.boxes_consumed() >= probes.back().target) {
@@ -599,6 +922,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         source.skip_repeats(m);
         exec.apply_period(*delta, m, probe.boxes_per_repeat,
                           exec.leaves_done() - probe.leaves_before);
+        exec.path_counts_.block_replay += m * probe.boxes_per_repeat;
         acc.apply_replay(probe.acc_sum_before, probe.acc_boxes_before, m);
         sum_unit_potential =
             model::replay_sum(probe.unit_sum_before, sum_unit_potential, m);

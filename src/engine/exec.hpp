@@ -15,7 +15,9 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "model/potential.hpp"
@@ -105,6 +107,28 @@ struct PeriodicDelta {
   std::uint64_t max_repeats = 0;
 };
 
+/// Boxes an execution retired through each of its paths (docs/PERF.md,
+/// "Table-driven leaf levels"). The bulk entry points count them —
+/// run_to_completion, consume_run and consume_runs, once per call, never
+/// per box — so they sum to the boxes those calls consumed; direct
+/// consume_box calls are not counted.
+struct PathCounts {
+  std::uint64_t literal = 0;         ///< stepped one box at a time
+  std::uint64_t scan_stretch = 0;    ///< advanced inside a scan chunk
+  std::uint64_t subtree_replay = 0;  ///< consume_run's certified periods
+  std::uint64_t block_replay = 0;    ///< run_to_completion's block replay
+  std::uint64_t table = 0;           ///< the leaf-level transition table
+
+  std::uint64_t total() const {
+    return literal + scan_stretch + subtree_replay + block_replay + table;
+  }
+};
+
+/// The transition table of one bottom subtree (defined in exec.cpp).
+struct LeafTable;
+struct RunResult;
+struct RunOptions;
+
 /// State machine for one execution of an (a,b,c)-regular algorithm on a
 /// problem of n blocks (n a power of b).
 class RegularExecution {
@@ -133,6 +157,24 @@ class RegularExecution {
 
   /// Literal boxes consume_run steps between two cancel-token polls.
   static constexpr std::uint64_t kCancelPollBoxes = UINT64_C(1) << 12;
+
+  /// Batched path (docs/PERF.md, "Table-driven leaf levels"): consume the
+  /// boxes of `runs` in order until they run out or the execution
+  /// completes, bit-identical in every observable to one consume_run per
+  /// run. Returns the boxes consumed. Runs longer than kTableRunMax go to
+  /// consume_run (closed forms for long equal runs); shorter ones are
+  /// stepped box by box through the bottom subtree's transition table, or
+  /// advanced in place inside a scan chunk, and fall back to consume_box
+  /// for a box that leaves the subtree or is at least its size. Polls the
+  /// attached cancel token every kCancelPollBoxes boxes, at run
+  /// boundaries.
+  std::uint64_t consume_runs(std::span<const profile::BoxRun> runs);
+
+  /// Longest run consume_runs steps itself rather than via consume_run.
+  static constexpr std::uint64_t kTableRunMax = 64;
+
+  /// Boxes retired per path so far.
+  const PathCounts& path_counts() const { return path_counts_; }
 
   /// Snapshot of the stack for periodicity probing. O(depth).
   StackSignature signature() const;
@@ -170,7 +212,7 @@ class RegularExecution {
   /// remaining boxes.
   std::uint64_t units_done() const;
   /// Total unit accesses of the whole problem.
-  std::uint64_t total_units() const { return units_by_level_.back(); }
+  std::uint64_t total_units() const { return levels_.back().units; }
 
   /// Attach (or detach, with nullptr) an observability recorder: every
   /// subsequent consume_box emits one obs::BoxObservation. The disabled
@@ -186,6 +228,21 @@ class RegularExecution {
   void set_cancel(const robust::CancelToken* cancel) { cancel_ = cancel; }
 
  private:
+  friend RunResult run_to_completion(RegularExecution& exec,
+                                     profile::BoxSource& source,
+                                     const RunOptions& options);
+
+  /// Constants of a problem of size b^level, computed once per execution;
+  /// stack_[i] is at level log_b n - i (level_at).
+  struct Level {
+    std::uint64_t size = 1;       // b^level blocks
+    std::uint64_t leaves = 1;     // a^level base cases
+    std::uint64_t units = 1;      // unit accesses, U(b^level)
+    std::uint64_t scan = 0;       // scan_size(b^level)
+    std::uint64_t scan_base = 0;  // kInterleaved chunk: scan / a ...
+    std::uint64_t scan_rem = 0;   // ... plus one for chunks < scan % a
+  };
+
   struct Frame {
     std::uint64_t size;         // problem size in blocks (power of b)
     std::uint64_t phase;        // 0..2a-1: even 2i = in child i, odd 2i+1 = in scan chunk i
@@ -193,14 +250,38 @@ class RegularExecution {
     std::uint64_t node_hash;    // path hash (used by kAdversaryMatched)
   };
 
-  /// Scan chunk i (0-based) of the problem in frame f.
-  std::uint64_t chunk_size(const Frame& f, std::uint64_t chunk) const;
+  /// Level of the problem in stack_[idx].
+  const Level& level_at(std::size_t idx) const {
+    return levels_[levels_.size() - 1 - idx];
+  }
+  /// Scan chunk i (0-based) of the problem in stack_[idx].
+  std::uint64_t chunk_size(std::size_t idx, std::uint64_t chunk) const;
+  /// Scan accesses of the chunks before chunk `chunks` of stack_[idx].
+  std::uint64_t scan_before(std::size_t idx, std::uint64_t chunks) const;
   /// Children of the frame that are fully complete: (phase + 1) / 2.
   static std::uint64_t completed_children(const Frame& f) {
     return (f.phase + 1) / 2;
   }
   /// Base cases already completed strictly within stack_[idx].
   std::uint64_t leaves_done_within(std::size_t idx) const;
+  /// Unit accesses already completed strictly within stack_[idx].
+  std::uint64_t units_done_within(std::size_t idx) const;
+  /// Rebuild the frames below stack_[idx], which stays, so that `units`
+  /// of its units are done: the inverse of units_done_within(idx) over
+  /// normalized positions.
+  void seek_within(std::size_t idx, std::uint64_t units);
+
+  /// Look up (or build) the transition table, if one applies.
+  void attach_leaf_table();
+  /// Build the table of a subtree of size b^level (every state, every box
+  /// size below b^level) by running a standalone execution of that size.
+  static std::shared_ptr<const LeafTable> build_leaf_table(
+      const model::RegularParams& params, unsigned level,
+      ScanPlacement placement, BoxSemantics semantics);
+  /// Emit one BoxObservation for a box consume_runs retired in place.
+  void record_box(profile::BoxSize s, std::uint64_t progress,
+                  std::uint64_t scan, std::uint64_t completed_problem,
+                  bool jump);
 
   /// An open subtree probe of consume_run (docs/PERF.md): stack frame
   /// `frame` rested at the even child boundary `phase0` with a fresh
@@ -245,8 +326,13 @@ class RegularExecution {
   obs::ExecRecorder* recorder_ = nullptr;
   const robust::CancelToken* cancel_ = nullptr;
   std::vector<Frame> stack_;
-  /// units_by_level_[k] = unit accesses of a problem of size b^k.
-  std::vector<std::uint64_t> units_by_level_;
+  /// levels_[k]: the constants of a problem of size b^k, k = 0..log_b n.
+  std::vector<Level> levels_;
+  PathCounts path_counts_;
+  /// The bottom-subtree transition table, shared by every execution with
+  /// the same (params, level, placement, semantics); null until the first
+  /// consume_runs, and when none applies.
+  std::shared_ptr<const LeafTable> table_;
   /// consume_run's probe scratch, kept across calls so that the bulk
   /// path does not allocate per run: openings past the ones in use keep
   /// their signature capacity for the next probe.
@@ -288,9 +374,9 @@ struct RunOptions {
   /// debugging can compare the two.
   bool per_box = false;
   /// Cooperative cancellation (docs/ROBUSTNESS.md): polled at every loop
-  /// head (per box on the reference path, per run on the bulk path) and
-  /// every kCancelPollBoxes literal boxes inside a run, so a deadline
-  /// interrupts even a single enormous trial. Throws
+  /// head (per box on the reference path, per batch of runs on the bulk
+  /// path) and every kCancelPollBoxes boxes inside a batch or a run, so a
+  /// deadline interrupts even a single enormous trial. Throws
   /// robust::CancelledError out of run_to_completion; the campaign
   /// drivers discard the interrupted work (never aggregate it). Null =
   /// disabled, one never-taken branch of overhead.
@@ -300,14 +386,17 @@ struct RunOptions {
 /// Drive an execution over a box stream until the algorithm finishes, the
 /// stream is exhausted, or max_boxes boxes have been consumed.
 ///
-/// By default this is the O(runs) bulk driver of docs/PERF.md: boxes are
-/// pulled via source.next_run(), consumed via consume_run, and — when the
-/// source announces repeated blocks (peek_block) — whole repeats are
-/// retired in closed form after one probed repeat certifies periodicity
-/// (classify_period) and the floating-point accumulators certify exact
-/// replayability. Every RunResult field is bit-identical to the per-box
-/// reference loop (options.per_box = true). A recorder in kBoxes
-/// granularity forces the reference loop so per-box traces stay intact.
+/// By default this is the O(runs) bulk driver of docs/PERF.md: runs are
+/// drawn in batches via source.next_runs(), consumed via consume_runs
+/// (the leaf transition table for short runs, consume_run for long
+/// ones), their potentials added run by run from a per-size memo, and —
+/// when the source announces repeated blocks (peek_block) — whole
+/// repeats are retired in closed form after one probed repeat certifies
+/// periodicity (classify_period) and the floating-point accumulators
+/// certify exact replayability. Every RunResult field is bit-identical to
+/// the per-box reference loop (options.per_box = true). A recorder in
+/// kBoxes granularity forces the reference loop so per-box traces stay
+/// intact.
 RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
                             const RunOptions& options);
 

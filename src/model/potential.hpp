@@ -11,6 +11,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -36,10 +37,18 @@ inline bool exactly_bulk_addable(double sum, double x, std::uint64_t count) {
   return fin <= static_cast<long double>(kExactIntegerLimit);
 }
 
+/// Counts up to which bulk_add runs the literal loop outright: a few
+/// additions cost less than proving the closed form exact.
+inline constexpr std::uint64_t kLiteralBulkAdds = 8;
+
 /// Add `count` copies of x to sum, bit-identically to a repeated-add
 /// loop: the closed form is used when provably exact, otherwise the
 /// literal loop runs (identical operation sequence either way).
 inline double bulk_add(double sum, double x, std::uint64_t count) {
+  if (count <= kLiteralBulkAdds) {
+    for (std::uint64_t i = 0; i < count; ++i) sum += x;
+    return sum;
+  }
   if (exactly_bulk_addable(sum, x, count)) {
     return sum + static_cast<double>(count) * x;
   }
@@ -101,6 +110,57 @@ inline double bounded_rho_units(const RegularParams& params, std::uint64_t n,
   return rho_units(params, std::min<std::uint64_t>(n, s));
 }
 
+/// Both n-bounded potentials of one box size.
+struct BoxPotential {
+  double rho = 0;           ///< bounded_rho
+  double rho_units = 0;     ///< bounded_rho_units
+  bool rho_integer = true;  ///< rho is integer-valued
+};
+
+/// bounded_rho and bounded_rho_units memoized per distinct box size: a
+/// random profile draws from a small support, while each value costs a
+/// logarithm or a power. Sizes below kDirect have a slot each; larger
+/// ones share 64 direct-mapped slots, and a size evicted by a collision
+/// is recomputed, so the memo never changes a value.
+class PotentialMemo {
+ public:
+  PotentialMemo(const RegularParams& params, std::uint64_t n)
+      : params_(params), n_(n) {}
+
+  /// s >= 1.
+  const BoxPotential& get(profile::BoxSize s) {
+    if (s < kDirect) {
+      BoxPotential& value = direct_[s];
+      // rho_units >= 1 for every size, so 0 marks an empty slot.
+      if (value.rho_units == 0) value = compute(s);
+      return value;
+    }
+    Slot& slot = hashed_[(s * UINT64_C(0x9E3779B97F4A7C15)) >> 58];
+    if (slot.size != s) {
+      slot.size = s;
+      slot.value = compute(s);
+    }
+    return slot.value;
+  }
+
+ private:
+  static constexpr profile::BoxSize kDirect = 1024;
+  struct Slot {
+    profile::BoxSize size = 0;
+    BoxPotential value;
+  };
+
+  BoxPotential compute(profile::BoxSize s) const {
+    const double rho = bounded_rho(params_, n_, s);
+    return {rho, bounded_rho_units(params_, n_, s), std::floor(rho) == rho};
+  }
+
+  RegularParams params_;
+  std::uint64_t n_;
+  std::array<BoxPotential, kDirect> direct_{};
+  std::array<Slot, 64> hashed_{};
+};
+
 /// Accumulates the left-hand side of Inequality 2 over the boxes an
 /// execution consumes.
 class AdaptivityAccumulator {
@@ -118,12 +178,12 @@ class AdaptivityAccumulator {
     ++boxes_;
   }
 
-  /// Bulk add of `count` equal boxes — bit-identical to `count` add_box
-  /// calls (closed form when provably exact, literal loop otherwise).
-  void add_boxes(profile::BoxSize s, std::uint64_t count) {
-    const double x = bounded_rho(params_, n_, s);
-    all_integer_ = all_integer_ && std::floor(x) == x;
-    sum_bounded_potential_ = bulk_add(sum_bounded_potential_, x, count);
+  /// Bulk add of `count` equal boxes of potential p (from PotentialMemo;
+  /// p.rho_units is not used) — bit-identical to `count` add_box calls
+  /// (closed form when provably exact, literal loop otherwise).
+  void add_potential(const BoxPotential& p, std::uint64_t count) {
+    all_integer_ = all_integer_ && p.rho_integer;
+    sum_bounded_potential_ = bulk_add(sum_bounded_potential_, p.rho, count);
     boxes_ += count;
   }
 

@@ -13,6 +13,7 @@
 //    exactly; the default implementation simply wraps next() in runs of
 //    one. Sources whose streams are naturally run-length-compressed
 //    (WorstCaseSource, small-support distributions) override it.
+//    next_runs() draws several runs per call.
 //  * peek_block()/skip_repeats() — the structural hook for self-similar
 //    profiles: a block announces that the upcoming boxes are `repeats`
 //    IDENTICAL copies of the same `boxes_per_repeat`-box sequence (the a
@@ -31,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -68,6 +70,20 @@ class BoxSource {
     const auto box = next();
     if (!box) return std::nullopt;
     return BoxRun{*box, 1};
+  }
+
+  /// Batch view of next_run(): write up to out.size() next runs into
+  /// `out` and return how many (0 once a finite profile is exhausted).
+  /// Contract: the runs are exactly those successive next_run() calls
+  /// would return. The default delivers one run per call, so wrappers
+  /// that count draws (robust::FaultyBoxSource) draw no further ahead
+  /// than next_run(); sources with a cheap private draw override it.
+  virtual std::size_t next_runs(std::span<BoxRun> out) {
+    if (out.empty()) return 0;
+    const auto run = next_run();
+    if (!run) return 0;
+    out[0] = *run;
+    return 1;
   }
 
   /// Cheap capability probe: true iff peek_block() can ever return a

@@ -38,14 +38,20 @@ void BoxDistribution::set_pmf(std::vector<PmfEntry> entries) {
     cdf_.push_back(acc);
   }
   cdf_.back() = 1.0;  // guard against rounding drift
-}
-
-BoxSize BoxDistribution::sample(util::Rng& rng) const {
-  CADAPT_CHECK(!pmf_.empty());
-  const double u = rng.uniform01();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  const auto idx = static_cast<std::size_t>(it - cdf_.begin());
-  return pmf_[std::min(idx, pmf_.size() - 1)].size;
+  // Guide table: guide_[j] = lower_bound(cdf_, j / m) for m a power of
+  // two, and guide_[m] = the last index. Both j / m and u * m are exact
+  // in binary floating point, so for j = floor(u * m) the answer to
+  // lower_bound(cdf_, u) lies in [guide_[j], guide_[j + 1]].
+  std::size_t buckets = 1;
+  while (buckets < pmf_.size() && buckets < kMaxGuideBuckets) buckets *= 2;
+  guide_.resize(buckets + 1);
+  for (std::size_t j = 0; j < buckets; ++j) {
+    const double lo = static_cast<double>(j) / static_cast<double>(buckets);
+    guide_[j] = static_cast<std::uint32_t>(
+        std::lower_bound(cdf_.begin(), cdf_.end(), lo) - cdf_.begin());
+  }
+  guide_[buckets] = static_cast<std::uint32_t>(pmf_.size() - 1);
+  guide_scale_ = static_cast<double>(buckets);
 }
 
 BoxSize BoxDistribution::min_size() const {

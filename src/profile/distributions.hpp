@@ -5,7 +5,10 @@
 // sampling is implemented once in the base class via the stored CDF.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,8 +37,17 @@ class BoxDistribution {
 
   const std::vector<PmfEntry>& pmf() const { return pmf_; }
 
-  /// Draw one box size.
-  BoxSize sample(util::Rng& rng) const;
+  /// Draw one box size: lower_bound(cdf_, u) for one uniform u, searched
+  /// only over u's guide bucket — the same index, in one or two probes
+  /// for a skewed or a uniform pmf alike.
+  BoxSize sample(util::Rng& rng) const {
+    const double u = rng.uniform01();
+    const auto j = static_cast<std::size_t>(
+        static_cast<std::int64_t>(u * guide_scale_));
+    const auto it = std::lower_bound(cdf_.begin() + guide_[j],
+                                     cdf_.begin() + guide_[j + 1], u);
+    return pmf_[static_cast<std::size_t>(it - cdf_.begin())].size;
+  }
 
   BoxSize min_size() const;
   BoxSize max_size() const;
@@ -57,8 +69,13 @@ class BoxDistribution {
   void set_pmf(std::vector<PmfEntry> entries);
 
  private:
+  /// Guide buckets cap: 2^16 four-byte entries.
+  static constexpr std::size_t kMaxGuideBuckets = std::size_t{1} << 16;
+
   std::vector<PmfEntry> pmf_;   // sorted by size, normalized
   std::vector<double> cdf_;     // inclusive prefix sums of pmf_
+  std::vector<std::uint32_t> guide_;  // bucket -> first cdf_ index
+  double guide_scale_ = 1;            // number of guide buckets
 };
 
 /// All boxes have one fixed size.
@@ -146,19 +163,28 @@ class DistributionSource final : public BoxSource {
   static constexpr std::uint64_t kPointMassChunk = UINT64_C(1) << 40;
 
   std::optional<BoxSize> next() override {
-    if (pending_) {
-      const BoxSize box = *pending_;
-      pending_.reset();
+    if (pending_ != 0) {
+      const BoxSize box = pending_;
+      pending_ = 0;
       return box;
     }
     return dist_->sample(rng_);
   }
 
-  std::optional<BoxRun> next_run() override {
-    BoxSize head;
-    if (pending_) {
-      head = *pending_;
-      pending_.reset();
+  std::optional<BoxRun> next_run() override { return draw_run(); }
+
+  /// A batch of draw_run() results in one call: the same RNG draws and
+  /// the same runs as successive next_run() calls.
+  std::size_t next_runs(std::span<BoxRun> out) override {
+    for (BoxRun& run : out) run = draw_run();
+    return out.size();
+  }
+
+ private:
+  BoxRun draw_run() {
+    BoxSize head = pending_;
+    if (head != 0) {
+      pending_ = 0;
     } else {
       head = dist_->sample(rng_);
     }
@@ -175,7 +201,6 @@ class DistributionSource final : public BoxSource {
     return BoxRun{head, count};
   }
 
- private:
   // Small-support distributions can produce long runs by chance; cap the
   // lookahead so a single next_run() call stays bounded.
   static constexpr std::uint64_t kMaxCoalesce = UINT64_C(1) << 12;
@@ -183,7 +208,7 @@ class DistributionSource final : public BoxSource {
   const BoxDistribution* dist_;
   util::Rng rng_;
   bool point_mass_;
-  std::optional<BoxSize> pending_;  // drawn but not yet delivered
+  BoxSize pending_ = 0;  // drawn but not yet delivered; 0 = none
 };
 
 }  // namespace cadapt::profile

@@ -315,7 +315,6 @@ std::shared_ptr<ServeCore::ClaimedCell> ServeCore::admit() {
       truncate_job(job, robust::CancelReason::kBudget);
       continue;
     }
-    dispatch_log_.push_back(*pick);
     job.status.state = JobState::kRunning;
     ++job.in_flight;
     if (options_.trace != nullptr) {
@@ -636,10 +635,6 @@ std::string ServeCore::report_bytes(const std::string& id) const {
   return os.str();
 }
 
-std::vector<SchedulerPick> ServeCore::dispatch_log() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return dispatch_log_;
-}
 
 void ServeCore::shutdown() {
   {

@@ -133,9 +133,6 @@ class ServeCore {
   /// util::IoError when the job has no report (not terminal / failed).
   std::string report_bytes(const std::string& job) const;
 
-  /// Every admitted cell in order — the determinism test surface.
-  std::vector<SchedulerPick> dispatch_log() const;
-
   /// Graceful stop: discard in-flight cells (their checkpoints keep only
   /// committed results), leave every durable artifact for the next
   /// ServeCore to resume. Idempotent; the destructor calls it.
@@ -177,7 +174,6 @@ class ServeCore {
   std::string line_buf_;  ///< JSONL encode buffer, reused under mutex_
   std::map<std::string, std::unique_ptr<Job>> jobs_;
   std::map<std::string, ClientState> clients_;
-  std::vector<SchedulerPick> dispatch_log_;
   std::uint64_t wake_ = 1;  ///< bumped by wake(); idle threads watch it
   bool started_ = false;
   bool shutting_down_ = false;

@@ -18,6 +18,9 @@
 #include <utility>
 #include <vector>
 
+#include "campaign/cell_runner.hpp"
+#include "campaign/manifest.hpp"
+#include "core/workloads.hpp"
 #include "engine/exec.hpp"
 #include "engine/reference.hpp"
 #include "model/regular.hpp"
@@ -442,6 +445,165 @@ TEST(PointMassRuns, CancelInterruptsOneHugeLiteralRun) {
                robust::CancelledError);
   EXPECT_EQ(sink.boxes(), RegularExecution::kCancelPollBoxes);
   EXPECT_FALSE(exec.done());
+}
+
+RunResult run_varied(const model::RegularParams& p, std::uint64_t n,
+                     const profile::BoxDistribution& dist,
+                     ScanPlacement placement, BoxSemantics semantics,
+                     std::uint64_t cap, bool per_box) {
+  profile::DistributionSource source(dist, util::Rng(4242));
+  RunOptions options;
+  options.max_boxes = cap;
+  options.per_box = per_box;
+  return run_regular(p, n, source, placement, /*adversary_seed=*/0, semantics,
+                     options);
+}
+
+// Varied box sizes run through the batched driver (docs/PERF.md,
+// "Table-driven leaf levels"): batched draws, the leaf transition table,
+// in-scan stretches and consume_run for long runs. Every RunResult field
+// must equal the per-box reference for every manifest profile with
+// varied sizes, both placements the table covers, both semantics, and
+// k = 2..8 for (8,4,1) and (7,4,1); caps at a third of the run and at
+// 1000 + k boxes land inside a batch of runs.
+TEST(VariedRuns, BitIdenticalToPerBox) {
+  const std::vector<std::string> tokens = {
+      "shuffled", "iid:geometric:6", "iid:uniform-range:1:64",
+      "iid:bimodal:2:1024:0.03", "iid:uniform-powers:0:4"};
+  for (const model::RegularParams& p :
+       {model::RegularParams{8, 4, 1.0}, model::RegularParams{7, 4, 1.0}}) {
+    for (unsigned k = 2; k <= 8; ++k) {
+      const std::uint64_t n = util::ipow(p.b, k);
+      for (const std::string& token : tokens) {
+        const auto dist = campaign::make_distribution(
+            campaign::parse_profile_token(token, campaign::Workload::kRatio),
+            p, n);
+        for (const ScanPlacement placement :
+             {ScanPlacement::kEnd, ScanPlacement::kInterleaved}) {
+          for (const BoxSemantics semantics :
+               {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+            // Above k = 6 the per-box reference of every combination would
+            // take minutes: one (kEnd, optimistic) run per profile goes to
+            // completion there, the rest stop at the small cap.
+            const bool full = k <= 6 || (placement == ScanPlacement::kEnd &&
+                                         semantics == BoxSemantics::kOptimistic);
+            std::vector<std::uint64_t> caps = {1000 + k};
+            if (full) {
+              const RunResult whole = run_varied(p, n, *dist, placement,
+                                                 semantics, UINT64_C(1) << 40,
+                                                 false);
+              caps.push_back(whole.boxes / 3 + 17);
+              caps.push_back(UINT64_C(1) << 40);
+            }
+            for (const std::uint64_t cap : caps) {
+              const std::string label =
+                  p.name() + " k=" + std::to_string(k) + " " + token +
+                  " placement=" + std::to_string(static_cast<int>(placement)) +
+                  " semantics=" + std::to_string(static_cast<int>(semantics)) +
+                  " cap=" + std::to_string(cap);
+              const RunResult ref =
+                  run_varied(p, n, *dist, placement, semantics, cap, true);
+              const RunResult bulk =
+                  run_varied(p, n, *dist, placement, semantics, cap, false);
+              EXPECT_EQ(bulk.completed, ref.completed) << label;
+              EXPECT_EQ(bulk.stop, ref.stop) << label;
+              EXPECT_EQ(bulk.boxes, ref.boxes) << label;
+              EXPECT_EQ(bulk.leaves, ref.leaves) << label;
+              EXPECT_EQ(bulk.sum_bounded_potential, ref.sum_bounded_potential)
+                  << label;
+              EXPECT_EQ(bulk.ratio, ref.ratio) << label;
+              EXPECT_EQ(bulk.unit_ratio, ref.unit_ratio) << label;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// A cancel requested inside a batch of short runs (here while the leaf
+// table steps the boxes): the batched driver polls at run boundaries, so
+// it stops within kCancelPollBoxes + kTableRunMax boxes of the request,
+// and the per-box driver at the next box.
+TEST(VariedRuns, CancelLandsMidBatch) {
+  const model::RegularParams p{8, 4, 1.0};
+  const std::uint64_t n = util::ipow(p.b, 7u);
+  const auto dist = core::census_distribution(p, n);
+  for (const bool per_box : {false, true}) {
+    profile::DistributionSource source(*dist, util::Rng(7));
+    robust::CancelToken token;
+    CancellingSink sink(&token, 1000);
+    obs::ExecRecorder recorder(&sink, obs::BoxGranularity::kRuns);
+    RunOptions options;
+    options.recorder = &recorder;
+    options.cancel = &token;
+    options.per_box = per_box;
+    RegularExecution exec(p, n);
+    EXPECT_THROW(run_to_completion(exec, source, options),
+                 robust::CancelledError);
+    EXPECT_FALSE(exec.done());
+    if (per_box) {
+      EXPECT_EQ(exec.boxes_consumed(), 1000u);
+    } else {
+      EXPECT_GT(exec.path_counts().table, 0u);
+      EXPECT_GE(exec.boxes_consumed(), 1000u);
+      EXPECT_LE(exec.boxes_consumed(), 1000 + RegularExecution::kCancelPollBoxes +
+                                           RegularExecution::kTableRunMax);
+    }
+  }
+}
+
+// Fast-path counters (docs/PERF.md): each box a run retires is counted on
+// exactly one path, so the counts sum to RunResult::boxes — through the
+// leaf table (shuffled), block replay (worst) and subtree replay
+// (iid:point) — and a shuffled census retires most of its boxes through
+// the table. The per-box reference steps every box literally.
+TEST(PathCounts, SumToBoxesOnEveryPath) {
+  const model::RegularParams p{8, 4, 1.0};
+  const std::uint64_t n = util::ipow(p.b, 6u);
+  const auto census = core::census_distribution(p, n);
+  const profile::PointMass point(16);
+  for (const BoxSemantics semantics :
+       {BoxSemantics::kOptimistic, BoxSemantics::kBudgeted}) {
+    for (const bool per_box : {false, true}) {
+      RunOptions options;
+      options.per_box = per_box;
+      const std::string label =
+          "semantics=" + std::to_string(static_cast<int>(semantics)) +
+          " per_box=" + std::to_string(per_box);
+
+      profile::DistributionSource shuffled(*census, util::Rng(11));
+      RegularExecution shuffled_exec(p, n, ScanPlacement::kEnd, 0, semantics);
+      const RunResult shuffled_run =
+          run_to_completion(shuffled_exec, shuffled, options);
+      const PathCounts& by_table = shuffled_exec.path_counts();
+      EXPECT_EQ(by_table.total(), shuffled_run.boxes) << label;
+
+      profile::CyclingSource worst([p, n] {
+        return std::make_unique<profile::WorstCaseSource>(p.a, p.b, n);
+      });
+      RegularExecution worst_exec(p, n, ScanPlacement::kEnd, 0, semantics);
+      const RunResult worst_run = run_to_completion(worst_exec, worst, options);
+      const PathCounts& by_block = worst_exec.path_counts();
+      EXPECT_EQ(by_block.total(), worst_run.boxes) << label;
+
+      profile::DistributionSource points(point, util::Rng(12));
+      RegularExecution point_exec(p, n, ScanPlacement::kEnd, 0, semantics);
+      const RunResult point_run = run_to_completion(point_exec, points, options);
+      const PathCounts& by_subtree = point_exec.path_counts();
+      EXPECT_EQ(by_subtree.total(), point_run.boxes) << label;
+
+      if (per_box) {
+        EXPECT_EQ(by_table.literal, shuffled_run.boxes) << label;
+        EXPECT_EQ(by_block.literal, worst_run.boxes) << label;
+        EXPECT_EQ(by_subtree.literal, point_run.boxes) << label;
+        continue;
+      }
+      EXPECT_GT(by_table.table, shuffled_run.boxes / 2) << label;
+      EXPECT_GT(by_block.block_replay, worst_run.boxes / 2) << label;
+      EXPECT_GT(by_subtree.subtree_replay, point_run.boxes / 2) << label;
+    }
+  }
 }
 
 // StopReason must say WHY the run ended, identically in both drivers.

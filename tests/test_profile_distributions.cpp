@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
 
 #include "util/check.hpp"
 #include "util/random.hpp"
@@ -100,6 +102,37 @@ TEST(Sampling, OnlySupportValues) {
   for (int i = 0; i < 1000; ++i) {
     const BoxSize s = d.sample(rng);
     EXPECT_TRUE(s == 3 || s == 9);
+  }
+}
+
+// sample() searches only the guide bucket of its uniform draw; it must
+// return exactly what a lower_bound over the whole CDF returns for the
+// same draw — skewed, uniform, two-point and one-point pmfs, and a pmf
+// larger than the guide's bucket cap.
+TEST(Sampling, GuideBucketMatchesFullBinarySearch) {
+  const GeometricPowers census(4, 8.0, 0, 7);
+  const UniformRange range(1, 64);
+  const UniformRange wide(1, 70000);
+  const Bimodal bimodal(2, 1024, 0.03);
+  const UniformPowers powers(4, 0, 4);
+  const PointMass point(16);
+  const Empirical empirical({1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89});
+  for (const BoxDistribution* d : std::vector<const BoxDistribution*>{
+           &census, &range, &wide, &bimodal, &powers, &point, &empirical}) {
+    // The CDF exactly as set_pmf accumulates it.
+    std::vector<double> cdf;
+    double acc = 0.0;
+    for (const PmfEntry& e : d->pmf()) cdf.push_back(acc += e.prob);
+    cdf.back() = 1.0;
+    util::Rng sampled(99);
+    util::Rng reference(99);
+    for (int i = 0; i < 200000; ++i) {
+      const double u = reference.uniform01();
+      const auto idx = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      ASSERT_EQ(d->sample(sampled), d->pmf()[idx].size)
+          << d->name() << " draw " << i;
+    }
   }
 }
 

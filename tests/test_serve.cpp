@@ -23,6 +23,7 @@
 
 #include "campaign/manifest.hpp"
 #include "campaign/sweep.hpp"
+#include "obs/sink.hpp"
 #include "robust/cancel.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
@@ -292,6 +293,9 @@ MultiTenantRun run_multi_tenant(const std::string& tag, std::uint64_t jobs) {
   ServeOptions options = core_options(tag);
   options.jobs = jobs;
   options.autostart = false;
+  // Every admitted cell is one cell_scheduled event, in admission order.
+  obs::MemorySink trace;
+  options.trace = &trace;
   ServeCore core(options);
   const JobStatus a = core.submit(request_for(kSix, "alice", 2));
   const JobStatus b = core.submit(request_for(kSmall, "bob", 1));
@@ -299,7 +303,11 @@ MultiTenantRun run_multi_tenant(const std::string& tag, std::uint64_t jobs) {
   core.start();
   core.wait_idle();
   MultiTenantRun run;
-  run.dispatch = core.dispatch_log();
+  for (const obs::Event& event : trace.events()) {
+    if (event.type != "cell_scheduled") continue;
+    run.dispatch.push_back(
+        {event.str_or("job", ""), event.u64_or("cell", UINT64_MAX)});
+  }
   run.report_bytes["alice"] = core.report_bytes(a.id);
   run.report_bytes["bob"] = core.report_bytes(b.id);
   run.report_bytes["carol"] = core.report_bytes(c.id);
@@ -309,10 +317,11 @@ MultiTenantRun run_multi_tenant(const std::string& tag, std::uint64_t jobs) {
 TEST(ServeCore, DispatchOrderAndReportsAreIdenticalAcrossPoolSizes) {
   // The determinism pillar: the WRR pick sequence is a pure function of
   // the submission set, so pool sizes 1, 2, and 8 must produce the SAME
-  // dispatch log — and byte-identical reports.
+  // sequence of cell_scheduled events — and byte-identical reports.
   const MultiTenantRun p1 = run_multi_tenant("det_p1", 1);
   const MultiTenantRun p2 = run_multi_tenant("det_p2", 2);
   const MultiTenantRun p8 = run_multi_tenant("det_p8", 8);
+  EXPECT_EQ(p1.dispatch.size(), 6u + 3u + 12u);  // every cell of a, b, c
   EXPECT_EQ(p1.dispatch, p2.dispatch);
   EXPECT_EQ(p1.dispatch, p8.dispatch);
   EXPECT_EQ(p1.report_bytes, p2.report_bytes);

@@ -310,10 +310,10 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
   const bool runs_mode = args.has("runs");
   obs::ExecRecorder exec_rec(&sink, runs_mode ? obs::BoxGranularity::kRuns
                                               : obs::BoxGranularity::kBoxes);
-  const engine::RunResult r =
-      engine::run_regular(p, n, *source, engine::ScanPlacement::kEnd,
-                          /*max_boxes=*/UINT64_C(1) << 40,
-                          /*adversary_seed=*/0, semantics, &exec_rec);
+  engine::RegularExecution exec(p, n, engine::ScanPlacement::kEnd,
+                                /*adversary_seed=*/0, semantics);
+  const engine::RunResult r = engine::run_to_completion(
+      exec, *source, /*max_boxes=*/UINT64_C(1) << 40, &exec_rec);
 
   // Stage 2 (--trials >= 2): Monte-Carlo over `dist` with per-trial events.
   obs::McRecorder mc_rec(&sink, /*record_timing=*/!args.has("no-timing"));
@@ -398,6 +398,16 @@ int run_trace(const util::ArgParser& args, const model::RegularParams& p) {
               << "  boxes: " << r.boxes
               << "  ratio: " << util::format_double(r.ratio, 3) << "\n";
   core::print_trace_summary(*summary_os, exec_rec);
+  if (runs_mode) {
+    // Which engine paths retired the boxes (docs/PERF.md); a per-box
+    // trace steps every box literally, so only --runs prints them.
+    const engine::PathCounts& paths = exec.path_counts();
+    *summary_os << "paths: literal=" << paths.literal
+                << " scan-stretch=" << paths.scan_stretch
+                << " subtree-replay=" << paths.subtree_replay
+                << " block-replay=" << paths.block_replay
+                << " table=" << paths.table << "\n";
+  }
   if (ran_mc) {
     *summary_os << "\nMonte-Carlo stage (" << trials << " trials, "
                 << dist->name() << "):\n";
