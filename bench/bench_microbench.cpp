@@ -332,8 +332,8 @@ void BM_PagingAccessRun(benchmark::State& state) {
 BENCHMARK(BM_PagingAccessRun);
 
 // Replay layer: the same scan consumed from a recorded trace by
-// CaMachine::replay_trace — one previous-occurrence compare per run, no
-// hash probe, no LRU update. This is what every post-capture trial of a
+// CaMachine::replay_trace — previous-occurrence compares counted a chunk
+// at a time, no hash probe, no LRU update. This is what every post-capture trial of a
 // `--capture-trace` Monte-Carlo cell executes.
 void BM_PagingReplayWalk(benchmark::State& state) {
   paging::BlockRunRecorder recorder(kScanBlock);
@@ -353,24 +353,44 @@ void BM_PagingReplayWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_PagingReplayWalk);
 
-// Capture layer: the record half of record-once/replay-many — a
-// 65536-key funnelsort run through a BlockRunRecorder, plus take(),
-// which builds the replay index. This is what the first trial of every
-// `trace_replay` sort cell pays. Items are captured runs.
-void BM_PagingCapture(benchmark::State& state) {
+// A 65536-key funnelsort run through a BlockRunRecorder, plus take(),
+// which builds the replay index: the trace an E16 funnel cell replays.
+paging::BlockRunTrace capture_funnelsort() {
   constexpr std::size_t kKeys = 65536;
-  std::uint64_t runs = 0;
-  for (auto _ : state) {
-    paging::BlockRunRecorder recorder(kScanBlock);
-    paging::AddressSpace space(kScanBlock);
-    algos::SimVector<std::int64_t> data(recorder, space, kKeys);
-    util::Rng rng(42);
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 24));
-    }
-    algos::funnelsort(recorder, space, data);
-    runs += recorder.take().runs().size();
+  paging::BlockRunRecorder recorder(kScanBlock);
+  paging::AddressSpace space(kScanBlock);
+  algos::SimVector<std::int64_t> data(recorder, space, kKeys);
+  util::Rng rng(42);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    data.raw(i) = static_cast<std::int64_t>(rng.below(1u << 24));
   }
+  algos::funnelsort(recorder, space, data);
+  return recorder.take();
+}
+
+// The replay walk on a real trace: funnelsort's runs hit far more often
+// than the scan's, so most chunks of the walk fit in their box and
+// retire with one add. Items are replayed runs.
+void BM_PagingReplayWalkFunnel(benchmark::State& state) {
+  const paging::BlockRunTrace trace = capture_funnelsort();
+  std::uint64_t misses = 0;
+  for (auto _ : state) {
+    auto machine = make_scan_machine();
+    machine.replay_trace(trace);
+    misses += machine.misses();
+  }
+  benchmark::DoNotOptimize(misses);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.runs().size()));
+}
+BENCHMARK(BM_PagingReplayWalkFunnel);
+
+// Capture layer: the record half of record-once/replay-many. This is
+// what one trial of each `trace_replay` program pays per sweep. Items
+// are captured runs.
+void BM_PagingCapture(benchmark::State& state) {
+  std::uint64_t runs = 0;
+  for (auto _ : state) runs += capture_funnelsort().runs().size();
   state.SetItemsProcessed(static_cast<std::int64_t>(runs));
 }
 BENCHMARK(BM_PagingCapture);

@@ -267,54 +267,59 @@ bool run_program(const ProgramSpec& prog, paging::Machine& machine,
   throw util::CheckError("unreachable program kind");
 }
 
+/// Whether `cell` replays a captured trace: a program cell under
+/// capture_trace, except the adaptive sort, whose stream depends on the
+/// live box profile.
+bool replays_trace(const Cell& cell, bool capture) {
+  return capture && !cell.sort.empty() && cell.sort != "adaptive";
+}
+
 /// One program trial, shoehorned into the engine's RunResult so the
 /// shared containment path (run_single_trial) and record format serve
 /// both workloads: ratio <- total I/Os (the metric), unit_ratio <- I/Os
 /// per work unit, boxes <- boxes started, completed <- output verified.
 ///
-/// With capture_trace set, the first trial to arrive records the cell's
-/// block-run trace through a BlockRunRecorder (inputs fixed by the cell
-/// seed, so the access stream is trial-invariant) and every trial —
-/// including the first — replays that trace into its own machine, keeping
-/// all trials on one code path. The adaptive sort's stream depends on the
-/// live box profile, so it falls back to direct runs with the same fixed
-/// input.
+/// With capture_trace set, the first trial to arrive records the block-run
+/// trace through a BlockRunRecorder (inputs fixed by the cell seed, so the
+/// access stream is trial-invariant) and every trial — including the
+/// first — replays that trace into its own machine, keeping all trials on
+/// one code path. With options.traces the capture is the program's,
+/// shared by its cells; without, the cell's own. The adaptive sort's
+/// stream depends on the live box profile, so it falls back to direct
+/// runs with the same fixed input.
 engine::RobustTrialRunner make_program_runner(const Cell& cell,
                                               const CellRunOptions& options) {
-  const ProfileSpec spec = cell.profile;
   const ProgramSpec prog = parse_program(cell.sort);
   const std::uint64_t keys = options.keys;
   const std::uint64_t block = options.block;
   const std::uint64_t units = program_units(prog, keys);
   const bool per_access = options.per_access;
   const bool capture = options.capture_trace;
-  const std::uint64_t cell_seed = cell.seed;
   const robust::CancelToken* cancel = options.cancel;
   const paging::CaConfig config = ca_config_for(cell, options);
-  const bool replayable =
-      capture && prog.kind != ProgramSpec::Kind::kAdaptive;
+  const bool replayable = replays_trace(cell, capture);
+  TraceCache* traces = replayable ? options.traces : nullptr;
 
-  // Shared across the trials of this cell (and across threads when the
-  // sweep's --jobs threads or mc's pool split its trials): the
-  // once-recorded trace. A mutex and a flag rather than std::call_once:
-  // a capture that throws (CancelledError) must leave later trials free
-  // to retry, and call_once's exceptional path hangs them on some
-  // toolchains (GCC bug 66146; ThreadSanitizer's pthread_once).
-  struct CaptureState {
-    std::mutex mutex;
-    bool captured = false;  // guarded by mutex; trace is read-only once set
-    paging::BlockRunTrace trace;
-    bool verified = false;
-  };
-  auto state = replayable ? std::make_shared<CaptureState>() : nullptr;
+  // Shared across the trials that replay it (and across threads when the
+  // sweep's --jobs threads or mc's pool split them): the once-recorded
+  // trace. A mutex and a flag rather than std::call_once: a capture that
+  // throws (CancelledError) must leave later trials free to retry, and
+  // call_once's exceptional path hangs them on some toolchains (GCC bug
+  // 66146; ThreadSanitizer's pthread_once).
+  std::shared_ptr<TraceCache::Capture> state;
+  if (traces != nullptr) {
+    state = traces->capture_for(cell);
+  } else if (replayable) {
+    state = std::make_shared<TraceCache::Capture>();
+  }
 
-  return [spec, prog, keys, block, units, per_access, capture, cell_seed,
-          cancel, config, replayable, state](std::uint64_t trial_seed,
-                                             robust::FaultInjector&) {
-    const std::uint64_t input_seed = capture ? cell_seed : trial_seed;
+  return [cell, prog, keys, block, units, per_access, capture, cancel,
+          config, replayable, traces,
+          state](std::uint64_t trial_seed, robust::FaultInjector&) {
+    const std::uint64_t input_seed = capture ? cell.seed : trial_seed;
     paging::CaMachine machine(
         std::make_unique<profile::CyclingSource>(
-            sort_profile_factory(spec, trial_seed)),
+            sort_profile_factory(cell.profile, trial_seed)),
         block, /*record_boxes=*/false, /*recorder=*/nullptr, config);
     if (per_access) machine.set_per_access(true);
     // Poll at every box boundary: the programs make no other calls the
@@ -336,6 +341,7 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
               run_program(prog, recorder, keys, input_seed, nullptr);
           state->trace = recorder.take();
           state->captured = true;
+          if (traces != nullptr) traces->captured(cell, state->trace);
         }
       }
       machine.replay_trace(state->trace);
@@ -379,6 +385,70 @@ engine::RunResult run_program_traced(const Cell& cell,
   r.unit_ratio = static_cast<double>(machine.misses()) /
                  static_cast<double>(program_units(prog, options.keys));
   return r;
+}
+
+TraceCache::TraceCache(const CellRunOptions& options, EventFn on_event)
+    : capture_(options.capture_trace), on_event_(std::move(on_event)) {}
+
+bool TraceCache::replays(const Cell& cell) const {
+  return replays_trace(cell, capture_);
+}
+
+void TraceCache::add_user(const Cell& cell) {
+  if (!replays(cell)) return;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  ++entries_[Key(cell.sort, cell.seed)].users;
+}
+
+void TraceCache::release(const Cell& cell) {
+  if (!replays(cell)) return;
+  bool freed = false;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(Key(cell.sort, cell.seed));
+    CADAPT_CHECK_MSG(it != entries_.end() && it->second.users != 0,
+                     "trace of cell " << cell.index << " released uncounted");
+    if (--it->second.users != 0) return;
+    freed = it->second.captured;
+    entries_.erase(it);
+  }
+  if (freed && on_event_) {
+    obs::Event event("trace_release");
+    event.str("program", cell.sort).u64("seed", cell.seed);
+    on_event_(event);
+  }
+}
+
+std::shared_ptr<TraceCache::Capture> TraceCache::capture_for(
+    const Cell& cell) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = entries_.find(Key(cell.sort, cell.seed));
+  CADAPT_CHECK_MSG(it != entries_.end() && it->second.users != 0,
+                   "cell " << cell.index << " replays an uncounted trace");
+  return it->second.capture;
+}
+
+void TraceCache::captured(const Cell& cell,
+                          const paging::BlockRunTrace& trace) {
+  std::uint64_t users = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = entries_.find(Key(cell.sort, cell.seed));
+    if (it != entries_.end()) {
+      it->second.captured = true;
+      users = it->second.users;
+    }
+  }
+  if (!on_event_) return;
+  obs::Event event("trace_capture");
+  event.str("program", cell.sort)
+      .u64("seed", cell.seed)
+      .u64("runs", trace.runs().size())
+      .u64("bytes", trace.runs().size() * sizeof(paging::BlockRun) +
+                        trace.replay_steps().size() *
+                            sizeof(paging::BlockRunTrace::ReplayStep))
+      .u64("cells", users);
+  on_event_(event);
 }
 
 CellRunOptions cell_options_from(const Manifest& manifest) {

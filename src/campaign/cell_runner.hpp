@@ -12,11 +12,19 @@
 // to zero it (the bit-identity tests do).
 #pragma once
 
+#include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/plan.hpp"
 #include "engine/montecarlo.hpp"
+#include "obs/event.hpp"
+#include "paging/block_run.hpp"
 #include "paging/policy.hpp"
 #include "profile/distributions.hpp"
 #include "robust/backoff.hpp"
@@ -25,6 +33,8 @@
 #include "robust/fault.hpp"
 
 namespace cadapt::campaign {
+
+class TraceCache;
 
 struct CellRunOptions {
   engine::BoxSemantics semantics = engine::BoxSemantics::kOptimistic;
@@ -59,13 +69,18 @@ struct CellRunOptions {
   /// access_run batching). The fast path is bit-identical, so this exists
   /// for differential tests (`cadapt sweep --per-access`) and debugging.
   bool per_access = false;
-  /// Record-once/replay-many (docs/PERF.md): capture the cell's block-run
-  /// trace once and replay it for every trial. Inputs are then fixed per
-  /// cell (seeded by the cell seed), and profile-dependent programs
+  /// Record-once/replay-many (docs/PERF.md): capture the program's
+  /// block-run trace once and replay it for every trial. Inputs are then
+  /// fixed (seeded by the cell seed, which a trace_replay plan gives
+  /// every cell of a program alike), and profile-dependent programs
   /// (adaptive) fall back to direct runs with that same fixed input.
   /// Non-default machine configs (policy/tiers) replay through the
   /// generic per-run path — same counters, no fast walk (docs/PAGING.md).
   bool capture_trace = false;
+  /// Where capture_trace cells find their trace: null = each runner
+  /// captures its own (serve, `mc`); run_sweep passes its TraceCache, so
+  /// a program's cells share one capture. Must outlive the runners.
+  TraceCache* traces = nullptr;
   /// Two-tier machine shape shared by every cell (docs/PAGING.md);
   /// default = the historical single-tier machine.
   TiersSpec tiers;
@@ -73,6 +88,61 @@ struct CellRunOptions {
 
 /// Options derived from the manifest the plan came from.
 CellRunOptions cell_options_from(const Manifest& manifest);
+
+/// The block-run traces of one sweep, shared by every cell that replays
+/// the same input (docs/PERF.md, "Paging fast path"). Keyed by (program,
+/// seed): a trace_replay plan gives a program's cells one seed, so one
+/// capture serves its whole row of profiles and policies. An entry
+/// counts the unfinished cells that replay it, and the last release
+/// drops the trace. Capture keeps the per-cell rule: the first trial
+/// captures under the entry's mutex while the others wait, and a
+/// cancelled capture is never stored, so a later trial retries it.
+/// Thread-safe.
+class TraceCache {
+ public:
+  /// One (program, seed)'s trace, as make_cell_runner captures it.
+  struct Capture {
+    std::mutex mutex;
+    bool captured = false;  ///< guarded by mutex; trace read-only once set
+    paging::BlockRunTrace trace;
+    bool verified = false;  ///< the capture run's output check
+  };
+  /// Receives a `trace_capture` event (program, seed, runs, bytes, and
+  /// the unfinished cells that will replay it) after each capture, and a
+  /// `trace_release` event (program, seed) when its last cell lets go.
+  /// Called on the capturing or releasing thread, no cache lock held.
+  using EventFn = std::function<void(const obs::Event&)>;
+
+  /// `options.capture_trace` says which cells replay; the rest are
+  /// ignored by add_user and release.
+  TraceCache(const CellRunOptions& options, EventFn on_event);
+
+  /// Count `cell` as an unfinished user of its trace. Every cell that
+  /// make_cell_runner builds with this cache must be counted first.
+  void add_user(const Cell& cell);
+  /// Drop `cell`'s count (its cell finished, was abandoned or skipped);
+  /// the last release frees the trace once no runner holds it.
+  void release(const Cell& cell);
+  /// The entry `cell` replays.
+  std::shared_ptr<Capture> capture_for(const Cell& cell);
+  /// Report a completed capture of `cell`'s trace.
+  void captured(const Cell& cell, const paging::BlockRunTrace& trace);
+
+ private:
+  struct Entry {
+    std::shared_ptr<Capture> capture = std::make_shared<Capture>();
+    std::uint64_t users = 0;
+    bool captured = false;  ///< captured() ran: release reports the free
+  };
+  using Key = std::pair<std::string, std::uint64_t>;  // program, seed
+
+  bool replays(const Cell& cell) const;
+
+  const bool capture_;
+  const EventFn on_event_;
+  std::mutex mutex_;
+  std::map<Key, Entry> entries_;
+};
 
 /// The paging::CaConfig a cell's machine runs under: cell.policy (or
 /// plain LRU when the cell has no policy axis) + options.tiers. Throws
@@ -95,7 +165,8 @@ std::shared_ptr<const profile::BoxDistribution> make_distribution(
 /// mm:N|fw:N on an N x N matrix. The runner may be called from several
 /// threads at once: every ratio runner builds a fresh profile source from
 /// its trial seed, and a program runner's only shared state is its
-/// once-captured trace (captured under a mutex).
+/// once-captured trace (captured under a mutex; options.traces shares
+/// it across cells).
 engine::RobustTrialRunner make_cell_runner(const Cell& cell,
                                            const CellRunOptions& options);
 

@@ -516,6 +516,12 @@ std::string manifest_fingerprint(const Manifest& m) {
     // tiers keep their historical fingerprint (and thus config_hash)
     // byte-for-byte.
     if (m.trace_replay) os << " replay=1";
+    // Replay programs sort one input per program (campaign/plan.hpp). A
+    // program of one cell sorts what it always did, so only a wider row
+    // names the change, and its old checkpoints are refused.
+    const std::size_t row =
+        m.profiles.size() * std::max<std::size_t>(1, m.policies.size());
+    if (m.trace_replay && row > 1) os << " inputs=program";
     if (!m.policies.empty()) {
       os << " policies=";
       for (const std::string& p : m.policies) os << p << ",";

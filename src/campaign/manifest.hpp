@@ -55,13 +55,15 @@
 //               # tier-2 hit/miss costs in box-budget units, optional
 //               # tier-1 capacity share num/den (<= 1); omitted = the
 //               # historical single-tier machine
-//   trace_replay = 0 | 1    # 1: capture each cell's block-run trace on
-//               # the first trial and replay it against the remaining
-//               # trials' profiles (docs/PERF.md). Inputs are then fixed
-//               # per cell (seeded by the cell seed, not the trial seed)
-//               # so the access stream is trial-invariant; profile-
+//   trace_replay = 0 | 1    # 1: capture each program's block-run trace
+//               # once per sweep and replay it against every trial's
+//               # profile (docs/PERF.md). Inputs are then fixed per
+//               # program: every cell of a program takes its first
+//               # cell's seed (not the trial seed), so all its profiles
+//               # and policies replay one access stream; profile-
 //               # dependent programs (adaptive) fall back to direct runs
-//               # with the same fixed input.
+//               # with the same fixed input. A program with more than one
+//               # cell adds " inputs=program" to the fingerprint.
 //
 // Unknown keys are rejected (a typo must not silently change a campaign);
 // all parse failures throw util::ParseError with the line number.
@@ -169,7 +171,9 @@ struct Manifest {
   TiersSpec tiers;
   /// Record-once/replay-many traces (docs/PERF.md): entered into the
   /// fingerprint only when set, so pre-existing campaigns keep their
-  /// config_hash byte-for-byte.
+  /// config_hash byte-for-byte. Inputs are fixed per program (the
+  /// planner gives a program's cells one seed); a program with more
+  /// than one cell (profiles x policies > 1) also fingerprints that.
   bool trace_replay = false;
   /// Retired intra-cell trial parallelism: parsed and fingerprinted
   /// (only at >= 2, so pinned hashes hold) but a no-op everywhere.

@@ -37,6 +37,10 @@ Plan expand_plan(const Manifest& manifest) {
         manifest.policies.empty() ? std::vector<std::string>{""}
                                   : manifest.policies;
     for (const std::string& sort : manifest.sorts) {
+      // A trace_replay program sorts one input in every cell, its first
+      // cell's: the cells then replay one block stream, captured once
+      // per sweep (campaign::TraceCache).
+      const std::uint64_t program_seed = manifest.seed + plan.cells.size();
       for (const ProfileSpec& profile : manifest.profiles) {
         for (const std::string& policy : policies) {
           Cell cell;
@@ -46,7 +50,8 @@ Plan expand_plan(const Manifest& manifest) {
           cell.policy = policy;
           cell.n = manifest.keys;
           cell.trials = manifest.trials;
-          cell.seed = manifest.seed + cell.index;
+          cell.seed = manifest.trace_replay ? program_seed
+                                            : manifest.seed + cell.index;
           plan.cells.push_back(std::move(cell));
         }
       }

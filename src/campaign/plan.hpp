@@ -44,7 +44,9 @@ struct Plan {
 /// Expand the manifest. Ratio cells use seed = manifest.seed + k (the
 /// same per-point decorrelation as core's sweep drivers) and force
 /// trials = 1 on deterministic `worst` cells; sort cells use
-/// seed = manifest.seed + index.
+/// seed = manifest.seed + index, except that under trace_replay every
+/// cell of a program takes its first cell's seed (one input per
+/// program).
 Plan expand_plan(const Manifest& manifest);
 
 /// Indices into plan.cells owned by one shard (round-robin). Throws

@@ -219,6 +219,21 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   std::mutex sink_mutex;  // checkpoint + trace share one writer lock
   std::string checkpoint_line;  // encode buffer reused under sink_mutex
 
+  // One capture per replayed input: an entry lives while an unfinished
+  // cell of this shard replays it. Every cell that does not run to its
+  // finish (skipped at admission, abandoned) releases its count too.
+  TraceCache traces(cell_options, [&](const obs::Event& event) {
+    if (options.trace == nullptr) return;
+    const std::lock_guard<std::mutex> lock(sink_mutex);
+    options.trace->write(event);
+  });
+  cell_options.traces = &traces;
+  for (const std::size_t i : mine) {
+    if (!finished.contains(plan.cells[i].index)) {
+      traces.add_user(plan.cells[i]);
+    }
+  }
+
   // Admission: the next cell of the shard that still has to run, with its
   // runner built once. Null once the shard is exhausted.
   using Claimed = ClaimedCell<std::size_t>;
@@ -233,7 +248,10 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
         results[slot] = it->second;
         continue;
       }
-      if (!stops.admissible(slot, cancel, tracker)) continue;
+      if (!stops.admissible(slot, cancel, tracker)) {
+        traces.release(cell);
+        continue;
+      }
       auto run = std::make_shared<Claimed>();
       run->owner = slot;
       run->cell = &cell;
@@ -247,6 +265,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
         run->runner = make_cell_runner(cell, cell_options);
       } catch (...) {
         stops.fail(slot);
+        traces.release(cell);
         continue;
       }
       return run;
@@ -254,8 +273,8 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   };
 
   // Finish a cell, run by whoever lands its last trial: account,
-  // aggregate, commit, trace, then drop the runner (and with it any
-  // captured block-run trace) and the records.
+  // aggregate, commit, trace, then drop the runner and the records, and
+  // release the cell's trace (freed after its program's last cell).
   const auto finish = [&](Claimed& run) {
     const Cell& cell = *run.cell;
     std::uint64_t boxes = 0;
@@ -284,12 +303,17 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
     results[run.owner] = std::move(result);
     run.runner = nullptr;
     run.records = {};
+    traces.release(cell);
   };
 
   TrialScheduler<std::size_t> scheduler(
       {.admit = admit,
        .finish = finish,
-       .abandon = [&stops](Claimed& run) { stops.fail(run.owner); }},
+       .abandon =
+           [&stops, &traces](Claimed& run) {
+             stops.fail(run.owner);
+             traces.release(*run.cell);
+           }},
       options.timing);
   util::ThreadPool pool(static_cast<std::size_t>(options.jobs));
   util::parallel_for(pool, pool.size(),

@@ -92,7 +92,9 @@ struct SweepOptions {
   /// Optional observability stream: one sweep_cell event per newly
   /// executed cell in COMPLETION order (scheduling-dependent — this is
   /// telemetry, the report is the deterministic artifact) plus a
-  /// sweep_trial_error event per contained failure. Null = disabled.
+  /// sweep_trial_error event per contained failure, and a trace_capture
+  /// and a trace_release event per trace the shard captures and frees
+  /// (campaign::TraceCache). Null = disabled.
   obs::TraceSink* trace = nullptr;
   obs::ClockFn clock = &obs::steady_now_ns;  ///< test seam
 };

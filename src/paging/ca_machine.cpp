@@ -102,29 +102,53 @@ void CaMachine::replay_trace(const BlockRunTrace& trace) {
                          << trace.block_size() << ", machine uses "
                          << block_size());
   }
-  const std::vector<BlockRunTrace::ReplayStep>& steps = trace.replay_steps();
+  const BlockRunTrace::ReplayStep* steps = trace.replay_steps().data();
+  const std::uint64_t runs = trace.replay_steps().size();
   std::uint64_t box_start = 0;  // run index where the current box began
   std::uint64_t new_misses = 0;
-  for (std::uint64_t i = 0; i < steps.size(); ++i) {
-    // prev1 <= box_start: the block was last touched before this box
-    // began (or never) — it is not cached, so this run opens with a miss;
-    // all other accesses of the run hit for free. Kept branchless (the
-    // miss/hit pattern is data-dependent) except for the rare rollover.
-    const std::uint64_t miss =
-        static_cast<std::uint64_t>(steps[i].prev1 <= box_start);
-    misses_in_box_ += miss;
-    new_misses += miss;
-    if (misses_in_box_ > box_size_) [[unlikely]] {
-      // On the direct path the access that overflows the box first
-      // misses in (and evicts from) the dying box's full cache, then
-      // re-misses after the boundary clears it.
-      ++replay_evictions_;
-      ++replay_misses_;
-      start_next_box();
-      box_start = i;
-      misses_in_box_ = 1;
+  // Run by run over [i, end): prev1 <= box_start means the block was last
+  // touched before this box began (or never) — it is not cached, so the
+  // run opens with a miss; all other accesses of the run hit for free.
+  // Kept branchless (the miss/hit pattern is data-dependent) except for
+  // the rare rollover.
+  const auto step = [&](std::uint64_t i, std::uint64_t end) {
+    for (; i < end; ++i) {
+      const std::uint64_t miss =
+          static_cast<std::uint64_t>(steps[i].prev1 <= box_start);
+      misses_in_box_ += miss;
+      new_misses += miss;
+      if (misses_in_box_ > box_size_) [[unlikely]] {
+        // On the direct path the access that overflows the box first
+        // misses in (and evicts from) the dying box's full cache, then
+        // re-misses after the boundary clears it.
+        ++replay_evictions_;
+        ++replay_misses_;
+        start_next_box();
+        box_start = i;
+        misses_in_box_ = 1;
+      }
+    }
+  };
+  // Chunked: count a chunk's misses against the current box first. A box
+  // only rolls over once its misses exceed its size, so a chunk whose
+  // misses fit retires in one add; only a chunk that crosses a box
+  // boundary steps run by run. The count is a fixed-length loop the
+  // compiler vectorizes (box_start < runs < 2^32 - 1 fits prev1's type).
+  std::uint64_t i = 0;
+  for (; i + kReplayChunk <= runs; i += kReplayChunk) {
+    const auto start = static_cast<std::uint32_t>(box_start);
+    std::uint32_t misses = 0;
+    for (std::uint64_t k = 0; k < kReplayChunk; ++k) {
+      misses += static_cast<std::uint32_t>(steps[i + k].prev1 <= start);
+    }
+    if (misses_in_box_ + misses <= box_size_) {
+      misses_in_box_ += misses;
+      new_misses += misses;
+    } else {
+      step(i, i + kReplayChunk);
     }
   }
+  step(i, runs);
   misses_ += new_misses;
   replay_misses_ += new_misses;
   replay_hits_ += trace.accesses() - new_misses;

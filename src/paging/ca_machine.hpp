@@ -96,8 +96,9 @@ class CaMachine final : public Machine {
   /// 1: each box's cache is exactly its miss budget, so the CA machine
   /// never evicts under pressure and a box's misses are precisely the
   /// distinct blocks touched since it began. With the trace's
-  /// previous-occurrence index that is one branch per run — no hash
-  /// probe, no LRU update (docs/PERF.md, "Paging fast path"). Falls back
+  /// previous-occurrence index that is one compare per run, counted a
+  /// chunk at a time — no hash probe, no LRU update (docs/PERF.md,
+  /// "Paging fast path"). Falls back
   /// to the generic per-run replay whenever exactness demands it: a
   /// non-default CaConfig (the walk's never-evict argument needs plain
   /// LRU at full share with one tier), a recorder or per-access mode
@@ -108,6 +109,12 @@ class CaMachine final : public Machine {
   /// cache contents are unspecified: do not feed the machine further
   /// accesses.
   void replay_trace(const BlockRunTrace& trace);
+
+  /// Runs the fast walk counts per chunk (docs/PERF.md, "Paging fast
+  /// path"): a chunk whose misses fit in the current box retires with
+  /// one add, and only a chunk that crosses a box boundary steps run by
+  /// run.
+  static constexpr std::uint64_t kReplayChunk = 32;
 
   /// The path taken by the most recent replay_trace call.
   ReplayPath last_replay_path() const { return last_replay_path_; }

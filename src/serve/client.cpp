@@ -60,6 +60,8 @@ ResultsEnd stream_results(
     const std::function<void(const std::string&)>& on_progress) {
   obs::Event request("results");
   request.str("job", job);
+  // Without a progress callback the daemon sends no cell lines at all.
+  if (!on_progress) request.flag("progress", false);
   Request req(socket_path, request);
   ResultsEnd end;
   for (;;) {

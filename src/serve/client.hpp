@@ -30,8 +30,10 @@ struct ResultsEnd {
 };
 
 /// Stream a job's results: `on_progress` is called once per sweep_cell
-/// line as it arrives (may be null), then the job_done line and the
-/// report tail are returned. Blocks until the job is terminal.
+/// line as it arrives, then the job_done line and the report tail are
+/// returned. A null `on_progress` sends "progress":false, so the daemon
+/// streams no cell lines and only waits for the job. Blocks until the
+/// job is terminal.
 ResultsEnd stream_results(
     const std::string& socket_path, const std::string& job,
     const std::function<void(const std::string&)>& on_progress);

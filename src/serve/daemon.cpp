@@ -3,8 +3,10 @@
 #include <atomic>
 #include <list>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "robust/cancel.hpp"
 #include "serve/protocol.hpp"
@@ -57,34 +59,55 @@ void handle_cancel(ServeCore& core, int fd, const obs::Event& request) {
   send_line(fd, event);
 }
 
+/// The end of a results response: the job_done line, then the report
+/// bytes of a finished job.
+void send_done(ServeCore& core, int fd, const std::string& job) {
+  const std::optional<JobStatus> status = core.status(job);
+  CADAPT_CHECK(status.has_value());
+  obs::Event done("job_done");
+  done.str("job", job).str("state", job_state_name(status->state));
+  if (status->truncated) {
+    done.flag("truncated", true)
+        .str("reason", robust::cancel_reason_name(status->reason));
+  }
+  if (!status->error.empty()) done.str("error", status->error);
+  send_line(fd, done);
+  // The artifact itself, verbatim to EOF — the bytes the client writes
+  // with --out are exactly the durable report file's.
+  if (status->state == JobState::kDone ||
+      status->state == JobState::kCancelled) {
+    write_all(fd, core.report_bytes(job));
+  }
+}
+
 void handle_results(ServeCore& core, int fd, const obs::Event& request) {
   const std::string job = request.str_or("job", "");
+  // "progress":false asks for the report alone: no subscription, so the
+  // job never buffers cell lines nor pauses on a reader that wants none.
+  if (!request.flag_or("progress", true)) {
+    if (!core.wait_job(job)) {
+      send_line(fd, error_event(3, "unknown job '" + job + "'"));
+      return;
+    }
+    send_done(core, fd, job);
+    return;
+  }
   if (!core.attach(job)) {
     send_line(fd, error_event(3, "unknown job '" + job + "'"));
     return;
   }
   try {
-    // Progress lines stream as cells commit; nullopt means terminal and
-    // drained (or daemon shutdown — the client sees job_done either way).
-    while (const std::optional<std::string> line = core.next_stream_line(job)) {
-      write_all(fd, *line + "\n");
+    // Progress lines stream as cells commit, every buffered line in one
+    // write; an empty batch means terminal and drained (or daemon
+    // shutdown — the client sees job_done either way).
+    std::string batch;
+    for (std::vector<std::string> lines = core.next_stream_lines(job);
+         !lines.empty(); lines = core.next_stream_lines(job)) {
+      batch.clear();
+      for (const std::string& line : lines) batch.append(line).append("\n");
+      write_all(fd, batch);
     }
-    const std::optional<JobStatus> status = core.status(job);
-    CADAPT_CHECK(status.has_value());
-    obs::Event done("job_done");
-    done.str("job", job).str("state", job_state_name(status->state));
-    if (status->truncated) {
-      done.flag("truncated", true)
-          .str("reason", robust::cancel_reason_name(status->reason));
-    }
-    if (!status->error.empty()) done.str("error", status->error);
-    send_line(fd, done);
-    // The artifact itself, verbatim to EOF — the bytes the client writes
-    // with --out are exactly the durable report file's.
-    if (status->state == JobState::kDone ||
-        status->state == JobState::kCancelled) {
-      write_all(fd, core.report_bytes(job));
-    }
+    send_done(core, fd, job);
   } catch (...) {
     core.detach(job);
     throw;

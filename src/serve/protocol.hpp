@@ -9,9 +9,10 @@
 //   submit   -> one job_accepted line (or one error line)
 //   status   -> one job_status line per job, then one end line
 //   cancel   -> one ok line (or one error line)
-//   results  -> sweep_cell progress lines in completion order (telemetry),
-//               then one job_done line, then the job's full report bytes
-//               until EOF — the deterministic artifact, byte-identical to
+//   results  -> sweep_cell progress lines in completion order (telemetry;
+//               none when the request says "progress":false), then one
+//               job_done line, then the job's full report bytes until
+//               EOF — the deterministic artifact, byte-identical to
 //               one-shot `cadapt sweep` on the same manifest
 //
 // error lines carry a `code` mirroring the CLI exit-code taxonomy

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <sstream>
 #include <utility>
 
@@ -563,24 +564,24 @@ bool ServeCore::attach(const std::string& id) {
   return true;
 }
 
-std::optional<std::string> ServeCore::next_stream_line(const std::string& id) {
+std::vector<std::string> ServeCore::next_stream_lines(const std::string& id) {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
-  if (it == jobs_.end()) return std::nullopt;
+  if (it == jobs_.end()) return {};
   Job& job = *it->second;
   cv_.wait(lock, [this, &job] {
     return shutting_down_ || !job.stream.empty() ||
            terminal(job.status.state);
   });
-  if (job.stream.empty()) return std::nullopt;
-  std::string line = std::move(job.stream.front());
-  job.stream.pop_front();
-  if (job.stream_paused && job.stream.size() <= options_.stream_buffer / 2) {
+  std::vector<std::string> lines(std::make_move_iterator(job.stream.begin()),
+                                 std::make_move_iterator(job.stream.end()));
+  job.stream.clear();
+  if (job.stream_paused) {
     job.stream_paused = false;
     scheduler_.resume_job(id);
     wake();
   }
-  return line;
+  return lines;
 }
 
 void ServeCore::detach(const std::string& id) {

@@ -120,13 +120,14 @@ class ServeCore {
   /// Streaming (one subscriber per job): attach() backfills the cells
   /// already committed (a terminal job's from its file, read outside the
   /// mutex) and buffers later sweep_cell lines in completion order;
-  /// next_stream_line blocks for the next line, returning nullopt once
-  /// the job is terminal and the buffer is drained (or the core shuts
-  /// down); detach() drops the buffer and un-pauses. A subscriber that
-  /// stops draining fills the bounded buffer and pauses ONLY its own
-  /// job's dispatch (docs/SERVE.md, "Backpressure").
+  /// next_stream_lines blocks for the next line and drains every line
+  /// buffered by then, returning none once the job is terminal and the
+  /// buffer is drained (or the core shuts down); detach() drops the
+  /// buffer and un-pauses. A subscriber that stops draining fills the
+  /// bounded buffer and pauses ONLY its own job's dispatch (docs/SERVE.md,
+  /// "Backpressure").
   bool attach(const std::string& job);
-  std::optional<std::string> next_stream_line(const std::string& job);
+  std::vector<std::string> next_stream_lines(const std::string& job);
   void detach(const std::string& job);
 
   /// The finished report's bytes, rendered from the job file. Throws

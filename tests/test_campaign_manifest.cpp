@@ -362,6 +362,45 @@ TEST(Plan, ExpandsPolicyAxisInnermostWithStableSeeds) {
   }
 }
 
+// Under trace_replay every cell of a program sorts its first cell's
+// input (seed = manifest.seed + first index), so the program's row
+// replays one block stream; without it each cell keeps its own seed.
+TEST(Plan, TraceReplayGivesEachProgramOneInput) {
+  const std::string head =
+      "name = p\nworkload = sort\nsorts = funnel merge2\n"
+      "profiles = const:64 uniform:4:64\npolicies = lru clock\n"
+      "keys = 1024\ntrials = 3\nseed = 20\n";
+  const Plan replay = campaign::expand_plan(parse(head + "trace_replay = 1\n"));
+  const Plan plain = campaign::expand_plan(parse(head));
+  ASSERT_EQ(replay.cells.size(), 8u);  // 2 sorts x 2 profiles x 2 policies
+  for (std::size_t i = 0; i < replay.cells.size(); ++i) {
+    EXPECT_EQ(replay.cells[i].seed, 20u + (i < 4 ? 0u : 4u)) << i;
+    EXPECT_EQ(plain.cells[i].seed, 20u + i) << i;
+  }
+}
+
+// The one-input-per-program change names itself in the fingerprint iff
+// it moves a cell: trace_replay set and a program row of more than one
+// cell (profiles x policies > 1). A one-cell row (paging_gate, the
+// --capture-trace CLI lanes) keeps its config_hash.
+TEST(Manifest, ProgramInputsEnterTheFingerprintOnlyForWideReplayRows) {
+  const std::string head =
+      "name = p\nworkload = sort\nsorts = funnel merge2\nkeys = 2048\n";
+  const auto tokened = [&](const std::string& rest) {
+    return campaign::manifest_fingerprint(parse(head + rest))
+               .find(" inputs=program") != std::string::npos;
+  };
+  EXPECT_FALSE(tokened("profiles = const:64\n"));
+  EXPECT_FALSE(tokened("profiles = const:64 uniform:4:64\n"));
+  EXPECT_FALSE(tokened("profiles = const:64\npolicies = lru clock\n"));
+  EXPECT_FALSE(tokened("profiles = const:64\ntrace_replay = 1\n"));
+  EXPECT_FALSE(
+      tokened("profiles = const:64\npolicies = clock\ntrace_replay = 1\n"));
+  EXPECT_TRUE(tokened("profiles = const:64 uniform:4:64\ntrace_replay = 1\n"));
+  EXPECT_TRUE(
+      tokened("profiles = const:64\npolicies = lru clock\ntrace_replay = 1\n"));
+}
+
 TEST(Plan, ShardsRoundRobinAndCoverTheGrid) {
   const Manifest m = parse(
       "name = demo\nalgos = 8:4:1\nprofiles = worst shuffled shifted\n"
@@ -441,7 +480,9 @@ TEST(Manifest, RejectsPlacementItCannotApplyWithLineNumber) {
 TEST(Manifest, CommittedCorpusParsesWithDistinctHashes) {
   const std::map<std::string, std::uint64_t> pinned = {
       {"chaos_gate", 4280410543812829791ull},
-      {"e16_adaptive_vs_oblivious", 10889024280716822561ull},
+      // Moved when trace_replay programs took one input per program
+      // (" inputs=program"); was 10889024280716822561.
+      {"e16_adaptive_vs_oblivious", 820926906093061831ull},
       {"e2_log_gap", 3254406551395189439ull},
       {"e3_smoothing", 6757225506082015208ull},
       {"e4_stopping_time", 16540306616988717449ull},

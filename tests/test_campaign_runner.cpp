@@ -14,6 +14,7 @@
 #include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -397,6 +398,194 @@ TEST(SweepRunner, TraceCaptureStopsOnCancellation) {
     } catch (const robust::CancelledError& e) {
       EXPECT_EQ(e.reason(), robust::CancelReason::kDeadline);
     }
+  }
+
+  // The same through a sweep's TraceCache, where two cells of one
+  // program share the capture: a cancelled capture is not stored, and a
+  // later trial of either cell retries it and replays what it captured.
+  obs::MemorySink events;
+  campaign::TraceCache cache(options, [&events](const obs::Event& event) {
+    events.write(event);
+  });
+  campaign::Cell other = cell;
+  other.index = 1;
+  other.profile = campaign::parse_profile_token("const:2097152",
+                                                campaign::Workload::kSort);
+  cache.add_user(cell);
+  cache.add_user(other);
+  options.traces = &cache;
+  for (const campaign::Cell* c : {&cell, &other}) {
+    EXPECT_THROW(campaign::make_cell_runner(*c, options)(1, injector),
+                 robust::CancelledError);
+  }
+  EXPECT_TRUE(events.events().empty());
+  robust::CancelToken idle_token;
+  options.cancel = &idle_token;
+  const engine::RunResult shared =
+      campaign::make_cell_runner(other, options)(1, injector);
+  EXPECT_TRUE(shared.completed);
+  EXPECT_EQ(shared.ratio, plain.ratio);
+  EXPECT_EQ(campaign::make_cell_runner(cell, options)(2, injector).ratio,
+            plain.ratio);
+  ASSERT_EQ(events.events().size(), 1u);  // one capture for both cells
+  EXPECT_EQ(events.events()[0].type, "trace_capture");
+  EXPECT_EQ(events.events()[0].u64_or("cells", 0), 2u);
+  cache.release(cell);
+  EXPECT_EQ(events.events().size(), 1u);
+  cache.release(other);  // the last user frees the trace
+  ASSERT_EQ(events.events().size(), 2u);
+  EXPECT_EQ(events.events()[1].type, "trace_release");
+  EXPECT_EQ(events.events()[1].str_or("program", ""), "funnel");
+}
+
+// ---- one capture per (program, seed) across a sweep ----
+
+/// sorts funnel + merge2 (replayed) and adaptive (direct) on three
+/// profiles each: under trace_replay each replayed program is one input.
+Plan shared_input_plan() {
+  std::istringstream is(
+      "name = shared_inputs\n"
+      "workload = sort\n"
+      "sorts = adaptive funnel merge2\n"
+      "profiles = const:16 uniform:4:64 sawtooth:32:2\n"
+      "keys = 1024\n"
+      "block = 4\n"
+      "trace_replay = 1\n"
+      "trials = 3\n"
+      "seed = 7\n");
+  return campaign::expand_plan(campaign::parse_manifest(is));
+}
+
+std::vector<obs::Event> events_of(const obs::MemorySink& sink,
+                                  const std::string& type) {
+  std::vector<obs::Event> out;
+  for (const obs::Event& event : sink.events()) {
+    if (event.type == type) out.push_back(event);
+  }
+  return out;
+}
+
+TEST(SweepRunner, TraceReplayCapturesOncePerProgramAtEveryJobCount) {
+  const Plan plan = shared_input_plan();
+  std::string reference;
+  for (const std::uint64_t jobs : {1u, 2u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    obs::MemorySink sink;
+    SweepOptions options = untimed(jobs);
+    options.trace = &sink;
+    const std::string bytes = report_bytes(campaign::run_sweep(plan, options));
+    if (reference.empty()) reference = bytes;
+    EXPECT_EQ(bytes, reference);
+    EXPECT_EQ(bytes.find("trace_capture"), std::string::npos);
+    std::vector<std::pair<std::string, std::uint64_t>> captured;
+    for (const obs::Event& event : events_of(sink, "trace_capture")) {
+      captured.emplace_back(event.str_or("program", ""),
+                            event.u64_or("seed", 0));
+      EXPECT_EQ(event.u64_or("cells", 0), 3u);  // the program's row
+      EXPECT_GT(event.u64_or("runs", 0), 0u);
+      EXPECT_EQ(event.u64_or("bytes", 0), 12 * event.u64_or("runs", 0));
+    }
+    std::sort(captured.begin(), captured.end());
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"funnel", 7 + 3}, {"merge2", 7 + 6}};
+    EXPECT_EQ(captured, want);
+    EXPECT_EQ(events_of(sink, "trace_release").size(), 2u);
+  }
+}
+
+/// The trace_* events' programs, in emission order, with each
+/// sweep_cell event as "cell:INDEX".
+std::vector<std::string> capture_timeline(const obs::MemorySink& sink) {
+  std::vector<std::string> out;
+  for (const obs::Event& event : sink.events()) {
+    if (event.type == "sweep_cell") {
+      out.push_back("cell:" + std::to_string(event.u64_or("index", 0)));
+    } else if (event.type == "trace_capture") {
+      out.push_back("capture:" + event.str_or("program", "") + ":" +
+                    std::to_string(event.u64_or("cells", 0)));
+    } else if (event.type == "trace_release") {
+      out.push_back("release:" + event.str_or("program", ""));
+    }
+  }
+  return out;
+}
+
+TEST(SweepRunner, ResumeCountsOnlyUnfinishedCellsAndFreesAfterTheLast) {
+  const Plan plan = shared_input_plan();
+  const std::string uninterrupted =
+      report_bytes(campaign::run_sweep(plan, untimed(1)));
+
+  // A box budget of 1 admits one cell per run, so four runs resumed from
+  // one checkpoint finish cells 0..2 (adaptive, no trace) and funnel's
+  // first cell, 3. Cells a run skips release their counts.
+  const std::string ckpt = temp_path("sweep_shared_inputs.ckpt");
+  SweepOptions options = untimed(1);
+  options.checkpoint_path = ckpt;
+  options.budget.max_total_boxes = 1;
+  for (std::uint64_t run = 0; run < 4; ++run) {
+    const Report cut = campaign::run_sweep(plan, options);
+    ASSERT_TRUE(cut.truncated);
+    ASSERT_EQ(cut.cells.size(), run + 1);
+    options.resume = true;
+  }
+  obs::MemorySink sink;
+  SweepOptions resume = untimed(1);
+  resume.checkpoint_path = ckpt;
+  resume.resume = true;
+  resume.trace = &sink;
+  EXPECT_EQ(report_bytes(campaign::run_sweep(plan, resume)), uninterrupted);
+  const std::vector<std::string> want = {
+      "capture:funnel:2", "cell:4", "cell:5", "release:funnel",
+      "capture:merge2:3", "cell:6", "cell:7", "cell:8", "release:merge2"};
+  EXPECT_EQ(capture_timeline(sink), want);
+}
+
+// Before one input per program, an e16-shaped campaign (trace_replay, a
+// row of several cells per program) seeded each cell apart and carried a
+// fingerprint without " inputs=program". Its checkpoints hold cells of
+// other inputs, so a resume must refuse them, naming config_hash.
+TEST(SweepRunner, ResumeRefusesACheckpointFromPerCellInputs) {
+  const Plan plan = shared_input_plan();
+  std::string fingerprint = campaign::manifest_fingerprint(plan.manifest);
+  const std::string token = " inputs=program";
+  const std::size_t at = fingerprint.find(token);
+  ASSERT_NE(at, std::string::npos);
+  fingerprint.erase(at, token.size());
+  std::uint64_t old_hash = 0xcbf29ce484222325ull;  // manifest_hash's FNV-1a
+  for (const char ch : fingerprint) {
+    old_hash ^= static_cast<unsigned char>(ch);
+    old_hash *= 0x100000001b3ull;
+  }
+  ASSERT_NE(old_hash, plan.config_hash);
+
+  const std::string ckpt = temp_path("sweep_per_cell_inputs.ckpt");
+  SweepOptions options = untimed(1);
+  options.checkpoint_path = ckpt;
+  options.budget.max_total_boxes = 1;
+  ASSERT_TRUE(campaign::run_sweep(plan, options).truncated);
+  std::string text;
+  {
+    std::ifstream in(ckpt, std::ios::binary);
+    text.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::string now = std::to_string(plan.config_hash);
+  for (std::size_t pos = text.find(now); pos != std::string::npos;
+       pos = text.find(now, pos)) {
+    text.replace(pos, now.size(), std::to_string(old_hash));
+  }
+  {
+    std::ofstream out(ckpt, std::ios::binary | std::ios::trunc);
+    out << text;
+  }
+  SweepOptions resume = untimed(1);
+  resume.checkpoint_path = ckpt;
+  resume.resume = true;
+  try {
+    campaign::run_sweep(plan, resume);
+    FAIL() << "resumed a checkpoint of per-cell inputs";
+  } catch (const util::ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("config_hash"), std::string::npos)
+        << e.what();
   }
 }
 

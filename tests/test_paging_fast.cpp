@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "algos/funnelsort.hpp"
@@ -31,6 +33,9 @@
 #include "paging/reference_lru.hpp"
 #include "paging_test_util.hpp"
 #include "profile/box_source.hpp"
+#include "profile/generators.hpp"
+#include "profile/square_approx.hpp"
+#include "profile/worst_case.hpp"
 #include "robust/cancel.hpp"
 #include "util/check.hpp"
 #include "util/random.hpp"
@@ -219,6 +224,70 @@ TEST(TraceReplayDifferential, WalkVsGenericVsDirect) {
       EXPECT_EQ(walk.current_box_size(), m->current_box_size());
       expect_stats_eq(walk.cache_stats(), m->cache_stats());
       EXPECT_EQ(walk.box_log(), m->box_log());
+    }
+  }
+}
+
+// The fast walk counts misses a chunk (CaMachine::kReplayChunk runs) at
+// a time and steps run by run only through a chunk that crosses a box
+// boundary. Against replay_into on a per-access machine: traces shorter
+// than a chunk, exactly one, and not a multiple of it; boxes at and
+// around the chunk length, plus the sawtooth and mworst profiles the
+// sort campaigns use; a block span small enough that whole chunks hit,
+// and one wide enough that they miss.
+TEST(TraceReplayDifferential, ChunkedWalkMatchesPerAccessReplay) {
+  constexpr std::uint64_t kChunk = CaMachine::kReplayChunk;
+  using Factory = std::function<std::unique_ptr<profile::BoxSource>()>;
+  const auto constant = [](std::uint64_t size) -> Factory {
+    return [size] {
+      return std::make_unique<profile::VectorSource>(
+          std::vector<profile::BoxSize>(16, size));
+    };
+  };
+  std::vector<std::pair<std::string, Factory>> profiles;
+  for (const std::uint64_t size :
+       {std::uint64_t{1}, std::uint64_t{2}, kChunk - 1, kChunk, kChunk + 1}) {
+    profiles.emplace_back("const:" + std::to_string(size), constant(size));
+  }
+  const std::vector<profile::BoxSize> sawtooth =
+      profile::inner_square_profile(profile::sawtooth_profile(128, 8));
+  profiles.emplace_back("sawtooth:128:8", [sawtooth] {
+    return std::make_unique<profile::VectorSource>(sawtooth);
+  });
+  profiles.emplace_back("mworst:2:2:512:2", [] {
+    return std::make_unique<profile::WorstCaseSource>(2, 2, 512, 2);
+  });
+
+  std::uint64_t seed = 0;
+  for (const std::uint64_t runs :
+       {kChunk - 1, kChunk, 5 * kChunk + 7, 200 * kChunk + 3}) {
+    for (const std::uint64_t span : {std::uint64_t{6}, std::uint64_t{4096}}) {
+      BlockRunRecorder recorder(8);
+      util::Rng rng(++seed);
+      // Alternate blocks so every run stays a run (no coalescing).
+      for (std::uint64_t i = 0; i < runs; ++i) {
+        const std::uint64_t block = 2 * rng.below(span) + (i % 2);
+        recorder.access_run(block * 8, 1 + rng.below(3));
+      }
+      const BlockRunTrace trace = recorder.take();
+      ASSERT_EQ(trace.runs().size(), runs);
+      for (const auto& [name, factory] : profiles) {
+        SCOPED_TRACE(name + " runs=" + std::to_string(runs) +
+                     " span=" + std::to_string(span));
+        CaMachine walk(std::make_unique<profile::CyclingSource>(factory), 8);
+        walk.replay_trace(trace);
+        ASSERT_EQ(walk.last_replay_path(), ReplayPath::kFastWalk);
+        CaMachine per_access(std::make_unique<profile::CyclingSource>(factory),
+                             8);
+        per_access.set_per_access(true);
+        trace.replay_into(per_access);
+        EXPECT_EQ(walk.misses(), per_access.misses());
+        EXPECT_EQ(walk.boxes_started(), per_access.boxes_started());
+        EXPECT_EQ(walk.misses_in_current_box(),
+                  per_access.misses_in_current_box());
+        expect_stats_eq(walk.cache_stats(), per_access.cache_stats());
+        EXPECT_EQ(walk.box_log(), per_access.box_log());
+      }
     }
   }
 }

@@ -25,6 +25,7 @@
 #include "campaign/sweep.hpp"
 #include "obs/sink.hpp"
 #include "robust/cancel.hpp"
+#include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
@@ -106,6 +107,16 @@ SubmitRequest request_for(const std::string& manifest_text,
   request.client = client;
   request.weight = weight;
   return request;
+}
+
+/// Every line a subscriber receives until the stream ends.
+std::vector<std::string> drain_stream(ServeCore& core, const std::string& id) {
+  std::vector<std::string> all;
+  for (std::vector<std::string> lines = core.next_stream_lines(id);
+       !lines.empty(); lines = core.next_stream_lines(id)) {
+    all.insert(all.end(), lines.begin(), lines.end());
+  }
+  return all;
 }
 
 // ---- FairScheduler ---------------------------------------------------
@@ -382,9 +393,7 @@ TEST(ServeCore, BackpressurePausesOnlyTheSlowSubscribersJob) {
   EXPECT_LE(stalled.cells_done, 4u + options.jobs);
   EXPECT_LT(stalled.cells_done, stalled.cells_total);
   // Draining resumes dispatch; every cell line arrives exactly once.
-  std::uint64_t lines = 0;
-  while (core.next_stream_line(a.id).has_value()) ++lines;
-  EXPECT_EQ(lines, stalled.cells_total);
+  EXPECT_EQ(drain_stream(core, a.id).size(), stalled.cells_total);
   ASSERT_TRUE(core.wait_job(a.id));
   EXPECT_EQ(core.report_bytes(a.id), one_shot_bytes(kWide, "backpressure"));
 }
@@ -462,11 +471,7 @@ TEST(ServeCore, StreamDeliversEveryCellLineThenEnds) {
   ServeCore core(core_options("stream"));
   const JobStatus accepted = core.submit(request_for(kSmall, "alice"));
   ASSERT_TRUE(core.attach(accepted.id));
-  std::vector<std::string> lines;
-  while (const std::optional<std::string> line =
-             core.next_stream_line(accepted.id)) {
-    lines.push_back(*line);
-  }
+  const std::vector<std::string> lines = drain_stream(core, accepted.id);
   EXPECT_EQ(lines.size(), 3u);
   for (const std::string& line : lines) {
     EXPECT_EQ(parse_line(line).type, "sweep_cell");
@@ -490,9 +495,8 @@ TEST(ServeCore, RestoredFinishedJobStreamsEveryCellLine) {
   ServeCore restored(options);
   ASSERT_TRUE(restored.attach(id));
   std::vector<std::uint64_t> indices;
-  while (const std::optional<std::string> line =
-             restored.next_stream_line(id)) {
-    const obs::Event event = parse_line(*line);
+  for (const std::string& line : drain_stream(restored, id)) {
+    const obs::Event event = parse_line(line);
     EXPECT_EQ(event.type, "sweep_cell");
     indices.push_back(event.u64_or("index", 99));
   }
@@ -654,8 +658,10 @@ TEST(ServeCore, HelpedTailCellGivesOneShotBytesAtEveryPoolSize) {
 /// threads are helping the heavy cell.
 void await_light_cells(ServeCore& core, const std::string& id) {
   ASSERT_TRUE(core.attach(id));
-  for (std::uint64_t i = 0; i < kLightCells; ++i) {
-    ASSERT_TRUE(core.next_stream_line(id).has_value());
+  for (std::uint64_t seen = 0; seen < kLightCells;) {
+    const std::vector<std::string> lines = core.next_stream_lines(id);
+    ASSERT_FALSE(lines.empty());
+    seen += lines.size();
   }
 }
 
@@ -796,6 +802,47 @@ TEST(ServeDaemon, HalfLineClientGetsAnErrorAtTheReadDeadline) {
   EXPECT_FALSE(eof.has_value());
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(parse_line(*hello).type, "serve_hello");
+}
+
+TEST(ServeDaemon, ResultsWithoutProgressSendsOnlyTheReport) {
+  // "progress":false (what `cadapt results` sends without --progress):
+  // no cell line reaches the client, which gets job_done and the same
+  // report bytes as a streaming subscriber.
+  ServeCore core(core_options("no_progress"));
+  const std::string socket_path = temp_path("serve_no_progress.sock");
+  const int listen_fd = listen_unix(socket_path);
+  std::thread daemon([&core, listen_fd] {
+    for (int served = 0; served < 2;) {
+      const std::optional<int> fd = accept_unix(listen_fd, 200);
+      if (!fd.has_value()) continue;
+      serve_connection(core, *fd);
+      ++served;
+    }
+  });
+
+  const std::string id = core.submit(request_for(kSmall, "alice")).id;
+  const int quiet = connect_unix(socket_path);
+  write_all(quiet, "{\"type\":\"results\",\"job\":\"" + id +
+                       "\",\"progress\":false}\n");
+  LineReader quiet_reader(quiet);
+  const std::optional<std::string> first = quiet_reader.next();
+  const std::string quiet_report = quiet_reader.remaining();
+  close_fd(quiet);
+
+  std::uint64_t cell_lines = 0;
+  const ResultsEnd streamed = stream_results(
+      socket_path, id, [&cell_lines](const std::string& line) {
+        cell_lines += parse_line(line).type == "sweep_cell";
+      });
+  daemon.join();
+  close_fd(listen_fd);
+
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(parse_line(*first).type, "job_done") << *first;
+  EXPECT_EQ(parse_line(*first).str_or("state", ""), "done");
+  EXPECT_EQ(quiet_report, one_shot_bytes(kSmall, "no_progress"));
+  EXPECT_EQ(cell_lines, 3u);
+  EXPECT_EQ(streamed.report_bytes, quiet_report);
 }
 
 TEST(ServeDaemon, DrainShutsDownAClientThatSentHalfALine) {
