@@ -78,8 +78,8 @@ struct CellRunOptions {
   /// generic per-run path — same counters, no fast walk (docs/PAGING.md).
   bool capture_trace = false;
   /// Where capture_trace cells find their trace: null = each runner
-  /// captures its own (serve, `mc`); run_sweep passes its TraceCache, so
-  /// a program's cells share one capture. Must outlive the runners.
+  /// captures its own (`mc`, run_cell); a CellLifecycle passes its own,
+  /// so a program's cells share one capture. Must outlive the runners.
   TraceCache* traces = nullptr;
   /// Two-tier machine shape shared by every cell (docs/PAGING.md);
   /// default = the historical single-tier machine.
@@ -89,7 +89,7 @@ struct CellRunOptions {
 /// Options derived from the manifest the plan came from.
 CellRunOptions cell_options_from(const Manifest& manifest);
 
-/// The block-run traces of one sweep, shared by every cell that replays
+/// A CellLifecycle's block-run traces, shared by every cell that replays
 /// the same input (docs/PERF.md, "Paging fast path"). Keyed by (program,
 /// seed): a trace_replay plan gives a program's cells one seed, so one
 /// capture serves its whole row of profiles and policies. An entry

@@ -3,21 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <utility>
-#include <vector>
 
-#include "campaign/cell_runner.hpp"
-#include "campaign/trial_scheduler.hpp"
-#include "robust/budget.hpp"
-#include "robust/cancel.hpp"
-#include "robust/checkpoint.hpp"
-#include "robust/error.hpp"
-#include "robust/io.hpp"
 #include "util/check.hpp"
 #include "util/thread_pool.hpp"
 
@@ -74,38 +63,80 @@ Report assemble_report(const Plan& plan, std::vector<CellResult> cells,
   return report;
 }
 
-namespace {
-
-// The checkpoint's header line: version, config_hash, sharding, grid size,
-// and the run fingerprint — only when it differs from the default run, so
-// default checkpoints keep their bytes.
-obs::Event sweep_checkpoint_header(const Plan& plan, std::uint64_t shards,
-                                   std::uint64_t shard_index,
-                                   const std::string& run) {
-  obs::Event event("sweep_checkpoint");
-  event.u64("version", 1)
-      .u64("config_hash", plan.config_hash)
-      .u64("shards", shards)
-      .u64("shard_index", shard_index)
-      .u64("cells", plan.cells.size());
-  if (run != run_fingerprint(1, nullptr, 0)) event.str("run", run);
-  return event;
+CellLifecycle::CellLifecycle(
+    std::shared_ptr<const Plan> plan, CellRunOptions options,
+    std::unique_ptr<robust::DurableAppender> checkpoint, obs::SharedSink& trace)
+    : plan_(std::move(plan)),
+      trace_(trace),
+      options_(std::move(options)),
+      traces_(options_, [&trace](const obs::Event& e) { trace.write(e); }),
+      checkpoint_(std::move(checkpoint)) {
+  options_.traces = &traces_;
 }
 
-void emit_trial_errors(obs::TraceSink& sink, const Cell& cell,
-                       const std::vector<robust::TrialRecord>& records) {
-  for (const robust::TrialRecord& record : records) {
-    if (!record.failed) continue;
-    obs::Event event("sweep_trial_error");
-    event.u64("cell", cell.index)
-        .u64("trial", record.trial)
-        .u64("seed", record.seed)
-        .u64("attempts", record.attempts)
-        .str("category", robust::error_category_name(record.category))
-        .str("what", record.what);
-    sink.write(event);
+void CellLifecycle::claim(CellClaim& claimed, const Cell& cell) {
+  claimed.lifecycle = shared_from_this();
+  claimed.cell = &cell;
+  claimed.trial_options = trial_options_for(cell, options_);
+  claimed.records.resize(cell.trials);
+  try {
+    // Only the lander of a last trial finishes a cell (manifests reject
+    // trials = 0).
+    CADAPT_CHECK_MSG(cell.trials != 0,
+                     "cell " << cell.index << " has no trials");
+    claimed.runner = make_cell_runner(cell, options_);
+  } catch (...) {
+    skip(cell);
+    throw;
   }
 }
+
+CellLifecycle::Landed CellLifecycle::land(CellClaim& claimed) {
+  const Cell& cell = *claimed.cell;
+  Landed landed;
+  for (const robust::TrialRecord& record : claimed.records) {
+    landed.boxes += record.boxes;
+  }
+  landed.result = aggregate_cell(cell, claimed.records, plan_->config_hash,
+                                 plan_->manifest.unit_progress);
+  const obs::Event event = cell_event(landed.result);
+  {
+    // One durable commit per cell: a kill between cells loses nothing, a
+    // kill mid-commit loses only the torn tail that open_checkpoint drops
+    // on resume.
+    const std::lock_guard<std::mutex> lock(commit_mutex_);
+    if (checkpoint_ != nullptr) {
+      obs::to_jsonl(event, landed.line);
+      checkpoint_->write(landed.line);
+      checkpoint_->write("\n");
+      checkpoint_->commit();
+    }
+  }
+  trace_.write(event);
+  for (const robust::TrialRecord& record : claimed.records) {
+    if (!record.failed || !trace_.enabled()) continue;
+    obs::Event error = robust::trial_record_event(record);  // trial_error
+    error.type = "sweep_trial_error";
+    trace_.write(error.u64("cell", cell.index));
+  }
+  claimed.runner = nullptr;
+  claimed.records = {};
+  skip(cell);  // its trace is freed after its program's last cell
+  return landed;
+}
+
+void CellLifecycle::close(const std::vector<obs::Event>& events) {
+  const std::lock_guard<std::mutex> lock(commit_mutex_);
+  const std::unique_ptr<robust::DurableAppender> checkpoint =
+      std::move(checkpoint_);
+  for (const obs::Event& event : events) {
+    checkpoint->write(obs::to_jsonl(event));
+    checkpoint->write("\n");
+  }
+  checkpoint->commit();
+}
+
+namespace {
 
 // What stops a drive early, shared by run_sweep and run_cell_trials: the
 // first truncation reason noted, and the error of the lowest-indexed
@@ -179,13 +210,21 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   std::map<std::uint64_t, CellResult> finished;
   std::unique_ptr<robust::DurableAppender> checkpoint;
   if (!options.checkpoint_path.empty()) {
+    // The header: version, config_hash, sharding, grid size, and the run
+    // fingerprint — only when it differs from the default run, so default
+    // checkpoints keep their bytes.
+    obs::Event header("sweep_checkpoint");
+    header.u64("version", 1)
+        .u64("config_hash", plan.config_hash)
+        .u64("shards", options.shards)
+        .u64("shard_index", options.shard_index)
+        .u64("cells", plan.cells.size());
+    const std::string run = run_fingerprint(
+        options.max_attempts, options.faults, options.backoff.base_ns);
+    if (run != run_fingerprint(1, nullptr, 0)) header.str("run", run);
     checkpoint = robust::open_checkpoint(
-        options.checkpoint_path,
-        sweep_checkpoint_header(plan, options.shards, options.shard_index,
-                                run_fingerprint(options.max_attempts,
-                                                options.faults,
-                                                options.backoff.base_ns)),
-        options.resume, restore_cells(finished),
+        options.checkpoint_path, header, options.resume,
+        restore_cells(finished),
         options.io != nullptr ? *options.io : robust::system_io());
   }
 
@@ -211,28 +250,22 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   cell_options.cancel = cancel;
   cell_options.backoff = options.backoff;
   cell_options.timing = options.timing;
+  obs::SharedSink trace(options.trace);
+  // Not owning the plan: every claim is gone before run_sweep returns.
+  const auto lifecycle = std::make_shared<CellLifecycle>(
+      std::shared_ptr<const Plan>(&plan, [](const Plan*) {}),
+      std::move(cell_options), std::move(checkpoint), trace);
+  // Each trace is freed after its program's last unfinished cell here:
+  // a cell that never lands (skipped at admission, abandoned) is skipped.
+  for (const std::size_t i : mine) {
+    const Cell& cell = plan.cells[i];
+    if (!finished.contains(cell.index)) lifecycle->expect(cell);
+  }
 
   robust::BudgetTracker tracker(options.budget, options.clock);
   std::vector<std::optional<CellResult>> results(mine.size());
   // A cell that throws (cancellation, a malformed cell) is abandoned.
   Stops stops;
-  std::mutex sink_mutex;  // checkpoint + trace share one writer lock
-  std::string checkpoint_line;  // encode buffer reused under sink_mutex
-
-  // One capture per replayed input: an entry lives while an unfinished
-  // cell of this shard replays it. Every cell that does not run to its
-  // finish (skipped at admission, abandoned) releases its count too.
-  TraceCache traces(cell_options, [&](const obs::Event& event) {
-    if (options.trace == nullptr) return;
-    const std::lock_guard<std::mutex> lock(sink_mutex);
-    options.trace->write(event);
-  });
-  cell_options.traces = &traces;
-  for (const std::size_t i : mine) {
-    if (!finished.contains(plan.cells[i].index)) {
-      traces.add_user(plan.cells[i]);
-    }
-  }
 
   // Admission: the next cell of the shard that still has to run, with its
   // runner built once. Null once the shard is exhausted.
@@ -249,70 +282,35 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
         continue;
       }
       if (!stops.admissible(slot, cancel, tracker)) {
-        traces.release(cell);
+        lifecycle->skip(cell);
         continue;
       }
       auto run = std::make_shared<Claimed>();
       run->owner = slot;
-      run->cell = &cell;
-      run->trial_options = trial_options_for(cell, cell_options);
-      run->records.resize(cell.trials);
       try {
-        // Only the lander of a last trial finishes a cell (manifests
-        // reject trials = 0).
-        CADAPT_CHECK_MSG(cell.trials != 0,
-                         "cell " << cell.index << " has no trials");
-        run->runner = make_cell_runner(cell, cell_options);
+        lifecycle->claim(*run, cell);
       } catch (...) {
         stops.fail(slot);
-        traces.release(cell);
         continue;
       }
       return run;
     }
   };
 
-  // Finish a cell, run by whoever lands its last trial: account,
-  // aggregate, commit, trace, then drop the runner and the records, and
-  // release the cell's trace (freed after its program's last cell).
+  // Run by whoever lands a cell's last trial.
   const auto finish = [&](Claimed& run) {
-    const Cell& cell = *run.cell;
-    std::uint64_t boxes = 0;
-    for (const robust::TrialRecord& record : run.records) {
-      boxes += record.boxes;
-    }
-    tracker.add_boxes(boxes);
-    CellResult result = aggregate_cell(cell, run.records, plan.config_hash,
-                                       plan.manifest.unit_progress);
-    {
-      const std::lock_guard<std::mutex> lock(sink_mutex);
-      if (checkpoint != nullptr) {
-        // One durable commit per cell: a kill between cells loses
-        // nothing, a kill mid-commit loses only the torn tail that
-        // open_checkpoint drops on resume.
-        obs::to_jsonl(cell_event(result), checkpoint_line);
-        checkpoint->write(checkpoint_line);
-        checkpoint->write("\n");
-        checkpoint->commit();
-      }
-      if (options.trace != nullptr) {
-        options.trace->write(cell_event(result));
-        emit_trial_errors(*options.trace, cell, run.records);
-      }
-    }
-    results[run.owner] = std::move(result);
-    run.runner = nullptr;
-    run.records = {};
-    traces.release(cell);
+    CellLifecycle::Landed landed = lifecycle->land(run);
+    tracker.add_boxes(landed.boxes);
+    results[run.owner] = std::move(landed.result);
   };
 
   TrialScheduler<std::size_t> scheduler(
       {.admit = admit,
        .finish = finish,
        .abandon =
-           [&stops, &traces](Claimed& run) {
+           [&stops, &lifecycle](Claimed& run) {
              stops.fail(run.owner);
-             traces.release(*run.cell);
+             lifecycle->skip(*run.cell);
            }},
       options.timing);
   util::ThreadPool pool(static_cast<std::size_t>(options.jobs));

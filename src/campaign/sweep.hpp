@@ -1,17 +1,14 @@
 // The sweep orchestrator: execute a Plan's cells on a thread pool and
 // aggregate a Report (docs/SWEEPS.md).
 //
-// The --jobs threads drive campaign::TrialScheduler, the loop `cadapt
-// serve` runs too: a thread admits the next cell of its shard (after the
-// budget and cancel checks) and claims its trials one at a time through
-// engine::run_single_trial, which brings the Monte-Carlo layer's
-// containment/retry/fault machinery; idle threads help at the tail, and
-// whoever lands a cell's last trial aggregates and commits it. Because
-// every trial is a pure function of (cell seed, trial index, attempt)
-// and records land at their trial index, the report is bit-identical
-// across --jobs values, across a --shards split merged back together,
-// and across a kill + --resume (wall clocks excepted; pass timing =
-// false to zero them, as the bit-identity tests do).
+// The --jobs threads drive campaign::TrialScheduler over the shard's
+// cells (after the budget and cancel checks) and run each cell through
+// a CellLifecycle; `cadapt serve` runs both too. Because every trial is
+// a pure function of (cell seed, trial index, attempt) and records land
+// at their trial index, the report is bit-identical across --jobs
+// values, across a --shards split merged back together, and across a
+// kill + --resume (wall clocks excepted; pass timing = false to zero
+// them, as the bit-identity tests do).
 //
 // Checkpoint format (JSONL, shared cell encoding with the report):
 //
@@ -28,12 +25,15 @@
 #pragma once
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "campaign/cell_runner.hpp"
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
+#include "campaign/trial_scheduler.hpp"
 #include "engine/montecarlo.hpp"
 #include "obs/sink.hpp"
 #include "obs/span.hpp"
@@ -143,9 +143,54 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
                                   const CellTrials& options = {});
 
 // The pieces run_sweep is made of that `cadapt serve` reuses: a served
-// job's file holds the same sweep_cell lines and renders through the same
-// report assembly, so "daemon report == one-shot sweep report" is a
-// byte-for-byte identity rather than a convention.
+// job's cells run through the same CellLifecycle, its file holds the same
+// sweep_cell lines and renders through the same report assembly, so
+// "daemon report == one-shot sweep report" is a byte-for-byte identity
+// rather than a convention.
+
+/// One plan's cell lifecycle (a sweep shard's, a served job's); the
+/// drivers only pick the next cell. It owns the cell options, the
+/// TraceCache (one capture per replayed (program, seed)) and the
+/// checkpoint, committed under its own mutex. A claimed cell holds it, so
+/// a helper still running a trial after its driver let go keeps the plan,
+/// the cache and the file alive. Thread-safe; lives in a shared_ptr.
+class CellLifecycle : public std::enable_shared_from_this<CellLifecycle> {
+ public:
+  struct Landed {
+    CellResult result;
+    std::string line;  ///< its committed sweep_cell line (or empty)
+    std::uint64_t boxes = 0;  ///< summed over its trials
+  };
+
+  /// `checkpoint` null = none. `trace` gets the sweep_cell,
+  /// sweep_trial_error and TraceCache events; it must outlive the claims.
+  CellLifecycle(std::shared_ptr<const Plan> plan, CellRunOptions options,
+                std::unique_ptr<robust::DurableAppender> checkpoint,
+                obs::SharedSink& trace);
+
+  const Plan& plan() const { return *plan_; }
+  /// Count a cell still to run, before the first claim.
+  void expect(const Cell& cell) { traces_.add_user(cell); }
+  /// Trial options, sized records and the runner; a failed build skips
+  /// the cell and rethrows.
+  void claim(CellClaim& claimed, const Cell& cell);
+  /// Once every trial landed: aggregate, commit the sweep_cell line, emit
+  /// its events, drop the runner and records, skip. A failed commit
+  /// throws util::IoError before the skip.
+  Landed land(CellClaim& claimed);
+  /// Release the trace of a cell never admitted, or abandoned.
+  void skip(const Cell& cell) { traces_.release(cell); }
+  /// Commit `events` as the checkpoint's last records and close it.
+  void close(const std::vector<obs::Event>& events);
+
+ private:
+  const std::shared_ptr<const Plan> plan_;
+  obs::SharedSink& trace_;
+  CellRunOptions options_;
+  TraceCache traces_;
+  std::mutex commit_mutex_;
+  std::unique_ptr<robust::DurableAppender> checkpoint_;  ///< commit_mutex_
+};
 
 /// The robust settings a trial's records depend on besides the plan:
 /// "retries=R fault=SPEC fault_seed=S backoff_ms=B". `cadapt mc` ends

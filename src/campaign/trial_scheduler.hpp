@@ -33,11 +33,12 @@
 
 namespace cadapt::campaign {
 
-/// An admitted cell. `Owner` is the caller's handle for it: run_sweep's
-/// shard slot, ServeCore's job, run_cell_trials's chunk.
-template <class Owner>
-struct ClaimedCell {
-  Owner owner{};
+class CellLifecycle;
+
+/// An admitted cell's trial state.
+struct CellClaim {
+  /// What claimed it, held for the claim's life (null in run_cell_trials).
+  std::shared_ptr<CellLifecycle> lifecycle;
   const Cell* cell = nullptr;
   /// Trial index of records[0]: a chunk of a larger cell starts past 0.
   std::uint64_t first = 0;
@@ -52,6 +53,13 @@ struct ClaimedCell {
     const std::uint64_t claimed = next.load(std::memory_order_relaxed);
     return claimed < cell->trials ? cell->trials - claimed : 0;
   }
+};
+
+/// An admitted cell. `Owner` is the caller's handle for it: run_sweep's
+/// shard slot, ServeCore's job, run_cell_trials's chunk.
+template <class Owner>
+struct ClaimedCell : CellClaim {
+  Owner owner{};
 };
 
 template <class Owner>

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <mutex>
 #include <vector>
 
 #include "obs/event.hpp"
@@ -45,6 +46,25 @@ class JsonlSink final : public TraceSink {
   std::ostream& os_;
   std::uint64_t lines_ = 0;
   std::string line_;
+};
+
+/// Serializes writes to another sink from any thread, for drivers whose
+/// threads report as they go (run_sweep, `cadapt serve`); the stream's
+/// order is then the order the writes took the lock. A null sink
+/// discards.
+class SharedSink {
+ public:
+  explicit SharedSink(TraceSink* sink) : sink_(sink) {}
+  bool enabled() const { return sink_ != nullptr; }
+  void write(const Event& event) {
+    if (sink_ == nullptr) return;
+    const std::lock_guard<std::mutex> lock(mutex_);
+    sink_->write(event);
+  }
+
+ private:
+  TraceSink* const sink_;
+  std::mutex mutex_;
 };
 
 /// Counts and discards — the "tracing attached but pointed nowhere"

@@ -21,16 +21,6 @@ void send_line(int fd, const obs::Event& event) {
   write_all(fd, obs::to_jsonl(event) + "\n");
 }
 
-void handle_submit(ServeCore& core, int fd, const obs::Event& request) {
-  const JobStatus status = core.submit(submit_from_event(request));
-  obs::Event event("job_accepted");
-  event.str("job", status.id)
-      .str("client", status.client)
-      .u64("config_hash", status.config_hash)
-      .u64("cells", status.cells_total);
-  send_line(fd, event);
-}
-
 void handle_status(ServeCore& core, int fd, const obs::Event& request) {
   const std::string job = request.str_or("job", "");
   if (!job.empty()) {
@@ -127,7 +117,7 @@ void handle_connection(ServeCore& core, int fd, int read_deadline_ms) {
   if (request.type == "hello") {
     send_line(fd, version_event("serve_hello"));
   } else if (request.type == "submit") {
-    handle_submit(core, fd, request);
+    send_line(fd, accepted_event(core.submit(submit_from_event(request))));
   } else if (request.type == "status") {
     handle_status(core, fd, request);
   } else if (request.type == "cancel") {

@@ -29,6 +29,11 @@ bool terminal(JobState state) {
          state == JobState::kFailed;
 }
 
+campaign::Manifest manifest_of(const SubmitRequest& request) {
+  std::istringstream is(request.manifest_text);
+  return campaign::parse_manifest(is);
+}
+
 std::unique_ptr<robust::FaultPlan> job_faults(
     const SubmitRequest& request, const campaign::Manifest& manifest) {
   if (request.fault_spec.empty()) return nullptr;
@@ -40,14 +45,15 @@ std::unique_ptr<robust::FaultPlan> job_faults(
 // The job file's header. A resume and a report render rebuild it from the
 // stored request, so a build whose fingerprint drifted is refused.
 obs::Event job_header(const std::string& id, const SubmitRequest& request,
-                      const campaign::Plan& plan,
-                      const robust::FaultPlan* faults) {
+                      const campaign::Plan& plan) {
   obs::Event header = submit_event(request);  // manifest text included
   header.type = "serve_job";
   header.str("job", id)
       .u64("config_hash", plan.config_hash)
       .u64("cells", plan.cells.size())
-      .str("run", campaign::run_fingerprint(request.retries + 1, faults, 0));
+      .str("run", campaign::run_fingerprint(
+                      request.retries + 1,
+                      job_faults(request, plan.manifest).get(), 0));
   return header;
 }
 
@@ -59,8 +65,17 @@ const char* job_state_name(JobState state) {
   return kStateNames[idx];
 }
 
-obs::Event status_event(const JobStatus& status) {
-  obs::Event event("job_status");
+obs::Event accepted_event(const JobStatus& status) {
+  obs::Event event("job_accepted");
+  event.str("job", status.id)
+      .str("client", status.client)
+      .u64("config_hash", status.config_hash)
+      .u64("cells", status.cells_total);
+  return event;
+}
+
+obs::Event status_event(const JobStatus& status, const char* type) {
+  obs::Event event(type);
   event.str("job", status.id)
       .str("client", status.client)
       .str("state", job_state_name(status.state))
@@ -98,19 +113,18 @@ JobStatus status_from_event(const obs::Event& event) {
 
 // One tenant job. Heap-allocated and never erased from jobs_ while the
 // core lives, so worker threads may hold pointers to its cancel token,
-// faults and cell options outside the mutex (all immutable after init).
-// release() drops the rest of the run state once the job is terminal.
+// faults and I/O backend outside the mutex (all immutable after init).
+// release() drops its run state once it is terminal; a claimed cell
+// keeps the CellLifecycle (plan, trace cache, job file) while it runs.
 struct ServeCore::Job {
   JobStatus status;
-  campaign::Plan plan;
-  bool unit_progress = false;  // plan.manifest's, read by finish()
-  campaign::CellRunOptions cell_options;
   std::unique_ptr<robust::FaultPlan> faults;
   std::unique_ptr<robust::FaultyIo> faulty_io;
-  robust::IoBackend* io = nullptr;         // faulty_io or the core's backend
   robust::CancelToken cancel;
   std::unique_ptr<robust::Watchdog> watchdog;
-  std::unique_ptr<robust::DurableAppender> checkpoint;
+  // Declared after all four, so destroyed before them: its job file
+  // closes through faulty_io, its options point at faults and cancel.
+  std::shared_ptr<campaign::CellLifecycle> cells;  // null once terminal
   std::map<std::uint64_t, std::string> committed;  // sweep_cell lines
 
   bool client_cancelled = false;
@@ -131,6 +145,7 @@ ServeCore::ServeCore(const ServeOptions& options)
       io_(options.io != nullptr ? *options.io : robust::system_io()),
       spool_(options.spool_dir),
       pool_(static_cast<std::size_t>(options.jobs)),
+      trace_(options.trace),
       trials_({.admit = [this] { return admit(); },
                .admitted =
                    [this] {
@@ -152,7 +167,6 @@ ServeCore::ServeCore(const ServeOptions& options)
 ServeCore::~ServeCore() { shutdown(); }
 
 void ServeCore::resume_spool() {
-  const std::lock_guard<std::mutex> lock(mutex_);
   for (const std::string& id : spool_.scan()) {
     const std::string path = spool_.path_for(id);
     // open_checkpoint's repair: a header cut before its '\n' leaves an
@@ -166,14 +180,14 @@ void ServeCore::resume_spool() {
         });
     if (!done.has_value()) {
       const SubmitRequest request = submit_from_event(header);
-      std::istringstream is(request.manifest_text);
-      init_job(id, request, campaign::parse_manifest(is), /*resuming=*/true);
+      init_job(id, request, manifest_of(request), /*resuming=*/true);
       continue;
     }
     // Terminal history: status answers from the job_done line; nothing
     // re-enters the scheduler.
     auto job = std::make_unique<Job>();
     job->status = status_from_event(*done);
+    const std::lock_guard<std::mutex> lock(mutex_);
     jobs_.emplace(id, std::move(job));
   }
 }
@@ -182,52 +196,48 @@ JobStatus ServeCore::submit(const SubmitRequest& request) {
   // Parse OUTSIDE the job registry: a malformed manifest throws
   // util::ParseError here and no job id, spool entry, or queue slot ever
   // exists for it.
-  std::istringstream is(request.manifest_text);
-  const campaign::Manifest manifest = campaign::parse_manifest(is);
+  const campaign::Manifest manifest = manifest_of(request);
   // The request as the job file will read back (a weight of 0 reads as
   // 1), so a resume rebuilds the same header.
   const SubmitRequest stored = submit_from_event(submit_event(request));
-
-  const std::lock_guard<std::mutex> lock(mutex_);
-  CADAPT_CHECK_MSG(!shutting_down_, "serve core is shutting down");
-  const std::string id = spool_.allocate_id();
-  init_job(id, stored, manifest, /*resuming=*/false);
-  wake();
-  return jobs_.at(id)->status;
+  std::string id;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    CADAPT_CHECK_MSG(!shutting_down_, "serve core is shutting down");
+    id = spool_.allocate_id();
+  }
+  return init_job(id, stored, manifest, /*resuming=*/false);
 }
 
-void ServeCore::init_job(const std::string& id, const SubmitRequest& request,
-                         const campaign::Manifest& manifest, bool resuming) {
+JobStatus ServeCore::init_job(const std::string& id,
+                              const SubmitRequest& request,
+                              const campaign::Manifest& manifest,
+                              bool resuming) {
+  auto plan = std::make_shared<const campaign::Plan>(
+      campaign::expand_plan(manifest));
   auto job = std::make_unique<Job>();
-  job->plan = campaign::expand_plan(manifest);
-  job->unit_progress = manifest.unit_progress;
   job->status.id = id;
   job->status.client = request.client;
-  job->status.config_hash = job->plan.config_hash;
-  job->status.cells_total = job->plan.cells.size();
-
-  job->cell_options = campaign::cell_options_from(manifest);
-  job->cell_options.timing = options_.timing;
-  job->cell_options.max_attempts = request.retries + 1;
-  job->cell_options.cancel = &job->cancel;
+  job->status.config_hash = plan->config_hash;
+  job->status.cells_total = plan->cells.size();
   job->faults = job_faults(request, manifest);
-  job->cell_options.faults = job->faults.get();
-  job->io = &io_;
+  robust::IoBackend* io = &io_;
   if (job->faults != nullptr && robust::FaultyIo::plan_arms_io(*job->faults)) {
     job->faulty_io = std::make_unique<robust::FaultyIo>(io_,
                                                         job->faults.get());
-    job->io = job->faulty_io.get();
+    io = job->faulty_io.get();
   }
 
-  // The job file. A submit commits its header and syncs the directory
+  // The job file, opened outside the mutex: no other tenant waits on
+  // this job's disk. A submit commits its header and syncs the directory
   // before it is acknowledged; a resume refuses a header that differs
   // from the one rebuilt here and restores the committed cells.
   const std::string path = spool_.path_for(id);
   JobFile file;
-  job->checkpoint = robust::open_checkpoint(
-      path, job_header(id, request, job->plan, job->faults.get()), resuming,
-      job_records(file), *job->io);
-  if (!resuming && job->io->fsync_parent(path.c_str()) != 0) {
+  std::unique_ptr<robust::DurableAppender> checkpoint =
+      robust::open_checkpoint(path, job_header(id, request, *plan), resuming,
+                              job_records(file), *io);
+  if (!resuming && io->fsync_parent(path.c_str()) != 0) {
     throw util::IoError("fsync of parent directory of '" + path +
                         "' failed: " + std::strerror(errno));
   }
@@ -236,18 +246,29 @@ void ServeCore::init_job(const std::string& id, const SubmitRequest& request,
   }
   job->status.cells_done = job->committed.size();
 
+  campaign::CellRunOptions options = campaign::cell_options_from(manifest);
+  options.timing = options_.timing;
+  options.max_attempts = request.retries + 1;
+  options.cancel = &job->cancel;
+  options.faults = job->faults.get();
+  job->cells = std::make_shared<campaign::CellLifecycle>(
+      std::move(plan), std::move(options), std::move(checkpoint), trace_);
+
+  const std::lock_guard<std::mutex> lock(mutex_);
   // Per-client box budget: the tracker accrues across every job the
   // client submits; the first submit naming a budget creates it.
-  ClientState& client = clients_[request.client];
-  if (client.tracker == nullptr && request.box_budget != 0) {
+  if (request.box_budget != 0 && budgets_.count(request.client) == 0) {
     robust::Budget budget;
     budget.max_total_boxes = request.box_budget;
-    client.tracker = std::make_unique<robust::BudgetTracker>(budget);
+    budgets_.emplace(request.client,
+                     std::make_unique<robust::BudgetTracker>(budget));
   }
 
   std::vector<std::uint64_t> pending;
-  for (std::uint64_t i = 0; i < job->status.cells_total; ++i) {
-    if (job->committed.count(i) == 0) pending.push_back(i);
+  for (const campaign::Cell& cell : job->cells->plan().cells) {
+    if (job->committed.count(cell.index) != 0) continue;
+    pending.push_back(cell.index);
+    job->cells->expect(cell);
   }
   scheduler_.add_job(id, request.client, request.weight, std::move(pending));
   if (request.deadline_ms != 0) {
@@ -257,17 +278,12 @@ void ServeCore::init_job(const std::string& id, const SubmitRequest& request,
         job->cancel, request.deadline_ms * 1'000'000ull);
   }
   if (options_.timing) job->started_ns = obs::steady_now_ns();
-  if (options_.trace != nullptr) {
-    obs::Event event("job_accepted");
-    event.str("job", id)
-        .str("client", request.client)
-        .u64("config_hash", job->status.config_hash)
-        .u64("cells", job->status.cells_total);
-    options_.trace->write(event);
-  }
+  trace_.write(accepted_event(job->status));
   Job& ref = *job;
   jobs_.emplace(id, std::move(job));
   maybe_finalize(ref);  // a fully-checkpointed job finishes right here
+  wake();
+  return ref.status;
 }
 
 void ServeCore::start() {
@@ -311,31 +327,24 @@ std::shared_ptr<ServeCore::ClaimedCell> ServeCore::admit() {
       truncate_job(job, job.cancel.reason());
       continue;
     }
-    const ClientState& client = clients_[job.status.client];
-    if (client.tracker != nullptr && client.tracker->exceeded()) {
+    const auto budget = budgets_.find(job.status.client);
+    if (budget != budgets_.end() && budget->second->exceeded()) {
       truncate_job(job, robust::CancelReason::kBudget);
       continue;
     }
     job.status.state = JobState::kRunning;
     ++job.in_flight;
-    if (options_.trace != nullptr) {
-      obs::Event event("cell_scheduled");
-      event.str("job", pick->job).u64("cell", pick->cell);
-      options_.trace->write(event);
-    }
-    auto claimed = std::make_shared<OwnedCell>();
-    claimed->owner = &job;
-    claimed->copy = job.plan.cells[pick->cell];
-    claimed->cell = &claimed->copy;
-    claimed->trial_options =
-        campaign::trial_options_for(*claimed->cell, job.cell_options);
-    claimed->records.resize(claimed->cell->trials);
+    obs::Event event("cell_scheduled");
+    event.str("job", pick->job).u64("cell", pick->cell);
+    trace_.write(event);
     // The runner is built OUTSIDE the mutex (a shuffled cell's census is
     // real work, and tenants must not serialize on it).
+    const std::shared_ptr<campaign::CellLifecycle> cells = job.cells;
     lock.unlock();
+    auto claimed = std::make_shared<ClaimedCell>();
+    claimed->owner = &job;
     try {
-      claimed->runner =
-          campaign::make_cell_runner(*claimed->cell, job.cell_options);
+      cells->claim(*claimed, cells->plan().cells[pick->cell]);
       return claimed;
     } catch (...) {
       abandon(job);
@@ -347,52 +356,25 @@ std::shared_ptr<ServeCore::ClaimedCell> ServeCore::admit() {
 
 void ServeCore::finish(ClaimedCell& claimed) {
   Job& job = *claimed.owner;
-  std::uint64_t boxes = 0;
-  for (const robust::TrialRecord& record : claimed.records) {
-    boxes += record.boxes;
-  }
-  // Aggregate OUTSIDE the mutex, then drop the runner (and any captured
-  // block-run trace) and the records.
-  campaign::CellResult result = campaign::aggregate_cell(
-      *claimed.cell, claimed.records, job.status.config_hash,
-      job.unit_progress);
-  claimed.runner = nullptr;
-  claimed.records = {};
+  // Aggregate and commit OUTSIDE the mutex, through the job's own commit
+  // lock: a tenant's fsync stalls no other tenant, nor status or attach.
+  campaign::CellLifecycle::Landed landed = claimed.lifecycle->land(claimed);
 
   const std::lock_guard<std::mutex> lock(mutex_);
-  --job.in_flight;
+  --job.in_flight;  // only now: finalize can never overtake the commit
   cv_.notify_all();
-  // After shutdown, and for a failed job's stragglers, cells unwind
-  // without touching the job's artifacts.
+  // After shutdown, and for a failed job's stragglers, the committed
+  // cell waits in the file for a restart; the live state is left alone.
   if (shutting_down_ || terminal(job.status.state)) return;
-  if (robust::BudgetTracker* tracker =
-          clients_[job.status.client].tracker.get()) {
-    tracker->add_boxes(boxes);
+  if (const auto budget = budgets_.find(job.status.client);
+      budget != budgets_.end()) {
+    budget->second->add_boxes(landed.boxes);
   }
-  obs::to_jsonl(campaign::cell_event(result), line_buf_);
-  try {
-    job.checkpoint->write(line_buf_);
-    job.checkpoint->write("\n");
-    job.checkpoint->commit();
-    job.committed.emplace(claimed.cell->index, line_buf_);
-    job.status.cells_done = job.committed.size();
-    if (job.subscriber) {
-      job.stream.push_back(line_buf_);
-      if (!job.stream_paused &&
-          job.stream.size() >= options_.stream_buffer) {
-        // Backpressure: this subscriber stopped draining, so THIS job
-        // stops admitting cells. Nobody else's queue position moves.
-        job.stream_paused = true;
-        scheduler_.pause_job(job.status.id);
-      }
-    }
-    if (options_.trace != nullptr) {
-      options_.trace->write(campaign::cell_event(result));
-    }
-    maybe_finalize(job);
-  } catch (const util::IoError& e) {
-    fail_job(job, e.what());
-  }
+  job.committed.emplace(claimed.cell->index, landed.line);
+  job.status.cells_done = job.committed.size();
+  if (job.subscriber) job.stream.push_back(std::move(landed.line));
+  pace(job);
+  maybe_finalize(job);
 }
 
 void ServeCore::abandon(Job& job) {
@@ -412,6 +394,21 @@ void ServeCore::abandon(Job& job) {
   }
 }
 
+// Backpressure: a subscriber that stopped draining pauses ONLY its own
+// job's admission; draining or detaching resumes it.
+void ServeCore::pace(Job& job) {
+  const bool full = job.subscriber && !terminal(job.status.state) &&
+                    job.stream.size() >= options_.stream_buffer;
+  if (full == job.stream_paused) return;
+  job.stream_paused = full;
+  if (full) {
+    scheduler_.pause_job(job.status.id);
+  } else {
+    scheduler_.resume_job(job.status.id);
+    wake();
+  }
+}
+
 void ServeCore::truncate_job(Job& job, robust::CancelReason reason) {
   JobStatus& status = job.status;
   if (terminal(status.state)) return;
@@ -427,36 +424,30 @@ void ServeCore::maybe_finalize(Job& job) {
   if (!now.truncated && now.cells_done != now.cells_total) return;
   JobStatus status = now;
   status.state = job.client_cancelled ? JobState::kCancelled : JobState::kDone;
-  obs::Event done = status_event(status);
-  done.type = "job_done";
+  obs::Event done = status_event(status, "job_done");
   done.u64("wall_ms", options_.timing && job.started_ns != 0
                           ? (obs::steady_now_ns() - job.started_ns) / 1000000u
                           : 0);
-  // One commit: this build's provenance (the report's sweep_env, so a
-  // later build with the same header renders the same bytes), then the
-  // terminal status a restart reads back.
+  // The one commit made under the mutex: the terminal state must not be
+  // seen before it is durable. This build's provenance (the report's
+  // sweep_env, so a later build with the same header renders the same
+  // bytes), then the status a restart reads back; the file then closes.
   try {
-    for (const obs::Event& event : {campaign::provenance_event(), done}) {
-      obs::to_jsonl(event, line_buf_);
-      job.checkpoint->write(line_buf_);
-      job.checkpoint->write("\n");
-    }
-    job.checkpoint->commit();
+    job.cells->close({campaign::provenance_event(), done});
   } catch (const util::IoError& e) {
     fail_job(job, e.what());
     return;
   }
   job.status.state = status.state;
   release(job);
-  if (options_.trace != nullptr) options_.trace->write(done);
+  trace_.write(done);
 }
 
 void ServeCore::release(Job& job) {
   scheduler_.remove_job(job.status.id);
-  job.checkpoint = nullptr;  // closes the job file
+  job.cells = nullptr;
   job.watchdog = nullptr;
   job.committed = {};
-  job.plan = {};
   cv_.notify_all();
 }
 
@@ -466,11 +457,7 @@ void ServeCore::fail_job(Job& job, const std::string& what) {
   job.status.error = what;
   job.cancel.request(robust::CancelReason::kExternal);  // stop stragglers
   release(job);
-  if (options_.trace != nullptr) {
-    obs::Event event = status_event(job.status);
-    event.type = "job_done";
-    options_.trace->write(event);
-  }
+  trace_.write(status_event(job.status, "job_done"));
 }
 
 std::vector<JobStatus> ServeCore::status() const {
@@ -555,11 +542,7 @@ bool ServeCore::attach(const std::string& id) {
   for (const auto& [index, line] : finished ? lines : job.committed) {
     job.stream.push_back(line);
   }
-  if (!finished && !job.stream_paused &&
-      job.stream.size() >= options_.stream_buffer) {
-    job.stream_paused = true;
-    scheduler_.pause_job(id);
-  }
+  pace(job);
   cv_.notify_all();
   return true;
 }
@@ -576,11 +559,7 @@ std::vector<std::string> ServeCore::next_stream_lines(const std::string& id) {
   std::vector<std::string> lines(std::make_move_iterator(job.stream.begin()),
                                  std::make_move_iterator(job.stream.end()));
   job.stream.clear();
-  if (job.stream_paused) {
-    job.stream_paused = false;
-    scheduler_.resume_job(id);
-    wake();
-  }
+  pace(job);
   return lines;
 }
 
@@ -592,11 +571,7 @@ void ServeCore::detach(const std::string& id) {
   job.subscriber = false;
   job.stream.clear();
   job.file = nullptr;
-  if (job.stream_paused) {
-    job.stream_paused = false;
-    scheduler_.resume_job(id);
-    wake();
-  }
+  pace(job);
 }
 
 std::string ServeCore::report_bytes(const std::string& id) const {
@@ -617,12 +592,8 @@ std::string ServeCore::report_bytes(const std::string& id) const {
   // finished live and jobs restored by a restart.
   if (file == nullptr) file = std::make_shared<const JobFile>(read_job(path));
   const SubmitRequest request = submit_from_event(file->header);
-  std::istringstream is(request.manifest_text);
-  const campaign::Manifest manifest = campaign::parse_manifest(is);
-  const campaign::Plan plan = campaign::expand_plan(manifest);
-  robust::check_header(
-      path, file->header,
-      job_header(id, request, plan, job_faults(request, manifest).get()));
+  const campaign::Plan plan = campaign::expand_plan(manifest_of(request));
+  robust::check_header(path, file->header, job_header(id, request, plan));
   CADAPT_CHECK_MSG(file->done.has_value(), "job file without job_done");
   const JobStatus status = status_from_event(*file->done);
   std::vector<campaign::CellResult> cells;
@@ -642,9 +613,10 @@ void ServeCore::shutdown() {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (shutting_down_) return;
     shutting_down_ = true;
-    // Wake every in-flight cell through the cooperative path; their
-    // results are discarded (never checkpointed), so the next daemon
-    // resumes them from the last committed cell — bit-identically.
+    // Wake every in-flight cell through the cooperative path: a
+    // cancelled cell is discarded whole, and one whose last trial still
+    // lands is committed, so the next daemon resumes from the committed
+    // cells — bit-identically.
     for (auto& [id, job] : jobs_) {
       if (!terminal(job->status.state)) {
         job->cancel.request(robust::CancelReason::kExternal);

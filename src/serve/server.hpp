@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "campaign/plan.hpp"
-#include "campaign/report.hpp"
 #include "campaign/trial_scheduler.hpp"
 #include "obs/sink.hpp"
 #include "robust/budget.hpp"
@@ -63,10 +62,15 @@ struct JobStatus {
   std::string error;
 };
 
+/// The `job_accepted` line of a submit reply and of the trace.
+obs::Event accepted_event(const JobStatus& status);
+
 /// A job's status as the `status` reply's job_status line (typed
-/// job_done, the job file's last record) and back; status_from_event
-/// throws util::ParseError for an unknown state or reason.
-obs::Event status_event(const JobStatus& status);
+/// job_done: the job file's last record, the trace's and the results
+/// stream's) and back; status_from_event throws util::ParseError for an
+/// unknown state or reason.
+obs::Event status_event(const JobStatus& status,
+                        const char* type = "job_status");
 JobStatus status_from_event(const obs::Event& event);
 
 struct ServeOptions {
@@ -81,8 +85,8 @@ struct ServeOptions {
   /// determinism tests use this to fix the submission set first.
   bool autostart = true;
   robust::IoBackend* io = nullptr;  ///< null = system_io()
-  /// Server-side telemetry: job_accepted / cell_scheduled / job_done
-  /// events in decision order. Null = disabled.
+  /// Telemetry: job_accepted / cell_scheduled / job_done in decision
+  /// order, plus each job's CellLifecycle events. Null = disabled.
   obs::TraceSink* trace = nullptr;
 };
 
@@ -140,25 +144,18 @@ class ServeCore {
   void shutdown();
 
  private:
-  struct ClientState {
-    std::unique_ptr<robust::BudgetTracker> tracker;  // null = no budget
-  };
   struct Job;
   using ClaimedCell = campaign::ClaimedCell<Job*>;
-  /// Owns a copy of its plan cell: helpers may still run a trial of an
-  /// abandoned cell after its job dropped the plan.
-  struct OwnedCell : ClaimedCell {
-    campaign::Cell copy;
-  };
 
   void resume_spool();
-  void init_job(const std::string& id, const SubmitRequest& request,
-                const campaign::Manifest& manifest, bool resuming);
+  JobStatus init_job(const std::string& id, const SubmitRequest& request,
+                     const campaign::Manifest& manifest, bool resuming);
   void work_loop();  // one per pool thread, until shutdown
   void wake();       // new work may be admissible or helpable (mutex held)
   std::shared_ptr<ClaimedCell> admit();  // the TrialScheduler's steps
   void finish(ClaimedCell& claimed);
   void abandon(Job& job);  // inside the catch of the cell's error
+  void pace(Job& job);  // pause a full stream's job, resume it (mutex held)
   void truncate_job(Job& job, robust::CancelReason reason);  // mutex held
   void maybe_finalize(Job& job);                             // mutex held
   void fail_job(Job& job, const std::string& what);          // mutex held
@@ -169,12 +166,13 @@ class ServeCore {
   Spool spool_;
   util::ThreadPool pool_;
 
+  obs::SharedSink trace_;  ///< options_.trace, for every job's writes
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   FairScheduler scheduler_;
-  std::string line_buf_;  ///< JSONL encode buffer, reused under mutex_
   std::map<std::string, std::unique_ptr<Job>> jobs_;
-  std::map<std::string, ClientState> clients_;
+  /// Per-client box budgets, by client; a client without one is absent.
+  std::map<std::string, std::unique_ptr<robust::BudgetTracker>> budgets_;
   std::uint64_t wake_ = 1;  ///< bumped by wake(); idle threads watch it
   bool started_ = false;
   bool shutting_down_ = false;

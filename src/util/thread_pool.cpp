@@ -106,7 +106,9 @@ void ThreadPool::worker_loop() {
     }
     {
       std::lock_guard lock(mutex_);
-      if (error) task_errors_.emplace_back(index, error);
+      // Moved, not copied: the worker keeps no reference to release
+      // after the unlock, when wait_idle may already own the error.
+      if (error) task_errors_.emplace_back(index, std::move(error));
       --active_;
       if (tasks_.empty() && active_ == 0) idle_.notify_all();
     }

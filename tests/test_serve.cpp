@@ -10,12 +10,15 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -467,6 +470,46 @@ TEST(ServeCore, RestartResumesToByteIdenticalReports) {
   EXPECT_EQ(idle.report_bytes(id_a), one_shot_bytes(kSix, "restart_a2"));
 }
 
+TEST(ServeCore, ACoreDestroyedMidJobClosesAnIoFaultedFileFirst) {
+  // A job whose fault spec arms I/O faults writes its file through its
+  // own FaultyIo. Destroying the core while that job is still queued or
+  // running must close the file before the FaultyIo goes (ASan names the
+  // other order). The rate is far below one fault per run.
+  ServeOptions options = core_options("io_faulted_teardown");
+  options.jobs = 2;
+  SubmitRequest request = request_for(kSlow, "alice");
+  request.fault_spec = "io_fsync=1e-12";
+  std::string running;
+  {
+    ServeOptions queued = options;
+    queued.autostart = false;
+    ServeCore core(queued);
+    core.submit(request);  // never admitted
+  }
+  {
+    ServeCore core(options);  // resumes the queued job
+    request.client = "bob";     // not queued behind alice's job
+    running = core.submit(request).id;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (core.status(running)->state == JobState::kQueued &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_NE(core.status(running)->state, JobState::kQueued);
+  }
+  // Both files still read back: a later core restores both jobs, each
+  // resumable (or done, had the core been slow to go).
+  options.autostart = false;
+  ServeCore restored(options);
+  ASSERT_EQ(restored.status().size(), 2u);
+  for (const JobStatus& job : restored.status()) {
+    EXPECT_TRUE(job.state == JobState::kQueued ||
+                job.state == JobState::kDone)
+        << job.id;
+  }
+}
+
 TEST(ServeCore, StreamDeliversEveryCellLineThenEnds) {
   ServeCore core(core_options("stream"));
   const JobStatus accepted = core.submit(request_for(kSmall, "alice"));
@@ -565,6 +608,112 @@ TEST(ServeCore, AJobCostsItsCellsPlusThreeSyncsAndReleasesItsFile) {
     files.push_back(entry.path().filename().string());
   }
   EXPECT_EQ(files, std::vector<std::string>{accepted.id + ".ckpt"});
+}
+
+/// How long a call may take while a neighbor's fsync is held.
+constexpr std::chrono::seconds kBound{5};
+
+// A one-cell job: its single cell commit is the one the gate below holds.
+const char kOne[] =
+    "name = serve_one\nalgos = 4:2:1\nprofiles = shuffled\n"
+    "k = 2\ntrials = 4\nseed = 3\n";
+
+/// Holds the second fsync of one file (its first cell commit; the first
+/// is the header's) until release(); every other call passes through.
+class GatedIo final : public robust::IoBackend {
+ public:
+  explicit GatedIo(std::string path)
+      : path_(std::move(path)), released_(release_.get_future().share()) {}
+
+  int open_trunc(const char* path) override {
+    return note(path, inner_.open_trunc(path));
+  }
+  int open_append(const char* path) override {
+    return note(path, inner_.open_append(path));
+  }
+  std::int64_t write(int fd, const void* data, std::size_t size) override {
+    return inner_.write(fd, data, size);
+  }
+  int fsync(int fd) override {
+    if (fd == gated_fd_.load() && ++syncs_ == 2) {
+      held.set_value();
+      released_.wait();
+    }
+    return inner_.fsync(fd);
+  }
+  int close(int fd) override { return inner_.close(fd); }
+  std::int64_t seek_end(int fd) override { return inner_.seek_end(fd); }
+  int rename(const char* from, const char* to) override {
+    return inner_.rename(from, to);
+  }
+  int remove(const char* path) override { return inner_.remove(path); }
+  int fsync_parent(const char* path) override {
+    return inner_.fsync_parent(path);
+  }
+
+  void release() { release_.set_value(); }
+
+  std::promise<void> held;  ///< set once the gated fsync is waiting
+
+ private:
+  int note(const char* path, int fd) {
+    if (path_ == path) gated_fd_.store(fd);
+    return fd;
+  }
+
+  const std::string path_;
+  std::promise<void> release_;
+  std::shared_future<void> released_;
+  std::atomic<int> gated_fd_{-1};
+  std::atomic<int> syncs_{0};
+  robust::IoBackend& inner_ = robust::system_io();
+};
+
+TEST(ServeCore, ACommitBlockedInFsyncDoesNotBlockStatusOrANeighbor) {
+  // A cell's commit runs outside the core lock: while job-1's cell fsync
+  // hangs on a slow disk, status answers, job-2's submit is acknowledged
+  // and job-2 lands a cell. Every wait is bounded, so a core that commits
+  // under its lock fails here rather than hanging.
+  ServeOptions options = core_options("fsync_gate");
+  GatedIo io(Spool(options.spool_dir).path_for("job-1"));
+  options.io = &io;
+  options.jobs = 2;  // one thread waits in job-1's fsync, one is free
+  ServeCore core(options);
+  const std::string first = core.submit(request_for(kOne, "alice")).id;
+  ASSERT_EQ(first, "job-1");
+  std::future<void> held = io.held.get_future();
+  if (held.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+    io.release();
+    FAIL() << "job-1's cell commit never reached its fsync";
+  }
+  auto status = std::async(std::launch::async, [&core] {
+    return core.status().size();
+  });
+  EXPECT_EQ(status.wait_for(kBound), std::future_status::ready)
+      << "status() waited on another job's fsync";
+  auto second = std::async(std::launch::async, [&core] {
+    return core.submit(request_for(kSmall, "bob")).id;
+  });
+  EXPECT_EQ(second.wait_for(kBound), std::future_status::ready)
+      << "a submit waited on another job's fsync";
+  auto landed = std::async(std::launch::async, [&core] {
+    const auto deadline = std::chrono::steady_clock::now() + kBound;
+    while (std::chrono::steady_clock::now() < deadline) {
+      const std::optional<JobStatus> job = core.status("job-2");
+      if (job.has_value() && job->cells_done > 0) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  });
+  EXPECT_EQ(landed.wait_for(kBound + kBound), std::future_status::ready)
+      << "job-2 landed no cell while job-1's fsync was held";
+  io.release();
+  EXPECT_TRUE(landed.get());
+  const std::string id = second.get();
+  ASSERT_TRUE(core.wait_job(first));
+  ASSERT_TRUE(core.wait_job(id));
+  EXPECT_EQ(core.report_bytes(first), one_shot_bytes(kOne, "fsync_gate_1"));
+  EXPECT_EQ(core.report_bytes(id), one_shot_bytes(kSmall, "fsync_gate_2"));
 }
 
 TEST(ServeCore, OlderSpoolLayoutIsRefusedNamingTheFile) {
@@ -704,6 +853,111 @@ TEST(ServeCore, CancelMidHelpedCellDiscardsItWholeAndResumes) {
   ASSERT_TRUE(resumed.wait_job(id));
   EXPECT_EQ(resumed.report_bytes(id),
             one_shot_bytes(kHeavierTail, "tail_restart"));
+}
+
+// ---- served sort jobs: one capture per program ------------------------
+
+// Twelve sort cells (three programs x two profiles x two policies) on
+// one input per program: the oblivious programs' cells replay one
+// capture each, funnel's with seed 5 + 4 and merge2's with seed 5 + 8.
+const char kSort[] =
+    "name = serve_sort\nworkload = sort\nsorts = adaptive funnel merge2\n"
+    "profiles = const:32 uniform:4:64\npolicies = lru clock\n"
+    "keys = 2048\nblock = 8\ntrials = 4\nseed = 5\ntrace_replay = 1\n";
+// One funnel cell whose capture (128K keys, about 0.3 s) outlasts a
+// cancel by far: the admitting thread captures while the idle threads
+// help, waiting on it.
+const char kLongCapture[] =
+    "name = serve_long_capture\nworkload = sort\nsorts = funnel\n"
+    "profiles = const:32\nkeys = 131072\nblock = 8\ntrials = 8\n"
+    "seed = 9\ntrace_replay = 1\n";
+
+/// A trace sink the test thread may read and wait on while the core's
+/// threads write to it.
+class WaitableSink final : public obs::TraceSink {
+ public:
+  void write(const obs::Event& event) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      events_.push_back(event);
+    }
+    cv_.notify_all();
+  }
+
+  std::vector<obs::Event> events(const std::string& type) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<obs::Event> out;
+    for (const obs::Event& event : events_) {
+      if (event.type == type) out.push_back(event);
+    }
+    return out;
+  }
+
+  /// Whether an event of `type` arrived within `timeout`.
+  bool wait_for(const std::string& type, std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [this, &type] {
+      return std::any_of(
+          events_.begin(), events_.end(),
+          [&type](const obs::Event& event) { return event.type == type; });
+    });
+  }
+
+ private:
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::vector<obs::Event> events_;
+};
+
+TEST(ServeCore, SortJobCapturesOncePerProgramAndMatchesOneShot) {
+  const std::string reference = one_shot_bytes(kSort, "sort");
+  for (const std::uint64_t jobs : {1u, 4u}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    WaitableSink trace;
+    ServeOptions options = core_options("sort_p" + std::to_string(jobs));
+    options.jobs = jobs;
+    options.trace = &trace;
+    ServeCore core(options);
+    const std::string id = core.submit(request_for(kSort, "alice")).id;
+    ASSERT_TRUE(core.wait_job(id));
+    EXPECT_EQ(core.report_bytes(id), reference);
+    std::vector<std::pair<std::string, std::uint64_t>> captured;
+    for (const obs::Event& event : trace.events("trace_capture")) {
+      captured.emplace_back(event.str_or("program", ""),
+                            event.u64_or("seed", 0));
+      EXPECT_EQ(event.u64_or("cells", 0), 4u);  // the program's row
+    }
+    std::sort(captured.begin(), captured.end());
+    const std::vector<std::pair<std::string, std::uint64_t>> want = {
+        {"funnel", 5 + 4}, {"merge2", 5 + 8}};
+    EXPECT_EQ(captured, want);
+    EXPECT_EQ(trace.events("trace_release").size(), 2u);
+  }
+}
+
+TEST(ServeCore, CancelMidCaptureOutlivedByAHelperLeavesTheCoreServing) {
+  // The job ends (and drops its plan, trace cache and file) as soon as
+  // the capturing trial unwinds, while the helpers that waited on the
+  // capture are still inside their trials: they must finish on the
+  // claimed cell's hold on them. A sort job submitted afterwards on the
+  // same core still gives one-shot bytes.
+  WaitableSink trace;
+  ServeOptions options = core_options("sort_cancel");
+  options.jobs = 4;
+  options.trace = &trace;
+  ServeCore core(options);
+  const std::string id = core.submit(request_for(kLongCapture, "alice")).id;
+  ASSERT_TRUE(trace.wait_for("cell_scheduled", std::chrono::seconds(30)));
+  ASSERT_TRUE(core.cancel(id));
+  ASSERT_TRUE(core.wait_job(id));
+  const JobStatus cancelled = *core.status(id);
+  EXPECT_EQ(cancelled.state, JobState::kCancelled);
+  EXPECT_EQ(cancelled.reason, robust::CancelReason::kExternal);
+  EXPECT_EQ(cancelled.cells_done, 0u);
+  EXPECT_TRUE(trace.events("trace_capture").empty());  // cut mid-capture
+  const std::string next = core.submit(request_for(kSort, "bob")).id;
+  ASSERT_TRUE(core.wait_job(next));
+  EXPECT_EQ(core.report_bytes(next), one_shot_bytes(kSort, "sort_cancel"));
 }
 
 // ---- daemon wire edges ------------------------------------------------

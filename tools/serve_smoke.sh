@@ -1,7 +1,8 @@
 #!/bin/sh
 # Serve-lane end-to-end drill (docs/SERVE.md): a real daemon, three
-# concurrent tenants, and the headline invariant checked with cmp — a
-# job's report, fetched over the socket, is byte-identical to one-shot
+# concurrent ratio tenants and a sort tenant (trace_replay, one capture
+# per program), and the headline invariant checked with cmp — a job's
+# report, fetched over the socket, is byte-identical to one-shot
 # `cadapt sweep --no-timing` on the same manifest. Also exercises the
 # spool (one file per job) and a restart that serves a finished job's
 # cell lines and bytes from it, the cancel path (truncated report, exit
@@ -55,9 +56,21 @@ k = 1..4
 trials = 4
 seed = 9
 EOF
+cat > d.manifest << 'EOF'
+name = smoke_sort
+workload = sort
+sorts = adaptive funnel merge2
+profiles = const:32 uniform:4:64
+policies = lru clock
+keys = 2048
+block = 8
+trials = 4
+seed = 5
+trace_replay = 1
+EOF
 
 # One-shot references first (the daemon must reproduce these bytes).
-for m in a b c; do
+for m in a b c d; do
   "$cli" sweep "$m.manifest" --no-timing --out "ref_$m.json" > /dev/null
 done
 
@@ -100,13 +113,15 @@ stop_daemon() {
 
 start_daemon
 
-# Three tenants with distinct weights, submitted concurrently.
+# Four tenants with distinct weights, submitted concurrently.
 "$cli" submit a.manifest --socket serve.sock --client alice --weight 2 \
   | grep -q '"job":"job-1"'
 "$cli" submit b.manifest --socket serve.sock --client bob \
   | grep -q '"job":"job-2"'
 "$cli" submit c.manifest --socket serve.sock --client carol \
   | grep -q '"job":"job-3"'
+"$cli" submit d.manifest --socket serve.sock --client erin \
+  | grep -q '"job":"job-4"'
 
 # Stream every report; each must be byte-identical to its reference —
 # the shared pool and tenant interleaving must not leak into artifacts.
@@ -116,9 +131,12 @@ start_daemon
   2> /dev/null
 "$cli" results --socket serve.sock --job job-3 --out got_c.json \
   2> /dev/null
+"$cli" results --socket serve.sock --job job-4 --out got_d.json \
+  2> /dev/null
 cmp ref_a.json got_a.json
 cmp ref_b.json got_b.json
 cmp ref_c.json got_c.json
+cmp ref_d.json got_d.json
 
 # results to stdout carries ONLY the report bytes (status goes to
 # stderr) — shell-pipeline byte identity.
@@ -127,11 +145,11 @@ cmp ref_a.json pipe_a.json
 
 # status: every job done, one line each.
 "$cli" status --socket serve.sock > status.txt
-[ "$(grep -c '"state":"done"' status.txt)" -eq 3 ]
+[ "$(grep -c '"state":"done"' status.txt)" -eq 4 ]
 
 # The spool holds one file per job. A restarted daemon serves a finished
 # job from that file alone: every cell line, then the same bytes.
-if [ "$(ls spool | wc -l)" -ne 3 ]; then
+if [ "$(ls spool | wc -l)" -ne 4 ]; then
   echo "spool holds" $(ls spool) "— not one file per job" >&2
   exit 1
 fi
@@ -145,6 +163,9 @@ if [ "$cells" -ne 6 ]; then
   exit 1
 fi
 cmp ref_a.json restarted_a.json
+"$cli" results --socket serve.sock --job job-4 --out restarted_d.json \
+  2> /dev/null
+cmp ref_d.json restarted_d.json
 
 # Finished connections are reaped: 200 status round trips must not leave
 # 200 unjoined handler threads (an 8 MiB stack mapping each) behind.
@@ -171,9 +192,9 @@ trials = 20000
 seed = 11
 EOF
 "$cli" submit slow.manifest --socket serve.sock --client dave \
-  | grep -q job-4
-"$cli" cancel --socket serve.sock --job job-4 | grep -q '"type":"ok"'
-"$cli" results --socket serve.sock --job job-4 --out got_slow.json \
+  | grep -q job-5
+"$cli" cancel --socket serve.sock --job job-5 | grep -q '"type":"ok"'
+"$cli" results --socket serve.sock --job job-5 --out got_slow.json \
   2> /dev/null
 grep -q '"truncated":true' got_slow.json
 grep -q '"truncate_reason":"external"' got_slow.json
@@ -182,7 +203,7 @@ grep -q '"truncate_reason":"external"' got_slow.json
 # cancelling a finished job is also 3.
 status=0; "$cli" status --socket serve.sock --job job-99 || status=$?
 [ "$status" -eq 3 ]
-status=0; "$cli" cancel --socket serve.sock --job job-4 || status=$?
+status=0; "$cli" cancel --socket serve.sock --job job-5 || status=$?
 [ "$status" -eq 3 ]
 # A malformed manifest is rejected with exit 3 and creates NO job.
 printf 'name = bad\nalgoz = 4:2:1\n' > bad.manifest
@@ -190,7 +211,7 @@ status=0
 "$cli" submit bad.manifest --socket serve.sock 2> /dev/null || status=$?
 [ "$status" -eq 3 ]
 "$cli" status --socket serve.sock > status2.txt
-if grep -q job-5 status2.txt; then
+if grep -q job-6 status2.txt; then
   echo "rejected manifest still created a job" >&2
   exit 1
 fi
@@ -221,4 +242,4 @@ fi
 
 stop_daemon
 
-echo "serve smoke: 3 tenants byte-identical, restart + cancel + errors OK"
+echo "serve smoke: 4 tenants byte-identical, restart + cancel + errors OK"
