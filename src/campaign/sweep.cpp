@@ -23,15 +23,20 @@ std::string run_fingerprint(std::uint32_t max_attempts,
   return os.str();
 }
 
-robust::RecordFn restore_cells(std::map<std::uint64_t, CellResult>& finished) {
-  return [&finished](const robust::JsonlLine& line) {
+robust::RecordFn restore_cells(Restored& into) {
+  return [&into](const robust::JsonlLine& line) {
     if (line.event.type != "sweep_cell") {
-      throw util::ParseError("sweep checkpoint: unexpected line type '" +
-                                 line.event.type + "'",
-                             line.line_no);
+      // A trial line, or a ParseError naming the type.
+      robust::TrialRecord record = robust::trial_record_from(line);
+      const std::uint64_t cell = line.event.u64_or("cell", 0);
+      if (!into.cells.contains(cell)) {
+        into.trials[cell].push_back(std::move(record));
+      }
+      return;
     }
     CellResult cell = cell_from_event(line.event, line.line_no);
-    finished.insert_or_assign(cell.index, std::move(cell));
+    into.trials.erase(cell.index);
+    into.cells.insert_or_assign(cell.index, std::move(cell));
   };
 }
 
@@ -63,14 +68,77 @@ Report assemble_report(const Plan& plan, std::vector<CellResult> cells,
   return report;
 }
 
+void CheckpointWriter::append(const obs::Event& event) {
+  obs::to_jsonl(event, line_);
+  file_->write(line_);
+  file_->write("\n");
+}
+
+void CheckpointWriter::commit_chunk(const CellClaim& claimed,
+                                    std::uint64_t c) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (file_ == nullptr) return;
+  bool any = false;
+  for (std::uint64_t t = c * claimed.chunk; t < claimed.chunk_end(c); ++t) {
+    if (claimed.restored[t]) continue;
+    obs::Event event = robust::trial_record_event(claimed.records[t]);
+    append(event.u64("cell", claimed.cell->index));
+    any = true;
+  }
+  if (any) file_->commit();
+}
+
+std::string CheckpointWriter::commit(const std::vector<obs::Event>& events,
+                                     bool close) {
+  // One durable commit per record batch: a kill between commits loses
+  // nothing, a kill mid-commit only the torn tail a resume drops.
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (file_ == nullptr) return {};
+  for (const obs::Event& event : events) append(event);
+  const std::unique_ptr<robust::DurableAppender> closing =
+      close ? std::move(file_) : nullptr;  // closed even if commit throws
+  (close ? closing : file_)->commit();
+  return line_;
+}
+
+namespace {
+
+// Chunk `claimed` into `size`-trial chunks with its `committed` records in
+// place, so its claims skip them and its chunk commits never write them
+// again. Returns how many distinct trials were restored.
+std::uint64_t chunk_claim(CellClaim& claimed, std::uint64_t size,
+                          std::vector<robust::TrialRecord> committed) {
+  const std::uint64_t trials = claimed.cell->trials;
+  claimed.chunk = size;
+  claimed.landed =
+      std::vector<std::atomic<std::uint64_t>>((trials + size - 1) / size);
+  claimed.restored.assign(trials, false);
+  std::uint64_t restored = 0;
+  for (robust::TrialRecord& record : committed) {
+    if (record.trial >= trials) {
+      throw util::ParseError(
+          "checkpoint: trial " + std::to_string(record.trial) + " of cell " +
+          std::to_string(claimed.cell->index) + " is out of range");
+    }
+    if (!claimed.restored[record.trial]) ++restored;
+    claimed.restored[record.trial] = true;
+    claimed.records[record.trial] = std::move(record);
+  }
+  return restored;
+}
+
+}  // namespace
+
 CellLifecycle::CellLifecycle(
     std::shared_ptr<const Plan> plan, CellRunOptions options,
-    std::unique_ptr<robust::DurableAppender> checkpoint, obs::SharedSink& trace)
+    std::unique_ptr<robust::DurableAppender> checkpoint, TrialLines restored,
+    obs::SharedSink& trace)
     : plan_(std::move(plan)),
       trace_(trace),
       options_(std::move(options)),
       traces_(options_, [&trace](const obs::Event& e) { trace.write(e); }),
-      checkpoint_(std::move(checkpoint)) {
+      restored_(std::move(restored)),
+      writer_(std::move(checkpoint)) {
   options_.traces = &traces_;
 }
 
@@ -84,7 +152,18 @@ void CellLifecycle::claim(CellClaim& claimed, const Cell& cell) {
     // trials = 0).
     CADAPT_CHECK_MSG(cell.trials != 0,
                      "cell " << cell.index << " has no trials");
-    claimed.runner = make_cell_runner(cell, options_);
+    std::uint64_t restored = 0;
+    if (writer_.enabled() && cell.trials > kTrialChunk) {
+      const auto it = restored_.find(cell.index);
+      restored = chunk_claim(
+          claimed, kTrialChunk,
+          it != restored_.end() ? std::move(it->second)
+                                : std::vector<robust::TrialRecord>{});
+    }
+    // A cell restored whole lands at admission, without a trial run.
+    if (restored != cell.trials) {
+      claimed.runner = make_cell_runner(cell, options_);
+    }
   } catch (...) {
     skip(cell);
     throw;
@@ -100,18 +179,7 @@ CellLifecycle::Landed CellLifecycle::land(CellClaim& claimed) {
   landed.result = aggregate_cell(cell, claimed.records, plan_->config_hash,
                                  plan_->manifest.unit_progress);
   const obs::Event event = cell_event(landed.result);
-  {
-    // One durable commit per cell: a kill between cells loses nothing, a
-    // kill mid-commit loses only the torn tail that open_checkpoint drops
-    // on resume.
-    const std::lock_guard<std::mutex> lock(commit_mutex_);
-    if (checkpoint_ != nullptr) {
-      obs::to_jsonl(event, landed.line);
-      checkpoint_->write(landed.line);
-      checkpoint_->write("\n");
-      checkpoint_->commit();
-    }
-  }
+  landed.line = writer_.commit({event});
   trace_.write(event);
   for (const robust::TrialRecord& record : claimed.records) {
     if (!record.failed || !trace_.enabled()) continue;
@@ -123,17 +191,6 @@ CellLifecycle::Landed CellLifecycle::land(CellClaim& claimed) {
   claimed.records = {};
   skip(cell);  // its trace is freed after its program's last cell
   return landed;
-}
-
-void CellLifecycle::close(const std::vector<obs::Event>& events) {
-  const std::lock_guard<std::mutex> lock(commit_mutex_);
-  const std::unique_ptr<robust::DurableAppender> checkpoint =
-      std::move(checkpoint_);
-  for (const obs::Event& event : events) {
-    checkpoint->write(obs::to_jsonl(event));
-    checkpoint->write("\n");
-  }
-  checkpoint->commit();
 }
 
 namespace {
@@ -207,7 +264,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
       shard_cells(plan, options.shards, options.shard_index);
   const std::uint64_t started_ns = options.timing ? options.clock() : 0;
 
-  std::map<std::uint64_t, CellResult> finished;
+  Restored restored;
   std::unique_ptr<robust::DurableAppender> checkpoint;
   if (!options.checkpoint_path.empty()) {
     // The header: version, config_hash, sharding, grid size, and the run
@@ -224,9 +281,10 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
     if (run != run_fingerprint(1, nullptr, 0)) header.str("run", run);
     checkpoint = robust::open_checkpoint(
         options.checkpoint_path, header, options.resume,
-        restore_cells(finished),
+        restore_cells(restored),
         options.io != nullptr ? *options.io : robust::system_io());
   }
+  const std::map<std::uint64_t, CellResult>& finished = restored.cells;
 
   // Cancellation: an external token wins; otherwise an armed deadline
   // gets an internal watchdog so a stuck cell is cancelled MID-cell
@@ -254,7 +312,8 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
   // Not owning the plan: every claim is gone before run_sweep returns.
   const auto lifecycle = std::make_shared<CellLifecycle>(
       std::shared_ptr<const Plan>(&plan, [](const Plan*) {}),
-      std::move(cell_options), std::move(checkpoint), trace);
+      std::move(cell_options), std::move(checkpoint),
+      std::move(restored.trials), trace);
   // Each trace is freed after its program's last unfinished cell here:
   // a cell that never lands (skipped at admission, abandoned) is skipped.
   for (const std::size_t i : mine) {
@@ -311,6 +370,10 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
            [&stops, &lifecycle](Claimed& run) {
              stops.fail(run.owner);
              lifecycle->skip(*run.cell);
+           },
+       .land_chunk =
+           [&lifecycle](Claimed& run, std::uint64_t c) {
+             lifecycle->commit(run, c);
            }},
       options.timing);
   util::ThreadPool pool(static_cast<std::size_t>(options.jobs));
@@ -338,21 +401,7 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
   CADAPT_CHECK(trial_options.max_attempts >= 1);
   CADAPT_CHECK(runner != nullptr);
   const std::uint64_t size = std::max<std::uint64_t>(1, options.chunk);
-  const std::uint64_t chunks = (trials + size - 1) / size;
-  // The cells of this sweep: `size`-trial chunks, the last one shorter.
-  Cell full, last;
-  full.trials = size;
-  last.trials = trials - (chunks - 1) * size;
-  obs::McRecorder* recorder = trial_options.recorder;
-
-  struct Landed {
-    std::vector<robust::TrialRecord> records;  // records[trial - first]
-    std::uint64_t restored = 0;  // distinct trials the checkpoint holds
-    bool landed = false;  // restored whole, or run to its last trial
-    bool fresh = false;   // ran in this call: its boxes count to the budget
-    bool late = false;    // landed past the deadline
-  };
-  std::vector<Landed> landed(chunks);
+  Restored restored;
   std::unique_ptr<robust::DurableAppender> checkpoint;
   if (!options.checkpoint_path.empty()) {
     obs::Event header("mc_checkpoint");
@@ -361,89 +410,59 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
         .u64("seed", trial_options.seed)
         .str("config_hash", options.config);
     // Only when set: checkpoints at the default chunk keep their bytes. A
-    // resume at another chunk size is refused rather than re-running
-    // every chunk the file holds only in part.
-    if (size != CellTrials{}.chunk) header.u64("chunk", size);
-    std::vector<bool> seen(trials);
-    // Decode straight into the chunks: a resume never holds the file.
-    const auto restore = [&](const robust::JsonlLine& line) {
-      robust::TrialRecord record = robust::trial_record_from(line);
-      if (record.trial >= trials) {
-        throw util::ParseError("checkpoint line " +
-                                   std::to_string(line.line_no) +
-                                   ": trial out of range",
-                               line.line_no);
-      }
-      const std::uint64_t c = record.trial / size;
-      Landed& slot = landed[c];
-      slot.records.resize((c + 1 < chunks ? full : last).trials);
-      if (!seen[record.trial]) ++slot.restored;
-      seen[record.trial] = true;
-      slot.records[record.trial - c * size] = std::move(record);
-    };
+    // resume at another chunk size is refused, so a resume keeps the
+    // chunk boundaries its budget truncations fall on.
+    if (size != kTrialChunk) header.u64("chunk", size);
     checkpoint = robust::open_checkpoint(
-        options.checkpoint_path, header, options.resume, restore,
+        options.checkpoint_path, header, options.resume,
+        restore_cells(restored),
         options.io != nullptr ? *options.io : robust::system_io());
   }
+  CheckpointWriter writer(std::move(checkpoint));
+
+  // One claim of one cell, admitted by every thread until all its trials
+  // are claimed; its chunks are the commit and admission points.
+  Cell cell;
+  cell.trials = trials;
+  using Claimed = ClaimedCell<std::uint64_t>;
+  const auto claim = std::make_shared<Claimed>();
+  claim->cell = &cell;
+  claim->trial_options = trial_options;
+  claim->runner = runner;
+  claim->records.resize(trials);
+  (void)chunk_claim(*claim, size, std::move(restored.trials[0]));
+  const std::vector<bool>& known = claim->restored;
+  const std::uint64_t chunks = claim->landed.size();
 
   robust::BudgetTracker tracker(options.budget, options.clock);
   Stops stops;
-  std::mutex commit_mutex;
-  std::string line;  // encode buffer reused under commit_mutex
-
-  using Claimed = ClaimedCell<std::uint64_t>;
-  std::atomic<std::uint64_t> next_chunk{0};
-  const auto admit = [&]() -> std::shared_ptr<Claimed> {
-    for (;;) {
-      const std::uint64_t c =
-          next_chunk.fetch_add(1, std::memory_order_relaxed);
-      if (c >= chunks) return nullptr;
-      const Cell& cell = c + 1 < chunks ? full : last;
-      // A chunk the checkpoint holds whole is restored; a partial one
-      // (a commit torn mid-chunk) runs again.
-      if (landed[c].restored == cell.trials) {
-        landed[c].landed = true;
-        continue;
-      }
-      if (!stops.admissible(c, trial_options.cancel, tracker)) continue;
-      auto run = std::make_shared<Claimed>();
-      run->owner = c;
-      run->cell = &cell;
-      run->first = c * size;
-      run->trial_options = trial_options;
-      run->runner = runner;
-      run->records.resize(cell.trials);
-      return run;
+  std::vector<char> late(chunks);  // landed past the deadline
+  // A chunk's lander: its new trials count to the budget and commit, and
+  // a spent budget, a passed deadline or a cancel stops the claims. Claims
+  // run in trial order, so every chunk before the fold's stop lands.
+  const auto land = [&](Claimed& run, std::uint64_t c) {
+    const bool past = tracker.deadline_exceeded();
+    bool ran = false;
+    for (std::uint64_t t = c * size; t < run.chunk_end(c); ++t) {
+      if (known[t]) continue;
+      tracker.add_boxes(run.records[t].boxes);
+      ran = true;
+    }
+    if (!ran) return;  // restored whole
+    late[c] = past;
+    writer.commit_chunk(run, c);
+    if (!stops.admissible(c, trial_options.cancel, tracker)) {
+      run.next.store(trials, std::memory_order_relaxed);
     }
   };
-
-  // Run by whoever lands a chunk's last trial: one durable commit of its
-  // records (a kill loses at most the chunks in flight), then park them
-  // for the fold.
-  const auto finish = [&](Claimed& run) {
-    const bool late = tracker.deadline_exceeded();
-    for (const robust::TrialRecord& record : run.records) {
-      tracker.add_boxes(record.boxes);
-    }
-    if (checkpoint != nullptr) {
-      const std::lock_guard<std::mutex> lock(commit_mutex);
-      for (const robust::TrialRecord& record : run.records) {
-        obs::to_jsonl(robust::trial_record_event(record), line);
-        checkpoint->write(line);
-        checkpoint->write("\n");
-      }
-      checkpoint->commit();
-    }
-    Landed& slot = landed[run.owner];
-    slot.records = std::move(run.records);
-    slot.landed = slot.fresh = true;
-    slot.late = late;
-  };
-
+  obs::McRecorder* recorder = trial_options.recorder;
   TrialScheduler<std::uint64_t> scheduler(
-      {.admit = admit,
-       .finish = finish,
-       .abandon = [&stops](Claimed& run) { stops.fail(run.owner); }},
+      {.admit = [&claim]() -> std::shared_ptr<Claimed> {
+         return claim->unclaimed() != 0 ? claim : nullptr;
+       },
+       .finish = [](Claimed&) {},
+       .abandon = [&stops](Claimed&) { stops.fail(0); },
+       .land_chunk = land},
       recorder != nullptr && recorder->record_timing());
   util::ThreadPool& pool = trial_options.pool != nullptr
                                ? *trial_options.pool
@@ -457,19 +476,19 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
   summary.trials_requested = trials;
   std::uint64_t spent = 0;
   for (std::uint64_t c = 0; c < chunks; ++c) {
-    const Landed& slot = landed[c];
-    if (!slot.landed) {
+    const std::uint64_t end = claim->chunk_end(c);
+    if (claim->landed[c].load(std::memory_order_relaxed) != end - c * size) {
       summary.truncated = true;
       summary.truncate_reason = stops.reason();
       break;
     }
-    for (const robust::TrialRecord& record : slot.records) {
-      engine::fold_trial(summary, record, recorder);
-      if (slot.fresh) spent += record.boxes;
+    for (std::uint64_t t = c * size; t < end; ++t) {
+      engine::fold_trial(summary, claim->records[t], recorder);
+      if (!known[t]) spent += claim->records[t].boxes;
     }
     const bool broke = options.budget.max_total_boxes != 0 &&
                        spent >= options.budget.max_total_boxes;
-    if (c + 1 < chunks && (broke || slot.late)) {
+    if (c + 1 < chunks && (broke || late[c] != 0)) {
       summary.truncated = true;
       summary.truncate_reason = broke ? robust::CancelReason::kBudget
                                       : robust::CancelReason::kDeadline;

@@ -10,18 +10,20 @@
 // kill + --resume (wall clocks excepted; pass timing = false to zero
 // them, as the bit-identity tests do).
 //
-// Checkpoint format (JSONL, shared cell encoding with the report):
+// Checkpoint format: the header, then src/robust/checkpoint.hpp's record
+// grammar — one sweep_cell line per finished cell in completion order
+// (the report re-sorts by index), and for a cell of more than
+// kTrialChunk trials its trial lines, one commit per kTrialChunk landed
+// trials, before its sweep_cell line:
 //
 //   {"type":"sweep_checkpoint","version":1,"config_hash":...,
 //    "shards":...,"shard_index":...,"cells":...[,"run":...]}
-//   {"type":"sweep_cell",...}   — one line per FINISHED cell, completion
-//                                 order (the report re-sorts by index)
 //
-// Cells are the checkpoint grain: a killed sweep loses at most the cells
-// in flight, and --resume re-derives exactly the missing ones.
+// A killed sweep loses at most the cells and chunks in flight; --resume
+// runs exactly the trials no line holds, and writes none of them twice.
 //
-// `cadapt mc` runs on the same loop (run_cell_trials): a sweep whose
-// cells are the trial chunks of one cell, checkpointed per chunk.
+// `cadapt mc` runs on the same loop (run_cell_trials) as one claim of one
+// cell, committed per --checkpoint-every chunk under its own header.
 #pragma once
 
 #include <map>
@@ -113,11 +115,11 @@ Report run_sweep(const Plan& plan, const SweepOptions& options = {});
 struct CellTrials {
   /// Trials per chunk (`--checkpoint-every`): the grain of admission,
   /// budget checks and checkpoint commits; never changes the summary.
-  std::uint64_t chunk = 256;
+  std::uint64_t chunk = kTrialChunk;
   robust::Budget budget;  ///< where each stops the fold: run_cell_trials
   obs::ClockFn clock = &obs::steady_now_ns;  ///< test seam for the deadline
   std::string checkpoint_path;  ///< empty = no checkpointing
-  bool resume = false;  ///< restore the chunks checkpoint_path holds whole
+  bool resume = false;  ///< restore the trials checkpoint_path holds
   /// The header's config_hash: what shapes a trial besides (trials, seed).
   std::string config;
   robust::IoBackend* io = nullptr;  ///< null = robust::system_io()
@@ -125,22 +127,23 @@ struct CellTrials {
 
 /// Run trial_options.trials trials of `runner` on the sweep's trial loop
 /// (TrialScheduler), with trial_options.pool's threads (null =
-/// util::default_pool()), as a sweep whose cells are the `chunk`-trial
-/// chunks of one cell:
-///   admit  — the next chunk, after the resume, cancel and budget checks;
-///   finish — the lander of a chunk's last trial commits its trial
-///            records in one durable commit (chunks land in any order);
-///   abandon — as run_sweep: a cancelled chunk is discarded whole.
-/// Once the pool drains, the landed chunks fold into the summary in trial
-/// order, stopping at the first chunk that did not land, after the first
-/// chunk that takes the box spend of this run to the budget, or after
-/// the first chunk that landed past the deadline — so the summary is the
-/// same at every thread count. Durations are recorded when
+/// util::default_pool()), as one claim of one cell in `chunk`-trial
+/// chunks. The lander of a chunk's last trial commits the trials it ran
+/// (chunks land in any order), and once the budget is spent or the
+/// deadline passed, or on a cancel, no further trial is claimed; a
+/// cancelled chunk is discarded whole. Once the pool drains, the landed
+/// chunks fold into the summary in trial order, stopping at the first
+/// chunk that did not land, after the first chunk that takes the box
+/// spend of this run to the budget, or after the first chunk that landed
+/// past the deadline — so the summary is the same at every thread count. Durations are recorded when
 /// trial_options.recorder asks for timing. Throws util::ParseError for a
 /// foreign checkpoint and util::IoError for a failed commit.
 engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
                                   const engine::RobustTrialRunner& runner,
                                   const CellTrials& options = {});
+
+/// Restored trial records by cell index, each cell's in file order.
+using TrialLines = std::map<std::uint64_t, std::vector<robust::TrialRecord>>;
 
 // The pieces run_sweep is made of that `cadapt serve` reuses: a served
 // job's cells run through the same CellLifecycle, its file holds the same
@@ -148,11 +151,36 @@ engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
 // "daemon report == one-shot sweep report" is a byte-for-byte identity
 // rather than a convention.
 
+/// The one writer of every driver's checkpoint records: one appender, one
+/// mutex, one line buffer. Thread-safe; a null or closed file makes every
+/// commit a no-op.
+class CheckpointWriter {
+ public:
+  explicit CheckpointWriter(std::unique_ptr<robust::DurableAppender> file)
+      : file_(std::move(file)) {}
+
+  bool enabled() const { return file_ != nullptr; }
+  /// One durable commit of chunk c's trials of `claimed` that were not
+  /// restored (none: no commit), each line keyed by "cell".
+  void commit_chunk(const CellClaim& claimed, std::uint64_t c);
+  /// One durable commit of `events`, then the file closes when `close`;
+  /// returns the last line.
+  std::string commit(const std::vector<obs::Event>& events,
+                     bool close = false);
+
+ private:
+  void append(const obs::Event& event);  // encode into line_ and write
+
+  std::mutex mutex_;
+  std::unique_ptr<robust::DurableAppender> file_;  ///< mutex_
+  std::string line_;                               ///< mutex_
+};
+
 /// One plan's cell lifecycle (a sweep shard's, a served job's); the
 /// drivers only pick the next cell. It owns the cell options, the
-/// TraceCache (one capture per replayed (program, seed)) and the
-/// checkpoint, committed under its own mutex. A claimed cell holds it, so
-/// a helper still running a trial after its driver let go keeps the plan,
+/// TraceCache (one capture per replayed (program, seed)), the restored
+/// trial lines and the CheckpointWriter. A claimed cell holds it, so a
+/// helper still running a trial after its driver let go keeps the plan,
 /// the cache and the file alive. Thread-safe; lives in a shared_ptr.
 class CellLifecycle : public std::enable_shared_from_this<CellLifecycle> {
  public:
@@ -166,14 +194,20 @@ class CellLifecycle : public std::enable_shared_from_this<CellLifecycle> {
   /// sweep_trial_error and TraceCache events; it must outlive the claims.
   CellLifecycle(std::shared_ptr<const Plan> plan, CellRunOptions options,
                 std::unique_ptr<robust::DurableAppender> checkpoint,
-                obs::SharedSink& trace);
+                TrialLines restored, obs::SharedSink& trace);
 
   const Plan& plan() const { return *plan_; }
   /// Count a cell still to run, before the first claim.
   void expect(const Cell& cell) { traces_.add_user(cell); }
-  /// Trial options, sized records and the runner; a failed build skips
-  /// the cell and rethrows.
+  /// Trial options, sized records and the runner (none for a cell
+  /// restored whole). A checkpointed cell of more than kTrialChunk trials
+  /// is chunked, its restored trials in place. A failure skips the cell
+  /// and rethrows.
   void claim(CellClaim& claimed, const Cell& cell);
+  /// Chunk c's commit: TrialScheduler's land_chunk step.
+  void commit(const CellClaim& claimed, std::uint64_t c) {
+    writer_.commit_chunk(claimed, c);
+  }
   /// Once every trial landed: aggregate, commit the sweep_cell line, emit
   /// its events, drop the runner and records, skip. A failed commit
   /// throws util::IoError before the skip.
@@ -181,15 +215,17 @@ class CellLifecycle : public std::enable_shared_from_this<CellLifecycle> {
   /// Release the trace of a cell never admitted, or abandoned.
   void skip(const Cell& cell) { traces_.release(cell); }
   /// Commit `events` as the checkpoint's last records and close it.
-  void close(const std::vector<obs::Event>& events);
+  void close(const std::vector<obs::Event>& events) {
+    writer_.commit(events, true);
+  }
 
  private:
   const std::shared_ptr<const Plan> plan_;
   obs::SharedSink& trace_;
   CellRunOptions options_;
   TraceCache traces_;
-  std::mutex commit_mutex_;
-  std::unique_ptr<robust::DurableAppender> checkpoint_;  ///< commit_mutex_
+  TrialLines restored_;  ///< each moved into its cell's claim
+  CheckpointWriter writer_;
 };
 
 /// The robust settings a trial's records depend on besides the plan:
@@ -200,11 +236,19 @@ std::string run_fingerprint(std::uint32_t max_attempts,
                             const robust::FaultPlan* faults,
                             std::uint64_t backoff_base_ns);
 
-/// The robust::open_checkpoint record callback of a sweep checkpoint:
-/// decodes each sweep_cell line into `finished`, keyed by cell index (a
-/// cell recorded twice keeps its last line). Throws util::ParseError for
-/// any other line type.
-robust::RecordFn restore_cells(std::map<std::uint64_t, CellResult>& finished);
+/// What a checkpoint's records restore.
+struct Restored {
+  std::map<std::uint64_t, CellResult> cells;  ///< finished, by cell index
+  TrialLines trials;  ///< the other cells' trial records
+};
+
+/// The robust::open_checkpoint record callback of every driver's file:
+/// decodes each sweep_cell line into `into.cells` (a cell recorded twice
+/// keeps its last line) and each trial_result/trial_error line into
+/// `into.trials` (cell 0 without a "cell" key). A cell's sweep_cell line
+/// supersedes its trial lines, in either order. Throws util::ParseError
+/// for any other line type.
+robust::RecordFn restore_cells(Restored& into);
 
 /// Assemble the deterministic report exactly as run_sweep does: cells
 /// sorted by index, fits only at full grid coverage, this binary's build

@@ -1,17 +1,20 @@
 // The one trial scheduler of `cadapt sweep` (run_sweep), `cadapt serve`
-// (ServeCore) and `cadapt mc` (run_cell_trials, whose cells are the
-// trial chunks of one cell); docs/SWEEPS.md, "Execution". It owns no threads:
-// each caller runs work() on its own, and supplies the admit, finish
-// and abandon steps.
+// (ServeCore) and `cadapt mc` (run_cell_trials, one claim of one cell);
+// docs/SWEEPS.md, "Execution". It owns no threads: each caller runs
+// work() on its own, and supplies the admit, finish and abandon steps.
 //
 // The loop: admit a cell and claim its trials one at a time. Once no cell
 // can be admitted, help the admitted cell with the most unclaimed trials,
 // so one heavy cell no longer holds a single thread while the rest idle.
 // Whoever lands a cell's last trial finishes it; the first trial that
 // throws abandons the cell whole, so a partially executed cell never
-// reaches a report or a checkpoint. A thread holds its admitted cell
+// reaches a report or a sweep_cell line. A thread holds its admitted cell
 // until the cell's trials are all claimed, so at most one admitted cell
 // per thread is unfinished.
+//
+// A chunked cell (a checkpointed one of more than kTrialChunk trials, and
+// `mc`'s) also lands in chunks: the lander of a chunk's last trial runs
+// land_chunk, its checkpoint commit. Restored trials count, never run.
 //
 // Every trial is a pure function of (cell seed, trial index, attempt) and
 // lands at its index in records, so a cell's records never depend on which
@@ -35,16 +38,21 @@ namespace cadapt::campaign {
 
 class CellLifecycle;
 
+/// Trials per chunk of a checkpointed cell (`mc`: --checkpoint-every).
+inline constexpr std::uint64_t kTrialChunk = 256;
+
 /// An admitted cell's trial state.
 struct CellClaim {
   /// What claimed it, held for the claim's life (null in run_cell_trials).
   std::shared_ptr<CellLifecycle> lifecycle;
   const Cell* cell = nullptr;
-  /// Trial index of records[0]: a chunk of a larger cell starts past 0.
-  std::uint64_t first = 0;
   engine::McOptions trial_options;  ///< trial_options_for(cell, ...)
   engine::RobustTrialRunner runner;  ///< make_cell_runner(cell, ...)
-  std::vector<robust::TrialRecord> records;  ///< records[trial - first]
+  std::vector<robust::TrialRecord> records;  ///< records[trial]
+  std::uint64_t chunk = 0;  ///< trials per chunk; 0 = unchunked
+  // Chunked only: records restored from the checkpoint; landed per chunk.
+  std::vector<bool> restored;
+  std::vector<std::atomic<std::uint64_t>> landed;
   std::atomic<std::uint64_t> next{0};        ///< next unclaimed trial
   std::atomic<std::uint64_t> done{0};        ///< trials landed
   std::atomic<bool> abandoned{false};
@@ -53,10 +61,14 @@ struct CellClaim {
     const std::uint64_t claimed = next.load(std::memory_order_relaxed);
     return claimed < cell->trials ? cell->trials - claimed : 0;
   }
+  /// One past chunk c's last trial; it starts at c * chunk.
+  std::uint64_t chunk_end(std::uint64_t c) const {
+    return std::min(cell->trials, (c + 1) * chunk);
+  }
 };
 
 /// An admitted cell. `Owner` is the caller's handle for it: run_sweep's
-/// shard slot, ServeCore's job, run_cell_trials's chunk.
+/// shard slot, ServeCore's job.
 template <class Owner>
 struct ClaimedCell : CellClaim {
   Owner owner{};
@@ -79,6 +91,9 @@ class TrialScheduler {
     /// Run once, inside the catch of the cell's first throw:
     /// std::current_exception() is the error. Claims stop.
     std::function<void(Claimed&)> abandon;
+    /// A chunked cell's chunk c, run once by the lander of its last trial
+    /// (before the cell's finish); a throw abandons.
+    std::function<void(Claimed&, std::uint64_t)> land_chunk = nullptr;
   };
 
   /// timing = false zeroes every record's duration_ns.
@@ -130,8 +145,12 @@ class TrialScheduler {
           cell.next.fetch_add(1, std::memory_order_relaxed);
       if (trial >= trials) return;
       try {
+        if (cell.chunk != 0) {
+          claim_chunked(cell, trial);
+          continue;
+        }
         cell.records[trial] = engine::run_single_trial(
-            cell.trial_options, cell.runner, cell.first + trial, timing_);
+            cell.trial_options, cell.runner, trial, timing_);
         // acq_rel: the last lander sees every other helper's record.
         if (cell.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             trials) {
@@ -139,11 +158,32 @@ class TrialScheduler {
         }
       } catch (...) {
         // A failed trial never counts as done, so no helper can finish
-        // the cell: it is discarded whole.
+        // the cell (nor land its chunk): it is discarded whole.
         cell.next.store(trials, std::memory_order_relaxed);
         if (!cell.abandoned.exchange(true)) steps_.abandon(cell);
         return;
       }
+    }
+  }
+
+  // A chunked cell's trial: run unless restored, land its chunk if it is
+  // the chunk's last, and finish the cell if that was the last chunk.
+  void claim_chunked(Claimed& cell, std::uint64_t trial) {
+    const std::uint64_t trials = cell.cell->trials;
+    const std::uint64_t c = trial / cell.chunk;
+    if (!cell.restored[trial]) {
+      cell.records[trial] = engine::run_single_trial(
+          cell.trial_options, cell.runner, trial, timing_);
+    }
+    const std::uint64_t size = cell.chunk_end(c) - c * cell.chunk;
+    // acq_rel: the chunk's lander sees every helper's record of it.
+    if (cell.landed[c].fetch_add(1, std::memory_order_acq_rel) + 1 != size) {
+      return;
+    }
+    steps_.land_chunk(cell, c);
+    if (cell.done.fetch_add(size, std::memory_order_acq_rel) + size ==
+        trials) {
+      steps_.finish(cell);
     }
   }
 

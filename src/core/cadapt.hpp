@@ -5,9 +5,10 @@
 //   profile::*                — square profiles, distributions, transforms
 //   engine::RegularExecution  — symbolic cache-adaptive execution
 //   engine::AnalyticSolver    — exact Lemma-3 stopping-time recurrence
-//   campaign::run_cell_trials — parallel expectation estimation: trials
-//                               of engine::make_regular_trial_runner over
-//                               a core::iid_source (or any runner)
+//   campaign::run_cell_trials — parallel expectation estimation: one
+//                               claimed cell of trials of
+//                               engine::make_regular_trial_runner over a
+//                               core::iid_source (or any runner)
 //   paging::CaMachine         — concrete cache-adaptive paging machine
 //   algos::*                  — instrumented real algorithms (MM-Scan, ...)
 //   campaign::run_sweep       — one-call reproductions of the paper's

@@ -9,8 +9,9 @@
 // tearing down the campaign, and a seeded robust::FaultPlan can inject
 // failures at registered sites. Every campaign — `cadapt mc`, `trace`,
 // the benches and library callers — runs its trials through
-// campaign::run_cell_trials, the sweep's trial loop, which folds them in
-// trial order with fold_trial.
+// campaign::run_cell_trials — one claim of one cell on the sweep's trial
+// loop, committed and resumed per chunk like a heavy sweep cell — which
+// folds them in trial order with fold_trial.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +75,8 @@ struct McOptions {
   /// disabled. Create the token (and any robust::Watchdog) BEFORE
   /// building runners: make_regular_trial_runner captures options by
   /// value. A fired token truncates the campaign: run_cell_trials
-  /// discards the in-flight chunks whole and keeps the landed prefix.
+  /// stops claiming, discards the chunk in flight and keeps the chunks
+  /// landed before it.
   const robust::CancelToken* cancel = nullptr;
   /// Seeded exponential backoff between retry attempts of a failed
   /// trial; disabled (base_ns == 0) by default. Attempt 0 never sleeps,

@@ -1,25 +1,25 @@
 // Checkpoints: append-only JSONL logs that make a killed campaign
-// resumable. Every checkpoint in the repo — the sweep's cell log
-// (src/campaign/sweep.hpp), a serve job's, and `cadapt mc`'s trial-chunk
-// log — is one header line followed by records, and is opened through
-// open_checkpoint, the one place that repairs a torn tail, opens the
-// DurableAppender, writes the header into an empty file and loads what a
-// resume restores.
+// resumable. Every checkpoint in the repo — a sweep's, a serve job's and
+// `cadapt mc`'s — is one header line naming its driver's campaign
+// (sweep_checkpoint, serve_job, mc_checkpoint), then one record grammar,
+// written by campaign::CheckpointWriter and decoded by
+// campaign::restore_cells:
 //
-// The Monte-Carlo records (campaign::run_cell_trials):
-//
-//   {"type":"mc_checkpoint","version":2,"trials":N,"seed":S,
-//    "config_hash":"..."[,"chunk":K]}      — chunk only when K != 256
 //   {"type":"trial_result","trial":0,"seed":...,"attempts":1,
-//    "completed":true,"boxes":...,"ratio":...,"unit_ratio":...}
+//    "completed":true,"boxes":...,"ratio":...,"unit_ratio":...,"cell":C}
 //   {"type":"trial_error","trial":7,"seed":...,"attempts":2,
-//    "category":"injected","what":"..."}
+//    "category":"injected","what":"...","cell":C}
+//                            — a chunk's trials, one commit (cell 0 when
+//                              the key is absent, as older mc files were)
+//   {"type":"sweep_cell",...} — a finished cell; supersedes its trials
 //
-// Because each trial's outcome is a pure function of (campaign seed,
-// trial index), resuming from a checkpoint and re-running the missing
-// trials yields a summary bit-identical to an uninterrupted run —
-// doubles round-trip exactly through the shortest-round-trip encoding
-// (obs/event.cpp).
+// Every file is opened through open_checkpoint, the one place that
+// repairs a torn tail, opens the DurableAppender, writes the header into
+// an empty file and loads what a resume restores. Because each trial's
+// outcome is a pure function of (cell seed, trial index), resuming from
+// a checkpoint and running only the missing trials yields a result
+// bit-identical to an uninterrupted run — doubles round-trip exactly
+// through the shortest-round-trip encoding (obs/event.cpp).
 #pragma once
 
 #include <cstdint>

@@ -129,29 +129,27 @@ void handle_connection(ServeCore& core, int fd, int read_deadline_ms) {
   }
 }
 
-// Answer one connection; the caller closes `fd`.
+// Answer one connection; the caller closes `fd`. Every failure is
+// answered with a named error line, unless the client is already gone.
 void answer(ServeCore& core, int fd, int read_deadline_ms) {
+  const auto fail = [fd](int code, const char* what) {
+    try {
+      send_line(fd, error_event(code, what));
+    } catch (...) {  // client already gone
+    }
+  };
   try {
     handle_connection(core, fd, read_deadline_ms);
   } catch (const util::ParseError& e) {
-    try {
-      send_line(fd, error_event(3, e.what()));
-    } catch (...) {  // client already gone
-    }
-  } catch (const util::IoError&) {
-    // Either the response could not be written (client gone — nothing
-    // left to tell) or a spool write failed (the job never existed; the
-    // client sees the closed connection).
+    fail(3, e.what());
+  } catch (const util::IoError& e) {
+    // A spool write failed (a submit's job file is left empty, and no job
+    // exists), or the response could not be written.
+    fail(3, e.what());
   } catch (const util::CheckError& e) {
-    try {
-      send_line(fd, error_event(4, e.what()));
-    } catch (...) {
-    }
+    fail(4, e.what());
   } catch (const std::exception& e) {
-    try {
-      send_line(fd, error_event(1, e.what()));
-    } catch (...) {
-    }
+    fail(1, e.what());
   }
 }
 

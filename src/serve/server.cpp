@@ -155,7 +155,11 @@ ServeCore::ServeCore(const ServeOptions& options)
                .finish = [this](ClaimedCell& claimed) { finish(claimed); },
                .abandon = [this](ClaimedCell& claimed) {
                  abandon(*claimed.owner);
-               }},
+               },
+               .land_chunk =
+                   [](ClaimedCell& claimed, std::uint64_t c) {
+                     claimed.lifecycle->commit(claimed, c);
+                   }},
               options.timing) {
   started_ = options_.autostart;
   resume_spool();
@@ -230,16 +234,23 @@ JobStatus ServeCore::init_job(const std::string& id,
 
   // The job file, opened outside the mutex: no other tenant waits on
   // this job's disk. A submit commits its header and syncs the directory
-  // before it is acknowledged; a resume refuses a header that differs
-  // from the one rebuilt here and restores the committed cells.
+  // before it is acknowledged, and empties the file when either fails (a
+  // restart skips an empty file); a resume refuses a header that differs
+  // from the one rebuilt here and restores the committed cells and trials.
   const std::string path = spool_.path_for(id);
   JobFile file;
-  std::unique_ptr<robust::DurableAppender> checkpoint =
-      robust::open_checkpoint(path, job_header(id, request, *plan), resuming,
-                              job_records(file), *io);
-  if (!resuming && io->fsync_parent(path.c_str()) != 0) {
-    throw util::IoError("fsync of parent directory of '" + path +
-                        "' failed: " + std::strerror(errno));
+  std::unique_ptr<robust::DurableAppender> checkpoint;
+  try {
+    checkpoint = robust::open_checkpoint(
+        path, job_header(id, request, *plan), resuming, job_records(file), *io);
+    if (!resuming && io->fsync_parent(path.c_str()) != 0) {
+      throw util::IoError("fsync of parent directory of '" + path +
+                          "' failed: " + std::strerror(errno));
+    }
+  } catch (const util::IoError&) {
+    std::error_code ignored;  // a file never created stays absent
+    if (!resuming) std::filesystem::resize_file(path, 0, ignored);
+    throw;
   }
   for (const auto& [index, cell] : file.cells) {
     job->committed.emplace(index, obs::to_jsonl(campaign::cell_event(cell)));
@@ -252,7 +263,8 @@ JobStatus ServeCore::init_job(const std::string& id,
   options.cancel = &job->cancel;
   options.faults = job->faults.get();
   job->cells = std::make_shared<campaign::CellLifecycle>(
-      std::move(plan), std::move(options), std::move(checkpoint), trace_);
+      std::move(plan), std::move(options), std::move(checkpoint),
+      std::move(file.trials), trace_);
 
   const std::lock_guard<std::mutex> lock(mutex_);
   // Per-client box budget: the tracker accrues across every job the

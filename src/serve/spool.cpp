@@ -30,14 +30,14 @@ std::optional<std::pair<std::uint64_t, std::string>> job_file(
 }  // namespace
 
 robust::RecordFn job_records(JobFile& into) {
-  return [&into, cells = campaign::restore_cells(into.cells)](
+  return [&into, cells = campaign::restore_cells(into)](
              const robust::JsonlLine& line) {
     if (line.event.type == "sweep_env") {
       into.env = campaign::provenance_from_event(line.event);
     } else if (line.event.type == "job_done") {
       into.done = line.event;
     } else {
-      cells(line);  // sweep_cell, or a ParseError naming the type
+      cells(line);  // sweep_cell or a trial, else a ParseError
     }
   };
 }

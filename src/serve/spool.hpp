@@ -1,12 +1,14 @@
 // The daemon's durable state: one append-only file per job,
-// <spool>/job-N.ckpt, written only through the job's
-// robust::DurableAppender and read through robust::open_checkpoint (a
-// resume) or robust::read_checkpoint (a restart's scan, and read_job for
-// a finished job), with one record decoder:
+// <spool>/job-N.ckpt, written only through the job's CellLifecycle and
+// read through robust::open_checkpoint (a resume) or
+// robust::read_checkpoint (a restart's scan, and read_job for a finished
+// job), with one record decoder. After its header it holds the record
+// grammar of every checkpoint (src/robust/checkpoint.hpp), then the
+// finalize commit:
 //
 //   {"type":"serve_job","manifest":...,"client":...,...,"job":...,
 //    "config_hash":...,"cells":...,"run":...}    header, one commit
-//   {"type":"sweep_cell",...}                    one commit per cell
+//   trial and sweep_cell lines                   as a sweep checkpoint's
 //   {"type":"sweep_env",...}                     finalize, one commit
 //   {"type":"job_done","job":...,"state":...,...,"wall_ms":...}
 //
@@ -20,24 +22,23 @@
 #include <vector>
 
 #include "campaign/provenance.hpp"
-#include "campaign/report.hpp"
+#include "campaign/sweep.hpp"
 #include "obs/event.hpp"
 #include "robust/checkpoint.hpp"
 
 namespace cadapt::serve {
 
-/// What a job file holds.
-struct JobFile {
+/// What a job file holds: its header, its cells and the trials of its
+/// unfinished cells (campaign::Restored), and the finalize commit.
+struct JobFile : campaign::Restored {
   obs::Event header;
-  std::map<std::uint64_t, campaign::CellResult> cells;  ///< by cell index
   campaign::Provenance env;        ///< the last sweep_env line
   std::optional<obs::Event> done;  ///< the job_done line, once finalized
 };
 
-/// The decoder of every record after the header: sweep_cell lines into
-/// `into.cells` (campaign::restore_cells: a cell recorded twice keeps its
-/// last line), sweep_env into `env`, job_done into `done`. Throws
-/// util::ParseError for any other line type.
+/// The decoder of every record after the header: sweep_cell and trial
+/// lines through campaign::restore_cells, sweep_env into `env`, job_done
+/// into `done`. Throws util::ParseError for any other line type.
 robust::RecordFn job_records(JobFile& into);
 
 /// Read a job file no writer appends to any more, whole.

@@ -386,7 +386,7 @@ TEST(CheckpointResume, SurvivesATornTailAndPoolChanges) {
 
 TEST(CheckpointResume, KeepsARecordWhoseNewlineWasTorn) {
   // A final record that parses but lacks its '\n' is torn: the resume
-  // re-runs its chunk, and the file keeps every record the run used.
+  // re-runs its trial, and the file keeps every record the run used.
   const std::string path = temp_path("ckpt_resume_newline.jsonl");
   std::remove(path.c_str());
   const campaign::CellTrials fresh = checkpointed(path, false);
@@ -428,6 +428,38 @@ TEST(CheckpointResume, AFailedCommitStopsTheRunAndLeavesItResumable) {
 
   const campaign::CellTrials resumed = checkpointed(path, true);
   expect_bit_identical(run_campaign(&resumed), reference);
+  EXPECT_EQ(records_in(path).size(), kTrials);
+  std::remove(path.c_str());
+}
+
+TEST(CheckpointResume, ResumesAnOlderFileWithoutCellKeysCutMidChunk) {
+  // Older builds wrote mc trial lines without a "cell" key, and a commit
+  // torn mid-chunk kept part of a chunk: such a file resumes as cell 0,
+  // runs only the trials it lacks, and writes none of them twice.
+  const std::string path = temp_path("ckpt_resume_older.jsonl");
+  std::remove(path.c_str());
+  const McRun reference = run_campaign(nullptr);
+  const campaign::CellTrials fresh = checkpointed(path, false);
+  (void)run_campaign(&fresh, 1);  // one thread: trials in file order
+  std::vector<JsonlLine> lines;
+  {
+    std::ifstream is(path);
+    lines = load_jsonl_tolerant(is, "checkpoint");
+  }
+  ASSERT_EQ(lines.size(), 1 + kTrials);
+  std::string older = obs::to_jsonl(lines[0].event) + "\n";
+  for (std::size_t i = 1; i <= 6; ++i) {  // chunk [0,4) and half of [4,8)
+    EXPECT_EQ(lines[i].event.u64_or("cell", 99), 0u);
+    older += obs::to_jsonl(lines[i].event.without("cell")) + "\n";
+  }
+  ASSERT_EQ(older.find("cell"), std::string::npos);
+  write_raw(path, older);
+
+  const campaign::CellTrials resumed = checkpointed(path, true);
+  expect_bit_identical(run_campaign(&resumed), reference);
+  std::ifstream is(path);
+  const std::vector<JsonlLine> after = load_jsonl_tolerant(is, "checkpoint");
+  EXPECT_EQ(after.size(), 1 + kTrials);
   EXPECT_EQ(records_in(path).size(), kTrials);
   std::remove(path.c_str());
 }

@@ -19,6 +19,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -618,12 +619,15 @@ const char kOne[] =
     "name = serve_one\nalgos = 4:2:1\nprofiles = shuffled\n"
     "k = 2\ntrials = 4\nseed = 3\n";
 
-/// Holds the second fsync of one file (its first cell commit; the first
-/// is the header's) until release(); every other call passes through.
+/// Holds the `hold`th fsync of one file (by default the second: its first
+/// cell commit; the first is the header's) until release(); every other
+/// call passes through.
 class GatedIo final : public robust::IoBackend {
  public:
-  explicit GatedIo(std::string path)
-      : path_(std::move(path)), released_(release_.get_future().share()) {}
+  explicit GatedIo(std::string path, int hold = 2)
+      : path_(std::move(path)),
+        hold_(hold),
+        released_(release_.get_future().share()) {}
 
   int open_trunc(const char* path) override {
     return note(path, inner_.open_trunc(path));
@@ -635,7 +639,7 @@ class GatedIo final : public robust::IoBackend {
     return inner_.write(fd, data, size);
   }
   int fsync(int fd) override {
-    if (fd == gated_fd_.load() && ++syncs_ == 2) {
+    if (fd == gated_fd_.load() && ++syncs_ == hold_) {
       held.set_value();
       released_.wait();
     }
@@ -662,6 +666,7 @@ class GatedIo final : public robust::IoBackend {
   }
 
   const std::string path_;
+  const int hold_;
   std::promise<void> release_;
   std::shared_future<void> released_;
   std::atomic<int> gated_fd_{-1};
@@ -855,6 +860,62 @@ TEST(ServeCore, CancelMidHelpedCellDiscardsItWholeAndResumes) {
             one_shot_bytes(kHeavierTail, "tail_restart"));
 }
 
+// Three cells of 2048 trials: each commits eight 256-trial chunks of trial
+// lines before its sweep_cell line.
+const char kHeavyCells[] =
+    "name = serve_heavy_cells\nalgos = 8:4:1\nprofiles = shuffled\n"
+    "k = 1..3\ntrials = 2048\nseed = 23\n";
+
+TEST(ServeCore, AHeavyCellResumesMidCellAcrossARestart) {
+  // A shutdown while the heavy cells commit chunks: the committed trials
+  // survive in the job file, and a new core on the same spool runs only
+  // the rest — to one-shot bytes, with no (cell, trial) line twice.
+  const ServeOptions options = core_options("heavy_restart");
+  const std::string path = Spool(options.spool_dir).path_for("job-1");
+  {
+    // The header's fsync, two chunks', then the third chunk's is held: no
+    // cell can have landed (each needs nine commits).
+    GatedIo io(path, 4);
+    ServeOptions gated = options;
+    gated.io = &io;
+    gated.jobs = 2;
+    ServeCore core(gated);
+    const std::string id = core.submit(request_for(kHeavyCells, "alice")).id;
+    ASSERT_EQ(id, "job-1");
+    std::future<void> held = io.held.get_future();
+    if (held.wait_for(std::chrono::seconds(30)) != std::future_status::ready) {
+      io.release();
+      FAIL() << "the third chunk commit never reached its fsync";
+    }
+    auto stopped = std::async(std::launch::async, [&core] { core.shutdown(); });
+    EXPECT_TRUE(core.wait_job(id));  // returns once the shutdown began
+    io.release();
+    stopped.get();
+  }
+  const JobFile cut = read_job(path);
+  EXPECT_FALSE(cut.done.has_value());
+  EXPECT_TRUE(cut.cells.empty());
+  std::uint64_t committed = 0;
+  for (const auto& [cell, records] : cut.trials) committed += records.size();
+  EXPECT_GE(committed, campaign::kTrialChunk);
+
+  ServeCore resumed(options);
+  ASSERT_TRUE(resumed.wait_job("job-1"));
+  EXPECT_EQ(resumed.report_bytes("job-1"),
+            one_shot_bytes(kHeavyCells, "heavy_restart"));
+  std::set<std::pair<std::uint64_t, std::uint64_t>> seen;
+  (void)robust::read_checkpoint(path, [&seen](const robust::JsonlLine& line) {
+    if (line.event.type != "trial_result" && line.event.type != "trial_error") {
+      return;
+    }
+    const std::pair<std::uint64_t, std::uint64_t> key(
+        line.event.u64_or("cell", 0), line.event.u64_or("trial", 0));
+    EXPECT_TRUE(seen.insert(key).second)
+        << "cell " << key.first << " trial " << key.second << " twice";
+  });
+  EXPECT_EQ(seen.size(), 3 * 2048u);
+}
+
 // ---- served sort jobs: one capture per program ------------------------
 
 // Twelve sort cells (three programs x two profiles x two policies) on
@@ -1005,6 +1066,47 @@ TEST(ServeDaemon, OversizedRequestLineGetsAnErrorAndTheDaemonServesOn) {
       << *error;
   ASSERT_TRUE(hello.has_value());
   EXPECT_EQ(parse_line(*hello).type, "serve_hello");
+}
+
+TEST(ServeDaemon, ASubmitWhoseHeaderSyncFailsGetsAnErrorAndLeavesNoJob) {
+  // The job file's header commit fails: the client gets a named input
+  // error (exit code 3), and the file is left empty, so a restart neither
+  // runs a job no client was told about nor reuses its id.
+  const ServeOptions options = core_options("submit_fsync");
+  std::optional<std::string> reply;
+  {
+    ServeCore core(options);
+    const std::string socket_path = temp_path("serve_submit_fsync.sock");
+    const int listen_fd = listen_unix(socket_path);
+    std::thread daemon([&core, listen_fd] {
+      for (bool served = false; !served;) {
+        const std::optional<int> fd = accept_unix(listen_fd, 200);
+        if (!fd.has_value()) continue;
+        serve_connection(core, *fd);
+        served = true;
+      }
+    });
+    SubmitRequest request = request_for(kSmall, "alice");
+    request.fault_spec = "io_fsync=1";
+    const int client = connect_unix(socket_path);
+    write_all(client, obs::to_jsonl(submit_event(request)) + "\n");
+    reply = LineReader(client).next();
+    close_fd(client);
+    daemon.join();
+    close_fd(listen_fd);
+    EXPECT_TRUE(core.status().empty());
+  }
+  ASSERT_TRUE(reply.has_value()) << "the daemon closed without a reply";
+  const obs::Event error = parse_line(*reply);
+  EXPECT_EQ(error.type, "error");
+  EXPECT_EQ(error.u64_or("code", 0), 3u);
+  EXPECT_NE(error.str_or("message", "").find("fsync"), std::string::npos)
+      << *reply;
+  EXPECT_EQ(std::filesystem::file_size(options.spool_dir + "/job-1.ckpt"),
+            0u);
+  ServeCore restarted(options);
+  EXPECT_TRUE(restarted.status().empty());
+  EXPECT_EQ(restarted.submit(request_for(kSmall, "bob")).id, "job-2");
 }
 
 TEST(ServeDaemon, HalfLineClientGetsAnErrorAtTheReadDeadline) {

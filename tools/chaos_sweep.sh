@@ -12,12 +12,14 @@
 # temp file) and raise SIGKILL — a faithful power cut, no unwinding, no
 # flushes. After every kill, `--resume` from the wounded checkpoint must
 # complete with stdout — and, when the command writes chaos_out.json,
-# that file — byte-identical to an uninterrupted reference run. Once N
+# that file — byte-identical to an uninterrupted reference run, and its
+# checkpoint must hold no (cell, trial) line twice. Once N
 # passes the campaign's total durable-write count the run completes
 # cleanly; that run must ALSO match the reference, and the loop stops —
 # every crash point was covered, none skipped.
 #
-# Wired as the ctest cases `cli_chaos_sweep` and `cli_chaos_mc` (label
+# Wired as the ctest cases `cli_chaos_sweep`, `cli_chaos_sweep_midcell`
+# and `cli_chaos_mc` (label
 # `chaos`, bounded TIMEOUT); run them under the address and thread
 # sanitizer presets too — torn-tail recovery bugs love to hide on the
 # unwind-free kill path.
@@ -78,6 +80,12 @@ while [ "$n" -le "$max" ]; do
   "$cli" "$@" --no-timing --checkpoint chaos.ckpt --resume > chaos_resumed.txt
   if ! same chaos_resumed; then
     echo "crash point $n: resumed run differs from the reference" >&2
+    exit 1
+  fi
+  twice=$(sed -n 's/^{"type":"trial_[a-z]*","trial":\([0-9]*\),.*"cell":\([0-9]*\)}$/\2 \1/p' \
+    chaos.ckpt | sort | uniq -d | head -n 1)
+  if [ -n "$twice" ]; then
+    echo "crash point $n: (cell, trial) ($twice) committed twice" >&2
     exit 1
   fi
   n=$((n + 1))
