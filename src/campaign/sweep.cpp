@@ -78,14 +78,12 @@ void CheckpointWriter::commit_chunk(const CellClaim& claimed,
                                     std::uint64_t c) {
   const std::lock_guard<std::mutex> lock(mutex_);
   if (file_ == nullptr) return;
-  bool any = false;
   for (std::uint64_t t = c * claimed.chunk; t < claimed.chunk_end(c); ++t) {
     if (claimed.restored[t]) continue;
     obs::Event event = robust::trial_record_event(claimed.records[t]);
     append(event.u64("cell", claimed.cell->index));
-    any = true;
   }
-  if (any) file_->commit();
+  file_->commit();  // an empty batch (all restored) commits nothing
 }
 
 std::string CheckpointWriter::commit(const std::vector<obs::Event>& events,
@@ -152,14 +150,13 @@ void CellLifecycle::claim(CellClaim& claimed, const Cell& cell) {
     // trials = 0).
     CADAPT_CHECK_MSG(cell.trials != 0,
                      "cell " << cell.index << " has no trials");
-    std::uint64_t restored = 0;
-    if (writer_.enabled() && cell.trials > kTrialChunk) {
-      const auto it = restored_.find(cell.index);
-      restored = chunk_claim(
-          claimed, kTrialChunk,
-          it != restored_.end() ? std::move(it->second)
-                                : std::vector<robust::TrialRecord>{});
-    }
+    // Only a chunked cell commits trial lines, so only it restores them.
+    const bool chunked = writer_.enabled() && cell.trials > kTrialChunk;
+    const auto it = restored_.find(cell.index);
+    const std::uint64_t restored = chunk_claim(
+        claimed, chunked ? kTrialChunk : cell.trials,
+        chunked && it != restored_.end() ? std::move(it->second)
+                                         : std::vector<robust::TrialRecord>{});
     // A cell restored whole lands at admission, without a trial run.
     if (restored != cell.trials) {
       claimed.runner = make_cell_runner(cell, options_);

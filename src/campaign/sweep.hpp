@@ -135,9 +135,10 @@ struct CellTrials {
 /// chunks fold into the summary in trial order, stopping at the first
 /// chunk that did not land, after the first chunk that takes the box
 /// spend of this run to the budget, or after the first chunk that landed
-/// past the deadline — so the summary is the same at every thread count. Durations are recorded when
-/// trial_options.recorder asks for timing. Throws util::ParseError for a
-/// foreign checkpoint and util::IoError for a failed commit.
+/// past the deadline — so the summary is the same at every thread count.
+/// Durations are recorded when trial_options.recorder asks for timing.
+/// Throws util::ParseError for a foreign checkpoint and util::IoError for
+/// a failed commit.
 engine::McSummary run_cell_trials(const engine::McOptions& trial_options,
                                   const engine::RobustTrialRunner& runner,
                                   const CellTrials& options = {});
@@ -199,14 +200,15 @@ class CellLifecycle : public std::enable_shared_from_this<CellLifecycle> {
   const Plan& plan() const { return *plan_; }
   /// Count a cell still to run, before the first claim.
   void expect(const Cell& cell) { traces_.add_user(cell); }
-  /// Trial options, sized records and the runner (none for a cell
+  /// Trial options, sized records, chunks and the runner (none for a cell
   /// restored whole). A checkpointed cell of more than kTrialChunk trials
-  /// is chunked, its restored trials in place. A failure skips the cell
-  /// and rethrows.
+  /// lands in kTrialChunk-trial chunks, its restored trials in place; any
+  /// other cell is one chunk. A failure skips the cell and rethrows.
   void claim(CellClaim& claimed, const Cell& cell);
-  /// Chunk c's commit: TrialScheduler's land_chunk step.
+  /// TrialScheduler's land_chunk step: commit chunk c's trial lines, if
+  /// the cell has more than one chunk.
   void commit(const CellClaim& claimed, std::uint64_t c) {
-    writer_.commit_chunk(claimed, c);
+    if (claimed.chunk < claimed.cell->trials) writer_.commit_chunk(claimed, c);
   }
   /// Once every trial landed: aggregate, commit the sweep_cell line, emit
   /// its events, drop the runner and records, skip. A failed commit

@@ -6,15 +6,13 @@
 // The loop: admit a cell and claim its trials one at a time. Once no cell
 // can be admitted, help the admitted cell with the most unclaimed trials,
 // so one heavy cell no longer holds a single thread while the rest idle.
-// Whoever lands a cell's last trial finishes it; the first trial that
-// throws abandons the cell whole, so a partially executed cell never
-// reaches a report or a sweep_cell line. A thread holds its admitted cell
-// until the cell's trials are all claimed, so at most one admitted cell
-// per thread is unfinished.
-//
-// A chunked cell (a checkpointed one of more than kTrialChunk trials, and
-// `mc`'s) also lands in chunks: the lander of a chunk's last trial runs
-// land_chunk, its checkpoint commit. Restored trials count, never run.
+// Every cell lands in chunks: the lander of a chunk's last trial runs
+// land_chunk, and the lander of the last chunk finishes the cell. The
+// first trial that throws abandons the cell whole, so a partially
+// executed cell never reaches a report or a sweep_cell line. A thread
+// holds its admitted cell until the cell's trials are all claimed, so at
+// most one admitted cell per thread is unfinished. Restored trials count,
+// never run.
 //
 // Every trial is a pure function of (cell seed, trial index, attempt) and
 // lands at its index in records, so a cell's records never depend on which
@@ -49,12 +47,13 @@ struct CellClaim {
   engine::McOptions trial_options;  ///< trial_options_for(cell, ...)
   engine::RobustTrialRunner runner;  ///< make_cell_runner(cell, ...)
   std::vector<robust::TrialRecord> records;  ///< records[trial]
-  std::uint64_t chunk = 0;  ///< trials per chunk; 0 = unchunked
-  // Chunked only: records restored from the checkpoint; landed per chunk.
-  std::vector<bool> restored;
-  std::vector<std::atomic<std::uint64_t>> landed;
+  /// Trials per chunk: `mc`'s --checkpoint-every, kTrialChunk for a
+  /// checkpointed sweep or serve cell of more trials, else all of them.
+  std::uint64_t chunk = 0;
+  std::vector<bool> restored;  ///< records restored from the checkpoint
+  std::vector<std::atomic<std::uint64_t>> landed;  ///< trials, per chunk
   std::atomic<std::uint64_t> next{0};        ///< next unclaimed trial
-  std::atomic<std::uint64_t> done{0};        ///< trials landed
+  std::atomic<std::uint64_t> done{0};        ///< trials of landed chunks
   std::atomic<bool> abandoned{false};
 
   std::uint64_t unclaimed() const {
@@ -91,9 +90,9 @@ class TrialScheduler {
     /// Run once, inside the catch of the cell's first throw:
     /// std::current_exception() is the error. Claims stop.
     std::function<void(Claimed&)> abandon;
-    /// A chunked cell's chunk c, run once by the lander of its last trial
-    /// (before the cell's finish); a throw abandons.
-    std::function<void(Claimed&, std::uint64_t)> land_chunk = nullptr;
+    /// Chunk c, run once by the lander of its last trial (before the
+    /// cell's finish); a throw abandons.
+    std::function<void(Claimed&, std::uint64_t)> land_chunk;
   };
 
   /// timing = false zeroes every record's duration_ns.
@@ -145,45 +144,29 @@ class TrialScheduler {
           cell.next.fetch_add(1, std::memory_order_relaxed);
       if (trial >= trials) return;
       try {
-        if (cell.chunk != 0) {
-          claim_chunked(cell, trial);
+        if (!cell.restored[trial]) {
+          cell.records[trial] = engine::run_single_trial(
+              cell.trial_options, cell.runner, trial, timing_);
+        }
+        const std::uint64_t c = trial / cell.chunk;
+        const std::uint64_t size = cell.chunk_end(c) - c * cell.chunk;
+        // acq_rel: the chunk's lander sees every helper's record of it.
+        if (cell.landed[c].fetch_add(1, std::memory_order_acq_rel) + 1 !=
+            size) {
           continue;
         }
-        cell.records[trial] = engine::run_single_trial(
-            cell.trial_options, cell.runner, trial, timing_);
-        // acq_rel: the last lander sees every other helper's record.
-        if (cell.done.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        steps_.land_chunk(cell, c);
+        if (cell.done.fetch_add(size, std::memory_order_acq_rel) + size ==
             trials) {
           steps_.finish(cell);
         }
       } catch (...) {
-        // A failed trial never counts as done, so no helper can finish
-        // the cell (nor land its chunk): it is discarded whole.
+        // A failed trial never lands, so no helper can land its chunk nor
+        // finish the cell: it is discarded whole.
         cell.next.store(trials, std::memory_order_relaxed);
         if (!cell.abandoned.exchange(true)) steps_.abandon(cell);
         return;
       }
-    }
-  }
-
-  // A chunked cell's trial: run unless restored, land its chunk if it is
-  // the chunk's last, and finish the cell if that was the last chunk.
-  void claim_chunked(Claimed& cell, std::uint64_t trial) {
-    const std::uint64_t trials = cell.cell->trials;
-    const std::uint64_t c = trial / cell.chunk;
-    if (!cell.restored[trial]) {
-      cell.records[trial] = engine::run_single_trial(
-          cell.trial_options, cell.runner, trial, timing_);
-    }
-    const std::uint64_t size = cell.chunk_end(c) - c * cell.chunk;
-    // acq_rel: the chunk's lander sees every helper's record of it.
-    if (cell.landed[c].fetch_add(1, std::memory_order_acq_rel) + 1 != size) {
-      return;
-    }
-    steps_.land_chunk(cell, c);
-    if (cell.done.fetch_add(size, std::memory_order_acq_rel) + size ==
-        trials) {
-      steps_.finish(cell);
     }
   }
 

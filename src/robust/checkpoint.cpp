@@ -79,6 +79,16 @@ void scan_jsonl_tolerant(std::istream& is, const std::string& what,
   }
 }
 
+// Where the line holding byte end - 1 starts: just past the last '\n'
+// before it, or 0.
+std::streamoff line_start(std::istream& is, std::streamoff end) {
+  for (std::streamoff pos = end - 1; pos > 0; --pos) {
+    is.seekg(pos - 1);
+    if (is.get() == '\n') return pos;
+  }
+  return 0;
+}
+
 }  // namespace
 
 obs::Event trial_record_event(const TrialRecord& record) {
@@ -161,18 +171,20 @@ std::uint64_t truncate_torn_tail(const std::string& path) {
   if (size <= 0) return 0;
   is.seekg(size - 1);
   if (is.get() == '\n') return 0;  // clean tail, nothing to repair
-  // Scan backwards for the last complete line.
-  std::streamoff keep = 0;
-  for (std::streamoff pos = size - 1; pos > 0; --pos) {
-    is.seekg(pos - 1);
-    if (is.get() == '\n') {
-      keep = pos;
-      break;
-    }
-  }
+  const std::streamoff keep = line_start(is, size);  // the torn line
   is.close();
   std::filesystem::resize_file(path, static_cast<std::uintmax_t>(keep));
   return static_cast<std::uint64_t>(size - keep);
+}
+
+std::string last_line(const std::string& path) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  const std::streamoff end = is ? std::streamoff(is.tellg()) - 1 : 0;
+  if (end <= 0) return {};
+  std::string line(static_cast<std::size_t>(end - line_start(is, end)), 0);
+  is.seekg(end - static_cast<std::streamoff>(line.size()));
+  is.read(line.data(), static_cast<std::streamsize>(line.size()));
+  return line;
 }
 
 void check_header(const std::string& path, const obs::Event& have,

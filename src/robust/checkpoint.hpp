@@ -60,6 +60,11 @@ std::vector<JsonlLine> load_jsonl_tolerant(std::istream& is,
 /// recovery instead of hiding it.
 std::uint64_t truncate_torn_tail(const std::string& path);
 
+/// The last line of the file at `path`, without its '\n', read backwards
+/// from the end; empty for a missing or empty file. Call it after
+/// truncate_torn_tail, so that the line is complete.
+std::string last_line(const std::string& path);
+
 /// Receives each record line of a resumed checkpoint, in file order.
 using RecordFn = std::function<void(const JsonlLine&)>;
 

@@ -54,14 +54,7 @@ void handle_cancel(ServeCore& core, int fd, const obs::Event& request) {
 void send_done(ServeCore& core, int fd, const std::string& job) {
   const std::optional<JobStatus> status = core.status(job);
   CADAPT_CHECK(status.has_value());
-  obs::Event done("job_done");
-  done.str("job", job).str("state", job_state_name(status->state));
-  if (status->truncated) {
-    done.flag("truncated", true)
-        .str("reason", robust::cancel_reason_name(status->reason));
-  }
-  if (!status->error.empty()) done.str("error", status->error);
-  send_line(fd, done);
+  send_line(fd, status_event(*status, "job_done"));
   // The artifact itself, verbatim to EOF — the bytes the client writes
   // with --out are exactly the durable report file's.
   if (status->state == JobState::kDone ||

@@ -114,8 +114,8 @@ JobStatus status_from_event(const obs::Event& event) {
 // One tenant job. Heap-allocated and never erased from jobs_ while the
 // core lives, so worker threads may hold pointers to its cancel token,
 // faults and I/O backend outside the mutex (all immutable after init).
-// release() drops its run state once it is terminal; a claimed cell
-// keeps the CellLifecycle (plan, trace cache, job file) while it runs.
+// finalize() drops its run state; a claimed cell keeps the CellLifecycle
+// (plan, trace cache, job file) while it runs.
 struct ServeCore::Job {
   JobStatus status;
   std::unique_ptr<robust::FaultPlan> faults;
@@ -176,23 +176,21 @@ void ServeCore::resume_spool() {
     // open_checkpoint's repair: a header cut before its '\n' leaves an
     // empty file, a submit never acknowledged, which is skipped.
     robust::truncate_torn_tail(path);
-    if (std::filesystem::file_size(path) == 0) continue;
-    std::optional<obs::Event> done;  // cells are skipped, not decoded
-    const obs::Event header =
-        robust::read_checkpoint(path, [&done](const robust::JsonlLine& line) {
-          if (line.event.type == "job_done") done = line.event;
-        });
-    if (!done.has_value()) {
-      const SubmitRequest request = submit_from_event(header);
-      init_job(id, request, manifest_of(request), /*resuming=*/true);
+    const std::string last = robust::last_line(path);
+    if (last.empty()) continue;
+    // Terminal history: every outcome ends its file with job_done, which
+    // status answers from; no cell is decoded, nothing is rescheduled.
+    obs::Event done;
+    if (obs::parse_jsonl(last, &done) && done.type == "job_done") {
+      auto job = std::make_unique<Job>();
+      job->status = status_from_event(done);
+      const std::lock_guard<std::mutex> lock(mutex_);
+      jobs_.emplace(id, std::move(job));
       continue;
     }
-    // Terminal history: status answers from the job_done line; nothing
-    // re-enters the scheduler.
-    auto job = std::make_unique<Job>();
-    job->status = status_from_event(*done);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    jobs_.emplace(id, std::move(job));
+    JobFile file = read_job(path);
+    const SubmitRequest request = submit_from_event(file.header);
+    init_job(id, request, manifest_of(request), std::move(file));
   }
 }
 
@@ -210,13 +208,13 @@ JobStatus ServeCore::submit(const SubmitRequest& request) {
     CADAPT_CHECK_MSG(!shutting_down_, "serve core is shutting down");
     id = spool_.allocate_id();
   }
-  return init_job(id, stored, manifest, /*resuming=*/false);
+  return init_job(id, stored, manifest, {});
 }
 
 JobStatus ServeCore::init_job(const std::string& id,
                               const SubmitRequest& request,
                               const campaign::Manifest& manifest,
-                              bool resuming) {
+                              JobFile file) {
   auto plan = std::make_shared<const campaign::Plan>(
       campaign::expand_plan(manifest));
   auto job = std::make_unique<Job>();
@@ -233,24 +231,28 @@ JobStatus ServeCore::init_job(const std::string& id,
   }
 
   // The job file, opened outside the mutex: no other tenant waits on
-  // this job's disk. A submit commits its header and syncs the directory
-  // before it is acknowledged, and empties the file when either fails (a
-  // restart skips an empty file); a resume refuses a header that differs
-  // from the one rebuilt here and restores the committed cells and trials.
+  // this job's disk. A resume refuses a header that differs from the one
+  // rebuilt here. A submit commits its header and syncs the directory
+  // before it is acknowledged, and empties the file when either fails
+  // (a restart skips an empty file).
   const std::string path = spool_.path_for(id);
-  JobFile file;
+  const obs::Event header = job_header(id, request, *plan);
   std::unique_ptr<robust::DurableAppender> checkpoint;
-  try {
-    checkpoint = robust::open_checkpoint(
-        path, job_header(id, request, *plan), resuming, job_records(file), *io);
-    if (!resuming && io->fsync_parent(path.c_str()) != 0) {
-      throw util::IoError("fsync of parent directory of '" + path +
-                          "' failed: " + std::strerror(errno));
+  if (!file.header.type.empty()) {
+    robust::check_header(path, file.header, header);
+    checkpoint = std::make_unique<robust::DurableAppender>(path, false, *io);
+  } else {
+    try {
+      checkpoint = robust::open_checkpoint(path, header, false, nullptr, *io);
+      if (io->fsync_parent(path.c_str()) != 0) {
+        throw util::IoError("fsync of parent directory of '" + path +
+                            "' failed: " + std::strerror(errno));
+      }
+    } catch (const util::IoError&) {
+      std::error_code ignored;  // a file never created stays absent
+      std::filesystem::resize_file(path, 0, ignored);
+      throw;
     }
-  } catch (const util::IoError&) {
-    std::error_code ignored;  // a file never created stays absent
-    if (!resuming) std::filesystem::resize_file(path, 0, ignored);
-    throw;
   }
   for (const auto& [index, cell] : file.cells) {
     job->committed.emplace(index, obs::to_jsonl(campaign::cell_event(cell)));
@@ -293,7 +295,7 @@ JobStatus ServeCore::init_job(const std::string& id,
   trace_.write(accepted_event(job->status));
   Job& ref = *job;
   jobs_.emplace(id, std::move(job));
-  maybe_finalize(ref);  // a fully-checkpointed job finishes right here
+  finalize(ref);  // a fully-checkpointed job finishes right here
   wake();
   return ref.status;
 }
@@ -375,8 +377,8 @@ void ServeCore::finish(ClaimedCell& claimed) {
   const std::lock_guard<std::mutex> lock(mutex_);
   --job.in_flight;  // only now: finalize can never overtake the commit
   cv_.notify_all();
-  // After shutdown, and for a failed job's stragglers, the committed
-  // cell waits in the file for a restart; the live state is left alone.
+  // After shutdown the committed cell waits in the file for a restart; a
+  // terminal job's file is closed, so its stragglers committed nothing.
   if (shutting_down_ || terminal(job.status.state)) return;
   if (const auto budget = budgets_.find(job.status.client);
       budget != budgets_.end()) {
@@ -386,7 +388,7 @@ void ServeCore::finish(ClaimedCell& claimed) {
   job.status.cells_done = job.committed.size();
   if (job.subscriber) job.stream.push_back(std::move(landed.line));
   pace(job);
-  maybe_finalize(job);
+  finalize(job);
 }
 
 void ServeCore::abandon(Job& job) {
@@ -402,7 +404,7 @@ void ServeCore::abandon(Job& job) {
     // as run_sweep). Committed cells survive for resume.
     truncate_job(job, e.reason());
   } catch (const std::exception& e) {
-    fail_job(job, e.what());
+    finalize(job, e.what());
   }
 }
 
@@ -427,15 +429,19 @@ void ServeCore::truncate_job(Job& job, robust::CancelReason reason) {
   status.truncated = true;
   if (status.reason == robust::CancelReason::kNone) status.reason = reason;
   scheduler_.remove_job(status.id);
-  maybe_finalize(job);
+  finalize(job);
 }
 
-void ServeCore::maybe_finalize(Job& job) {
-  const JobStatus& now = job.status;
-  if (terminal(now.state) || job.in_flight != 0) return;
-  if (!now.truncated && now.cells_done != now.cells_total) return;
-  JobStatus status = now;
-  status.state = job.client_cancelled ? JobState::kCancelled : JobState::kDone;
+void ServeCore::finalize(Job& job, const std::string& error) {
+  JobStatus status = job.status;
+  const bool complete = job.in_flight == 0 &&
+                        (status.truncated ||
+                         status.cells_done == status.cells_total);
+  if (terminal(status.state) || (error.empty() && !complete)) return;
+  status.state = !error.empty()       ? JobState::kFailed
+                 : job.client_cancelled ? JobState::kCancelled
+                                        : JobState::kDone;
+  status.error = error;
   obs::Event done = status_event(status, "job_done");
   done.u64("wall_ms", options_.timing && job.started_ns != 0
                           ? (obs::steady_now_ns() - job.started_ns) / 1000000u
@@ -443,33 +449,26 @@ void ServeCore::maybe_finalize(Job& job) {
   // The one commit made under the mutex: the terminal state must not be
   // seen before it is durable. This build's provenance (the report's
   // sweep_env, so a later build with the same header renders the same
-  // bytes), then the status a restart reads back; the file then closes.
+  // bytes), then the status a restart reads back; the file then closes,
+  // so a failed job's stragglers commit nothing. A file that refused a
+  // commit refuses this one too: the job fails, and a restart goes by
+  // what the file holds (docs/SERVE.md, "Crash safety").
   try {
     job.cells->close({campaign::provenance_event(), done});
   } catch (const util::IoError& e) {
-    fail_job(job, e.what());
+    // The file is closed now, so this commits nothing.
+    finalize(job, error.empty() ? e.what() : error);
     return;
   }
-  job.status.state = status.state;
-  release(job);
-  trace_.write(done);
-}
-
-void ServeCore::release(Job& job) {
-  scheduler_.remove_job(job.status.id);
+  job.status = status;
+  if (!error.empty()) job.cancel.request(robust::CancelReason::kExternal);
+  // Drop the run state; a claimed cell keeps the CellLifecycle it needs.
+  scheduler_.remove_job(status.id);
   job.cells = nullptr;
   job.watchdog = nullptr;
   job.committed = {};
   cv_.notify_all();
-}
-
-void ServeCore::fail_job(Job& job, const std::string& what) {
-  if (terminal(job.status.state)) return;
-  job.status.state = JobState::kFailed;
-  job.status.error = what;
-  job.cancel.request(robust::CancelReason::kExternal);  // stop stragglers
-  release(job);
-  trace_.write(status_event(job.status, "job_done"));
+  trace_.write(done);
 }
 
 std::vector<JobStatus> ServeCore::status() const {

@@ -7,8 +7,10 @@
 // robust::CancelToken + Watchdog handle cancellation and deadlines;
 // per-client robust::BudgetTracker caps total boxes. Each job is one
 // append-only file in the Spool (src/serve/spool.hpp), and its report is
-// rendered from that file on request. A SIGKILL'd daemon restarts from
-// the Spool and resumes every unfinished job from its file.
+// rendered from that file on request. Every outcome (done, cancelled,
+// failed) ends the file with its job_done line unless the file refused a
+// commit; a restarted daemon restores each job from that line and
+// resumes every other job from its file, read once.
 //
 // The invariant everything here serves: a job's final report is
 // byte-identical to one-shot `cadapt sweep --no-timing` on the same
@@ -92,8 +94,9 @@ struct ServeOptions {
 
 class ServeCore {
  public:
-  /// Opens (creating) the spool and RESUMES every unfinished job found
-  /// in it — the restart path is the constructor, not a special mode.
+  /// Opens (creating) the spool, restores every finished job from its
+  /// file's last line and RESUMES every other one — the restart path is
+  /// the constructor, not a special mode.
   explicit ServeCore(const ServeOptions& options);
   ~ServeCore();
 
@@ -148,8 +151,9 @@ class ServeCore {
   using ClaimedCell = campaign::ClaimedCell<Job*>;
 
   void resume_spool();
+  /// `file` is the job file a restart read; empty for a submit.
   JobStatus init_job(const std::string& id, const SubmitRequest& request,
-                     const campaign::Manifest& manifest, bool resuming);
+                     const campaign::Manifest& manifest, JobFile file);
   void work_loop();  // one per pool thread, until shutdown
   void wake();       // new work may be admissible or helpable (mutex held)
   std::shared_ptr<ClaimedCell> admit();  // the TrialScheduler's steps
@@ -157,9 +161,10 @@ class ServeCore {
   void abandon(Job& job);  // inside the catch of the cell's error
   void pace(Job& job);  // pause a full stream's job, resume it (mutex held)
   void truncate_job(Job& job, robust::CancelReason reason);  // mutex held
-  void maybe_finalize(Job& job);                             // mutex held
-  void fail_job(Job& job, const std::string& what);          // mutex held
-  void release(Job& job);  // a terminal job's run state (mutex held)
+  /// Commit the job's outcome (sweep_env, job_done) and close its file:
+  /// failed with `error` at once, else done or cancelled once its cells
+  /// are all in or it is truncated and none is in flight (mutex held).
+  void finalize(Job& job, const std::string& error = {});
 
   ServeOptions options_;
   robust::IoBackend& io_;

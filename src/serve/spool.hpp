@@ -1,10 +1,10 @@
 // The daemon's durable state: one append-only file per job,
 // <spool>/job-N.ckpt, written only through the job's CellLifecycle and
-// read through robust::open_checkpoint (a resume) or
-// robust::read_checkpoint (a restart's scan, and read_job for a finished
-// job), with one record decoder. After its header it holds the record
+// read through read_job (an unfinished job's resume, a finished job's
+// report), with one record decoder. After its header it holds the record
 // grammar of every checkpoint (src/robust/checkpoint.hpp), then the
-// finalize commit:
+// finalize commit, whose job_done line records every outcome (done,
+// cancelled, failed with its error) and is the file's last line:
 //
 //   {"type":"serve_job","manifest":...,"client":...,...,"job":...,
 //    "config_hash":...,"cells":...,"run":...}    header, one commit
@@ -12,7 +12,8 @@
 //   {"type":"sweep_env",...}                     finalize, one commit
 //   {"type":"job_done","job":...,"state":...,...,"wall_ms":...}
 //
-// docs/SERVE.md, "Crash safety".
+// A file without job_done is an unfinished job (docs/SERVE.md, "Crash
+// safety").
 #pragma once
 
 #include <cstdint>

@@ -629,33 +629,68 @@ TEST(SweepRunner, FaultsLandOnTheSameTrialsAtEveryJobCount) {
   }
 }
 
-/// Requests cancellation once `light` sweep_cell events have arrived —
-/// every cell but the heavy one — after giving the idle workers a moment
-/// to join the heavy cell.
-class CancelAfterLightCells final : public obs::TraceSink {
+/// An adaptive sort cell (direct runs, no capture) and a funnel cell, the
+/// only cell of its program, whose first trial captures the program's
+/// trace while every other trial of the cell waits on that capture.
+Plan capture_tail_plan() {
+  std::istringstream is(
+      "name = capture_tail\n"
+      "workload = sort\n"
+      "sorts = adaptive funnel\n"
+      "profiles = const:16\n"
+      "keys = 2048\n"
+      "block = 4\n"
+      "trace_replay = 1\n"
+      "trials = 4\n"
+      "seed = 5\n");
+  return with_heavy_last_cell(
+      campaign::expand_plan(campaign::parse_manifest(is)), 128);
+}
+
+/// Cancels from inside the heavy cell's first trial: its trace_capture
+/// event waits until the checkpoint holds the `light` cells' sweep_cell
+/// lines, then requests the cancel. By then each thread has claimed at
+/// most one trial of the heavy cell (all wait on the capture), so the
+/// rest start after the cancel and unwind: the heavy cell provably has
+/// unlanded trials, however the threads were scheduled.
+class CancelInHeavyCapture final : public obs::TraceSink {
  public:
-  CancelAfterLightCells(robust::CancelToken& token, std::uint64_t light)
-      : token_(token), light_(light) {}
+  CancelInHeavyCapture(robust::CancelToken& token, std::string checkpoint,
+                       std::uint64_t light)
+      : token_(token), checkpoint_(std::move(checkpoint)), light_(light) {}
   void write(const obs::Event& event) override {
-    if (event.type != "sweep_cell" || ++cells_ != light_) return;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    if (event.type != "trace_capture") return;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (committed() < light_ && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     token_.request(robust::CancelReason::kExternal);
   }
 
  private:
+  std::uint64_t committed() const {
+    std::ifstream is(checkpoint_);
+    std::uint64_t cells = 0;
+    for (std::string line; std::getline(is, line);) {
+      cells += line.find("\"type\":\"sweep_cell\"") != std::string::npos;
+    }
+    return cells;
+  }
+
   robust::CancelToken& token_;
-  std::uint64_t light_;
-  std::uint64_t cells_ = 0;
+  const std::string checkpoint_;
+  const std::uint64_t light_;
 };
 
 TEST(SweepRunner, CancelMidHelpedCellDiscardsItWholeAndResumes) {
-  const Plan plan = heavy_ratio_plan();
+  const Plan plan = capture_tail_plan();
   const std::string uninterrupted =
       report_bytes(campaign::run_sweep(plan, untimed(4)));
 
   const std::string ckpt = temp_path("sweep_cancel_helped.ckpt");
   robust::CancelToken token;
-  CancelAfterLightCells sink(token, plan.cells.size() - 1);
+  CancelInHeavyCapture sink(token, ckpt, plan.cells.size() - 1);
   SweepOptions options = untimed(4);
   options.checkpoint_path = ckpt;
   options.cancel = &token;

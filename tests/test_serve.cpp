@@ -16,6 +16,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
@@ -29,6 +30,7 @@
 #include "campaign/sweep.hpp"
 #include "obs/sink.hpp"
 #include "robust/cancel.hpp"
+#include "robust/checkpoint.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
@@ -762,6 +764,134 @@ TEST(ServeCore, ACancelledJobStaysCancelledAcrossARestart) {
   EXPECT_TRUE(parsed_report(restarted, id).truncated);
 }
 
+/// What a core answers for a job: its status line, and its report bytes
+/// or the named error report_bytes throws.
+std::pair<std::string, std::string> answers(const ServeCore& core,
+                                            const std::string& id) {
+  const std::string status = obs::to_jsonl(status_event(*core.status(id)));
+  try {
+    return {status, core.report_bytes(id)};
+  } catch (const util::IoError& e) {
+    return {status, std::string("IoError: ") + e.what()};
+  }
+}
+
+/// Runs `drive`'s job on `options`' spool to its end, shuts the core down,
+/// and requires a new core (not started) to answer for it as the live
+/// one did. Returns the live status.
+JobStatus expect_same_after_restart(
+    ServeOptions options, const std::function<std::string(ServeCore&)>& drive) {
+  std::string id;
+  std::pair<std::string, std::string> live;
+  JobStatus status;
+  {
+    ServeCore core(options);
+    id = drive(core);
+    EXPECT_TRUE(core.wait_job(id));
+    live = answers(core, id);
+    status = *core.status(id);
+    core.shutdown();
+  }
+  options.autostart = false;
+  const ServeCore restarted(options);
+  EXPECT_EQ(answers(restarted, id), live);
+  return status;
+}
+
+// Two cells of more than 256 trials, so a resume places their trial lines.
+const char kTwoChunked[] =
+    "name = serve_two_chunked\nalgos = 4:2:1\nprofiles = shuffled\n"
+    "k = 1..2\ntrials = 300\nseed = 3\n";
+
+TEST(ServeCore, EveryOutcomeReadsTheSameAfterARestart) {
+  // Every outcome ends its job file with job_done, so a restarted daemon
+  // reports each job as the live one did.
+  const auto submit = [](const SubmitRequest& request) {
+    return [request](ServeCore& core) { return core.submit(request).id; };
+  };
+  ServeOptions options = core_options("outcome_done");
+  options.jobs = 1;
+  EXPECT_EQ(expect_same_after_restart(options,
+                                      submit(request_for(kSmall, "alice")))
+                .state,
+            JobState::kDone);
+
+  SubmitRequest budget = request_for(kSix, "alice");
+  budget.box_budget = 1;
+  options.spool_dir = fresh_dir("serve_outcome_budget");
+  JobStatus status = expect_same_after_restart(options, submit(budget));
+  EXPECT_EQ(status.reason, robust::CancelReason::kBudget);
+
+  SubmitRequest deadline = request_for(kSlow, "alice");
+  deadline.deadline_ms = 30;
+  options.spool_dir = fresh_dir("serve_outcome_deadline");
+  status = expect_same_after_restart(options, submit(deadline));
+  EXPECT_EQ(status.reason, robust::CancelReason::kDeadline);
+
+  options.spool_dir = fresh_dir("serve_outcome_cancelled");
+  status = expect_same_after_restart(options, [](ServeCore& core) {
+    const std::string id = core.submit(request_for(kSlow, "alice")).id;
+    EXPECT_TRUE(core.cancel(id));
+    return id;
+  });
+  EXPECT_EQ(status.state, JobState::kCancelled);
+
+  // Failed by a runner error: cell 1's trial lines hold a trial out of
+  // range, so claiming the cell throws when the job resumes.
+  options.spool_dir = fresh_dir("serve_outcome_runner");
+  const std::string path = Spool(options.spool_dir).path_for("job-1");
+  {
+    ServeOptions queued = options;
+    queued.autostart = false;
+    ServeCore core(queued);
+    core.submit(request_for(kTwoChunked, "alice"));
+  }
+  robust::TrialRecord bad;
+  bad.trial = 300;
+  std::ofstream(path, std::ios::app)
+      << obs::to_jsonl(robust::trial_record_event(bad).u64("cell", 1)) << "\n";
+  status = expect_same_after_restart(
+      options, [](ServeCore&) { return std::string("job-1"); });
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_NE(status.error.find("trial 300 of cell 1 is out of range"),
+            std::string::npos)
+      << status.error;
+  EXPECT_EQ(status.cells_done, 1u);
+  const obs::Event last = parse_line(robust::last_line(path));
+  EXPECT_EQ(last.type, "job_done");
+  EXPECT_EQ(last.str_or("state", ""), "failed");
+
+  // Failed by an I/O error: the job's own file refused a commit, so it
+  // holds no job_done line. The file wins: a restart resumes the job as
+  // it resumes one killed mid-run, to one-shot bytes.
+  options.spool_dir = fresh_dir("serve_outcome_io");
+  SubmitRequest faulty = request_for(kSmall, "alice");
+  faulty.fault_spec = "io_fsync=0.3";
+  // Syncs 1-3 pass (the header, the directory, cell 0), the 4th (cell 1)
+  // fails; a resume's two syncs (cell 2, the finalize) pass.
+  faulty.fault_seed = 4;
+  {
+    ServeCore core(options);
+    ASSERT_EQ(core.submit(faulty).id, "job-1");
+    ASSERT_TRUE(core.wait_job("job-1"));
+    status = *core.status("job-1");
+    core.shutdown();
+  }
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_NE(status.error.find("fsync of"), std::string::npos) << status.error;
+  EXPECT_EQ(status.cells_done, 1u);
+  const std::string faulty_path = Spool(options.spool_dir).path_for("job-1");
+  EXPECT_EQ(parse_line(robust::last_line(faulty_path)).type, "sweep_cell");
+  options.autostart = false;
+  ServeCore restarted(options);
+  EXPECT_EQ(restarted.status("job-1")->state, JobState::kQueued);
+  restarted.start();
+  ASSERT_TRUE(restarted.wait_job("job-1"));
+  EXPECT_EQ(restarted.status("job-1")->state, JobState::kDone);
+  EXPECT_EQ(restarted.report_bytes("job-1"),
+            one_shot_bytes(kSmall, "outcome_io"));
+}
+
 TEST(ServeCore, TornJobHeaderIsSkippedAndItsIdIsNeverReused) {
   // A header cut mid-commit is a submit that was never acknowledged: no
   // job, but its id stays taken. A header cut just before its '\n' is
@@ -785,16 +915,10 @@ TEST(ServeCore, TornJobHeaderIsSkippedAndItsIdIsNeverReused) {
 
 // The last cell is the heavy one: a trial costs about 8x one of the cell
 // before it, so once the light cells are admitted, every idle pool thread
-// helps the last cell's 128 trials. kHeavierTail's last cell (about
-// 0.4 s of trials on one core) outlasts its light cells by far more than
-// a cancel takes to land.
+// helps the last cell's 128 trials.
 const char kHeavyTail[] =
     "name = serve_heavy_tail\nalgos = 8:4:1\nprofiles = shuffled\n"
     "k = 1..5\ntrials = 128\nseed = 21\n";
-const char kHeavierTail[] =
-    "name = serve_heavier_tail\nalgos = 8:4:1\nprofiles = shuffled\n"
-    "k = 1..6\ntrials = 128\nseed = 21\n";
-constexpr std::uint64_t kLightCells = 5;  // of kHeavierTail
 
 TEST(ServeCore, HelpedTailCellGivesOneShotBytesAtEveryPoolSize) {
   const std::string reference = one_shot_bytes(kHeavyTail, "tail");
@@ -808,56 +932,98 @@ TEST(ServeCore, HelpedTailCellGivesOneShotBytesAtEveryPoolSize) {
   }
 }
 
-/// Waits for the job's light cells to stream; by then the idle pool
-/// threads are helping the heavy cell.
-void await_light_cells(ServeCore& core, const std::string& id) {
-  ASSERT_TRUE(core.attach(id));
-  for (std::uint64_t seen = 0; seen < kLightCells;) {
-    const std::vector<std::string> lines = core.next_stream_lines(id);
-    ASSERT_FALSE(lines.empty());
-    seen += lines.size();
+// A light adaptive sort cell (direct runs, no capture) and a heavy funnel
+// cell, the only cell of its program: its first trial captures the trace
+// while every other trial of the cell waits on that capture.
+const char kCaptureTail[] =
+    "name = serve_capture_tail\nworkload = sort\nsorts = adaptive funnel\n"
+    "profiles = const:16\nkeys = 2048\nblock = 4\ntrace_replay = 1\n"
+    "trials = 64\nseed = 5\n";
+
+/// Holds the trace_capture event, inside the heavy cell's first trial,
+/// until release(). Each thread has then claimed at most one trial of
+/// the heavy cell (all wait on the capture), so whatever the test does
+/// meanwhile provably comes before the rest of its trials start.
+class CaptureGate final : public obs::TraceSink {
+ public:
+  void write(const obs::Event& event) override {
+    if (event.type != "trace_capture") return;
+    held.set_value();
+    released_.wait();
   }
+  void release() { release_.set_value(); }
+
+  std::promise<void> held;
+
+ private:
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+/// Runs kCaptureTail until its heavy cell's capture is held and its light
+/// cell is durable (the header, the directory and the cell commit synced).
+std::string hold_capture_tail(ServeCore& core, CaptureGate& gate,
+                              const CountingIo& io) {
+  const std::string id = core.submit(request_for(kCaptureTail, "alice")).id;
+  EXPECT_EQ(gate.held.get_future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (io.syncs.load() < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(io.syncs.load(), 3u);
+  return id;
 }
 
 TEST(ServeCore, CancelMidHelpedCellDiscardsItWholeAndResumes) {
   // The serve twin of SweepRunner's: a client cancel while the heavy cell
-  // is being helped truncates the report to the light cells.
+  // is being helped truncates the report to the light cell.
   {
+    CaptureGate gate;
+    CountingIo io;
     ServeOptions options = core_options("tail_cancel");
     options.jobs = 4;
+    options.trace = &gate;
+    options.io = &io;
     ServeCore core(options);
-    const std::string id = core.submit(request_for(kHeavierTail, "alice")).id;
-    await_light_cells(core, id);
-    ASSERT_TRUE(core.cancel(id));
+    const std::string id = hold_capture_tail(core, gate, io);
+    EXPECT_TRUE(core.cancel(id));
+    gate.release();  // before any ASSERT: the core's teardown waits on it
     ASSERT_TRUE(core.wait_job(id));
     const campaign::Report cut = parsed_report(core, id);
     EXPECT_TRUE(cut.truncated);
     EXPECT_EQ(cut.truncate_reason, robust::CancelReason::kExternal);
-    ASSERT_EQ(cut.cells.size(), kLightCells);
-    for (const campaign::CellResult& cell : cut.cells) {
-      EXPECT_LT(cell.index, kLightCells);
-    }
+    ASSERT_EQ(cut.cells.size(), 1u);
+    EXPECT_EQ(cut.cells[0].index, 0u);
   }
   // A shutdown cancels the helped cell the same way; the checkpoint keeps
-  // only the light cells, and a new core on the same spool resumes to
+  // only the light cell, and a new core on the same spool resumes to
   // one-shot bytes.
   ServeOptions options = core_options("tail_restart");
   options.jobs = 4;
   std::string id;
   {
-    ServeCore core(options);
-    id = core.submit(request_for(kHeavierTail, "alice")).id;
-    await_light_cells(core, id);
-    core.shutdown();
+    CaptureGate gate;
+    CountingIo io;
+    ServeOptions gated = options;
+    gated.trace = &gate;
+    gated.io = &io;
+    ServeCore core(gated);
+    id = hold_capture_tail(core, gate, io);
+    auto stopped = std::async(std::launch::async, [&core] { core.shutdown(); });
+    EXPECT_TRUE(core.wait_job(id));  // returns once the shutdown began
+    gate.release();
+    stopped.get();
   }
   const std::map<std::uint64_t, campaign::CellResult> committed =
       read_job(Spool(options.spool_dir).path_for(id)).cells;
-  EXPECT_EQ(committed.size(), kLightCells);
-  EXPECT_EQ(committed.count(kLightCells), 0u);
+  EXPECT_EQ(committed.size(), 1u);
+  EXPECT_EQ(committed.count(1), 0u);
   ServeCore resumed(options);
   ASSERT_TRUE(resumed.wait_job(id));
   EXPECT_EQ(resumed.report_bytes(id),
-            one_shot_bytes(kHeavierTail, "tail_restart"));
+            one_shot_bytes(kCaptureTail, "tail_restart"));
 }
 
 // Three cells of 2048 trials: each commits eight 256-trial chunks of trial

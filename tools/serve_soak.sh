@@ -5,6 +5,8 @@
 # `cadapt sweep --no-timing` on the same manifest. This is the serve
 # analogue of tools/chaos_sweep.sh — no cleanup handler runs on
 # SIGKILL, so recovery leans entirely on the durable checkpoint layer.
+# A last leg fails a job through its own file (io_fsync faults), then
+# restarts the daemon and requires the resumed report to match too.
 #
 # Wired as the ctest case `cli_serve_soak` (label `serve`).
 #
@@ -16,6 +18,7 @@ cli=${1:?usage: serve_soak.sh <path-to-cadapt> [workdir] [kills]}
 workdir=${2:-serve_soak_work}
 kills=${3:-6}
 
+gate_manifest=$(cd "$(dirname "$0")/.." && pwd)/bench/manifests/chaos_gate.manifest
 rm -rf "$workdir"
 mkdir -p "$workdir"
 cd "$workdir"
@@ -138,8 +141,37 @@ start_daemon
 "$cli" results --socket serve.sock --job job-2 --out again_b.json \
   2> /dev/null
 cmp ref_b.json again_b.json
+
+# A job whose own file refused a commit (docs/SERVE.md, "Crash safety"):
+# the daemon reports it failed, but its file holds no job_done line, and
+# the file wins: after a restart the job resumes to its one-shot bytes.
+await_state() {  # job state
+  tries=0
+  until "$cli" status --socket serve.sock --job "$1" 2> /dev/null |
+    grep -q "\"state\":\"$2\""; do
+    tries=$((tries + 1))
+    [ "$tries" -gt 2400 ] && { echo "$1 never reached $2" >&2; exit 1; }
+    sleep 0.1
+  done
+}
+"$cli" sweep "$gate_manifest" --no-timing --out ref_gate.json > /dev/null
+"$cli" submit "$gate_manifest" --socket serve.sock --client dave \
+  --fault io_fsync=0.3 > /dev/null
+await_state job-4 failed
+kill "$daemon_pid"
+wait "$daemon_pid" || { echo "daemon exited non-zero" >&2; exit 1; }
+daemon_pid=""
+if tail -n 1 spool/job-4.ckpt | grep -q '"type":"job_done"'; then
+  echo "a file that refused a commit recorded an outcome" >&2; exit 1
+fi
+start_daemon
+await_state job-4 done
+"$cli" results --socket serve.sock --job job-4 --out got_gate.json \
+  2> /dev/null
+cmp ref_gate.json got_gate.json
 kill "$daemon_pid"
 wait "$daemon_pid" || { echo "daemon exited non-zero" >&2; exit 1; }
 daemon_pid=""
 
-echo "soak: $i kill(s), every report byte-identical after resume"
+echo "soak: $i kill(s), every report byte-identical after resume, and a" \
+  "job failed by its own file resumed to its one-shot bytes"
