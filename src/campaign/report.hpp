@@ -179,10 +179,10 @@ double algo_expected_exponent(const std::string& algo_token);
 
 void write_report(std::ostream& os, const Report& report);
 
-/// Durable commit: the report is rendered in memory and lands via
-/// robust::atomic_write_file (write temp, fsync, rename, fsync parent),
-/// so a crash or I/O failure mid-write never leaves a partial artifact
-/// at `path` — the previous report, if any, survives intact.
+/// Durable commit: the report streams through robust::AtomicFileWriter
+/// (write temp, fsync, rename, fsync parent), so a crash or I/O failure
+/// mid-write never leaves a partial artifact at `path` — the previous
+/// report, if any, survives intact.
 void write_report_file(const std::string& path, const Report& report,
                        robust::IoBackend& io = robust::system_io());
 

@@ -1,7 +1,5 @@
 #include "obs/recorder.hpp"
 
-#include <algorithm>
-
 #include "obs/counters.hpp"
 #include "obs/event.hpp"
 #include "obs/sink.hpp"
@@ -184,61 +182,6 @@ void McRecorder::finish(const McFinish& info) {
       .flag("truncated", info.truncated);
   // Only when present, so pre-StopReason traces keep their bytes.
   if (capped > 0) event.u64("capped", capped);
-  sink_->write(event);
-}
-
-void SchedRecorder::on_steal(std::uint64_t epoch, std::uint64_t thief,
-                             std::uint64_t victim, std::uint64_t units,
-                             bool split) {
-  ++steals_;
-  if (split) ++splits_;
-  if (sink_ != nullptr) {
-    Event event("sched_steal");
-    event.u64("epoch", epoch)
-        .u64("thief", thief)
-        .u64("victim", victim)
-        .u64("units", units)
-        .flag("split", split);
-    sink_->write(event);
-  }
-}
-
-void SchedRecorder::on_failed_steal(std::uint64_t epoch, std::uint64_t thief,
-                                    std::uint64_t victim) {
-  (void)epoch;
-  (void)thief;
-  (void)victim;
-  ++failed_steals_;
-}
-
-void SchedRecorder::on_epoch(std::uint64_t epoch,
-                             std::uint64_t active_workers,
-                             std::uint64_t queued_tasks,
-                             std::uint64_t remaining_units) {
-  epochs_ = epoch;
-  max_queued_ = std::max(max_queued_, queued_tasks);
-  if (sink_ != nullptr) {
-    Event event("sched_epoch");
-    event.u64("epoch", epoch)
-        .u64("active", active_workers)
-        .u64("queued", queued_tasks)
-        .u64("remaining_units", remaining_units);
-    sink_->write(event);
-  }
-}
-
-void SchedRecorder::finish(std::uint64_t workers, std::uint64_t rounds,
-                           std::uint64_t epochs, std::uint64_t splits,
-                           bool completed) {
-  if (sink_ == nullptr) return;
-  Event event("sched");
-  event.u64("workers", workers)
-      .u64("rounds", rounds)
-      .u64("epochs", epochs)
-      .u64("steals", steals_)
-      .u64("failed_steals", failed_steals_)
-      .u64("splits", splits)
-      .flag("completed", completed);
   sink_->write(event);
 }
 

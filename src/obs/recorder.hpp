@@ -233,55 +233,6 @@ class McRecorder {
   std::vector<TrialErrorObservation> errors_;
 };
 
-/// Scheduler telemetry from the work-stealing parallel engine
-/// (sched::parallel_run_to_completion, docs/PARALLEL.md). Every hook is
-/// invoked from the engine's SERIAL phases — steal barriers and
-/// finalization — so a single-threaded TraceSink is safe here, same as
-/// for ExecRecorder. The counters mirror the ParallelResult totals
-/// exactly (the parallel tests assert it); the sink additionally gets
-/// one "sched_steal" event per successful steal, one "sched_epoch"
-/// event per barrier, and a final "sched" summary.
-class SchedRecorder {
- public:
-  /// sink == nullptr keeps counters only (no event stream).
-  explicit SchedRecorder(TraceSink* sink = nullptr) : sink_(sink) {}
-
-  /// One successful steal: `thief` took a task worth `units` pending
-  /// unit accesses from `victim`; split = the stolen subtree was cut
-  /// into its child tasks at the thief.
-  void on_steal(std::uint64_t epoch, std::uint64_t thief,
-                std::uint64_t victim, std::uint64_t units, bool split);
-
-  /// One failed steal attempt (victim deque empty). Counter only — per
-  /// -attempt events would dwarf the useful stream.
-  void on_failed_steal(std::uint64_t epoch, std::uint64_t thief,
-                       std::uint64_t victim);
-
-  /// End of each epoch barrier: how many workers still hold work, total
-  /// queued tasks across deques, and the units the problem still owes.
-  void on_epoch(std::uint64_t epoch, std::uint64_t active_workers,
-                std::uint64_t queued_tasks, std::uint64_t remaining_units);
-
-  /// Once, when the run ends: emits the "sched" aggregate event.
-  void finish(std::uint64_t workers, std::uint64_t rounds,
-              std::uint64_t epochs, std::uint64_t splits, bool completed);
-
-  std::uint64_t steals() const { return steals_; }
-  std::uint64_t failed_steals() const { return failed_steals_; }
-  std::uint64_t splits() const { return splits_; }
-  std::uint64_t epochs() const { return epochs_; }
-  /// Peak total deque occupancy observed at any barrier.
-  std::uint64_t max_queued() const { return max_queued_; }
-
- private:
-  TraceSink* sink_;
-  std::uint64_t steals_ = 0;
-  std::uint64_t failed_steals_ = 0;
-  std::uint64_t splits_ = 0;
-  std::uint64_t epochs_ = 0;
-  std::uint64_t max_queued_ = 0;
-};
-
 /// Per-box-size-class paging tallies from the concrete CA machine.
 class PagingRecorder {
  public:

@@ -1,4 +1,4 @@
-// ASCII rendering of square profiles — used by bench_e1_worst_profile to
+// ASCII rendering of square profiles — `cadapt render` uses it to
 // regenerate Figure 1 of the paper as text.
 #pragma once
 

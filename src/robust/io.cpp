@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstring>
@@ -135,47 +136,11 @@ void CrashPoint::visit(IoBackend& io, int fd, const void* data,
 
 void atomic_write_file(const std::string& path, std::string_view content,
                        IoBackend& io) {
-  const std::string tmp = path + ".tmp";
-  const int fd = io.open_trunc(tmp.c_str());
-  if (fd < 0) {
-    throw util::IoError("cannot open '" + tmp +
-                        "' for writing: " + errno_detail());
-  }
-  const auto abort_commit = [&](const std::string& what) -> util::IoError {
-    io.close(fd);
-    io.remove(tmp.c_str());
-    return util::IoError(what + "; '" + path + "' left untouched");
-  };
-  CrashPoint::instance().visit(io, fd, content.data(), content.size());
-  if (!content.empty()) {
-    const std::int64_t wrote = io.write(fd, content.data(), content.size());
-    if (wrote < 0) {
-      throw abort_commit("write to '" + tmp + "' failed: " + errno_detail());
-    }
-    if (static_cast<std::size_t>(wrote) != content.size()) {
-      throw abort_commit("short write to '" + tmp + "'");
-    }
-  }
-  if (io.fsync(fd) != 0) {
-    throw abort_commit("fsync of '" + tmp + "' failed: " + errno_detail());
-  }
-  if (io.close(fd) != 0) {
-    io.remove(tmp.c_str());
-    throw util::IoError("close of '" + tmp + "' failed: " + errno_detail() +
-                        "; '" + path + "' left untouched");
-  }
-  if (io.rename(tmp.c_str(), path.c_str()) != 0) {
-    const std::string detail = errno_detail();
-    io.remove(tmp.c_str());
-    throw util::IoError("rename of '" + tmp + "' failed: " + detail + "; '" +
-                        path + "' left untouched");
-  }
-  // After a successful rename the new content IS visible; a parent-dir
-  // fsync failure only means the rename itself may not survive a crash.
-  if (io.fsync_parent(path.c_str()) != 0) {
-    throw util::IoError("fsync of parent directory of '" + path +
-                        "' failed: " + errno_detail());
-  }
+  // One chunk sized to the content: one durable write, as the chaos
+  // lane's crash-point indexes expect.
+  AtomicFileWriter writer(path, io, std::max<std::size_t>(content.size(), 1));
+  writer.write(content);
+  writer.commit();
 }
 
 AtomicFileWriter::AtomicFileWriter(const std::string& path, IoBackend& io,
@@ -192,8 +157,7 @@ AtomicFileWriter::AtomicFileWriter(const std::string& path, IoBackend& io,
 AtomicFileWriter::~AtomicFileWriter() {
   if (committed_ || fd_ < 0) return;
   // Abandoned mid-stream (an exception above us): same cleanup as a
-  // failed atomic_write_file — close and remove the temp, leave `path_`
-  // untouched.
+  // failed commit — close and remove the temp, leave `path_` untouched.
   io_.close(fd_);
   io_.remove(tmp_.c_str());
 }

@@ -3,7 +3,7 @@
 // Every campaign artifact writer goes through this layer instead of raw
 // ofstream:
 //
-//   atomic_write_file — whole-file artifacts (sweep reports, merges)
+//   AtomicFileWriter — whole-file artifacts (sweep reports, merges)
 //     commit via write-temp -> write -> fsync -> close -> rename ->
 //     fsync(parent dir). A crash or failed write NEVER leaves a partial
 //     file at the final path; the previous version stays intact.
@@ -121,27 +121,18 @@ class CrashPoint {
   std::atomic<std::uint64_t> remaining_{0};
 };
 
-/// Commit `content` to `path` atomically: write `path + ".tmp"`, fsync,
-/// close, rename over `path`, fsync the parent directory. On any failure
-/// the temp file is removed and util::IoError is thrown — `path` is
-/// either the complete new content or untouched, never a partial file.
-void atomic_write_file(const std::string& path, std::string_view content,
-                       IoBackend& io = system_io());
-
-/// Streaming variant of atomic_write_file for artifacts too large to
-/// materialize in one buffer (bounded-memory report commits): write()
-/// buffers into chunks of `chunk_bytes` and flushes full chunks to the
-/// temp file; commit() flushes the tail, fsyncs, closes, renames over
-/// `path`, and fsyncs the parent. The atomicity contract is identical —
-/// until the rename, only `path + ".tmp"` is touched, and any failure
-/// removes it and throws util::IoError with `path` left untouched.
+/// Commit a file atomically: write() buffers into chunks of
+/// `chunk_bytes` and flushes full chunks to `path + ".tmp"`; commit()
+/// flushes the tail, fsyncs, closes, renames over `path`, and fsyncs the
+/// parent directory. Until the rename only the temp file is touched; any
+/// failure removes it and throws util::IoError — `path` is either the
+/// complete new content or untouched, never a partial file.
 ///
 /// Crash modelling: every flushed chunk is one durable write
 /// (CrashPoint-visited), so a payload under `chunk_bytes` costs exactly
-/// one durable write — the same count as atomic_write_file, which keeps
-/// the chaos lane's crash-point indexes stable for every report the
-/// lane writes. Destroying an uncommitted writer aborts the commit and
-/// removes the temp file.
+/// one durable write, which keeps the chaos lane's crash-point indexes
+/// stable for every report the lane writes. Destroying an uncommitted
+/// writer aborts the commit and removes the temp file.
 class AtomicFileWriter {
  public:
   explicit AtomicFileWriter(const std::string& path,
@@ -167,6 +158,10 @@ class AtomicFileWriter {
   bool committed_ = false;
   std::string buffer_;
 };
+
+/// AtomicFileWriter over one in-memory payload, written as one chunk.
+void atomic_write_file(const std::string& path, std::string_view content,
+                       IoBackend& io = system_io());
 
 /// Append-only durable writer over an fd. write() buffers; commit()
 /// pushes the batch with one write() + fsync(). Throws util::IoError on

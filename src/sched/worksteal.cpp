@@ -124,9 +124,6 @@ void ParallelEngine::run_sequential() {
   stats.tasks_run = 1;
   result_.rounds = result_.merged.boxes;
   result_.tasks_spawned = 1;
-  if (opt_.recorder != nullptr) {
-    opt_.recorder->finish(1, result_.rounds, 0, 0, result_.merged.completed);
-  }
 }
 
 /// Cut the tree at depth d into a^d subtree tasks plus the a^j scan tasks
@@ -287,20 +284,12 @@ void ParallelEngine::steal_barrier() {
       const auto index = workers_[victim].deque->steal();
       if (!index) {
         ++self.stats.failed_steals;
-        if (opt_.recorder != nullptr) {
-          opt_.recorder->on_failed_steal(result_.epochs, w, victim);
-        }
         continue;
       }
       const Task t = tasks_[*index];
       workers_[victim].pending_deque_units -= task_units(t);
       ++self.stats.steals;
-      const bool split = t.size >= params_.b;
-      if (opt_.recorder != nullptr) {
-        opt_.recorder->on_steal(result_.epochs, w, victim, task_units(t),
-                                split);
-      }
-      if (split) {
+      if (t.size >= params_.b) {
         ++result_.splits;
         const std::uint64_t child_size = t.size / params_.b;
         const std::uint64_t scan = params_.scan_size(t.size);
@@ -381,16 +370,6 @@ ParallelResult ParallelEngine::run() {
     if (result_.rounds % epoch_rounds == 0 && remaining_units_ > 0) {
       ++result_.epochs;
       steal_barrier();
-      if (opt_.recorder != nullptr) {
-        std::uint64_t active = 0;
-        std::uint64_t queued = 0;
-        for (const Worker& w : workers_) {
-          if (has_current(w) || w.deque->size() > 0) ++active;
-          queued += w.deque->size();
-        }
-        opt_.recorder->on_epoch(result_.epochs, active, queued,
-                                remaining_units_);
-      }
     }
   }
 
@@ -412,10 +391,6 @@ ParallelResult ParallelEngine::run() {
   merged.unit_ratio =
       unit_potential_ / static_cast<double>(total_units_);
   result_.tasks_spawned = tasks_.size();
-  if (opt_.recorder != nullptr) {
-    opt_.recorder->finish(p_, result_.rounds, result_.epochs, result_.splits,
-                          merged.completed);
-  }
   return std::move(result_);
 }
 

@@ -26,10 +26,6 @@
 #include "profile/box_source.hpp"
 #include "sched/shared_cache.hpp"
 
-namespace cadapt::obs {
-class SchedRecorder;
-}  // namespace cadapt::obs
-
 namespace cadapt::robust {
 class CancelToken;
 }  // namespace cadapt::robust
@@ -57,7 +53,6 @@ struct ParallelOptions {
   engine::ScanPlacement placement = engine::ScanPlacement::kEnd;
   engine::BoxSemantics semantics = engine::BoxSemantics::kOptimistic;
   std::uint64_t adversary_seed = 0;  ///< for kAdversaryMatched subtrees
-  obs::SchedRecorder* recorder = nullptr;    ///< null = disabled
   const robust::CancelToken* cancel = nullptr;  ///< polled once per box
 };
 

@@ -52,6 +52,16 @@ TEST(Describe, WorstCaseSummary) {
   EXPECT_NE(out.find("M(1) = [box 1]"), std::string::npos);
   EXPECT_NE(out.find("size 64  x 1"), std::string::npos);
   EXPECT_NE(out.find("size 1  x 512"), std::string::npos);
+  // Figure 1's total potential, n^{3/2} (log_4 n + 1), exactly.
+  EXPECT_NE(out.find("Total: potential 2048 = n^{log_b a} * (log_b n + 1) "
+                     "= 512 * 4"),
+            std::string::npos)
+      << out;
+  const std::string big = describe_worst_case(8, 4, 1024);
+  EXPECT_NE(big.find("Total: potential 196608 = n^{log_b a} * "
+                     "(log_b n + 1) = 32768 * 6"),
+            std::string::npos)
+      << big;
 }
 
 }  // namespace

@@ -890,6 +890,33 @@ TEST(ServeCore, EveryOutcomeReadsTheSameAfterARestart) {
   EXPECT_EQ(restarted.status("job-1")->state, JobState::kDone);
   EXPECT_EQ(restarted.report_bytes("job-1"),
             one_shot_bytes(kSmall, "outcome_io"));
+
+  // Failed at the finalize commit: its write reaches the file, its fsync
+  // fails. The live core reports the job failed; the file already ends
+  // with the job_done line it was committing, and the file wins, so a
+  // restarted core restores the job as done with the one-shot bytes.
+  options.spool_dir = fresh_dir("serve_outcome_finalize");
+  options.autostart = true;
+  faulty.fault_seed = 8;  // syncs 1-5 pass, the 6th (the finalize) fails
+  {
+    ServeCore core(options);
+    ASSERT_EQ(core.submit(faulty).id, "job-1");
+    ASSERT_TRUE(core.wait_job("job-1"));
+    status = *core.status("job-1");
+    core.shutdown();
+  }
+  EXPECT_EQ(status.state, JobState::kFailed);
+  EXPECT_NE(status.error.find("fsync of"), std::string::npos) << status.error;
+  EXPECT_EQ(status.cells_done, 3u);
+  const obs::Event done = parse_line(
+      robust::last_line(Spool(options.spool_dir).path_for("job-1")));
+  EXPECT_EQ(done.type, "job_done");
+  EXPECT_EQ(done.str_or("state", ""), "done");
+  options.autostart = false;
+  const ServeCore reread(options);
+  EXPECT_EQ(reread.status("job-1")->state, JobState::kDone);
+  EXPECT_EQ(reread.report_bytes("job-1"),
+            one_shot_bytes(kSmall, "outcome_finalize"));
 }
 
 TEST(ServeCore, TornJobHeaderIsSkippedAndItsIdIsNeverReused) {
