@@ -12,6 +12,7 @@
 #include "algos/sim_data.hpp"
 #include "algos/sort.hpp"
 #include "core/workloads.hpp"
+#include "obs/span.hpp"
 #include "paging/address_space.hpp"
 #include "paging/block_run.hpp"
 #include "paging/ca_machine.hpp"
@@ -267,13 +268,6 @@ bool run_program(const ProgramSpec& prog, paging::Machine& machine,
   throw util::CheckError("unreachable program kind");
 }
 
-/// Whether `cell` replays a captured trace: a program cell under
-/// capture_trace, except the adaptive sort, whose stream depends on the
-/// live box profile.
-bool replays_trace(const Cell& cell, bool capture) {
-  return capture && !cell.sort.empty() && cell.sort != "adaptive";
-}
-
 /// One program trial, shoehorned into the engine's RunResult so the
 /// shared containment path (run_single_trial) and record format serve
 /// both workloads: ratio <- total I/Os (the metric), unit_ratio <- I/Os
@@ -295,6 +289,7 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
   const std::uint64_t units = program_units(prog, keys);
   const bool per_access = options.per_access;
   const bool capture = options.capture_trace;
+  const bool timing = options.timing;
   const robust::CancelToken* cancel = options.cancel;
   const paging::CaConfig config = ca_config_for(cell, options);
   const bool replayable = replays_trace(cell, capture);
@@ -313,8 +308,8 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
     state = std::make_shared<TraceCache::Capture>();
   }
 
-  return [cell, prog, keys, block, units, per_access, capture, cancel,
-          config, replayable, traces,
+  return [cell, prog, keys, block, units, per_access, capture, timing,
+          cancel, config, replayable, traces,
           state](std::uint64_t trial_seed, robust::FaultInjector&) {
     const std::uint64_t input_seed = capture ? cell.seed : trial_seed;
     paging::CaMachine machine(
@@ -332,6 +327,7 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
       {
         const std::lock_guard<std::mutex> lock(state->mutex);
         if (!state->captured) {
+          const std::uint64_t started = timing ? obs::steady_now_ns() : 0;
           paging::BlockRunRecorder recorder(block);
           if (per_access) recorder.set_per_access(true);
           // A CancelledError unwinds before `captured` is set, so a
@@ -341,7 +337,10 @@ engine::RobustTrialRunner make_program_runner(const Cell& cell,
               run_program(prog, recorder, keys, input_seed, nullptr);
           state->trace = recorder.take();
           state->captured = true;
-          if (traces != nullptr) traces->captured(cell, state->trace);
+          if (traces != nullptr) {
+            traces->captured(cell, state->trace,
+                             timing ? obs::steady_now_ns() - started : 0);
+          }
         }
       }
       machine.replay_trace(state->trace);
@@ -429,7 +428,8 @@ std::shared_ptr<TraceCache::Capture> TraceCache::capture_for(
 }
 
 void TraceCache::captured(const Cell& cell,
-                          const paging::BlockRunTrace& trace) {
+                          const paging::BlockRunTrace& trace,
+                          std::uint64_t capture_ns) {
   std::uint64_t users = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
@@ -447,7 +447,8 @@ void TraceCache::captured(const Cell& cell,
       .u64("bytes", trace.runs().size() * sizeof(paging::BlockRun) +
                         trace.replay_steps().size() *
                             sizeof(paging::BlockRunTrace::ReplayStep))
-      .u64("cells", users);
+      .u64("cells", users)
+      .u64("capture_ns", capture_ns);
   on_event_(event);
 }
 

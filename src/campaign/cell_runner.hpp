@@ -107,8 +107,9 @@ class TraceCache {
     paging::BlockRunTrace trace;
     bool verified = false;  ///< the capture run's output check
   };
-  /// Receives a `trace_capture` event (program, seed, runs, bytes, and
-  /// the unfinished cells that will replay it) after each capture, and a
+  /// Receives a `trace_capture` event (program, seed, runs, bytes, the
+  /// unfinished cells that will replay it, and the capture's wall time,
+  /// capture_ns, 0 when untimed) after each capture, and a
   /// `trace_release` event (program, seed) when its last cell lets go.
   /// Called on the capturing or releasing thread, no cache lock held.
   using EventFn = std::function<void(const obs::Event&)>;
@@ -125,8 +126,10 @@ class TraceCache {
   void release(const Cell& cell);
   /// The entry `cell` replays.
   std::shared_ptr<Capture> capture_for(const Cell& cell);
-  /// Report a completed capture of `cell`'s trace.
-  void captured(const Cell& cell, const paging::BlockRunTrace& trace);
+  /// Report a completed capture of `cell`'s trace, which took
+  /// `capture_ns` of wall time (0 = untimed).
+  void captured(const Cell& cell, const paging::BlockRunTrace& trace,
+                std::uint64_t capture_ns);
 
  private:
   struct Entry {

@@ -1,5 +1,8 @@
 #include "campaign/plan.hpp"
 
+#include <set>
+#include <utility>
+
 #include "util/check.hpp"
 #include "util/math.hpp"
 
@@ -72,6 +75,26 @@ std::vector<std::size_t> shard_cells(const Plan& plan, std::uint64_t shards,
     if (i % shards == shard_index) mine.push_back(i);
   }
   return mine;
+}
+
+bool replays_trace(const Cell& cell, bool capture) {
+  return capture && !cell.sort.empty() && cell.sort != "adaptive";
+}
+
+std::vector<std::size_t> capture_first(
+    const Plan& plan, const std::vector<std::size_t>& pending) {
+  std::set<std::pair<std::string, std::uint64_t>> seen;  // program, seed
+  std::vector<std::size_t> order;
+  std::vector<std::size_t> rest;
+  order.reserve(pending.size());
+  for (const std::size_t i : pending) {
+    const Cell& cell = plan.cells[i];
+    const bool captures = replays_trace(cell, plan.manifest.trace_replay) &&
+                          seen.emplace(cell.sort, cell.seed).second;
+    (captures ? order : rest).push_back(i);
+  }
+  order.insert(order.end(), rest.begin(), rest.end());
+  return order;
 }
 
 }  // namespace cadapt::campaign

@@ -12,6 +12,11 @@
 // contiguous slicing would give shard 0 all the small-n cells and the
 // last shard all the big ones, so round-robin is both balanced and
 // deterministic.
+//
+// Admission runs capture-first (capture_first): a replayed program's
+// one-time trace capture is the longest serial step of a sort sweep, so
+// each program's first pending cell is admitted before everything else.
+// Reports never see the order: results are keyed by cell index.
 #pragma once
 
 #include <cstdint>
@@ -53,5 +58,20 @@ Plan expand_plan(const Manifest& manifest);
 /// util::UsageError unless shard_index < shards and shards >= 1.
 std::vector<std::size_t> shard_cells(const Plan& plan, std::uint64_t shards,
                                      std::uint64_t shard_index);
+
+/// Whether `cell` replays a captured block-run trace: a program cell
+/// under capture_trace (a manifest's trace_replay, `mc --capture-trace`),
+/// except the adaptive sort, whose stream depends on the live box
+/// profile.
+bool replays_trace(const Cell& cell, bool capture);
+
+/// The admission order of `pending` (indices into plan.cells, ascending:
+/// a shard's unfinished cells): the first pending cell of each replayed
+/// (program, seed) — the one whose first trial captures the trace — in
+/// index order, then every other cell in index order. The same order at
+/// every --jobs, so idle threads never queue behind a capture that could
+/// have started earlier; the identity on a plan that replays nothing.
+std::vector<std::size_t> capture_first(
+    const Plan& plan, const std::vector<std::size_t>& pending);
 
 }  // namespace cadapt::campaign

@@ -54,9 +54,8 @@ Report assemble_report(const Plan& plan, std::vector<CellResult> cells,
   report.truncate_reason = truncate_reason;
   report.env = build_provenance();
   report.cells = std::move(cells);
-  // Index order, not completion order: the report is the deterministic
-  // artifact (cells were filled shard-slot-wise, which is already sorted
-  // by index for round-robin sharding, but don't rely on it).
+  // Index order, not completion or admission order: the report is the
+  // deterministic artifact.
   std::sort(report.cells.begin(), report.cells.end(),
             [](const CellResult& a, const CellResult& b) {
               return a.index < b.index;
@@ -206,10 +205,12 @@ class Stops {
                                     std::memory_order_relaxed);
   }
 
-  // The admission checks for cell `index`: false once a lower-indexed
-  // cell failed (its error ends the drive, so later cells are not run;
-  // lower ones still are, which keeps the rethrown error the lowest), and
-  // false (and truncated) once the token fired or the budget is spent.
+  // The admission checks for cell `index` (run_sweep: the plan index,
+  // not the admission slot, since cells are admitted capture-first):
+  // false once a lower-indexed cell failed (its error ends the drive, so
+  // higher cells are not run; lower ones still are, which keeps the
+  // rethrown error the lowest), and false (and truncated) once the token
+  // fired or the budget is spent.
   bool admissible(std::uint64_t index, const robust::CancelToken* cancel,
                   const robust::BudgetTracker& tracker) {
     if (index > error_index_.load(std::memory_order_relaxed)) return false;
@@ -313,31 +314,36 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
       std::move(restored.trials), trace);
   // Each trace is freed after its program's last unfinished cell here:
   // a cell that never lands (skipped at admission, abandoned) is skipped.
+  std::vector<CellResult> cells;
+  std::vector<std::size_t> pending;
   for (const std::size_t i : mine) {
     const Cell& cell = plan.cells[i];
-    if (!finished.contains(cell.index)) lifecycle->expect(cell);
+    if (const auto it = finished.find(cell.index); it != finished.end()) {
+      cells.push_back(it->second);
+    } else {
+      pending.push_back(i);
+      lifecycle->expect(cell);
+    }
   }
+  const std::vector<std::size_t> order = capture_first(plan, pending);
 
   robust::BudgetTracker tracker(options.budget, options.clock);
-  std::vector<std::optional<CellResult>> results(mine.size());
+  std::vector<std::optional<CellResult>> results(order.size());
   // A cell that throws (cancellation, a malformed cell) is abandoned.
   Stops stops;
 
-  // Admission: the next cell of the shard that still has to run, with its
-  // runner built once. Null once the shard is exhausted.
+  // Admission: the next cell of the shard that still has to run, in
+  // capture-first order, with its runner built once. Null once the shard
+  // is exhausted.
   using Claimed = ClaimedCell<std::size_t>;
   std::atomic<std::size_t> next_slot{0};
   const auto admit = [&]() -> std::shared_ptr<Claimed> {
     for (;;) {
       const std::size_t slot =
           next_slot.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= mine.size()) return nullptr;
-      const Cell& cell = plan.cells[mine[slot]];
-      if (const auto it = finished.find(cell.index); it != finished.end()) {
-        results[slot] = it->second;
-        continue;
-      }
-      if (!stops.admissible(slot, cancel, tracker)) {
+      if (slot >= order.size()) return nullptr;
+      const Cell& cell = plan.cells[order[slot]];
+      if (!stops.admissible(cell.index, cancel, tracker)) {
         lifecycle->skip(cell);
         continue;
       }
@@ -346,7 +352,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
       try {
         lifecycle->claim(*run, cell);
       } catch (...) {
-        stops.fail(slot);
+        stops.fail(cell.index);
         continue;
       }
       return run;
@@ -365,7 +371,7 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
        .finish = finish,
        .abandon =
            [&stops, &lifecycle](Claimed& run) {
-             stops.fail(run.owner);
+             stops.fail(run.cell->index);
              lifecycle->skip(*run.cell);
            },
        .land_chunk =
@@ -378,7 +384,6 @@ Report run_sweep(const Plan& plan, const SweepOptions& options) {
                      [&scheduler](std::size_t) { scheduler.work(); });
   stops.settle();
 
-  std::vector<CellResult> cells;
   for (std::optional<CellResult>& result : results) {
     if (result.has_value()) cells.push_back(std::move(*result));
   }

@@ -16,10 +16,10 @@ void BlockRunTrace::push(BlockId block, std::uint64_t count) {
   accesses_ += count;
   steps_.clear();  // appended runs invalidate the replay index
   const auto id = static_cast<std::uint32_t>(block);
-  if (!runs_.empty() && runs_.back().block == id) {
-    const std::uint64_t room = kMaxRunCount - runs_.back().count;
-    const std::uint64_t fill = std::min(room, count);
-    runs_.back().count += static_cast<std::uint32_t>(fill);
+  if (run_count_ != 0 && chunks_.back().back().block == id) {
+    BlockRun& last = chunks_.back().back();
+    const std::uint64_t fill = std::min(kMaxRunCount - last.count, count);
+    last.count += static_cast<std::uint32_t>(fill);
     count -= fill;
   }
   // A count beyond one run's 32 bits continues as full runs of the same
@@ -27,41 +27,54 @@ void BlockRunTrace::push(BlockId block, std::uint64_t count) {
   // the fast walk counts as a hit, so the split is exact.
   while (count != 0) {
     const std::uint64_t piece = std::min(kMaxRunCount, count);
-    runs_.push_back(BlockRun{id, static_cast<std::uint32_t>(piece)});
+    if (run_count_ % kChunkRuns == 0) {
+      chunks_.emplace_back().reserve(kChunkRuns);
+    }
+    chunks_.back().push_back(BlockRun{id, static_cast<std::uint32_t>(piece)});
+    ++run_count_;
     count -= piece;
   }
 }
 
+std::uint64_t BlockRunTrace::storage_bytes() const {
+  std::uint64_t bytes = steps_.capacity() * sizeof(ReplayStep);
+  for (const std::vector<BlockRun>& chunk : chunks_) {
+    bytes += chunk.capacity() * sizeof(BlockRun);
+  }
+  return bytes;
+}
+
 void BlockRunTrace::ensure_replay_index() {
-  if (has_replay_index() || runs_.empty()) return;
+  if (has_replay_index() || run_count_ == 0) return;
   // prev1 = 1 + run index must fit 32 bits.
-  if (runs_.size() >= 0xffffffffull) return;  // unindexable: generic replay
-  steps_.assign(runs_.size(), ReplayStep{0});
+  if (run_count_ >= 0xffffffffull) return;  // unindexable: generic replay
+  steps_.assign(run_count_, ReplayStep{0});
   // AddressSpace hands out block ids densely from 0, so a direct-mapped
   // table covers the common case without any hashing; fall back to a
   // hash map only for genuinely sparse id spaces.
   std::uint64_t max_block = 0;
-  for (const BlockRun& run : runs_) {
+  for_each_run([&max_block](const BlockRun& run) {
     max_block = std::max<std::uint64_t>(max_block, run.block);
-  }
-  if (max_block <= 8 * runs_.size() + 1024) {
+  });
+  std::uint32_t i = 0;  // index of the run being indexed
+  if (max_block <= 8 * run_count_ + 1024) {
     std::vector<std::uint32_t> last(max_block + 1, 0);  // block -> 1 + index
-    for (std::uint64_t i = 0; i < runs_.size(); ++i) {
-      std::uint32_t& slot = last[runs_[i].block];
+    for_each_run([&](const BlockRun& run) {
+      std::uint32_t& slot = last[run.block];
       steps_[i].prev1 = slot;
-      slot = static_cast<std::uint32_t>(i + 1);
-    }
+      slot = ++i;
+    });
     return;
   }
   std::unordered_map<std::uint32_t, std::uint32_t> last;  // -> 1 + run index
-  for (std::uint64_t i = 0; i < runs_.size(); ++i) {
-    auto [it, inserted] =
-        last.try_emplace(runs_[i].block, static_cast<std::uint32_t>(i + 1));
+  for_each_run([&](const BlockRun& run) {
+    auto [it, inserted] = last.try_emplace(run.block, i + 1);
     if (!inserted) {
       steps_[i].prev1 = it->second;
-      it->second = static_cast<std::uint32_t>(i + 1);
+      it->second = i + 1;
     }
-  }
+    ++i;
+  });
 }
 
 void BlockRunTrace::replay_into(Machine& machine) const {
@@ -72,17 +85,17 @@ void BlockRunTrace::replay_into(Machine& machine) const {
                          << machine.block_size());
   }
   const std::uint64_t b = machine.block_size();
-  for (const BlockRun& run : runs_) {
+  for_each_run([&machine, b](const BlockRun& run) {
     machine.access_run(BlockId{run.block} * b, run.count);
-  }
+  });
 }
 
 std::vector<BlockId> BlockRunTrace::expand() const {
   std::vector<BlockId> blocks;
   blocks.reserve(accesses_);
-  for (const BlockRun& run : runs_) {
+  for_each_run([&blocks](const BlockRun& run) {
     blocks.insert(blocks.end(), run.count, BlockId{run.block});
-  }
+  });
   return blocks;
 }
 

@@ -16,7 +16,11 @@
 // must fit 32 bits (AddressSpace hands them out densely from 0; a larger
 // id is a CheckError), and push() splits a count of 2^32 or more into
 // consecutive runs of the same block, which both replay paths treat
-// exactly like one run.
+// exactly like one run. Runs live in fixed chunks of kChunkRuns, so
+// appending never relocates them: a capture touches each run's bytes
+// once, where a doubling vector touched about twice the final size (and
+// its transients overlapped when two captures ran at once). The replay
+// index is built once, at its exact size, as one contiguous array.
 //
 // Bit-identity contract: the replayed machine sees the exact block
 // sequence of the original run, so every counter a block-granular
@@ -53,6 +57,8 @@ class BlockRunTrace {
   /// stores (2^32 - 1).
   static constexpr std::uint64_t kMaxBlock = 0xffffffffull;
   static constexpr std::uint64_t kMaxRunCount = 0xffffffffull;
+  /// Runs per storage chunk (512 KiB).
+  static constexpr std::uint64_t kChunkRuns = std::uint64_t{1} << 16;
 
   BlockRunTrace() = default;
   explicit BlockRunTrace(std::uint64_t block_size)
@@ -62,7 +68,30 @@ class BlockRunTrace {
   /// block > kMaxBlock.
   void push(BlockId block, std::uint64_t count);
 
-  const std::vector<BlockRun>& runs() const { return runs_; }
+  /// A read-only view of the stored runs, in order.
+  class Runs {
+   public:
+    std::uint64_t size() const { return trace_->run_count_; }
+    /// Run i, i < size().
+    const BlockRun& operator[](std::uint64_t i) const {
+      return trace_->chunks_[i / kChunkRuns][i % kChunkRuns];
+    }
+
+   private:
+    friend class BlockRunTrace;
+    explicit Runs(const BlockRunTrace* trace) : trace_(trace) {}
+    const BlockRunTrace* trace_;
+  };
+  Runs runs() const { return Runs(this); }
+  /// Call fn(run) for every run, in order.
+  template <class Fn>
+  void for_each_run(Fn&& fn) const {
+    for (const std::vector<BlockRun>& chunk : chunks_) {
+      for (const BlockRun& run : chunk) fn(run);
+    }
+  }
+  /// Bytes the runs and the replay index hold allocated.
+  std::uint64_t storage_bytes() const;
   std::uint64_t accesses() const { return accesses_; }
   /// Block size of the recording machine; 0 = unspecified.
   std::uint64_t block_size() const { return block_size_; }
@@ -86,7 +115,7 @@ class BlockRunTrace {
   /// unindexed and replays through the generic per-run path.
   void ensure_replay_index();
   bool has_replay_index() const {
-    return !runs_.empty() && steps_.size() == runs_.size();
+    return run_count_ != 0 && steps_.size() == run_count_;
   }
   const std::vector<ReplayStep>& replay_steps() const { return steps_; }
 
@@ -101,7 +130,10 @@ class BlockRunTrace {
  private:
   std::uint64_t block_size_ = 0;
   std::uint64_t accesses_ = 0;
-  std::vector<BlockRun> runs_;
+  std::uint64_t run_count_ = 0;
+  /// Every chunk but the last holds exactly kChunkRuns runs; each is
+  /// reserved whole when it opens.
+  std::vector<std::vector<BlockRun>> chunks_;
   std::vector<ReplayStep> steps_;
 };
 static_assert(sizeof(BlockRunTrace::ReplayStep) == 4);

@@ -41,7 +41,9 @@ class SystemIo final : public IoBackend {
   int fsync_parent(const char* path) override {
     const char* slash = std::strrchr(path, '/');
     const std::string dir =
-        slash != nullptr ? std::string(path, slash - path) : std::string(".");
+        slash != nullptr
+            ? std::string(path, static_cast<std::size_t>(slash - path))
+            : std::string(".");
     const int fd = ::open(dir.empty() ? "/" : dir.c_str(), O_RDONLY);
     if (fd < 0) return -1;
     const int rc = ::fsync(fd);

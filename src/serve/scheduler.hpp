@@ -5,8 +5,9 @@
 // pick credits every eligible client its weight, dispatches the client
 // with the highest credit (ties broken by first-submission order), and
 // debits the winner the total eligible weight. Within a client, jobs
-// dispatch FIFO by submission; within a job, cells dispatch in cell-index
-// order. The pick sequence is therefore a pure function of the
+// dispatch FIFO by submission; within a job, cells dispatch in the order
+// add_job lists them (ServeCore: campaign::capture_first). The pick
+// sequence is therefore a pure function of the
 // add/pause/resume/remove call sequence — never of worker completion
 // timing — which is what makes the daemon's dispatch order reproducible
 // across pool sizes 1/2/8 (the serve determinism tests) and a resumed

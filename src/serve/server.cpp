@@ -278,13 +278,16 @@ JobStatus ServeCore::init_job(const std::string& id,
                      std::make_unique<robust::BudgetTracker>(budget));
   }
 
-  std::vector<std::uint64_t> pending;
+  std::vector<std::size_t> pending;
   for (const campaign::Cell& cell : job->cells->plan().cells) {
     if (job->committed.count(cell.index) != 0) continue;
     pending.push_back(cell.index);
     job->cells->expect(cell);
   }
-  scheduler_.add_job(id, request.client, request.weight, std::move(pending));
+  const std::vector<std::size_t> order =
+      campaign::capture_first(job->cells->plan(), pending);
+  scheduler_.add_job(id, request.client, request.weight,
+                     {order.begin(), order.end()});
   if (request.deadline_ms != 0) {
     // The deadline is wall clock from (re)admission — a restarted daemon
     // re-arms it in full, like any other watchdog.

@@ -379,6 +379,40 @@ TEST(Plan, TraceReplayGivesEachProgramOneInput) {
   }
 }
 
+// Admission is capture-first: the first pending cell of each replayed
+// (program, seed) — its trace's capture — goes ahead of every other
+// cell, and the rest keep index order.
+TEST(Plan, CaptureFirstAdmitsEachReplayedProgramsFirstPendingCellFirst) {
+  using Order = std::vector<std::size_t>;
+  Manifest manifest = campaign::parse_manifest_file(
+      CADAPT_MANIFEST_DIR "/e16_adaptive_vs_oblivious.manifest");
+  const Plan e16 = campaign::expand_plan(manifest);
+  ASSERT_EQ(e16.cells.size(), 12u);  // adaptive 0-3, funnel 4-7, merge2 8-11
+  const Order all = campaign::shard_cells(e16, 1, 0);
+  EXPECT_EQ(campaign::capture_first(e16, all),
+            (Order{4, 8, 0, 1, 2, 3, 5, 6, 7, 9, 10, 11}));
+  // A shard's subset: its own first cell of each program captures.
+  EXPECT_EQ(campaign::capture_first(e16, campaign::shard_cells(e16, 3, 1)),
+            (Order{4, 10, 1, 7}));
+  EXPECT_EQ(campaign::capture_first(e16, campaign::shard_cells(e16, 3, 2)),
+            (Order{5, 8, 2, 11}));
+  // Finished cells are not pending: the first unfinished cell captures.
+  EXPECT_EQ(campaign::capture_first(e16, {0, 1, 2, 3, 5, 6, 7, 9, 10, 11}),
+            (Order{5, 9, 0, 1, 2, 3, 6, 7, 10, 11}));
+  EXPECT_TRUE(campaign::capture_first(e16, {}).empty());
+
+  // The identity where nothing replays: a sort plan without trace_replay
+  // and a ratio plan.
+  manifest.trace_replay = false;
+  const Plan direct = campaign::expand_plan(manifest);
+  EXPECT_EQ(campaign::capture_first(direct, all), all);
+  const Plan ratio = campaign::expand_plan(
+      parse("name = r\nalgos = 4:2:1 8:4:1\nprofiles = worst shuffled\n"
+            "k = 1..3\n"));
+  const Order ratio_all = campaign::shard_cells(ratio, 1, 0);
+  EXPECT_EQ(campaign::capture_first(ratio, ratio_all), ratio_all);
+}
+
 // The one-input-per-program change names itself in the fingerprint iff
 // it moves a cell: trace_replay set and a program row of more than one
 // cell (profiles x policies > 1). A one-cell row (paging_gate, the

@@ -515,17 +515,31 @@ TEST(SweepRunner, ResumeCountsOnlyUnfinishedCellsAndFreesAfterTheLast) {
   const std::string uninterrupted =
       report_bytes(campaign::run_sweep(plan, untimed(1)));
 
-  // A box budget of 1 admits one cell per run, so four runs resumed from
-  // one checkpoint finish cells 0..2 (adaptive, no trace) and funnel's
-  // first cell, 3. Cells a run skips release their counts.
+  // A box budget of 1 admits one cell per run. Admission is capture-first
+  // (each replayed program's first pending cell ahead of the rest), so
+  // four runs resumed from one checkpoint finish funnel's row, cells
+  // 3..5, then merge2's first cell, 6 — each run capturing the program of
+  // its one cell once. Cells a run skips release their counts.
   const std::string ckpt = temp_path("sweep_shared_inputs.ckpt");
   SweepOptions options = untimed(1);
   options.checkpoint_path = ckpt;
   options.budget.max_total_boxes = 1;
+  const std::vector<std::vector<std::string>> cut_timelines = {
+      {"capture:funnel:3", "cell:3", "release:funnel"},
+      {"capture:funnel:2", "cell:4", "release:funnel"},
+      {"capture:funnel:1", "cell:5", "release:funnel"},
+      {"capture:merge2:3", "cell:6", "release:merge2"}};
   for (std::uint64_t run = 0; run < 4; ++run) {
+    SCOPED_TRACE("run " + std::to_string(run));
+    obs::MemorySink cut_sink;
+    options.trace = &cut_sink;
     const Report cut = campaign::run_sweep(plan, options);
     ASSERT_TRUE(cut.truncated);
     ASSERT_EQ(cut.cells.size(), run + 1);
+    for (std::uint64_t i = 0; i <= run; ++i) {
+      EXPECT_EQ(cut.cells[i].index, 3 + i);
+    }
+    EXPECT_EQ(capture_timeline(cut_sink), cut_timelines[run]);
     options.resume = true;
   }
   obs::MemorySink sink;
@@ -535,8 +549,8 @@ TEST(SweepRunner, ResumeCountsOnlyUnfinishedCellsAndFreesAfterTheLast) {
   resume.trace = &sink;
   EXPECT_EQ(report_bytes(campaign::run_sweep(plan, resume)), uninterrupted);
   const std::vector<std::string> want = {
-      "capture:funnel:2", "cell:4", "cell:5", "release:funnel",
-      "capture:merge2:3", "cell:6", "cell:7", "cell:8", "release:merge2"};
+      "capture:merge2:2", "cell:7", "cell:0",        "cell:1",
+      "cell:2",           "cell:8", "release:merge2"};
   EXPECT_EQ(capture_timeline(sink), want);
 }
 

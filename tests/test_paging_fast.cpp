@@ -352,6 +352,13 @@ TEST(TraceReplayDifferential, SparseBlockIdsIndexAndReplay) {
 
 constexpr std::uint64_t kMaxRun = BlockRunTrace::kMaxRunCount;
 
+std::vector<paging::BlockRun> runs_of(const BlockRunTrace& trace) {
+  std::vector<paging::BlockRun> runs;
+  trace.for_each_run(
+      [&runs](const paging::BlockRun& run) { runs.push_back(run); });
+  return runs;
+}
+
 // A run of 2^32 + 5 accesses does not fit one 32-bit count: push splits
 // it into a full run plus the remainder, and both replay paths must still
 // match a direct access_run machine counter for counter. The pushed trace
@@ -385,8 +392,8 @@ TEST(PackedTrace, RunBeyond32BitCountSplitsExactly) {
   const std::vector<paging::BlockRun> want = {
       {3, 7}, {9, static_cast<std::uint32_t>(kMaxRun)}, {9, 6}, {3, 1},
       {4, 2}, {9, 4}};
-  EXPECT_EQ(recorded.runs(), want);
-  EXPECT_EQ(pushed.runs(), want);
+  EXPECT_EQ(runs_of(recorded), want);
+  EXPECT_EQ(runs_of(pushed), want);
   EXPECT_EQ(recorded.accesses(), kHuge + 14);
   EXPECT_EQ(pushed.accesses(), recorded.accesses());
   // The second piece points at the first, so the walk counts it a hit.
@@ -410,12 +417,81 @@ TEST(PackedTrace, RunBeyond32BitCountSplitsExactly) {
   EXPECT_EQ(walk.accesses(), kHuge + 14);
 }
 
+// Runs are stored in chunks of kChunkRuns. A trace of several chunks
+// whose 2^32 + 5 run splits across the first boundary (the full piece is
+// chunk 0's last run, the remainder chunk 1's first; the pushed trace
+// reaches them by topping up chunk 0's last run) replays exactly on the
+// fast walk and the generic path, and its storage is at most 12 bytes per
+// run plus one chunk.
+TEST(PackedTrace, ChunkedRunsReplayExactlyAcrossChunkBoundaries) {
+  constexpr std::uint64_t kChunkRuns = BlockRunTrace::kChunkRuns;
+  constexpr std::uint64_t kHuge = (std::uint64_t{1} << 32) + 5;
+  constexpr std::uint64_t kTailRuns = 2 * kChunkRuns + 11;
+  // Blocks alternate parity, so each touch opens a run; the first tail
+  // block is even, so it never merges with block 9.
+  const auto drive = [](auto&& touch, auto&& touch_huge) {
+    util::Rng rng(41);
+    for (std::uint64_t i = 0; i + 1 < kChunkRuns; ++i) {
+      touch(2 * rng.below(300) + (i % 2), 1 + rng.below(3));
+    }
+    touch_huge();
+    for (std::uint64_t i = 0; i < kTailRuns; ++i) {
+      touch(2 * rng.below(300) + (i % 2), 1 + rng.below(3));
+    }
+  };
+
+  BlockRunRecorder recorder(8);
+  const auto record = [&recorder](BlockId block, std::uint64_t count) {
+    recorder.access_run(block * 8, count);
+  };
+  drive(record, [&] { record(9, kHuge); });
+  const BlockRunTrace recorded = recorder.take();
+  ASSERT_TRUE(recorded.has_replay_index());
+
+  BlockRunTrace pushed(8);
+  const auto push = [&pushed](BlockId block, std::uint64_t count) {
+    pushed.push(block, count);
+  };
+  drive(push, [&] {
+    push(9, kMaxRun - 1);
+    push(9, 7);  // tops up chunk 0's last run, then opens chunk 1
+  });
+  EXPECT_FALSE(pushed.has_replay_index());
+
+  const std::uint64_t runs = kChunkRuns + 1 + kTailRuns;
+  ASSERT_EQ(recorded.runs().size(), runs);
+  EXPECT_EQ(runs_of(pushed), runs_of(recorded));
+  EXPECT_EQ(recorded.runs()[kChunkRuns - 1],
+            (paging::BlockRun{9, static_cast<std::uint32_t>(kMaxRun)}));
+  EXPECT_EQ(recorded.runs()[kChunkRuns], (paging::BlockRun{9, 6}));
+  EXPECT_EQ(recorded.replay_steps()[kChunkRuns].prev1, kChunkRuns);
+  EXPECT_EQ(pushed.accesses(), recorded.accesses());
+
+  CaMachine walk(random_boxes(43), 8, /*record_boxes=*/true);
+  walk.replay_trace(recorded);
+  EXPECT_EQ(walk.last_replay_path(), ReplayPath::kFastWalk);
+  CaMachine generic(random_boxes(43), 8, /*record_boxes=*/true);
+  generic.replay_trace(pushed);
+  EXPECT_EQ(generic.last_replay_path(), ReplayPath::kGenericUnindexed);
+  CaMachine direct(random_boxes(43), 8, /*record_boxes=*/true);
+  drive([&direct](BlockId block,
+                  std::uint64_t count) { direct.access_run(block * 8, count); },
+        [&direct] { direct.access_run(9 * 8, kHuge); });
+  expect_ca_machines_eq(walk, direct);
+  expect_ca_machines_eq(generic, direct);
+
+  const std::uint64_t chunk_bytes = kChunkRuns * sizeof(paging::BlockRun);
+  EXPECT_LE(recorded.storage_bytes(), 12 * runs + chunk_bytes);
+  EXPECT_GE(recorded.storage_bytes(), 12 * runs);
+  EXPECT_LE(pushed.storage_bytes(), 8 * runs + chunk_bytes);
+}
+
 // Block ids are stored in 32 bits: the largest one round-trips, the
 // next one is a CheckError naming the limit.
 TEST(PackedTrace, BlockIdBeyond32BitsIsACheckError) {
   BlockRunTrace trace(8);
   trace.push(BlockRunTrace::kMaxBlock, 1);
-  EXPECT_EQ(trace.runs().back().block, BlockRunTrace::kMaxBlock);
+  EXPECT_EQ(trace.runs()[0].block, BlockRunTrace::kMaxBlock);
   try {
     trace.push(BlockRunTrace::kMaxBlock + 1, 1);
     FAIL() << "pushing block 2^32 must throw";

@@ -961,28 +961,42 @@ TEST(ServeCore, HelpedTailCellGivesOneShotBytesAtEveryPoolSize) {
 
 // A light adaptive sort cell (direct runs, no capture) and a heavy funnel
 // cell, the only cell of its program: its first trial captures the trace
-// while every other trial of the cell waits on that capture.
+// while every other trial of the cell waits on that capture. Admission is
+// capture-first, so the heavy cell is dispatched first and the light one
+// right after it; the capture (tens of milliseconds at 16K keys) outlasts
+// that second dispatch by far.
 const char kCaptureTail[] =
     "name = serve_capture_tail\nworkload = sort\nsorts = adaptive funnel\n"
-    "profiles = const:16\nkeys = 2048\nblock = 4\ntrace_replay = 1\n"
-    "trials = 64\nseed = 5\n";
+    "profiles = const:16\nkeys = 16384\nblock = 4\ntrace_replay = 1\n"
+    "trials = 16\nseed = 5\n";
 
 /// Holds the trace_capture event, inside the heavy cell's first trial,
 /// until release(). Each thread has then claimed at most one trial of
 /// the heavy cell (all wait on the capture), so whatever the test does
-/// meanwhile provably comes before the rest of its trials start.
+/// meanwhile provably comes before the rest of its trials start. Every
+/// trace write waits while it holds, so the light cell must have been
+/// dispatched (its cell_scheduled written) before: light_first says so.
 class CaptureGate final : public obs::TraceSink {
  public:
   void write(const obs::Event& event) override {
+    if (event.type == "cell_scheduled" && event.u64_or("cell", 1) == 0) {
+      light_scheduled_ = true;
+    }
     if (event.type != "trace_capture") return;
+    light_first = light_scheduled_;
     held.set_value();
     released_.wait();
   }
-  void release() { release_.set_value(); }
+  void release() {
+    std::call_once(once_, [this] { release_.set_value(); });
+  }
 
   std::promise<void> held;
+  bool light_first = false;  ///< read after `held` is ready
 
  private:
+  bool light_scheduled_ = false;
+  std::once_flag once_;
   std::promise<void> release_;
   std::shared_future<void> released_ = release_.get_future().share();
 };
@@ -994,6 +1008,11 @@ std::string hold_capture_tail(ServeCore& core, CaptureGate& gate,
   const std::string id = core.submit(request_for(kCaptureTail, "alice")).id;
   EXPECT_EQ(gate.held.get_future().wait_for(std::chrono::seconds(30)),
             std::future_status::ready);
+  if (!gate.light_first) {
+    ADD_FAILURE() << "the heavy cell's capture ended before the light cell "
+                     "was dispatched";
+    gate.release();  // the light cell waits on the trace stream
+  }
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
   while (io.syncs.load() < 3 && std::chrono::steady_clock::now() < deadline) {
