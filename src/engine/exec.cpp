@@ -837,25 +837,29 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         result.stop = StopReason::kBoxCapHit;
         break;
       }
-      if (blocks) {
-        if (const auto blk = source.peek_block()) {
-          // One-box repeats gain nothing over runs; a repeat that cannot
-          // finish under the cap can never be replayed.
-          if (blk->repeats >= 2 && blk->boxes_per_repeat >= 2 &&
-              exec.boxes_consumed() + blk->boxes_per_repeat <= max_boxes) {
-            BlockProbe probe;
-            probe.sig = exec.signature();
-            probe.target = exec.boxes_consumed() + blk->boxes_per_repeat;
-            probe.boxes_per_repeat = blk->boxes_per_repeat;
-            probe.repeats_left = blk->repeats - 1;
-            probe.leaves_before = exec.leaves_done();
-            probe.acc_sum_before = acc.sum_bounded_potential();
-            probe.acc_boxes_before = acc.boxes();
-            probe.unit_sum_before = sum_unit_potential;
-            if (recorder != nullptr) probe.mark = recorder->mark();
-            probes.push_back(std::move(probe));
-          }
+      // One probe per block starting here, outermost first, so the
+      // innermost (the first to end) closes first: every level's first
+      // copy certifies the copies after it.
+      for (std::size_t depth = 0; blocks; ++depth) {
+        const auto blk = source.peek_block_at(depth);
+        if (!blk) break;
+        // One-box repeats gain nothing over runs; a repeat that cannot
+        // finish under the cap can never be replayed.
+        if (blk->repeats < 2 || blk->boxes_per_repeat < 2 ||
+            exec.boxes_consumed() + blk->boxes_per_repeat > max_boxes) {
+          continue;
         }
+        BlockProbe probe;
+        probe.sig = exec.signature();
+        probe.target = exec.boxes_consumed() + blk->boxes_per_repeat;
+        probe.boxes_per_repeat = blk->boxes_per_repeat;
+        probe.repeats_left = blk->repeats - 1;
+        probe.leaves_before = exec.leaves_done();
+        probe.acc_sum_before = acc.sum_bounded_potential();
+        probe.acc_boxes_before = acc.boxes();
+        probe.unit_sum_before = sum_unit_potential;
+        if (recorder != nullptr) probe.mark = recorder->mark();
+        probes.push_back(std::move(probe));
       }
       // A source with blocks is drawn one run at a time: its probes open
       // and close at run boundaries. Others draw batches that double up

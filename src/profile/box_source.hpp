@@ -20,6 +20,9 @@
 //    recursive copies of M(n/b) inside M(n)). The engine consumes one
 //    copy, checks that the execution state advanced periodically, and
 //    retires the remaining copies in closed form via skip_repeats.
+//    peek_block_at(depth) also announces the blocks nested in that first
+//    copy which start at the same position, so every level's first copy
+//    is probed.
 //
 // A caller that consumes runs/blocks may leave the source a few boxes
 // ahead of where a per-box caller would have (a run drawn but only partly
@@ -94,6 +97,18 @@ class BoxSource {
   /// The repeated block starting at the current position, if the source
   /// is at a repeat boundary of one. Must not advance the stream.
   virtual std::optional<SubtreeBlock> peek_block() { return std::nullopt; }
+
+  /// Every block whose first repeat starts at the current position,
+  /// outermost first: depth 0 is peek_block(), and depth d + 1 is a block
+  /// nested in the first repeat of depth d's block (a fresh subtree's own
+  /// first child). Nothing past the innermost. Must not advance the
+  /// stream. skip_repeats() only ever applies to peek_block(): once the
+  /// first repeat of a deeper block has been consumed, that block is what
+  /// peek_block() announces. Default: depth 0 only.
+  virtual std::optional<SubtreeBlock> peek_block_at(std::size_t depth) {
+    if (depth == 0) return peek_block();
+    return std::nullopt;
+  }
 
   /// Skip `m` whole repeats of the block peek_block() described. Only
   /// valid when the stream has consumed an integral number (>= 1) of that
@@ -181,6 +196,9 @@ class CyclingSource final : public BoxSource {
   std::optional<SubtreeBlock> peek_block() override {
     return inner_->peek_block();
   }
+  std::optional<SubtreeBlock> peek_block_at(std::size_t depth) override {
+    return inner_->peek_block_at(depth);
+  }
   void skip_repeats(std::uint64_t m) override { inner_->skip_repeats(m); }
 
  private:
@@ -247,6 +265,10 @@ class ConcatSource final : public BoxSource {
   std::optional<SubtreeBlock> peek_block() override {
     if (first_) return first_->peek_block();
     return second_->peek_block();
+  }
+  std::optional<SubtreeBlock> peek_block_at(std::size_t depth) override {
+    if (first_) return first_->peek_block_at(depth);
+    return second_->peek_block_at(depth);
   }
   void skip_repeats(std::uint64_t m) override {
     if (first_) {

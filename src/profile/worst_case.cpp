@@ -77,14 +77,23 @@ std::optional<BoxRun> WorstCaseSource::next_run() {
 }
 
 std::optional<SubtreeBlock> WorstCaseSource::peek_block() {
+  return peek_block_at(0);
+}
+
+std::optional<SubtreeBlock> WorstCaseSource::peek_block_at(std::size_t depth) {
   // The stream position is always at a repeat boundary of the top node:
   // either about to start child #child (a copy of M(size/b)) or about to
-  // emit the node's own box.
+  // emit the node's own box. Starting a child also starts that child's
+  // first child, and so on down to the leaves: the node `depth` levels
+  // below the top on that path has all a of its copies ahead.
   if (stack_.empty()) return std::nullopt;
   const Frame& top = stack_.back();
   if (top.size <= 1 || top.child >= a_) return std::nullopt;
-  const unsigned child_level = util::ilog(top.size, b_) - 1;
-  return SubtreeBlock{boxes_by_level_[child_level], a_ - top.child};
+  const unsigned top_level = util::ilog(top.size, b_);
+  if (depth >= top_level) return std::nullopt;
+  const unsigned child_level = top_level - 1 - static_cast<unsigned>(depth);
+  return SubtreeBlock{boxes_by_level_[child_level],
+                      depth == 0 ? a_ - top.child : a_};
 }
 
 void WorstCaseSource::skip_repeats(std::uint64_t m) {

@@ -37,8 +37,12 @@ class WorstCaseSource final : public BoxSource {
   /// pending children, the upcoming stream is (a - child) identical
   /// copies of M_{a,b}(m/b) — repeats of exactly |M(m/b)| boxes each.
   /// skip_repeats(m) is O(1): it bumps the node's child counter.
+  /// peek_block_at(d), d >= 1, is the block of the node d levels below
+  /// this one on the pending child's path: a copies of M(m/b^{d+1}), all
+  /// still ahead.
   bool provides_blocks() const override { return true; }
   std::optional<SubtreeBlock> peek_block() override;
+  std::optional<SubtreeBlock> peek_block_at(std::size_t depth) override;
   void skip_repeats(std::uint64_t m) override;
 
  private:

@@ -31,6 +31,7 @@
 #include "profile/transforms.hpp"
 #include "profile/worst_case.hpp"
 #include "robust/cancel.hpp"
+#include "robust/fault.hpp"
 #include "util/math.hpp"
 #include "util/random.hpp"
 
@@ -405,6 +406,32 @@ TEST(PointMassRuns, LiteralBoxesStayPolylog) {
   EXPECT_GT(result.boxes, UINT64_C(30000000));
   const std::uint64_t log2n = 20;
   EXPECT_LT(count_events(sink, "box"), log2n * log2n * log2n);
+}
+
+// Worst-case block replay probes every level's first copy (docs/PERF.md):
+// at each node copy 0 certifies copies 1..a-2 and only copy a-1 is
+// stepped again, so the boxes stepped literally or through the leaf
+// table at most double per level. Built through the production factory,
+// so its CyclingSource wrapper must forward the nested peeks too.
+TEST(WorstCaseRuns, SteppedBoxesDoublePerLevel) {
+  struct Shape {
+    std::uint64_t a, b;
+    unsigned k;
+  };
+  for (const Shape shape : {Shape{8, 4, 10}, Shape{4, 2, 12}}) {
+    const model::RegularParams p{shape.a, shape.b, 1.0};
+    const std::uint64_t n = util::ipow(p.b, shape.k);
+    util::Rng rng(1);
+    const auto source = core::worst_profile_source(p, n)(rng);
+    RegularExecution exec(p, n);
+    const RunResult result = run_to_completion(exec, *source, RunOptions{});
+    ASSERT_TRUE(result.completed) << p.name();
+    const PathCounts& paths = exec.path_counts();
+    EXPECT_EQ(paths.total(), result.boxes) << p.name();
+    EXPECT_LE(paths.literal + paths.table, 8 * (UINT64_C(1) << shape.k))
+        << p.name() << " k=" << shape.k << " literal=" << paths.literal
+        << " table=" << paths.table;
+  }
 }
 
 // Raises the cancel request once it has seen `after` literal boxes.
@@ -787,6 +814,134 @@ TEST(SourceBlocks, WorstCaseSkipRepeatsMatchesPlainStream) {
     ASSERT_EQ(box.has_value(), twin.has_value());
     if (!box) break;
     EXPECT_EQ(*box, *twin);
+  }
+}
+
+// Consumes the nested blocks announced at the current position the way
+// the bulk driver does: the first repeat of the innermost block, then
+// skip_repeats for the rest of it, then the remainder of the next outer
+// block's first repeat and its skip, out to depth 0. Returns the boxes
+// delivered, each skip expanded into copies of the repeat just consumed.
+// By runs, only blocks of two or more boxes are used (as in the driver),
+// and no run may straddle the end of a first repeat.
+std::vector<profile::BoxSize> consume_nested_blocks(profile::BoxSource& source,
+                                                    bool by_runs) {
+  std::vector<profile::SubtreeBlock> blocks;
+  while (const auto block = source.peek_block_at(blocks.size())) {
+    blocks.push_back(*block);
+  }
+  std::vector<profile::BoxSize> out;
+  for (auto it = blocks.rbegin(); it != blocks.rend(); ++it) {
+    if (by_runs && it->boxes_per_repeat < 2) continue;
+    while (out.size() < it->boxes_per_repeat) {
+      std::optional<profile::BoxRun> run;
+      if (by_runs) {
+        run = source.next_run();
+      } else if (const auto box = source.next()) {
+        run = profile::BoxRun{*box, 1};
+      }
+      EXPECT_TRUE(run.has_value());
+      if (!run) return out;
+      out.insert(out.end(), run->count, run->size);
+    }
+    EXPECT_EQ(out.size(), it->boxes_per_repeat) << "a run straddled a repeat";
+    const auto cur = source.peek_block();
+    EXPECT_TRUE(cur.has_value());
+    if (!cur) return out;
+    EXPECT_EQ(cur->boxes_per_repeat, it->boxes_per_repeat);
+    EXPECT_EQ(cur->repeats, it->repeats - 1);
+    source.skip_repeats(cur->repeats);
+    const std::vector<profile::BoxSize> repeat(out);
+    for (std::uint64_t r = 0; r < cur->repeats; ++r) {
+      out.insert(out.end(), repeat.begin(), repeat.end());
+    }
+  }
+  return out;
+}
+
+// peek_block_at on the worst-case source: at the root of M(4^5) every
+// depth 0..4 announces 8 copies of M(4^(4-d)), directly and through the
+// CyclingSource and ConcatSource forwarders; a depth past the leaves
+// announces nothing. Retiring the nested blocks innermost first leaves
+// the stream exactly where a per-box twin is, to its end.
+TEST(SourceBlocks, NestedBlocksAtTheRootReplayThePlainStream) {
+  const std::uint64_t a = 8, b = 4, n = util::ipow(b, 5u);
+  const auto worst = [a, b, n] {
+    return std::make_unique<profile::WorstCaseSource>(a, b, n);
+  };
+  const std::vector<profile::BoxSize> tail = {3, 3, 5};
+  std::vector<profile::BoxSize> plain;
+  {
+    profile::WorstCaseSource twin(a, b, n);
+    plain = profile::materialize(twin);
+  }
+  std::vector<profile::BoxSize> plain_concat = plain;
+  plain_concat.insert(plain_concat.end(), tail.begin(), tail.end());
+  const std::vector<SourceCase> cases = {
+      {"worst", worst},
+      {"cycling", [worst] {
+         return std::make_unique<profile::CyclingSource>(worst);
+       }},
+      {"concat", [worst, tail] {
+         return std::make_unique<profile::ConcatSource>(
+             worst(), std::make_unique<profile::VectorSource>(tail));
+       }},
+  };
+  for (const SourceCase& source_case : cases) {
+    const bool cycling = source_case.name == "cycling";
+    const std::vector<profile::BoxSize>& want =
+        source_case.name == "concat" ? plain_concat : plain;
+    for (const bool by_runs : {false, true}) {
+      const std::string label =
+          source_case.name + (by_runs ? " by runs" : " by boxes");
+      auto source = source_case.make();
+      for (unsigned depth = 0; depth < 5; ++depth) {
+        const auto block = source->peek_block_at(depth);
+        ASSERT_TRUE(block.has_value()) << label << " depth " << depth;
+        EXPECT_EQ(block->boxes_per_repeat,
+                  profile::worst_case_box_count(a, b, util::ipow(b, 4 - depth)))
+            << label << " depth " << depth;
+        EXPECT_EQ(block->repeats, a) << label << " depth " << depth;
+      }
+      EXPECT_FALSE(source->peek_block_at(5).has_value()) << label;
+      EXPECT_FALSE(source->peek_block_at(64).has_value()) << label;
+
+      std::vector<profile::BoxSize> got =
+          consume_nested_blocks(*source, by_runs);
+      // The root's a copies are retired; its own box is all that is left
+      // of M(n).
+      EXPECT_EQ(got.size(), plain.size() - 1) << label;
+      while (got.size() < want.size()) {
+        const auto box = source->next();
+        if (!box) break;
+        got.push_back(*box);
+      }
+      EXPECT_EQ(got, want) << label;
+      if (cycling) {
+        EXPECT_EQ(source->next(), plain.front()) << label;
+      } else {
+        EXPECT_EQ(source->next(), std::nullopt) << label;
+      }
+    }
+  }
+}
+
+// Wrappers that count or cap draws must not forward blocks: a skipped
+// repeat would bypass their accounting.
+TEST(SourceBlocks, CountingWrappersAnnounceNoBlock) {
+  const auto worst = [] {
+    return std::make_unique<profile::WorstCaseSource>(8, 4, 1024);
+  };
+  robust::FaultInjector injector(nullptr, 0, 0);
+  std::vector<std::unique_ptr<profile::BoxSource>> wrapped;
+  wrapped.push_back(std::make_unique<profile::TakeSource>(worst(), 100));
+  wrapped.push_back(
+      std::make_unique<robust::FaultyBoxSource>(worst(), &injector));
+  for (const auto& source : wrapped) {
+    EXPECT_FALSE(source->provides_blocks());
+    EXPECT_FALSE(source->peek_block().has_value());
+    EXPECT_FALSE(source->peek_block_at(0).has_value());
+    EXPECT_FALSE(source->peek_block_at(1).has_value());
   }
 }
 
