@@ -5,6 +5,8 @@
 // sweep tens of millions of boxes.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -177,6 +179,29 @@ BENCHMARK(BM_EngineVaried)
     ->ArgNames({"uniform", "k", "per_box"})
     ->ArgsProduct({{0, 1}, {6, 7}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
+
+// The draw alone (docs/PERF.md, "Table-driven leaf levels"): runs of
+// BM_EngineVaried's census (k = 7, uniform = 0) or uniform-range:1:64
+// (uniform = 1), drawn 64 a batch as run_to_completion draws them, with
+// no engine behind them. Items processed counts boxes drawn, so its ns a
+// box is the draw's share of BM_EngineVaried's.
+void BM_DistributionDraw(benchmark::State& state) {
+  const profile::GeometricPowers census(4, 8.0, 0, 7);
+  const profile::UniformRange range(1, 64);
+  const profile::BoxDistribution& dist =
+      state.range(0) != 0 ? static_cast<const profile::BoxDistribution&>(range)
+                          : census;
+  profile::DistributionSource source(dist, util::Rng(1));
+  std::array<profile::BoxRun, 64> batch;
+  std::uint64_t boxes = 0;
+  for (auto _ : state) {
+    source.next_runs(batch);
+    for (const profile::BoxRun& run : batch) boxes += run.count;
+    benchmark::DoNotOptimize(batch.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(boxes));
+}
+BENCHMARK(BM_DistributionDraw)->ArgName("uniform")->Arg(0)->Arg(1);
 
 // The bulk driver forced down the per-box fallback (RunOptions.per_box):
 // the "before" side of the pair at the old toy scales. Any gap between

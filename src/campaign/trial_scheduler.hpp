@@ -11,8 +11,10 @@
 // first trial that throws abandons the cell whole, so a partially
 // executed cell never reaches a report or a sweep_cell line. A thread
 // holds its admitted cell until the cell's trials are all claimed, so at
-// most one admitted cell per thread is unfinished. Restored trials count,
-// never run.
+// most one admitted cell per thread is unfinished. A thread that finds
+// nothing to admit or help while another is still inside admit waits for
+// that admission to end and looks again, so a slow admission of the last
+// cell does not leave it to one thread. Restored trials count, never run.
 //
 // Every trial is a pure function of (cell seed, trial index, attempt) and
 // lands at its index in records, so a cell's records never depend on which
@@ -21,6 +23,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -107,19 +110,40 @@ class TrialScheduler {
 
  private:
   // Admit while the caller has cells, so whole cells are claimed while
-  // there is work to spread; only then help at the tail.
+  // there is work to spread; only then help at the tail. With nothing to
+  // help while other admissions are in flight, wait until one lands a
+  // cell or all of them end, then look again: an admission in flight may
+  // bring trials to help with.
   std::shared_ptr<Claimed> next_cell() {
-    if (std::shared_ptr<Claimed> cell = steps_.admit()) {
+    for (;;) {
       {
         const std::lock_guard<std::mutex> lock(mutex_);
-        drop_claimed();
-        admitted_.push_back(cell);
+        ++admitting_;
       }
-      if (steps_.admitted) steps_.admitted();
-      return cell;
+      std::shared_ptr<Claimed> cell = steps_.admit();
+      std::unique_lock<std::mutex> lock(mutex_);
+      --admitting_;
+      drop_claimed();
+      if (cell != nullptr) {
+        admitted_.push_back(cell);
+        changed_.notify_all();
+        lock.unlock();
+        if (steps_.admitted) steps_.admitted();
+        return cell;
+      }
+      if (admitting_ == 0) changed_.notify_all();
+      if (std::shared_ptr<Claimed> most = most_unclaimed()) return most;
+      if (admitting_ == 0) return nullptr;
+      changed_.wait(lock, [this] {
+        drop_claimed();
+        return admitting_ == 0 || !admitted_.empty();
+      });
     }
-    const std::lock_guard<std::mutex> lock(mutex_);
-    drop_claimed();
+  }
+
+  // The admitted cell with the most unclaimed trials, or null (caller
+  // holds mutex_, after drop_claimed).
+  std::shared_ptr<Claimed> most_unclaimed() const {
     const auto most = std::max_element(
         admitted_.begin(), admitted_.end(),
         [](const std::shared_ptr<Claimed>& a,
@@ -173,6 +197,8 @@ class TrialScheduler {
   const Steps steps_;
   const bool timing_;
   std::mutex mutex_;
+  std::condition_variable changed_;  // a cell admitted, or admitting_ 0
+  std::size_t admitting_ = 0;        // threads inside steps_.admit()
   std::vector<std::shared_ptr<Claimed>> admitted_;
 };
 

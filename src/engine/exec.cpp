@@ -436,7 +436,12 @@ RunReport RegularExecution::consume_run(profile::BoxSize s,
 /// largest enclosing problem of size <= s, and a budgeted box's chain of
 /// untouched ancestors stops below size B, so neither reaches past the
 /// subtree root. steps[u * B + s] holds that move; its row is u' * B, so
-/// the stepping loop chains loads without a multiply.
+/// the stepping loop chains loads without a multiply. A unit box always
+/// retires exactly one unit (u' = u + 1, in both semantics and both
+/// placements), so column 0 — no box has size 0 — serves runs of unit
+/// boxes in closed form: steps[u * B] holds the unit boxes that stay
+/// inside the subtree from u (U(B) - 1 - u) in `row` and the base cases
+/// done before u in `leaves`.
 struct LeafTable {
   struct Step {
     std::uint32_t row = 0;       ///< u' * size, or kExit
@@ -450,7 +455,7 @@ struct LeafTable {
   unsigned level = 0;
   std::uint64_t size = 0;   ///< B
   std::uint64_t units = 0;  ///< U(B), the number of positions
-  std::vector<Step> steps;  ///< units * size; column 0 is unused
+  std::vector<Step> steps;  ///< units * size; column 0 serves unit runs
 };
 
 namespace {
@@ -527,6 +532,9 @@ std::shared_ptr<const LeafTable> RegularExecution::build_leaf_table(
   table->steps.resize(table->units * size);
   for (std::uint64_t u = 0; u < table->units; ++u) {
     CADAPT_CHECK(cursor.units_done() == u);
+    LeafTable::Step& units_left = table->steps[u * size];
+    units_left.row = static_cast<std::uint32_t>(table->units - 1 - u);
+    units_left.leaves = static_cast<std::uint16_t>(cursor.leaves_done());
     for (std::uint64_t s = 1; s < size; ++s) {
       RegularExecution probe = cursor;
       const bool jump = semantics == BoxSemantics::kOptimistic &&
@@ -546,7 +554,11 @@ std::shared_ptr<const LeafTable> RegularExecution::build_leaf_table(
                     util::ilog(r.completed_problem, params.b) + 1);
       step.jump = jump ? 1 : 0;
     }
-    cursor.consume_box(1);  // one unit access, in either semantics
+    // One unit access, in either semantics: column 0's closed form.
+    CADAPT_CHECK(table->steps[u * size + 1].row ==
+                 (u + 1 == table->units ? LeafTable::kExit
+                                        : (u + 1) * size));
+    cursor.consume_box(1);
   }
   return table;
 }
@@ -624,6 +636,18 @@ std::uint64_t RegularExecution::consume_runs(
       for (;;) {
         if (left == 0 && !open_short()) break;
         if (s >= size) break;
+        if (s == 1 && recorder_ == nullptr) {
+          // k unit boxes move u to u + k while they stay in the subtree.
+          const LeafTable::Step here = steps[row];
+          const std::uint64_t k = std::min<std::uint64_t>(left, here.row);
+          if (k == 0) break;  // the next one finishes the subtree
+          row += k * size;
+          leaves_done_ += steps[row].leaves - here.leaves;
+          boxes_consumed_ += k;
+          left -= k;
+          tabled += k;
+          continue;
+        }
         const LeafTable::Step step = steps[row + s];
         if (step.row == LeafTable::kExit) break;
         ++boxes_consumed_;
@@ -649,10 +673,17 @@ std::uint64_t RegularExecution::consume_runs(
       for (;;) {
         if (left == 0 && !open_short()) break;
         if (s >= chunk - offset) break;
-        offset += s;
-        ++boxes_consumed_;
-        --left;
-        ++stretched;
+        // The run's boxes that end strictly inside the chunk, one at a
+        // time when a recorder observes each.
+        const std::uint64_t room = chunk - offset - 1;
+        const std::uint64_t q =
+            recorder_ != nullptr
+                ? 1
+                : std::min(left, s == 1 ? room : room / s);
+        offset += q * s;
+        boxes_consumed_ += q;
+        left -= q;
+        stretched += q;
         if (recorder_ != nullptr) [[unlikely]] record_box(s, 0, s, 0, false);
       }
       stack_[idx].scan_offset = offset;
@@ -795,7 +826,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   obs::ExecRecorder* recorder = options.recorder;
   if (recorder != nullptr) exec.set_recorder(recorder);
   model::AdaptivityAccumulator acc(exec.params(), exec.problem_size());
-  double sum_unit_potential = 0.0;
+  model::ExactSum unit_sum;
   RunResult result;
   const std::uint64_t max_boxes = options.max_boxes;
   // The bulk path is disabled by the per_box flag and by a per-box-trace
@@ -818,8 +849,8 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         break;
       }
       acc.add_box(*box);
-      sum_unit_potential +=
-          model::bounded_rho_units(exec.params(), exec.problem_size(), *box);
+      unit_sum.add(model::Addend(
+          model::bounded_rho_units(exec.params(), exec.problem_size(), *box)));
       exec.consume_box(*box);
     }
     exec.path_counts_.literal += exec.boxes_consumed() - first_box;
@@ -857,7 +888,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         probe.leaves_before = exec.leaves_done();
         probe.acc_sum_before = acc.sum_bounded_potential();
         probe.acc_boxes_before = acc.boxes();
-        probe.unit_sum_before = sum_unit_potential;
+        probe.unit_sum_before = unit_sum.value();
         if (recorder != nullptr) probe.mark = recorder->mark();
         probes.push_back(std::move(probe));
       }
@@ -883,14 +914,13 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
       std::uint64_t used = exec.consume_runs(std::span(batch).first(take));
       // Only the boxes actually consumed are charged (the execution may
       // complete inside a run), run by run — the same count, the same
-      // values and the same addition sequence as the per-box loop.
+      // values and the same sums as the per-box loop.
       for (std::size_t i = 0; i < take && used > 0; ++i) {
         const std::uint64_t count = std::min(batch[i].count, used);
         used -= count;
         const model::BoxPotential& x = potentials.get(batch[i].size);
-        acc.add_potential(x, count);
-        sum_unit_potential =
-            model::bulk_add(sum_unit_potential, x.rho_units, count);
+        acc.add_potential(x.rho, count);
+        unit_sum.add(x.rho_units, count);
       }
       // Close every probe whose first repeat just ended.
       while (!probes.empty() &&
@@ -916,11 +946,11 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
         if (m == 0) continue;
         // Commit only if BOTH potential sums replay exactly (all-integer
         // window below 2^53); otherwise fall back to literal consumption.
-        if (!acc.all_integer() ||
+        if (!acc.exact() ||
             !model::exactly_replayable(probe.acc_sum_before,
                                        acc.sum_bounded_potential(), m) ||
             !model::exactly_replayable(probe.unit_sum_before,
-                                       sum_unit_potential, m)) {
+                                       unit_sum.value(), m)) {
           continue;
         }
         source.skip_repeats(m);
@@ -928,8 +958,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
                           exec.leaves_done() - probe.leaves_before);
         exec.path_counts_.block_replay += m * probe.boxes_per_repeat;
         acc.apply_replay(probe.acc_sum_before, probe.acc_boxes_before, m);
-        sum_unit_potential =
-            model::replay_sum(probe.unit_sum_before, sum_unit_potential, m);
+        unit_sum.replay(probe.unit_sum_before, m);
         if (recorder != nullptr) recorder->replay(probe.mark, m);
       }
     }
@@ -941,7 +970,7 @@ RunResult run_to_completion(RegularExecution& exec, profile::BoxSource& source,
   result.sum_bounded_potential = acc.sum_bounded_potential();
   result.ratio = acc.ratio();
   result.unit_ratio =
-      sum_unit_potential /
+      unit_sum.value() /
       static_cast<double>(
           model::problem_units(exec.params(), exec.problem_size()));
   if (recorder != nullptr) recorder->finish(result.completed);

@@ -25,42 +25,11 @@ namespace cadapt::model {
 /// provably bit-identical to repeated per-box addition (docs/PERF.md).
 inline constexpr double kExactIntegerLimit = 9007199254740992.0;
 
-/// True iff `sum + count * x` is bit-identical to adding x to sum `count`
-/// times: both are integers and every intermediate partial sum is an
-/// exactly-representable integer (<= 2^53). Potentials are nonnegative,
-/// so partial sums are monotone and bounded by the final value.
-inline bool exactly_bulk_addable(double sum, double x, std::uint64_t count) {
-  if (std::floor(sum) != sum || std::floor(x) != x || x < 0.0) return false;
-  const long double fin = static_cast<long double>(sum) +
-                          static_cast<long double>(count) *
-                              static_cast<long double>(x);
-  return fin <= static_cast<long double>(kExactIntegerLimit);
-}
-
-/// Counts up to which bulk_add runs the literal loop outright: a few
-/// additions cost less than proving the closed form exact.
-inline constexpr std::uint64_t kLiteralBulkAdds = 8;
-
-/// Add `count` copies of x to sum, bit-identically to a repeated-add
-/// loop: the closed form is used when provably exact, otherwise the
-/// literal loop runs (identical operation sequence either way).
-inline double bulk_add(double sum, double x, std::uint64_t count) {
-  if (count <= kLiteralBulkAdds) {
-    for (std::uint64_t i = 0; i < count; ++i) sum += x;
-    return sum;
-  }
-  if (exactly_bulk_addable(sum, x, count)) {
-    return sum + static_cast<double>(count) * x;
-  }
-  for (std::uint64_t i = 0; i < count; ++i) sum += x;
-  return sum;
-}
-
 /// True iff `current + m * (current - before)` is bit-identical to
 /// re-adding the (nonnegative, integer-summing) box sequence that took
 /// the sum from `before` to `current` m more times. Requires the caller
 /// to know every individual addend in that window was integer-valued
-/// (e.g. AdaptivityAccumulator::all_integer()); this checks the endpoint
+/// (e.g. AdaptivityAccumulator::exact()); this checks the endpoint
 /// integrality and the 2^53 exactness bound on the final value.
 inline bool exactly_replayable(double before, double current,
                                std::uint64_t m) {
@@ -80,6 +49,75 @@ inline bool exactly_replayable(double before, double current,
 inline double replay_sum(double before, double current, std::uint64_t m) {
   return current + static_cast<double>(m) * (current - before);
 }
+
+/// One addend of an ExactSum: its value and, when the value is an
+/// integer no larger than 2^53, the same integer (kNotWhole otherwise).
+struct Addend {
+  static constexpr std::uint64_t kNotWhole = UINT64_MAX;
+  double value = 0;
+  std::uint64_t whole = 0;
+
+  Addend() = default;
+  explicit Addend(double x)
+      : value(x),
+        whole(x >= 0.0 && x <= kExactIntegerLimit && std::floor(x) == x
+                  ? static_cast<std::uint64_t>(x)
+                  : kNotWhole) {}
+};
+
+/// A running sum of nonnegative addends, bit-identical to adding each
+/// addend to a double in turn. While every addend so far was an integer
+/// and the total is at most 2^53, every partial sum of that loop is an
+/// exactly representable integer, so the loop's double equals the
+/// integer total: the sum is held as a uint64 and `count` equal addends
+/// add in one multiply. The first add that would leave that domain
+/// converts the total (exactly) to a double, and from then on every add
+/// is the literal loop.
+class ExactSum {
+ public:
+  void add(const Addend& x, std::uint64_t count = 1) {
+    if (exact_) {
+      // kNotWhole overflows or passes the limit for any count >= 1.
+      std::uint64_t grown = 0;
+      std::uint64_t total = 0;
+      if (!__builtin_mul_overflow(x.whole, count, &grown) &&
+          !__builtin_add_overflow(whole_, grown, &total) &&
+          total <= kWholeLimit) {
+        whole_ = total;
+        return;
+      }
+      exact_ = false;
+      sum_ = static_cast<double>(whole_);
+    }
+    for (std::uint64_t i = 0; i < count; ++i) sum_ += x.value;
+  }
+
+  /// True while the sum is held as an integer.
+  bool exact() const { return exact_; }
+  /// The sum the literal double loop holds.
+  double value() const {
+    return exact_ ? static_cast<double>(whole_) : sum_;
+  }
+
+  /// Commit m replayed copies of the window that took the sum from
+  /// `before` to value(): the caller must have checked
+  /// exactly_replayable(before, value(), m).
+  void replay(double before, std::uint64_t m) {
+    const double total = replay_sum(before, value(), m);
+    if (exact_) {
+      whole_ = static_cast<std::uint64_t>(total);
+    } else {
+      sum_ = total;
+    }
+  }
+
+ private:
+  static constexpr std::uint64_t kWholeLimit = UINT64_C(1) << 53;
+
+  std::uint64_t whole_ = 0;  // the sum, while exact_
+  double sum_ = 0.0;         // the sum, once not exact_
+  bool exact_ = true;
+};
 
 /// rho(s) = s^{log_b a} (exact for s a power of b).
 inline double rho(const RegularParams& params, profile::BoxSize s) {
@@ -112,9 +150,8 @@ inline double bounded_rho_units(const RegularParams& params, std::uint64_t n,
 
 /// Both n-bounded potentials of one box size.
 struct BoxPotential {
-  double rho = 0;           ///< bounded_rho
-  double rho_units = 0;     ///< bounded_rho_units
-  bool rho_integer = true;  ///< rho is integer-valued
+  Addend rho;        ///< bounded_rho
+  Addend rho_units;  ///< bounded_rho_units
 };
 
 /// bounded_rho and bounded_rho_units memoized per distinct box size: a
@@ -132,7 +169,7 @@ class PotentialMemo {
     if (s < kDirect) {
       BoxPotential& value = direct_[s];
       // rho_units >= 1 for every size, so 0 marks an empty slot.
-      if (value.rho_units == 0) value = compute(s);
+      if (value.rho_units.value == 0) value = compute(s);
       return value;
     }
     Slot& slot = hashed_[(s * UINT64_C(0x9E3779B97F4A7C15)) >> 58];
@@ -151,8 +188,8 @@ class PotentialMemo {
   };
 
   BoxPotential compute(profile::BoxSize s) const {
-    const double rho = bounded_rho(params_, n_, s);
-    return {rho, bounded_rho_units(params_, n_, s), std::floor(rho) == rho};
+    return {Addend(bounded_rho(params_, n_, s)),
+            Addend(bounded_rho_units(params_, n_, s))};
   }
 
   RegularParams params_;
@@ -172,47 +209,43 @@ class AdaptivityAccumulator {
   }
 
   void add_box(profile::BoxSize s) {
-    const double x = bounded_rho(params_, n_, s);
-    all_integer_ = all_integer_ && std::floor(x) == x;
-    sum_bounded_potential_ += x;
+    sum_.add(Addend(bounded_rho(params_, n_, s)));
     ++boxes_;
   }
 
-  /// Bulk add of `count` equal boxes of potential p (from PotentialMemo;
-  /// p.rho_units is not used) — bit-identical to `count` add_box calls
-  /// (closed form when provably exact, literal loop otherwise).
-  void add_potential(const BoxPotential& p, std::uint64_t count) {
-    all_integer_ = all_integer_ && p.rho_integer;
-    sum_bounded_potential_ = bulk_add(sum_bounded_potential_, p.rho, count);
+  /// Bulk add of `count` equal boxes of potential rho (a PotentialMemo
+  /// entry's) — bit-identical to `count` add_box calls.
+  void add_potential(const Addend& rho, std::uint64_t count) {
+    sum_.add(rho, count);
     boxes_ += count;
   }
 
-  /// True while every potential added so far was integer-valued (always
-  /// the case for power-of-b box sizes) — a precondition for
+  /// True while the sum is held exactly as an integer: every potential
+  /// added so far was integer-valued (always the case for power-of-b box
+  /// sizes) and the sum is at most 2^53 — a precondition for
   /// exactly_replayable() on this accumulator's sum.
-  bool all_integer() const { return all_integer_; }
+  bool exact() const { return sum_.exact(); }
 
   /// Commit m replayed copies of the window (before_sum -> current sum):
-  /// the caller must have checked all_integer() && exactly_replayable().
+  /// the caller must have checked exact() && exactly_replayable().
   void apply_replay(double before_sum, std::uint64_t before_boxes,
                     std::uint64_t m) {
-    sum_bounded_potential_ = replay_sum(before_sum, sum_bounded_potential_, m);
+    sum_.replay(before_sum, m);
     boxes_ += m * (boxes_ - before_boxes);
   }
 
   std::uint64_t boxes() const { return boxes_; }
-  double sum_bounded_potential() const { return sum_bounded_potential_; }
+  double sum_bounded_potential() const { return sum_.value(); }
 
   /// Σ min(n,|□_i|)^{log_b a} / n^{log_b a}. An algorithm is efficiently
   /// cache-adaptive iff this stays O(1) over all profiles as n grows.
-  double ratio() const { return sum_bounded_potential_ / rho(params_, n_); }
+  double ratio() const { return sum_.value() / rho(params_, n_); }
 
  private:
   RegularParams params_;
   std::uint64_t n_;
-  double sum_bounded_potential_ = 0.0;
+  ExactSum sum_;
   std::uint64_t boxes_ = 0;
-  bool all_integer_ = true;
 };
 
 }  // namespace cadapt::model

@@ -31,27 +31,39 @@ void BoxDistribution::set_pmf(std::vector<PmfEntry> entries) {
       pmf_.push_back({e.size, e.prob / total});
     }
   }
-  cdf_.reserve(pmf_.size());
+  // Entry i takes the uniform01() draws u <= cdf[i]. For u = m · 2^-53
+  // (m an integer) and cdf[i] · 2^53 exact in binary floating point,
+  // u <= cdf[i] iff m <= floor(cdf[i] · 2^53): the integer bounds select
+  // exactly the entries the double CDF does. The clamp to 2^53 changes
+  // no answer (m < 2^53) but keeps the bounds sorted should rounding
+  // carry an inner cdf[i] past 1.
+  constexpr double kDraws = 0x1.0p53;
+  bound_.reserve(pmf_.size());
   double acc = 0.0;
   for (const auto& e : pmf_) {
     acc += e.prob;
-    cdf_.push_back(acc);
+    bound_.push_back(std::min(static_cast<std::uint64_t>(acc * kDraws),
+                              UINT64_C(1) << 53));
   }
-  cdf_.back() = 1.0;  // guard against rounding drift
-  // Guide table: guide_[j] = lower_bound(cdf_, j / m) for m a power of
-  // two, and guide_[m] = the last index. Both j / m and u * m are exact
-  // in binary floating point, so for j = floor(u * m) the answer to
-  // lower_bound(cdf_, u) lies in [guide_[j], guide_[j + 1]].
+  bound_.back() = UINT64_C(1) << 53;  // cdf.back() = 1: no rounding drift
+  // Guide table: guide_[j] = the first i with bound_[i] >= j << shift for
+  // 2^(53 - shift) buckets, and guide_[buckets] = the last index, so the
+  // answer for a draw m lies in [guide_[m >> shift], guide_[(m >> shift)
+  // + 1]].
   std::size_t buckets = 1;
-  while (buckets < pmf_.size() && buckets < kMaxGuideBuckets) buckets *= 2;
+  guide_shift_ = 53;
+  while (buckets < pmf_.size() && buckets < kMaxGuideBuckets) {
+    buckets *= 2;
+    --guide_shift_;
+  }
   guide_.resize(buckets + 1);
   for (std::size_t j = 0; j < buckets; ++j) {
-    const double lo = static_cast<double>(j) / static_cast<double>(buckets);
     guide_[j] = static_cast<std::uint32_t>(
-        std::lower_bound(cdf_.begin(), cdf_.end(), lo) - cdf_.begin());
+        std::lower_bound(bound_.begin(), bound_.end(),
+                         static_cast<std::uint64_t>(j) << guide_shift_) -
+        bound_.begin());
   }
   guide_[buckets] = static_cast<std::uint32_t>(pmf_.size() - 1);
-  guide_scale_ = static_cast<double>(buckets);
 }
 
 BoxSize BoxDistribution::min_size() const {

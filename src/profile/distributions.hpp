@@ -37,17 +37,27 @@ class BoxDistribution {
 
   const std::vector<PmfEntry>& pmf() const { return pmf_; }
 
-  /// Draw one box size: lower_bound(cdf_, u) for one uniform u, searched
-  /// only over u's guide bucket — the same index, in one or two probes
-  /// for a skewed or a uniform pmf alike.
+  /// Draw one box size: one RNG word, the uniform01() draw's entry.
   BoxSize sample(util::Rng& rng) const {
-    const double u = rng.uniform01();
-    const auto j = static_cast<std::size_t>(
-        static_cast<std::int64_t>(u * guide_scale_));
-    const auto it = std::lower_bound(cdf_.begin() + guide_[j],
-                                     cdf_.begin() + guide_[j + 1], u);
-    return pmf_[static_cast<std::size_t>(it - cdf_.begin())].size;
+    return pmf_[index_of(rng() >> 11)].size;
   }
+
+  /// The pmf entry a 53-bit draw m (rng() >> 11) selects: the first i
+  /// with m <= bounds()[i]. That is lower_bound(cdf, m · 2^-53), the index
+  /// sample() took from a double uniform01() draw, searched only inside
+  /// m's guide bucket (one or two integer probes for a skewed or a
+  /// uniform pmf alike).
+  std::size_t index_of(std::uint64_t m) const {
+    const std::uint32_t* bucket = guide_.data() + (m >> guide_shift_);
+    return static_cast<std::size_t>(
+        std::lower_bound(bound_.data() + bucket[0],
+                         bound_.data() + bucket[1], m) -
+        bound_.data());
+  }
+
+  /// bounds()[i] = min(floor(cdf[i] · 2^53), 2^53), nondecreasing, last
+  /// 2^53: entry i takes the draws m in (bounds()[i-1], bounds()[i]].
+  std::span<const std::uint64_t> bounds() const { return bound_; }
 
   BoxSize min_size() const;
   BoxSize max_size() const;
@@ -72,10 +82,10 @@ class BoxDistribution {
   /// Guide buckets cap: 2^16 four-byte entries.
   static constexpr std::size_t kMaxGuideBuckets = std::size_t{1} << 16;
 
-  std::vector<PmfEntry> pmf_;   // sorted by size, normalized
-  std::vector<double> cdf_;     // inclusive prefix sums of pmf_
-  std::vector<std::uint32_t> guide_;  // bucket -> first cdf_ index
-  double guide_scale_ = 1;            // number of guide buckets
+  std::vector<PmfEntry> pmf_;          // sorted by size, normalized
+  std::vector<std::uint64_t> bound_;   // draw bounds, see bounds()
+  std::vector<std::uint32_t> guide_;   // bucket -> first bound_ index
+  unsigned guide_shift_ = 53;          // m >> guide_shift_ = m's bucket
 };
 
 /// All boxes have one fixed size.
@@ -147,11 +157,13 @@ class Empirical final : public BoxDistribution {
 ///
 /// Runs: every delivered box costs exactly one RNG draw (so the stream is
 /// bit-identical to per-box sampling, run-consumed or not) — next_run()
-/// coalesces by drawing ahead and stashing the first mismatch. The one
-/// exception is a point mass: every delivered value is the same forever,
-/// so runs of kPointMassChunk boxes are emitted from a single head draw;
-/// the RNG is private to this source, so the skipped per-box draws are
-/// unobservable in any result. The chunk covers any box cap
+/// coalesces by drawing ahead and stashing the first mismatch. A draw
+/// extends the run while it falls in the head entry's draw interval (one
+/// unsigned compare); only the draw that ends the run is looked up. The
+/// one exception is a point mass: every delivered value is the same
+/// forever, so runs of kPointMassChunk boxes are emitted from a single
+/// head draw; the RNG is private to this source, so the skipped per-box
+/// draws are unobservable in any result. The chunk covers any box cap
 /// (RunOptions::max_boxes clamps it), so a point-mass trial is a single
 /// consume_run call.
 class DistributionSource final : public BoxSource {
@@ -161,54 +173,65 @@ class DistributionSource final : public BoxSource {
         point_mass_(dist.pmf().size() == 1) {}
 
   static constexpr std::uint64_t kPointMassChunk = UINT64_C(1) << 40;
+  /// Longest run of any other distribution: small-support distributions
+  /// can produce long runs by chance, and the cap keeps a single
+  /// next_run() call bounded.
+  static constexpr std::uint64_t kMaxCoalesce = UINT64_C(1) << 12;
 
   std::optional<BoxSize> next() override {
-    if (pending_ != 0) {
-      const BoxSize box = pending_;
-      pending_ = 0;
+    if (pending_ != kNone) {
+      const BoxSize box = dist_->pmf()[pending_].size;
+      pending_ = kNone;
       return box;
     }
     return dist_->sample(rng_);
   }
 
-  std::optional<BoxRun> next_run() override { return draw_run(); }
+  std::optional<BoxRun> next_run() override { return draw_run(rng_); }
 
   /// A batch of draw_run() results in one call: the same RNG draws and
-  /// the same runs as successive next_run() calls.
+  /// the same runs as successive next_run() calls. The generator is a
+  /// local for the batch, so its state stays in registers.
   std::size_t next_runs(std::span<BoxRun> out) override {
-    for (BoxRun& run : out) run = draw_run();
+    util::Rng rng = rng_;
+    for (BoxRun& run : out) run = draw_run(rng);
+    rng_ = rng;
     return out.size();
   }
 
  private:
-  BoxRun draw_run() {
-    BoxSize head = pending_;
-    if (head != 0) {
-      pending_ = 0;
+  static constexpr std::size_t kNone = SIZE_MAX;
+
+  BoxRun draw_run(util::Rng& rng) {
+    std::size_t head = pending_;
+    if (head != kNone) {
+      pending_ = kNone;
     } else {
-      head = dist_->sample(rng_);
+      head = dist_->index_of(rng() >> 11);
     }
-    if (point_mass_) return BoxRun{head, kPointMassChunk};
+    const BoxSize size = dist_->pmf()[head].size;
+    if (point_mass_) return BoxRun{size, kPointMassChunk};
+    // The head's draws are lo..lo + width: m - lo > width (unsigned) is
+    // a draw of another entry.
+    const std::span<const std::uint64_t> bounds = dist_->bounds();
+    const std::uint64_t lo = head == 0 ? 0 : bounds[head - 1] + 1;
+    const std::uint64_t width = bounds[head] - lo;
     std::uint64_t count = 1;
     while (count < kMaxCoalesce) {
-      const BoxSize box = dist_->sample(rng_);
-      if (box != head) {
-        pending_ = box;  // first box of the NEXT run
+      const std::uint64_t m = rng() >> 11;
+      if (m - lo > width) {
+        pending_ = dist_->index_of(m);  // first box of the NEXT run
         break;
       }
       ++count;
     }
-    return BoxRun{head, count};
+    return BoxRun{size, count};
   }
-
-  // Small-support distributions can produce long runs by chance; cap the
-  // lookahead so a single next_run() call stays bounded.
-  static constexpr std::uint64_t kMaxCoalesce = UINT64_C(1) << 12;
 
   const BoxDistribution* dist_;
   util::Rng rng_;
   bool point_mass_;
-  BoxSize pending_ = 0;  // drawn but not yet delivered; 0 = none
+  std::size_t pending_ = kNone;  // pmf entry drawn but not yet delivered
 };
 
 }  // namespace cadapt::profile

@@ -7,9 +7,13 @@
 // shared state.
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <fstream>
 #include <iterator>
+#include <memory>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -24,6 +28,7 @@
 #include "campaign/plan.hpp"
 #include "campaign/report.hpp"
 #include "campaign/sweep.hpp"
+#include "campaign/trial_scheduler.hpp"
 #include "obs/sink.hpp"
 #include "robust/cancel.hpp"
 #include "robust/fault.hpp"
@@ -722,6 +727,66 @@ TEST(SweepRunner, CancelMidHelpedCellDiscardsItWholeAndResumes) {
   resume.checkpoint_path = ckpt;
   resume.resume = true;
   EXPECT_EQ(report_bytes(campaign::run_sweep(plan, resume)), uninterrupted);
+}
+
+// A worker that finds nothing to admit and nothing to help while another
+// thread is still inside admit for the only cell waits for that admission
+// and then helps with the cell's trials, rather than leaving work() for
+// good. One cell of 16 trials, 4 threads: the first admit holds the cell
+// until the other three threads have come back from theirs empty, and
+// every trial waits until a second thread has started one. Both waits end
+// at one deadline, so a scheduler that leaves the cell to one thread fails
+// the test within seconds instead of hanging it.
+TEST(TrialScheduler, HelpersWaitForAnAdmissionInFlight) {
+  using Claimed = campaign::ClaimedCell<int>;
+  constexpr std::uint64_t kTrials = 16;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  campaign::Cell cell;
+  cell.trials = kTrials;
+  const auto claim = std::make_shared<Claimed>();
+  claim->cell = &cell;
+  claim->chunk = kTrials;
+  claim->records.resize(kTrials);
+  claim->restored.assign(kTrials, false);
+  claim->landed = std::vector<std::atomic<std::uint64_t>>(1);
+
+  std::mutex mutex;
+  std::condition_variable changed;
+  bool handed_out = false;
+  int empty_admits = 0;
+  std::set<std::thread::id> ran;  // threads that started a trial
+  claim->runner = [&](std::uint64_t, robust::FaultInjector&) {
+    std::unique_lock<std::mutex> lock(mutex);
+    ran.insert(std::this_thread::get_id());
+    changed.notify_all();
+    changed.wait_until(lock, deadline, [&] { return ran.size() >= 2; });
+    return engine::RunResult{};
+  };
+  bool finished = false;
+  campaign::TrialScheduler<int> scheduler(
+      {.admit = [&]() -> std::shared_ptr<Claimed> {
+         std::unique_lock<std::mutex> lock(mutex);
+         if (handed_out) {
+           ++empty_admits;
+           changed.notify_all();
+           return nullptr;
+         }
+         handed_out = true;
+         changed.wait_until(lock, deadline,
+                            [&] { return empty_admits >= 3; });
+         return claim;
+       },
+       .finish = [&finished](Claimed&) { finished = true; },
+       .abandon = [](Claimed&) {},
+       .land_chunk = [](Claimed&, std::uint64_t) {}},
+      /*timing=*/false);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 4; ++i) threads.emplace_back([&] { scheduler.work(); });
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_TRUE(finished);
+  EXPECT_GE(empty_admits, 3);
+  EXPECT_GE(ran.size(), 2u);
 }
 
 }  // namespace

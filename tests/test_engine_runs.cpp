@@ -633,6 +633,37 @@ TEST(PathCounts, SumToBoxesOnEveryPath) {
   }
 }
 
+// consume_runs' closed forms (runs of unit boxes inside the leaf table,
+// runs inside a scan chunk) retire each box on the path it took when
+// stepped one at a time, so `cadapt trace --runs` keeps reporting the
+// same split: the path counts of one (8,4,1) k = 7 trial of `shuffled`
+// and of `iid:uniform-range:1:64` (seed 1) are pinned.
+TEST(PathCounts, PinnedForShuffledAndUniformRange) {
+  const model::RegularParams p{8, 4, 1.0};
+  const std::uint64_t n = util::ipow(p.b, 7u);
+  struct Pin {
+    std::string token;
+    std::uint64_t boxes, literal, table, scan_stretch, subtree_replay;
+  };
+  for (const Pin& pin : {Pin{"shuffled", 395952, 8953, 323774, 62771, 454},
+                         Pin{"iid:uniform-range:1:64", 57643, 34894, 9589,
+                             13160, 0}}) {
+    const auto dist = campaign::make_distribution(
+        campaign::parse_profile_token(pin.token, campaign::Workload::kRatio),
+        p, n);
+    profile::DistributionSource source(*dist, util::Rng(1));
+    RegularExecution exec(p, n);
+    const RunResult run = run_to_completion(exec, source, RunOptions{});
+    const PathCounts& paths = exec.path_counts();
+    EXPECT_EQ(run.boxes, pin.boxes) << pin.token;
+    EXPECT_EQ(paths.literal, pin.literal) << pin.token;
+    EXPECT_EQ(paths.table, pin.table) << pin.token;
+    EXPECT_EQ(paths.scan_stretch, pin.scan_stretch) << pin.token;
+    EXPECT_EQ(paths.subtree_replay, pin.subtree_replay) << pin.token;
+    EXPECT_EQ(paths.block_replay, 0u) << pin.token;
+  }
+}
+
 // StopReason must say WHY the run ended, identically in both drivers.
 TEST(StopReason, DistinguishesCompletionExhaustionAndCap) {
   model::RegularParams p;

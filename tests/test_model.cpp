@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "model/potential.hpp"
 #include "model/regular.hpp"
 #include "util/check.hpp"
+#include "util/random.hpp"
 
 namespace cadapt::model {
 namespace {
@@ -81,6 +85,46 @@ TEST(Potential, AccumulatorRatio) {
   EXPECT_DOUBLE_EQ(acc.ratio(), 2.125);
   EXPECT_EQ(acc.boxes(), 3u);
   EXPECT_DOUBLE_EQ(acc.sum_bounded_potential(), 136.0);
+}
+
+// ExactSum holds the bits of the literal `sum += x` loop: integer addends
+// below and across 2^53 (where the literal loop starts rounding), and
+// non-integer addends that end the integer domain early.
+TEST(ExactSum, MatchesTheLiteralAdditionLoop) {
+  const std::array<double, 8> values = {
+      1.0, 4.0, 64.0, 0x1.0p40, 0x1.0p50 + 1.0, 0x1.8p49, 0.5, 2.25};
+  util::Rng rng(3);
+  for (int trial = 0; trial < 400; ++trial) {
+    ExactSum sum;
+    double literal = 0.0;
+    // Integer-only trials up to half the time; the rest may draw 0.5 and
+    // 2.25 at any step.
+    const std::uint64_t kinds = trial % 2 == 0 ? 6 : values.size();
+    for (int step = 0; step < 24; ++step) {
+      const double x = values[rng.below(kinds)];
+      const std::uint64_t count = rng.below(40);
+      sum.add(Addend(x), count);
+      for (std::uint64_t i = 0; i < count; ++i) literal += x;
+      ASSERT_EQ(sum.value(), literal) << "trial " << trial << " step " << step;
+      if (sum.exact()) {
+        ASSERT_LE(literal, kExactIntegerLimit);
+      }
+    }
+  }
+}
+
+// A replay commits the window's sum m more times, as re-adding the same
+// addends would, and keeps the integer form.
+TEST(ExactSum, ReplayMatchesReAddingTheWindow) {
+  ExactSum sum;
+  sum.add(Addend(7.0), 3);
+  const double before = sum.value();
+  sum.add(Addend(64.0), 2);
+  sum.add(Addend(1.0), 5);
+  ASSERT_TRUE(exactly_replayable(before, sum.value(), 4));
+  sum.replay(before, 4);
+  EXPECT_TRUE(sum.exact());
+  EXPECT_EQ(sum.value(), 21.0 + 5 * 133.0);
 }
 
 }  // namespace

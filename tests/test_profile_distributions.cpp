@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "util/check.hpp"
@@ -133,6 +135,106 @@ TEST(Sampling, GuideBucketMatchesFullBinarySearch) {
       ASSERT_EQ(d->sample(sampled), d->pmf()[idx].size)
           << d->name() << " draw " << i;
     }
+  }
+}
+
+// The CDF exactly as set_pmf accumulates it.
+std::vector<double> accumulated_cdf(const BoxDistribution& d) {
+  std::vector<double> cdf;
+  double acc = 0.0;
+  for (const PmfEntry& e : d.pmf()) cdf.push_back(acc += e.prob);
+  cdf.back() = 1.0;
+  return cdf;
+}
+
+// The distributions of GuideBucketMatchesFullBinarySearch, plus one whose
+// CDF steps collapse to equal doubles: weight 1e6 leaves every entry past
+// the second at cdf = 1.
+struct EdgeDistributions {
+  const GeometricPowers census{4, 8.0, 0, 7};
+  const UniformRange range{1, 64};
+  const UniformRange wide{1, 70000};
+  const Bimodal bimodal{2, 1024, 0.03};
+  const UniformPowers powers{4, 0, 4};
+  const PointMass point{16};
+  const Empirical empirical{{1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89}};
+  const GeometricPowers collapsed{4, 1e6, 0, 7};
+
+  std::vector<const BoxDistribution*> all() const {
+    return {&census, &range, &wide,  &bimodal,
+            &powers, &point, &empirical, &collapsed};
+  }
+};
+
+// index_of(m) is lower_bound over the double CDF at m · 2^-53 — the entry
+// sample() takes for the RNG word whose top 53 bits are m — at both ends
+// of the draw range and on both sides of every entry's bound.
+TEST(Sampling, IntegerBoundsMatchLowerBoundAtEveryEdge) {
+  constexpr std::uint64_t kDraws = UINT64_C(1) << 53;
+  const EdgeDistributions dists;
+  for (const BoxDistribution* d : dists.all()) {
+    const std::vector<double> cdf = accumulated_cdf(*d);
+    ASSERT_EQ(d->bounds().size(), cdf.size()) << d->name();
+    EXPECT_EQ(d->bounds().back(), kDraws) << d->name();
+    std::vector<std::uint64_t> edges = {0, kDraws - 1};
+    for (const std::uint64_t bound : d->bounds()) {
+      edges.push_back(bound);
+      edges.push_back(bound + 1);
+    }
+    for (const std::uint64_t m : edges) {
+      if (m >= kDraws) continue;
+      const double u = static_cast<double>(m) * 0x1.0p-53;
+      const auto expected = static_cast<std::size_t>(
+          std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      ASSERT_EQ(d->index_of(m), expected) << d->name() << " m=" << m;
+    }
+  }
+  // The collapse is real: entries past the second share bound 2^53.
+  EXPECT_EQ(dists.collapsed.bounds()[2], kDraws);
+}
+
+// Runs carry exactly the boxes successive next() calls deliver from the
+// same seed, and leave the RNG where next() would: after the runs the two
+// streams go on equal. The collapsed distribution's head entry has mass
+// 1 - 1e-6, so its runs stop at kMaxCoalesce; a point mass is one run of
+// kPointMassChunk boxes.
+TEST(DistributionSource, RunsEqualThePerBoxStream) {
+  const EdgeDistributions dists;
+  for (const BoxDistribution* d : dists.all()) {
+    DistributionSource per_box(*d, util::Rng(5));
+    DistributionSource runs(*d, util::Rng(5));
+    if (d == &dists.point) {
+      const std::optional<BoxRun> run = runs.next_run();
+      ASSERT_TRUE(run.has_value());
+      EXPECT_EQ(run->size, 16u);
+      EXPECT_EQ(run->count, DistributionSource::kPointMassChunk);
+      EXPECT_EQ(per_box.next(), 16u);
+      continue;
+    }
+    bool capped = false;
+    std::array<BoxRun, 64> batch;
+    for (int round = 0; round < 16; ++round) {
+      ASSERT_EQ(runs.next_runs(batch), batch.size());
+      for (const BoxRun& run : batch) {
+        ASSERT_GE(run.count, 1u);
+        ASSERT_LE(run.count, DistributionSource::kMaxCoalesce);
+        capped = capped || run.count == DistributionSource::kMaxCoalesce;
+        for (std::uint64_t i = 0; i < run.count; ++i) {
+          ASSERT_EQ(per_box.next(), run.size) << d->name();
+        }
+      }
+      // Interleave single runs and single boxes too.
+      const std::optional<BoxRun> run = runs.next_run();
+      ASSERT_TRUE(run.has_value());
+      for (std::uint64_t i = 0; i < run->count; ++i) {
+        ASSERT_EQ(per_box.next(), run->size) << d->name();
+      }
+      ASSERT_EQ(runs.next(), per_box.next()) << d->name();
+    }
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(runs.next(), per_box.next()) << d->name();
+    }
+    EXPECT_EQ(capped, d == &dists.collapsed) << d->name();
   }
 }
 
